@@ -59,25 +59,28 @@ let render_table ~title reports =
     reports;
   Buffer.contents buf
 
-let implement ?delays ?(max_csc = 6) ?(style = `Complex_gate) ~name sg =
+(* [implement], also returning the implementation it built, or
+   [Csc.resolve]'s message when CSC resolution failed. *)
+let implement_impl ?delays ?(max_csc = 6) ?(style = `Complex_gate) ~name sg =
   Obs.span ~args:[ ("name", name) ] "core.implement" @@ fun () ->
   let states = Sg.n_states sg in
   match Csc.resolve ~max_signals:max_csc sg with
-  | Error _ ->
-      {
-        name;
-        states;
-        csc_signals = None;
-        area = None;
-        critical_cycle = None;
-        input_events = None;
-        equations = "";
-        reductions = [];
-        verified = None;
-        mapped_area = None;
-        shared_area = None;
-        feasible = None;
-      }
+  | Error msg ->
+      ( {
+          name;
+          states;
+          csc_signals = None;
+          area = None;
+          critical_cycle = None;
+          input_events = None;
+          equations = "";
+          reductions = [];
+          verified = None;
+          mapped_area = None;
+          shared_area = None;
+          feasible = None;
+        },
+        Error msg )
   | Ok resolution ->
       let impl = Logic.synthesize ~style resolution.Csc.sg in
       let area = Logic.area_opt impl in
@@ -109,26 +112,30 @@ let implement ?delays ?(max_csc = 6) ?(style = `Complex_gate) ~name sg =
         | Error _ -> Some false
         | exception Invalid_argument _ -> Some false
       in
-      {
-        name;
-        states;
-        csc_signals = Some (List.length resolution.Csc.inserted);
-        area;
-        critical_cycle = cycle;
-        input_events = inputs;
-        equations = Logic.render impl;
-        reductions = [];
-        verified;
-        mapped_area =
-          (match Techmap.map_impl impl with
-          | m -> Some m.Techmap.area
-          | exception Invalid_argument _ -> None);
-        shared_area =
-          (match Netlist.of_impl impl with
-          | nl -> Some (Netlist.area nl)
-          | exception Invalid_argument _ -> None);
-        feasible = None;
-      }
+      ( {
+          name;
+          states;
+          csc_signals = Some (List.length resolution.Csc.inserted);
+          area;
+          critical_cycle = cycle;
+          input_events = inputs;
+          equations = Logic.render impl;
+          reductions = [];
+          verified;
+          mapped_area =
+            (match Techmap.map_impl impl with
+            | m -> Some m.Techmap.area
+            | exception Invalid_argument _ -> None);
+          shared_area =
+            (match Netlist.of_impl impl with
+            | nl -> Some (Netlist.area nl)
+            | exception Invalid_argument _ -> None);
+          feasible = None;
+        },
+        Ok impl )
+
+let implement ?delays ?max_csc ?style ~name sg =
+  fst (implement_impl ?delays ?max_csc ?style ~name sg)
 
 (* A reduced SG no longer matches its backing STG; realize a new STG
    (the paper's step 5) before CSC insertion and timing. *)
@@ -335,16 +342,17 @@ module Cli = struct
     | Ok sg ->
         let b = Buffer.create 1024 in
         let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-        let r = implement ~max_csc:opts.max_csc ~name:"circuit" sg in
+        let r, impl =
+          implement_impl ~max_csc:opts.max_csc ~name:"circuit" sg
+        in
         Buffer.add_string b (Format.asprintf "%a@." pp_report r);
         if r.equations <> "" then pf "%s\n" r.equations;
         (match r.mapped_area with
         | Some a -> pf "mapped area: %d\n" a
         | None -> ());
         if opts.emit <> [] then begin
-          match Csc.resolve ~max_signals:opts.max_csc sg with
-          | Ok res ->
-              let impl = Logic.synthesize res.Csc.sg in
+          match impl with
+          | Ok impl ->
               let circuit = Circuit.of_impl impl in
               List.iter
                 (fun backend ->

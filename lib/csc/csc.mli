@@ -12,12 +12,16 @@
     Either way the insertion only delays events — it never disables them —
     so speed-independence can only be lost through the new signal itself,
     and the I/O interface is preserved as long as no input transition is
-    delayed directly (checked).  An insertion is accepted only when the
-    resulting state graph is consistent and speed-independent with strictly
-    fewer CSC conflicts.
+    delayed directly (checked).  An insertion is accepted when the
+    resulting state graph is consistent and speed-independent with no more
+    CSC conflicts than before: plateau steps (an equal count) are kept,
+    since a signal can trade one conflict for another that a further
+    signal resolves.
 
     The solver searches (set site, reset site) pairs greedily with
-    backtracking until CSC holds or the signal budget is exhausted. *)
+    backtracking until CSC holds or the signal budget is exhausted.  Each
+    candidate's state graph is derived from its parent's by {!product}
+    rather than by re-exploring the refined net. *)
 
 (** An insertion site. *)
 type site =
@@ -36,6 +40,32 @@ val sites : Stg.t -> site list
     directly, when the sites coincide, or when [name] clashes with an
     existing signal. *)
 val insert_signal : Stg.t -> set:site -> reset:site -> name:string -> Stg.t
+
+(** [product sg stg'] — the state graph of [stg' = insert_signal (Sg.stg
+    sg) ~set ~reset ~name], derived from [sg] instead of re-exploring
+    [stg']'s net.  Because the insertion only delays events, a child state
+    is a parent state plus the new signal's parity and which of the two
+    inserted places (the presets of [c+] and [c-]) hold a token; an
+    original transition fires where its parent arc exists and none of its
+    input tokens is held back in an inserted place, and [c±] fires where
+    its place is marked.  States are explored in {!Sg.of_stg}'s order and
+    initial values inferred as it does, so the result is structurally
+    identical to [Sg.of_stg ?budget stg']: state numbering, initial state,
+    codes, markings, arc rows and unconstrained signals.  An [Error] is
+    returned wherever [Sg.of_stg] returns one; an inconsistent new signal
+    stops the exploration at its first contradicting edge (reported as
+    [Inconsistent], where [Sg.of_stg] would report [Unbounded] if the full
+    exploration also exceeded [budget]).
+
+    Precondition: [sg] is the full state graph of its own STG, as
+    [Sg.of_stg] (or [product]) built it — a reduced SG is not.
+
+    [None] when the product does not apply and the caller should run
+    [Sg.of_stg stg'] instead: a degenerate site pair (an edge with no
+    input place), an inserted place that would take a second token, or a
+    signal of [stg'] left unconstrained by +/− edges (so [Sg.of_stg]'s
+    warning is kept). *)
+val product : ?budget:int -> Sg.t -> Stg.t -> (Sg.t, Sg.error) result option
 
 type resolution = {
   stg : Stg.t;  (** STG with the inserted signals *)

@@ -410,8 +410,10 @@ let c_csc_scratch = Obs.Counter.make "sg.csc.scratch"
 (* A state is a (marking, signal parity) pair: an STG with toggle events
    (2-phase refinements) revisits markings with flipped signal values, which
    are distinct SG states. *)
-let of_stg_impl ?(budget = 200_000) ?(initial_values = []) ?(warn = default_warn)
-    stg =
+let default_budget = 200_000
+
+let of_stg_impl ?(budget = default_budget) ?(initial_values = [])
+    ?(warn = default_warn) stg =
   let net = stg.Stg.net in
   let nsig = Stg.n_signals stg in
   let b = Builder.create ~expect:1024 stg in

@@ -39,6 +39,9 @@ val of_stg :
   Stg.t ->
   (t, error) result
 
+(** The state budget of {!of_stg} when none is given (200,000). *)
+val default_budget : int
+
 (** {2 Structure accessors} *)
 
 val stg : t -> Stg.t

@@ -199,3 +199,292 @@ let suite =
       Alcotest.test_case "deterministic resolution" `Quick
         test_resolve_deterministic;
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Child state graphs by product (Csc.product) against re-exploration *)
+
+let data f = Filename.concat (Test_roundtrip.examples_dir ()) f
+
+let first_level_specs () =
+  [
+    ("LR", Expansion.four_phase Specs.lr);
+    ("PAR", Expansion.four_phase Specs.par);
+    ("fig1", Specs.fig1 ());
+    ("ahb_arbiter", Stg.Io.parse_file (data "ahb_arbiter.g"));
+    ("ahb_master", Stg.Io.parse_file (data "ahb_master.g"));
+    ("micropipeline", Stg.Io.parse_file (data "micropipeline.g"));
+  ]
+
+(* Structural equality through the public API: state numbering, initial
+   state, codes, markings, arc rows and unconstrained signals. *)
+let same_sg a b =
+  let row sg s =
+    List.rev (Sg.fold_succ sg s [] (fun acc t d -> (t, d) :: acc))
+  in
+  Sg.n_states a = Sg.n_states b
+  && Sg.initial a = Sg.initial b
+  && Sg.unconstrained_signals a = Sg.unconstrained_signals b
+  && List.for_all
+       (fun s ->
+         Sg.code a s = Sg.code b s
+         && Sg.marking a s = Sg.marking b s
+         && row a s = row b s)
+       (Sg.states a)
+
+let error_string e = Format.asprintf "%a" Sg.pp_error e
+
+(* [Some true]: the product matches [Sg.of_stg] (graph or error);
+   [Some false]: it does not; [None]: the product fell back. *)
+let product_agrees sg stg' =
+  match (Csc.product sg stg', Sg.of_stg ~warn:ignore stg') with
+  | None, _ -> None
+  | Some (Ok a), Ok b -> Some (same_sg a b)
+  | Some (Error e1), Error e2 -> Some (error_string e1 = error_string e2)
+  | Some (Ok _), Error _ | Some (Error _), Ok _ -> Some false
+
+let test_product_first_level () =
+  List.iter
+    (fun (name, stg) ->
+      let sg = Gen.sg_exn stg in
+      let sites = Csc.sites stg in
+      let pairs = ref 0 and fallbacks = ref 0 in
+      List.iter
+        (fun set ->
+          List.iter
+            (fun reset ->
+              if set <> reset then
+                match Csc.insert_signal stg ~set ~reset ~name:"z" with
+                | exception Invalid_argument _ -> ()
+                | stg' -> (
+                    incr pairs;
+                    match product_agrees sg stg' with
+                    | Some true -> ()
+                    | None -> incr fallbacks
+                    | Some false ->
+                        Alcotest.failf "%s: product differs on set %s reset %s"
+                          name
+                          (Format.asprintf "%a" (Csc.pp_site stg) set)
+                          (Format.asprintf "%a" (Csc.pp_site stg) reset)))
+            sites)
+        sites;
+      check (name ^ ": some pairs") true (!pairs > 0);
+      check_int (name ^ ": no fallbacks") 0 !fallbacks)
+    (first_level_specs ())
+
+let prop_product_random =
+  QCheck.Test.make ~name:"product = of_stg on random specs" ~count:30
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let stg = Expansion.four_phase (Gen.random_spec seed) in
+      let sg = Gen.sg_exn stg in
+      let sites = Array.of_list (Csc.sites stg) in
+      QCheck.assume (Array.length sites >= 2);
+      let st = Random.State.make [| seed |] in
+      List.for_all
+        (fun _ ->
+          let i = Random.State.int st (Array.length sites) in
+          let j = Random.State.int st (Array.length sites) in
+          i = j
+          ||
+          match
+            Csc.insert_signal stg ~set:sites.(i) ~reset:sites.(j) ~name:"z"
+          with
+          | exception Invalid_argument _ -> true
+          | stg' -> product_agrees sg stg' <> Some false)
+        (List.init 8 Fun.id))
+
+(* A 2-bounded place [p] between dummies: [d1] may fire twice (two slots
+   in [s0]) before [d2], which a one-token [turn] serializes with the
+   handshake of output [x]. *)
+let two_slot_buffer () =
+  let b = Petri.Builder.create () in
+  let place name tokens = Petri.Builder.add_place b ~name ~tokens in
+  let s0 = place "s0" 2 and p = place "p" 0 and turn = place "turn" 1 in
+  let w = place "w" 0 and v = place "v" 0 in
+  let trans name = Petri.Builder.add_trans b ~name in
+  let d1 = trans "d1" and d2 = trans "d2" in
+  let xp = trans "x+" and xm = trans "x-" in
+  Petri.Builder.arc_pt b s0 d1;
+  Petri.Builder.arc_tp b d1 p;
+  Petri.Builder.arc_pt b p d2;
+  Petri.Builder.arc_pt b turn d2;
+  Petri.Builder.arc_tp b d2 w;
+  Petri.Builder.arc_pt b w xp;
+  Petri.Builder.arc_tp b xp v;
+  Petri.Builder.arc_pt b v xm;
+  Petri.Builder.arc_tp b xm s0;
+  Petri.Builder.arc_tp b xm turn;
+  let stg = Stg.of_net ~inputs:[] ~outputs:[ "x" ] (Petri.Builder.build b) in
+  (stg, s0, p, xp, xm)
+
+let test_product_fallbacks () =
+  let stg, s0, p, xp, xm = two_slot_buffer () in
+  let sg = Gen.sg_exn stg in
+  (* the inserted place after d1 takes a second token *)
+  let stg' =
+    Csc.insert_signal stg ~set:(Csc.On_arc p) ~reset:(Csc.After xp) ~name:"c"
+  in
+  check "second token falls back" true (Csc.product sg stg' = None);
+  check "of_stg rejects it" true
+    (Result.is_error (Sg.of_stg ~warn:ignore stg'));
+  (* degenerate pair: s0 lies in x-'s postset, so the reset edge gets no
+     place at all; the product fires it everywhere, as the net does *)
+  let stg' =
+    Csc.insert_signal stg ~set:(Csc.After xm) ~reset:(Csc.On_arc s0) ~name:"c"
+  in
+  check "degenerate pair agrees" true (product_agrees sg stg' = Some true);
+  (* a toggle-only (unconstrained) signal falls back so that of_stg's
+     warning is kept *)
+  let stg =
+    Stg.Io.parse
+      {|
+.inputs a
+.outputs x y
+.graph
+a+ x+
+x+ y~
+y~ a-
+a- x-
+x- a+
+.marking { <x-,a+> }
+.end
+|}
+  in
+  let sg =
+    match Sg.of_stg ~warn:ignore stg with
+    | Ok sg -> sg
+    | Error e -> Alcotest.fail (error_string e)
+  in
+  match Csc.sites stg with
+  | set :: reset :: _ ->
+      let stg' = Csc.insert_signal stg ~set ~reset ~name:"c" in
+      check "unconstrained signal falls back" true (Csc.product sg stg' = None)
+  | [] | [ _ ] -> Alcotest.fail "expected two sites"
+
+(* The resolve loop as it was before child SGs were derived by product:
+   every candidate re-explores its refined net with [Sg.of_stg], conflicts
+   are counted on the sorted pair list and candidates are scored with the
+   unmemoized estimator. *)
+let reference_resolve ?(max_signals = 6) ?(work = 20_000) sg0 =
+  let exception Out_of_work in
+  let work_left = ref work in
+  let rec solve stg sg depth inserted =
+    let conflicts = List.length (Sg.csc_conflicts sg) in
+    if conflicts = 0 then Ok (stg, sg, List.rev inserted)
+    else if depth = 0 then Error "signal budget exhausted"
+    else begin
+      let name = Printf.sprintf "csc%d" (List.length inserted) in
+      let all_sites = Csc.sites stg in
+      let candidates = ref [] in
+      List.iter
+        (fun set ->
+          List.iter
+            (fun reset ->
+              if set <> reset then begin
+                decr work_left;
+                if !work_left < 0 then raise Out_of_work;
+                match Csc.insert_signal stg ~set ~reset ~name with
+                | exception Invalid_argument _ -> ()
+                | stg' -> (
+                    match Sg.of_stg ~warn:ignore stg' with
+                    | Error _ -> ()
+                    | Ok sg' ->
+                        if Sg.is_speed_independent sg' then
+                          let c = List.length (Sg.csc_conflicts sg') in
+                          if c <= conflicts then
+                            candidates :=
+                              ((c, Logic.estimate sg'), stg', sg', set, reset)
+                              :: !candidates)
+              end)
+            all_sites)
+        all_sites;
+      let sorted =
+        List.sort (fun (s1, _, _, _, _) (s2, _, _, _, _) -> compare s1 s2)
+          !candidates
+      in
+      let rec try_best = function
+        | [] -> Error "no valid insertion found"
+        | (_, stg', sg', set, reset) :: rest -> (
+            let show = Format.asprintf "%a" (Csc.pp_site stg) in
+            let step = (name, show set, show reset) in
+            match solve stg' sg' (depth - 1) (step :: inserted) with
+            | Ok r -> Ok r
+            | Error _ -> try_best rest)
+      in
+      try_best (List.filteri (fun i _ -> i < 5) sorted)
+    end
+  in
+  match solve (Sg.stg sg0) sg0 max_signals [] with
+  | result -> result
+  | exception Out_of_work -> Error "insertion work budget exhausted"
+
+let test_resolve_reference () =
+  List.iter
+    (fun (name, stg, max_signals, work) ->
+      let sg = Gen.sg_exn stg in
+      match
+        ( Csc.resolve ~max_signals ~work sg,
+          reference_resolve ~max_signals ~work sg )
+      with
+      | Ok r, Ok (stg', sg', inserted) ->
+          check (name ^ ": inserted") true (r.Csc.inserted = inserted);
+          check (name ^ ": STG") true
+            (Stg.Io.print r.Csc.stg = Stg.Io.print stg');
+          check (name ^ ": final SG") true (same_sg r.Csc.sg sg')
+      | Error e1, Error e2 -> Alcotest.(check string) (name ^ ": error") e2 e1
+      | Ok _, Error e ->
+          Alcotest.failf "%s: only the reference failed: %s" name e
+      | Error e, Ok _ -> Alcotest.failf "%s: only resolve failed: %s" name e)
+    [
+      ("LR", Expansion.four_phase Specs.lr, 6, 20_000);
+      ("PAR", Expansion.four_phase Specs.par, 6, 20_000);
+      ("fig1", Specs.fig1 (), 2, 2_000);
+      ("ahb_arbiter", Stg.Io.parse_file (data "ahb_arbiter.g"), 6, 20_000);
+      ("ahb_master", Stg.Io.parse_file (data "ahb_master.g"), 6, 20_000);
+      ("buffer", Stg.Io.parse_file (data "buffer.g"), 6, 20_000);
+    ]
+
+(* Every candidate of PAR's resolution is derived by product and
+   accounted for by exactly one decision counter. *)
+let test_decision_counters () =
+  let sg = Gen.sg_exn (Expansion.four_phase Specs.par) in
+  let names =
+    [
+      "csc.insertions.tried";
+      "csc.reject.invalid_site";
+      "csc.reject.sg_error";
+      "csc.reject.not_si";
+      "csc.reject.more_conflicts";
+      "csc.accepted";
+      "csc.child.product";
+      "csc.child.fallback";
+    ]
+  in
+  let snapshot () =
+    List.map (fun n -> Obs.Counter.value (Obs.Counter.make n)) names
+  in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  let before = snapshot () in
+  ignore
+    (Fun.protect
+       ~finally:(fun () -> Obs.set_enabled was)
+       (fun () -> Csc.resolve sg));
+  let delta = List.map2 ( - ) (snapshot ()) before in
+  List.iter2
+    (fun name (want, got) -> check_int name want got)
+    names
+    (List.combine [ 1760; 0; 980; 0; 568; 212; 1760; 0 ] delta)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "decision counters on PAR" `Quick
+        test_decision_counters;
+      Alcotest.test_case "resolve = reference loop" `Quick
+        test_resolve_reference;
+      Alcotest.test_case "product = of_stg, first level" `Quick
+        test_product_first_level;
+      QCheck_alcotest.to_alcotest prop_product_random;
+      Alcotest.test_case "product fallbacks" `Quick test_product_fallbacks;
+    ]
