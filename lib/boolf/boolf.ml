@@ -250,15 +250,29 @@ module Memo = struct
   let c_hits = Obs.Counter.make "boolf.memo.hits"
   let c_misses = Obs.Counter.make "boolf.memo.misses"
 
-  let tables : (int * int list * int list, entry) Hashtbl.t Pool.Dls.key =
-    Pool.Dls.new_key (fun () -> Hashtbl.create 1024)
+  (* The polymorphic hash reads only the first few cells of each list, so
+     keys sharing a prefix of minterms would share a bucket: fold them all. *)
+  module Tbl = Hashtbl.Make (struct
+    type t = int * int list * int list
+
+    let equal (n1, on1, off1) (n2, on2, off2) =
+      n1 = n2 && List.equal Int.equal on1 on2 && List.equal Int.equal off1 off2
+
+    let hash (n, on, off) =
+      let mix h m = (h lxor m) * 0x100000001b3 in
+      let h = List.fold_left mix (mix n (List.length on)) on in
+      Hashtbl.hash (List.fold_left mix h off)
+  end)
+
+  let tables : entry Tbl.t Pool.Dls.key =
+    Pool.Dls.new_key (fun () -> Tbl.create 1024)
 
   let lookup ~n ~on ~off =
     let on = List.sort_uniq Int.compare on
     and off = List.sort_uniq Int.compare off in
     let key = (n, on, off) in
     let tbl = Pool.Dls.get tables in
-    match Hashtbl.find_opt tbl key with
+    match Tbl.find_opt tbl key with
     | Some e ->
         Atomic.incr hit_count;
         Obs.Counter.incr c_hits;
@@ -268,7 +282,7 @@ module Memo = struct
         Obs.Counter.incr c_misses;
         let cover = minimize ~n ~on ~off in
         let e = { cover; lits = Cover.literals cover } in
-        Hashtbl.add tbl key e;
+        Tbl.add tbl key e;
         e
 
   let minimize ~n ~on ~off = (lookup ~n ~on ~off).cover
@@ -282,5 +296,5 @@ module Memo = struct
     Atomic.set hit_count 0;
     Atomic.set miss_count 0
 
-  let clear () = Hashtbl.reset (Pool.Dls.get tables)
+  let clear () = Tbl.reset (Pool.Dls.get tables)
 end

@@ -295,7 +295,9 @@ let c_invalid_site = Obs.Counter.make "csc.reject.invalid_site"
 let c_sg_error = Obs.Counter.make "csc.reject.sg_error"
 let c_not_si = Obs.Counter.make "csc.reject.not_si"
 let c_more_conflicts = Obs.Counter.make "csc.reject.more_conflicts"
+let c_not_final = Obs.Counter.make "csc.reject.not_final"
 let c_accepted = Obs.Counter.make "csc.accepted"
+let c_scored = Obs.Counter.make "csc.scored"
 let c_product = Obs.Counter.make "csc.child.product"
 let c_fallback = Obs.Counter.make "csc.child.fallback"
 
@@ -303,10 +305,11 @@ let reject counter =
   Obs.Counter.incr counter;
   None
 
-(* Evaluate one candidate insertion; None when invalid or degrading.
-   Plateau steps (same conflict count) are kept: a signal can trade the
-   current conflict for a new one that a further signal resolves. *)
-let try_insertion ?budget ~constrained sg conflicts ~set ~reset ~name =
+(* Evaluate one candidate insertion, cheapest check first; None when
+   invalid or degrading.  Plateau steps (same conflict count) are kept: a
+   signal can trade the current conflict for a new one that a further
+   signal resolves.  The last signal ([final]) must leave no conflict. *)
+let try_insertion ?budget ~constrained ~final sg conflicts ~set ~reset ~name =
   match insert_signal (Sg.stg sg) ~set ~reset ~name with
   | exception Invalid_argument _ -> reject c_invalid_site
   | stg' -> (
@@ -322,14 +325,17 @@ let try_insertion ?budget ~constrained sg conflicts ~set ~reset ~name =
       match child with
       | Error _ -> reject c_sg_error
       | Ok sg' ->
-          if not (Sg.is_speed_independent sg') then reject c_not_si
-          else
-            let c = Sg.csc_conflict_count sg' in
-            if c > conflicts then reject c_more_conflicts
-            else begin
-              Obs.Counter.incr c_accepted;
-              Some (stg', sg', c)
-            end)
+          let c = Sg.csc_conflict_count sg' in
+          if c > conflicts then reject c_more_conflicts
+          else if final && c > 0 then reject c_not_final
+          else if not (Sg.is_speed_independent sg') then reject c_not_si
+          else begin
+            Obs.Counter.incr c_accepted;
+            Some (stg', sg', c)
+          end)
+
+(* Backtracking descends into the best few candidates only. *)
+let n_best = 5
 
 let resolve ?(max_signals = 6) ?budget ?(work = 20_000) sg0 =
   Obs.Counter.incr c_resolve;
@@ -347,29 +353,53 @@ let resolve ?(max_signals = 6) ?budget ?(work = 20_000) sg0 =
       let name = Printf.sprintf "csc%d" (List.length inserted) in
       let constrained = all_constrained sg in
       let all_sites = sites stg in
-      let candidates = ref [] in
+      (* A level enumerates every pair before it recurses, so one that
+         would run out of work fails before evaluating any. *)
+      let ns = List.length all_sites in
+      let pairs = ns * (ns - 1) in
+      if !work_left < pairs then raise Out_of_work;
+      work_left := !work_left - pairs;
+      let accepted = ref [] in
       List.iter
         (fun set ->
           List.iter
             (fun reset ->
               if set <> reset then begin
-                decr work_left;
-                if !work_left < 0 then raise Out_of_work;
                 Obs.Counter.incr c_insertions;
                 match
-                  try_insertion ?budget ~constrained sg conflicts ~set ~reset
-                    ~name
+                  try_insertion ?budget ~constrained ~final:(depth = 1) sg
+                    conflicts ~set ~reset ~name
                 with
                 | Some (stg', sg', c) ->
-                    let score = (c, Logic.total (Logic.evaluate sg')) in
-                    candidates := (score, stg', sg', set, reset) :: !candidates
+                    accepted := (c, stg', sg', set, reset) :: !accepted
                 | None -> ()
               end)
             all_sites)
         all_sites;
+      (* Candidates rank by (conflicts, literals), so none with more
+         conflicts than the [n_best]-th smallest count can make the cut:
+         only the others are scored. *)
+      let counts =
+        List.sort Int.compare (List.map (fun (c, _, _, _, _) -> c) !accepted)
+      in
+      let cut =
+        Option.value ~default:max_int (List.nth_opt counts (n_best - 1))
+      in
+      let scored =
+        List.filter_map
+          (fun (c, stg', sg', set, reset) ->
+            if c > cut then None
+            else begin
+              Obs.Counter.incr c_scored;
+              let score = (c, Logic.total (Logic.evaluate sg')) in
+              Some (score, stg', sg', set, reset)
+            end)
+          !accepted
+      in
       let sorted =
-        List.sort (fun (s1, _, _, _, _) (s2, _, _, _, _) -> compare s1 s2)
-          !candidates
+        List.stable_sort
+          (fun (s1, _, _, _, _) (s2, _, _, _, _) -> compare s1 s2)
+          scored
       in
       let rec try_best = function
         | [] -> Error "no valid insertion found"
@@ -379,8 +409,7 @@ let resolve ?(max_signals = 6) ?budget ?(work = 20_000) sg0 =
             | Ok r -> Ok r
             | Error _ -> try_best rest)
       in
-      (* Backtrack over the best few candidates only. *)
-      try_best (List.filteri (fun i _ -> i < 5) sorted)
+      try_best (List.filteri (fun i _ -> i < n_best) sorted)
     end
   in
   match solve (Sg.stg sg0) sg0 max_signals [] with

@@ -16,7 +16,8 @@
     resulting state graph is consistent and speed-independent with no more
     CSC conflicts than before: plateau steps (an equal count) are kept,
     since a signal can trade one conflict for another that a further
-    signal resolves.
+    signal resolves.  The last signal the budget allows is accepted only
+    when it leaves no conflict at all.
 
     The solver searches (set site, reset site) pairs greedily with
     backtracking until CSC holds or the signal budget is exhausted.  Each
@@ -76,10 +77,17 @@ type resolution = {
 
 (** [resolve sg] — returns a CSC-satisfying refinement of the STG behind
     [sg], inserting at most [max_signals] (default 6) internal signals
-    named [csc0], [csc1], ...  [work] (default 20_000) bounds the number of
-    candidate insertions evaluated before giving up.  [Error] when the
-    search fails.  [sg] must be the state graph of its own backing STG
-    (realize reduced SGs first). *)
+    named [csc0], [csc1], ...  Each level tries every (set, reset) site
+    pair and checks a candidate cheapest first: its state graph, its
+    conflict count (no more than the parent's, and zero for the last
+    signal), then speed-independence.  Accepted candidates rank by
+    (conflicts, literals) and the search backtracks over the best five;
+    candidates with more conflicts than the fifth-smallest count cannot be
+    among them and are not scored.  [work] (default 20_000) bounds the
+    number of candidate insertions evaluated before giving up; it is
+    checked once per level, so a level that would exceed it fails before
+    evaluating any pair.  [Error] when the search fails.  [sg] must be the
+    state graph of its own backing STG (realize reduced SGs first). *)
 val resolve :
   ?max_signals:int ->
   ?budget:int ->

@@ -913,50 +913,83 @@ let derive ?unconstrained sg ~arcs =
 (* ------------------------------------------------------------------ *)
 (* Speed-independence *)
 
-let is_deterministic sg =
-  let ok s =
-    let lo = sg.off.(s) in
-    let deg = sg.off.(s + 1) - lo in
-    let labs =
-      Array.init deg (fun j -> Stg.label sg.stg sg.arc_tr.(lo + j))
-    in
-    let sorted = List.sort compare (Array.to_list labs) in
-    let rec distinct = function
-      | [] | [ _ ] -> true
-      | a :: (b :: _ as rest) -> a <> b && distinct rest
-    in
-    distinct sorted
-  in
+let for_all_states sg ok =
   let rec loop s = s >= sg.n || (ok s && loop (s + 1)) in
   loop 0
 
+let popcount x =
+  let rec go x n = if x = 0 then n else go (x land (x - 1)) (n + 1) in
+  go x 0
+
+(* Both checks read the packed [enmask] label bits; the label-list scans
+   are kept for graphs with too many labels for it. *)
+let is_deterministic sg =
+  match enmask sg with
+  | Some em ->
+      (* distinct labels on a row = its out-degree *)
+      for_all_states sg (fun s -> popcount em.em_state.(s) = out_degree sg s)
+  | None ->
+      for_all_states sg (fun s ->
+          let lo = sg.off.(s) in
+          let deg = sg.off.(s + 1) - lo in
+          let labs =
+            Array.init deg (fun j -> Stg.label sg.stg sg.arc_tr.(lo + j))
+          in
+          let sorted = List.sort compare (Array.to_list labs) in
+          let rec distinct = function
+            | [] | [ _ ] -> true
+            | a :: (b :: _ as rest) -> a <> b && distinct rest
+          in
+          distinct sorted)
+
+(* The successor of [s] through label bit [b]: -1 when there is none, -2
+   when there are several. *)
+let succ_by_bit sg em s b =
+  let r = ref (-1) in
+  for k = sg.off.(s) to sg.off.(s + 1) - 1 do
+    if em.em_tr.(sg.arc_tr.(k)) = b then
+      r := if !r = -1 then sg.arc_dst.(k) else -2
+  done;
+  !r
+
 let is_commutative sg =
   (* For every s -a-> s1 and s -b-> s2 (a<>b as labels), if s1 -b-> x and
-     s2 -a-> y then x = y. *)
-  let ok s =
-    let lo = sg.off.(s) and hi = sg.off.(s + 1) - 1 in
-    let check k1 k2 =
-      let a = Stg.label sg.stg sg.arc_tr.(k1)
-      and b = Stg.label sg.stg sg.arc_tr.(k2) in
-      a = b
-      ||
-      let xs = succ_by_label sg sg.arc_dst.(k1) b
-      and ys = succ_by_label sg sg.arc_dst.(k2) a in
-      match (xs, ys) with
-      | [ x ], [ y ] -> x = y
-      | [], _ | _, [] -> true
-      | _ -> false
-    in
-    let res = ref true in
-    for k1 = lo to hi do
-      for k2 = lo to hi do
-        if !res && not (check k1 k2) then res := false
-      done
-    done;
-    !res
+     s2 -a-> y then x = y.  The test is symmetric in the two arcs, so each
+     unordered pair of a row is checked once. *)
+  let diamond =
+    match enmask sg with
+    | Some em ->
+        fun k1 k2 ->
+          let a = em.em_tr.(sg.arc_tr.(k1)) and b = em.em_tr.(sg.arc_tr.(k2)) in
+          let s1 = sg.arc_dst.(k1) and s2 = sg.arc_dst.(k2) in
+          a = b
+          || em.em_state.(s1) land (1 lsl b) = 0
+          || em.em_state.(s2) land (1 lsl a) = 0
+          ||
+          let x = succ_by_bit sg em s1 b in
+          x >= 0 && x = succ_by_bit sg em s2 a
+    | None ->
+        fun k1 k2 ->
+          let a = Stg.label sg.stg sg.arc_tr.(k1)
+          and b = Stg.label sg.stg sg.arc_tr.(k2) in
+          a = b
+          ||
+          let xs = succ_by_label sg sg.arc_dst.(k1) b
+          and ys = succ_by_label sg sg.arc_dst.(k2) a in
+          (match (xs, ys) with
+          | [ x ], [ y ] -> x = y
+          | [], _ | _, [] -> true
+          | _ -> false)
   in
-  let rec loop s = s >= sg.n || (ok s && loop (s + 1)) in
-  loop 0
+  for_all_states sg (fun s ->
+      let lo = sg.off.(s) and hi = sg.off.(s + 1) - 1 in
+      let res = ref true in
+      for k1 = lo to hi - 1 do
+        for k2 = k1 + 1 to hi do
+          if !res && not (diamond k1 k2) then res := false
+        done
+      done;
+      !res)
 
 let persistency_violations sg =
   let enabled = enabled_arrays sg in

@@ -202,6 +202,26 @@ let prop_contains_covers =
       in
       Boolf.Cube.contains c1 c2 = by_minterms)
 
+(* Keys that share a 16-minterm ON prefix (more list cells than the
+   polymorphic hash reads) each get their own entry: a second lookup hits
+   and returns what [minimize] computes. *)
+let test_memo_shared_prefix () =
+  let n = 10 in
+  let prefix = List.init 16 Fun.id in
+  let keys = List.init 200 (fun i -> (prefix @ [ 100 + i ], [ 512 + i ])) in
+  Boolf.Memo.clear ();
+  List.iter (fun (on, off) -> ignore (Boolf.Memo.minimize ~n ~on ~off)) keys;
+  let before = Boolf.Memo.stats () in
+  List.iter
+    (fun (on, off) ->
+      check "cover" true
+        (Boolf.Memo.minimize ~n ~on ~off = Boolf.minimize ~n ~on ~off))
+    keys;
+  let after = Boolf.Memo.stats () in
+  check_int "every key hits" (List.length keys)
+    (after.Boolf.Memo.hits - before.Boolf.Memo.hits);
+  check_int "no miss" before.Boolf.Memo.misses after.Boolf.Memo.misses
+
 let suite =
   [
     Alcotest.test_case "cube strings" `Quick test_cube_strings;
@@ -220,5 +240,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_minimize_primes;
     QCheck_alcotest.to_alcotest prop_minimize_irredundant;
     QCheck_alcotest.to_alcotest prop_memo_canonical;
+    Alcotest.test_case "memo keys sharing a long prefix" `Quick
+      test_memo_shared_prefix;
     QCheck_alcotest.to_alcotest prop_contains_covers;
   ]

@@ -242,33 +242,54 @@ let product_agrees sg stg' =
   | Some (Error e1), Error e2 -> Some (error_string e1 = error_string e2)
   | Some (Ok _), Error _ | Some (Error _), Ok _ -> Some false
 
+(* [f set reset stg'] on every valid first-level insertion into [stg]. *)
+let iter_children stg f =
+  let sites = Csc.sites stg in
+  List.iter
+    (fun set ->
+      List.iter
+        (fun reset ->
+          if set <> reset then
+            match Csc.insert_signal stg ~set ~reset ~name:"z" with
+            | exception Invalid_argument _ -> ()
+            | stg' -> f set reset stg')
+        sites)
+    sites
+
 let test_product_first_level () =
   List.iter
     (fun (name, stg) ->
       let sg = Gen.sg_exn stg in
-      let sites = Csc.sites stg in
       let pairs = ref 0 and fallbacks = ref 0 in
-      List.iter
-        (fun set ->
-          List.iter
-            (fun reset ->
-              if set <> reset then
-                match Csc.insert_signal stg ~set ~reset ~name:"z" with
-                | exception Invalid_argument _ -> ()
-                | stg' -> (
-                    incr pairs;
-                    match product_agrees sg stg' with
-                    | Some true -> ()
-                    | None -> incr fallbacks
-                    | Some false ->
-                        Alcotest.failf "%s: product differs on set %s reset %s"
-                          name
-                          (Format.asprintf "%a" (Csc.pp_site stg) set)
-                          (Format.asprintf "%a" (Csc.pp_site stg) reset)))
-            sites)
-        sites;
+      iter_children stg (fun set reset stg' ->
+          incr pairs;
+          match product_agrees sg stg' with
+          | Some true -> ()
+          | None -> incr fallbacks
+          | Some false ->
+              Alcotest.failf "%s: product differs on set %s reset %s" name
+                (Format.asprintf "%a" (Csc.pp_site stg) set)
+                (Format.asprintf "%a" (Csc.pp_site stg) reset));
       check (name ^ ": some pairs") true (!pairs > 0);
       check_int (name ^ ": no fallbacks") 0 !fallbacks)
+    (first_level_specs ())
+
+(* The packed determinism and commutativity checks agree with the list
+   scans on every child the first CSC level builds — ahb_arbiter's are all
+   non-SI. *)
+let test_packed_si_first_level () =
+  List.iter
+    (fun (name, stg) ->
+      let sg = Gen.sg_exn stg in
+      let not_si = ref 0 in
+      iter_children stg (fun _ _ stg' ->
+          match Csc.product sg stg' with
+          | Some (Ok sg') ->
+              if not (Test_sg.packed_si_agrees sg') then
+                Alcotest.failf "%s: packed SI differs from the scans" name;
+              if not (Sg.is_speed_independent sg') then incr not_si
+          | Some (Error _) | None -> ());
+      if name = "ahb_arbiter" then check_int "ahb_arbiter: non-SI" 96 !not_si)
     (first_level_specs ())
 
 let prop_product_random =
@@ -361,11 +382,21 @@ x- a+
       check "unconstrained signal falls back" true (Csc.product sg stg' = None)
   | [] | [ _ ] -> Alcotest.fail "expected two sites"
 
+let explore _ stg' = Sg.of_stg ~warn:ignore stg'
+
+(* The product, which "product = of_stg" checks against [explore]: cheaper
+   where the oracle's tree of children is large. *)
+let by_product sg stg' =
+  match Csc.product sg stg' with Some r -> r | None -> explore sg stg'
+
 (* The resolve loop as it was before child SGs were derived by product:
-   every candidate re-explores its refined net with [Sg.of_stg], conflicts
-   are counted on the sorted pair list and candidates are scored with the
-   unmemoized estimator. *)
-let reference_resolve ?(max_signals = 6) ?(work = 20_000) sg0 =
+   every candidate re-explores its refined net ([child], [explore] by
+   default), is checked for speed-independence before its conflicts are
+   counted on the sorted pair list, and is scored with the unmemoized
+   estimator; the work budget runs out pair by pair.  [on_level] sees each
+   level's pair count as it starts. *)
+let reference_resolve ?(on_level = ignore) ?(child = explore) ?(max_signals = 6)
+    ?(work = 20_000) sg0 =
   let exception Out_of_work in
   let work_left = ref work in
   let rec solve stg sg depth inserted =
@@ -375,6 +406,8 @@ let reference_resolve ?(max_signals = 6) ?(work = 20_000) sg0 =
     else begin
       let name = Printf.sprintf "csc%d" (List.length inserted) in
       let all_sites = Csc.sites stg in
+      let ns = List.length all_sites in
+      on_level (ns * (ns - 1));
       let candidates = ref [] in
       List.iter
         (fun set ->
@@ -386,7 +419,7 @@ let reference_resolve ?(max_signals = 6) ?(work = 20_000) sg0 =
                 match Csc.insert_signal stg ~set ~reset ~name with
                 | exception Invalid_argument _ -> ()
                 | stg' -> (
-                    match Sg.of_stg ~warn:ignore stg' with
+                    match child sg stg' with
                     | Error _ -> ()
                     | Ok sg' ->
                         if Sg.is_speed_independent sg' then
@@ -418,50 +451,114 @@ let reference_resolve ?(max_signals = 6) ?(work = 20_000) sg0 =
   | result -> result
   | exception Out_of_work -> Error "insertion work budget exhausted"
 
+(* [Ok ()] when [Csc.resolve] and the oracle agree on [Ok]/[Error], the
+   error string, the insertions, the STG and the final SG. *)
+let agrees_with_reference ?child ~max_signals ~work stg =
+  let sg = Gen.sg_exn stg in
+  match
+    ( Csc.resolve ~max_signals ~work sg,
+      reference_resolve ?child ~max_signals ~work sg )
+  with
+  | Ok r, Ok (stg', sg', inserted) ->
+      if r.Csc.inserted <> inserted then Error "inserted"
+      else if Stg.Io.print r.Csc.stg <> Stg.Io.print stg' then Error "STG"
+      else if not (same_sg r.Csc.sg sg') then Error "final SG"
+      else Ok ()
+  | Error e1, Error e2 ->
+      if e1 = e2 then Ok ()
+      else Error (Printf.sprintf "error %S, oracle %S" e1 e2)
+  | Ok _, Error e -> Error ("only the reference failed: " ^ e)
+  | Error e, Ok _ -> Error ("only resolve failed: " ^ e)
+
+let check_reference ?child (name, stg, max_signals, work) =
+  match agrees_with_reference ?child ~max_signals ~work stg with
+  | Ok () -> ()
+  | Error what -> Alcotest.failf "%s: %s" name what
+
+(* Cumulative pair counts at the ends of the oracle's first levels on
+   [stg]: a work budget equal to one ends exactly at a level boundary. *)
+let level_boundaries ~max_signals ~work stg =
+  let ends = ref [] and total = ref 0 in
+  ignore
+    (reference_resolve ~max_signals ~work
+       ~on_level:(fun pairs ->
+         total := !total + pairs;
+         if !total <= work then ends := !total :: !ends)
+       (Gen.sg_exn stg));
+  List.rev !ends
+
 let test_resolve_reference () =
-  List.iter
-    (fun (name, stg, max_signals, work) ->
-      let sg = Gen.sg_exn stg in
-      match
-        ( Csc.resolve ~max_signals ~work sg,
-          reference_resolve ~max_signals ~work sg )
-      with
-      | Ok r, Ok (stg', sg', inserted) ->
-          check (name ^ ": inserted") true (r.Csc.inserted = inserted);
-          check (name ^ ": STG") true
-            (Stg.Io.print r.Csc.stg = Stg.Io.print stg');
-          check (name ^ ": final SG") true (same_sg r.Csc.sg sg')
-      | Error e1, Error e2 -> Alcotest.(check string) (name ^ ": error") e2 e1
-      | Ok _, Error e ->
-          Alcotest.failf "%s: only the reference failed: %s" name e
-      | Error e, Ok _ -> Alcotest.failf "%s: only resolve failed: %s" name e)
+  let lr = Expansion.four_phase Specs.lr
+  and par = Expansion.four_phase Specs.par in
+  List.iter check_reference
     [
-      ("LR", Expansion.four_phase Specs.lr, 6, 20_000);
-      ("PAR", Expansion.four_phase Specs.par, 6, 20_000);
+      ("LR", lr, 6, 20_000);
+      ("PAR", par, 6, 20_000);
       ("fig1", Specs.fig1 (), 2, 2_000);
       ("ahb_arbiter", Stg.Io.parse_file (data "ahb_arbiter.g"), 6, 20_000);
       ("ahb_master", Stg.Io.parse_file (data "ahb_master.g"), 6, 20_000);
       ("buffer", Stg.Io.parse_file (data "buffer.g"), 6, 20_000);
-    ]
+      (* the last signal must clear every conflict: exactly the signals
+         needed, and one fewer *)
+      ("LR at 2", lr, 2, 20_000);
+      ("LR at 1", lr, 1, 20_000);
+    ];
+  (* PAR at 4 tries the same 1,760 children as at 6, which [explore]
+     already builds above; one signal short, its whole tree is 14,570 *)
+  List.iter
+    (check_reference ~child:by_product)
+    [ ("PAR at 4", par, 4, 20_000); ("PAR at 3", par, 3, 20_000) ]
 
-(* Every candidate of PAR's resolution is derived by product and
-   accounted for by exactly one decision counter. *)
-let test_decision_counters () =
-  let sg = Gen.sg_exn (Expansion.four_phase Specs.par) in
-  let names =
-    [
-      "csc.insertions.tried";
-      "csc.reject.invalid_site";
-      "csc.reject.sg_error";
-      "csc.reject.not_si";
-      "csc.reject.more_conflicts";
-      "csc.accepted";
-      "csc.child.product";
-      "csc.child.fallback";
-    ]
+(* The work budget is checked once per level: budgets ending one pair
+   before, exactly at and one pair after a level boundary end the way the
+   pair-by-pair oracle ends — on fig1 (unresolvable) at its third level,
+   on LR at the level whose best candidate resolves it. *)
+let test_resolve_work_boundaries () =
+  let fig1 = Specs.fig1 () and lr = Expansion.four_phase Specs.lr in
+  let around name stg b =
+    List.iter
+      (fun work ->
+        check_reference (Printf.sprintf "%s, work %d" name work, stg, 6, work))
+      [ b - 1; b; b + 1 ]
   in
+  (match level_boundaries ~max_signals:6 ~work:400 fig1 with
+  | _ :: _ :: b :: _ -> around "fig1" fig1 b
+  | _ -> Alcotest.fail "fig1: expected three levels within the budget");
+  match List.rev (level_boundaries ~max_signals:6 ~work:20_000 lr) with
+  | b :: _ ->
+      around "LR" lr b;
+      let resolves work = Result.is_ok (Csc.resolve ~work (Gen.sg_exn lr)) in
+      check "LR resolves at the boundary" true (resolves b);
+      check "LR runs out one pair short" false (resolves (b - 1))
+  | [] -> Alcotest.fail "LR: no level within the budget"
+
+let prop_resolve_reference_random =
+  QCheck.Test.make ~name:"resolve = reference loop on random specs" ~count:20
+    QCheck.(triple (int_range 0 10_000) (int_range 1 3) (int_range 0 300))
+    (fun (seed, max_signals, work) ->
+      let stg = Expansion.four_phase (Gen.random_spec seed) in
+      match agrees_with_reference ~max_signals ~work stg with
+      | Ok () -> true
+      | Error what -> QCheck.Test.fail_report what)
+
+let decision_counters =
+  [
+    "csc.insertions.tried";
+    "csc.reject.invalid_site";
+    "csc.reject.sg_error";
+    "csc.reject.not_si";
+    "csc.reject.more_conflicts";
+    "csc.reject.not_final";
+    "csc.accepted";
+    "csc.scored";
+    "csc.child.product";
+    "csc.child.fallback";
+  ]
+
+(* Counter deltas over one [Csc.resolve], in [decision_counters] order. *)
+let counter_deltas ?max_signals ?work sg =
   let snapshot () =
-    List.map (fun n -> Obs.Counter.value (Obs.Counter.make n)) names
+    List.map (fun n -> Obs.Counter.value (Obs.Counter.make n)) decision_counters
   in
   let was = Obs.enabled () in
   Obs.set_enabled true;
@@ -469,22 +566,64 @@ let test_decision_counters () =
   ignore
     (Fun.protect
        ~finally:(fun () -> Obs.set_enabled was)
-       (fun () -> Csc.resolve sg));
-  let delta = List.map2 ( - ) (snapshot ()) before in
+       (fun () -> Csc.resolve ?max_signals ?work sg));
+  List.map2 ( - ) (snapshot ()) before
+
+(* Every candidate of PAR's resolution is derived by product and
+   accounted for by exactly one decision counter; only those that can
+   reach the best five are scored. *)
+let test_decision_counters () =
+  let sg = Gen.sg_exn (Expansion.four_phase Specs.par) in
   List.iter2
     (fun name (want, got) -> check_int name want got)
-    names
-    (List.combine [ 1760; 0; 980; 0; 568; 212; 1760; 0 ] delta)
+    decision_counters
+    (List.combine
+       [ 1760; 0; 980; 0; 568; 0; 212; 152; 1760; 0 ]
+       (counter_deltas sg))
+
+(* fig1's conflicts cannot be resolved: with two signals most candidates
+   for the second are rejected as not final, and each tried candidate
+   still lands in exactly one counter. *)
+let test_decision_counters_fig1 () =
+  let sg = Gen.sg_exn (Specs.fig1 ()) in
+  match counter_deltas ~max_signals:2 ~work:2_000 sg with
+  | [
+   tried; invalid; sg_error; not_si; more; not_final; accepted; scored;
+   product; fallback;
+  ] ->
+      check_int "one counter each" tried
+        (invalid + sg_error + not_si + more + not_final + accepted);
+      check_int "one child each" (tried - invalid) (product + fallback);
+      check "last-signal rejects" true (not_final > 0);
+      check "scored among accepted" true (scored <= accepted)
+  | _ -> Alcotest.fail "counter list"
+
+(* [astg synth micropipeline.g], byte for byte: the top-five cut skips
+   654 of its 986 logic evaluations, and the [Sg.of_stg] oracle is too
+   slow to cover it here. *)
+let test_micropipeline_golden () =
+  match Test_serve.run_cli [ "synth"; data "micropipeline.g" ] with
+  | 0, out, _ -> Test_obs.check_golden "synth_micropipeline.expected" out
+  | rc, _, err -> Alcotest.failf "astg synth exited %d: %s" rc err
 
 let suite =
   suite
   @ [
       Alcotest.test_case "decision counters on PAR" `Quick
         test_decision_counters;
+      Alcotest.test_case "decision counters on fig1" `Quick
+        test_decision_counters_fig1;
       Alcotest.test_case "resolve = reference loop" `Quick
         test_resolve_reference;
+      Alcotest.test_case "resolve = reference loop, work boundaries" `Quick
+        test_resolve_work_boundaries;
+      QCheck_alcotest.to_alcotest prop_resolve_reference_random;
+      Alcotest.test_case "synth micropipeline golden" `Quick
+        test_micropipeline_golden;
       Alcotest.test_case "product = of_stg, first level" `Quick
         test_product_first_level;
+      Alcotest.test_case "packed SI = list scans, first level" `Quick
+        test_packed_si_first_level;
       QCheck_alcotest.to_alcotest prop_product_random;
       Alcotest.test_case "product fallbacks" `Quick test_product_fallbacks;
     ]

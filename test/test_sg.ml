@@ -90,9 +90,9 @@ b~ a~
   let sg = Gen.sg_exn (Stg.Io.parse text) in
   check_int "marking x parity product" 4 (Sg.n_states sg)
 
-let test_nondeterministic_sg () =
-  (* One place feeding two transitions with the SAME label but different
-     continuations: the SG has two a+ arcs from the initial state. *)
+(* One place feeding two transitions with the SAME label but different
+   continuations: the SG has two a+ arcs from the initial state. *)
+let nondeterministic_sg () =
   let text =
     {|
 .outputs a
@@ -110,8 +110,10 @@ a-/2 p
 .end
 |}
   in
-  let sg = Gen.sg_exn (Stg.Io.parse text) in
-  check "nondeterministic" false (Sg.is_deterministic sg)
+  Gen.sg_exn (Stg.Io.parse text)
+
+let test_nondeterministic_sg () =
+  check "nondeterministic" false (Sg.is_deterministic (nondeterministic_sg ()))
 
 let test_persistency_violation () =
   (* Choice between two OUTPUT events: firing one disables the other. *)
@@ -280,9 +282,9 @@ let test_er_components_instances () =
   check_int "partition" (List.length er)
     (List.fold_left (fun acc c -> acc + List.length c) 0 comps)
 
-let test_commutativity_negative () =
-  (* Two orders of concurrent events reaching different states: rewire the
-     SG by hand via Sg.derive on a small artificial structure. *)
+(* Two orders of concurrent events reaching different states: rewire the
+   SG by hand via Sg.derive on a small artificial structure. *)
+let noncommutative_sg () =
   let stg = Specs.fig1 () in
   let base = Gen.sg_exn stg in
   (* Corrupt: redirect the diamond's closing arc so orders disagree.
@@ -298,7 +300,10 @@ let test_commutativity_negative () =
             (tr, s') :: acc)
         |> List.rev)
   in
-  check "not commutative" false (Sg.is_commutative broken)
+  broken
+
+let test_commutativity_negative () =
+  check "not commutative" false (Sg.is_commutative (noncommutative_sg ()))
 
 let test_code_accessors () =
   let sg = fig1_sg () in
@@ -458,4 +463,160 @@ let suite =
         test_initial_values_override;
       Alcotest.test_case "initial value conflicts" `Quick
         test_initial_values_conflict;
+    ]
+
+(* ---- packed determinism/commutativity vs the label-list scans ---- *)
+
+let row sg s = List.rev (Sg.fold_succ sg s [] (fun acc tr d -> (tr, d) :: acc))
+
+(* The checks as [Sg] made them before it read the packed label masks:
+   label lists per row, polymorphic label compares and [succ_by_label]
+   lists.  The oracle for the packed paths. *)
+let row_labels sg s =
+  List.map (fun (tr, d) -> (Stg.label (Sg.stg sg) tr, d)) (row sg s)
+
+let scan_deterministic sg =
+  List.for_all
+    (fun s ->
+      let rec distinct = function
+        | [] | [ _ ] -> true
+        | a :: (b :: _ as rest) -> a <> b && distinct rest
+      in
+      distinct (List.sort compare (List.map fst (row_labels sg s))))
+    (Sg.states sg)
+
+let scan_commutative sg =
+  List.for_all
+    (fun s ->
+      let row = row_labels sg s in
+      List.for_all
+        (fun (a, s1) ->
+          List.for_all
+            (fun (b, s2) ->
+              a = b
+              ||
+              match (Sg.succ_by_label sg s1 b, Sg.succ_by_label sg s2 a) with
+              | [ x ], [ y ] -> x = y
+              | [], _ | _, [] -> true
+              | _ -> false)
+            row)
+        row)
+    (Sg.states sg)
+
+let packed_si_agrees sg =
+  Sg.is_deterministic sg = scan_deterministic sg
+  && Sg.is_commutative sg = scan_commutative sg
+
+let distinct_labels sg =
+  let seen = Hashtbl.create 64 in
+  Sg.iter_arcs sg (fun _ tr _ ->
+      Hashtbl.replace seen (Stg.label (Sg.stg sg) tr) ());
+  Hashtbl.length seen
+
+(* [sg] with [extra s] appended to each row [s]. *)
+let with_arcs sg extra =
+  fst (Sg.derive sg ~arcs:(fun s -> row sg s @ extra s))
+
+(* [sg] with state [s]'s arc through [tr] redirected to [t], and with a
+   second [tr] arc from [s] to [t]: the first mutant can break a diamond,
+   the second breaks determinism. *)
+let mutants sg s tr t =
+  ( fst
+      (Sg.derive sg ~arcs:(fun s' ->
+           List.map
+             (fun (tr', d) -> (tr', if s' = s && tr' = tr then t else d))
+             (row sg s'))),
+    with_arcs sg (fun s' -> if s' = s then [ (tr, t) ] else []) )
+
+let test_packed_si_hand_built () =
+  List.iter
+    (fun (name, sg) ->
+      check (name ^ ": scans agree") true (packed_si_agrees sg))
+    [
+      ("nondeterministic", nondeterministic_sg ());
+      ("noncommutative", noncommutative_sg ());
+      ("fig1", fig1_sg ());
+    ]
+
+let prop_packed_si_random =
+  QCheck.Test.make ~name:"packed SI = list scans on random specs" ~count:40
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let sg = Gen.sg_exn (Expansion.four_phase (Gen.random_spec seed)) in
+      let st = Random.State.make [| seed |] in
+      let pick () = Random.State.int st (Sg.n_states sg) in
+      let s = pick () and t = pick () in
+      let tr =
+        Sg.fold_succ sg s (-1) (fun acc tr _ -> if acc < 0 then tr else acc)
+      in
+      packed_si_agrees sg
+      && (tr < 0
+         ||
+         let redirected, doubled = mutants sg s tr t in
+         packed_si_agrees redirected && packed_si_agrees doubled))
+
+(* Two independent rings of [k] signals each: 4k distinct labels and a
+   diamond at every state. *)
+let two_rings k =
+  let ring p =
+    let edges d = List.init k (fun i -> Printf.sprintf "%s%d%s" p i d) in
+    let seq = edges "+" @ edges "-" in
+    List.map2 (fun a b -> a ^ " " ^ b) seq (List.tl seq @ [ List.hd seq ])
+  in
+  let names p = String.concat " " (List.init k (Printf.sprintf "%s%d" p)) in
+  let marking =
+    Printf.sprintf ".marking { <x%d-,x0+> <y%d-,y0+> }" (k - 1) (k - 1)
+  in
+  Stg.Io.parse
+    (String.concat "\n"
+       ([ ".outputs " ^ names "x" ^ " " ^ names "y"; ".graph" ]
+       @ ring "x" @ ring "y"
+       @ [ marking; ".end"; "" ]))
+  |> Gen.sg_exn
+
+(* Mutants of the initial state's x0+/y0+ diamond: x0+ redirected past
+   x1+, so the diamond no longer closes; a second x0+ arc there; and a
+   second closing arc on both sides (y0+ after x0+, x0+ after y0+), so
+   neither closing successor is unique. *)
+let test_packed_si_rings () =
+  List.iter
+    (fun (k, fallback) ->
+      let sg = two_rings k in
+      let stg = Sg.stg sg and s0 = Sg.initial sg in
+      let arc s name =
+        let l = Core.lab stg name in
+        List.find (fun (tr, _) -> Stg.label stg tr = l) (row sg s)
+      in
+      let x0, s1 = arc s0 "x0+" and y0, s2 = arc s0 "y0+" in
+      let _, after_x1 = arc s1 "x1+" in
+      let forked =
+        with_arcs sg (fun s ->
+            if s = s1 then [ (y0, s0) ]
+            else if s = s2 then [ (x0, s0) ]
+            else [])
+      in
+      let redirected, doubled = mutants sg s0 x0 after_x1 in
+      List.iter
+        (fun (what, m, det, comm) ->
+          let what = Printf.sprintf "%d-signal rings, %s" k what in
+          check (what ^ ": fallback") fallback (distinct_labels m > 62);
+          check (what ^ ": deterministic") det (Sg.is_deterministic m);
+          check (what ^ ": commutative") comm (Sg.is_commutative m);
+          check (what ^ ": scans agree") true (packed_si_agrees m))
+        [
+          ("as built", sg, true, true);
+          ("redirected", redirected, true, false);
+          ("doubled", doubled, false, false);
+          ("forked", forked, false, false);
+        ])
+    [ (2, false); (18, true) ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "packed SI = list scans, hand-built graphs" `Quick
+        test_packed_si_hand_built;
+      QCheck_alcotest.to_alcotest prop_packed_si_random;
+      Alcotest.test_case "packed SI = list scans, ring diamonds" `Quick
+        test_packed_si_rings;
     ]
