@@ -51,14 +51,21 @@ let sites stg =
   in
   afters @ arcs
 
-let insert_signal stg ~set ~reset ~name =
+(* The checks [insert_signal] makes before it builds anything. *)
+let check_pair stg ~set ~reset =
   if set = reset then invalid_arg "Csc.insert_signal: coinciding sites";
+  check_site stg set;
+  check_site stg reset
+
+let validate stg ~set ~reset ~name =
   (try
      ignore (Stg.signal_of_name stg name);
      invalid_arg (Printf.sprintf "Csc.insert_signal: signal %s exists" name)
    with Not_found -> ());
-  check_site stg set;
-  check_site stg reset;
+  check_pair stg ~set ~reset
+
+let insert_signal stg ~set ~reset ~name =
+  validate stg ~set ~reset ~name;
   let net = stg.Stg.net in
   let b = Petri.Builder.create () in
   for p = 0 to Petri.n_places net - 1 do
@@ -145,11 +152,17 @@ let insert_signal stg ~set ~reset ~name =
    explored in [of_stg]'s order — a parent row by ascending transition id
    (the order [of_stg] built it in), then [c+], then [c-] — so the child
    is numbered, coded and arc-ordered exactly as [of_stg] would build it.
-   [Fallback] covers what the triple cannot represent. *)
+
+   The exploration reads the parent only: no child net, marking or
+   firing.  An original transition fires where its parent arc exists and
+   the parent marking, less the tokens a pending [q] holds back, still
+   marks its preset.  {!count} judges the explored child, and {!build}
+   turns it into an SG only when it is wanted.  [Fallback] covers what
+   the triple cannot represent. *)
 
 exception Fallback
 exception Over_budget
-exception Conflict of string
+exception Conflict of Stg.dir
 
 (* Every signal of [sg] has a +/- arc: then so does every original signal
    of a child (each parent arc survives in the child), its inferred initial
@@ -164,105 +177,340 @@ let all_constrained sg =
       | Stg.Edge (_, Stg.Toggle) | Stg.Dummy _ -> ());
   Array.for_all Fun.id seen
 
-let product_exn ~budget ~constrained sg stg' =
-  if not constrained then raise Fallback;
+(* One inserted edge, read off its site the way [insert_signal] wires it:
+   [After t] takes the tokens [t] puts into [post(t)], [On_arc p] the one
+   [p]'s producer puts into [p]; they wait in the edge's [q] until it
+   fires.  An [On_arc] site whose producer is the other site's [After]
+   transition leaves its edge with no place at all: free, enabled in
+   every state. *)
+type edge = {
+  producer : Petri.trans;  (** marks [q]; -1 for a free edge *)
+  held : Petri.place array;  (** the places a pending [q] holds back *)
+}
+
+let edge net site ~other =
+  match (site, other) with
+  | After t, _ -> { producer = t; held = net.Petri.post.(t) }
+  | On_arc p, After t when net.Petri.producers.(p).(0) = t ->
+      { producer = -1; held = [||] }
+  | On_arc p, (After _ | On_arc _) ->
+      { producer = net.Petri.producers.(p).(0); held = [| p |] }
+
+(* Controlled-label mask bits: one per controlled label of the parent,
+   then [c+] and [c-]. *)
+let max_labels = 60
+let bit_plus = 1 lsl max_labels
+let bit_minus = 1 lsl (max_labels + 1)
+
+let is_controlled stg = function
+  | Stg.Edge (i, _) -> not (Stg.Signal.is_input (Stg.signal stg i))
+  | Stg.Dummy _ -> false
+
+(* Scratch space for one parent, reused by every candidate of a level:
+   the direct-address index over [8 × parent states] keys, cleared entry
+   by entry after each candidate, and the explored child — its keys, CSR
+   rows and controlled-label masks, grown as children need.  [cls]
+   numbers the parent's distinct codes and [lbit] maps each parent
+   transition to its controlled label's bit (0 for other labels); the
+   count needs both, so it runs only on a [packed] parent: at most 62
+   signals and [max_labels] controlled labels. *)
+type level = {
+  sg : Sg.t;
+  budget : int;
+  constrained : bool;
+  packed : bool;
+  lbit : int array;
+  cls : int array;
+  start : int array;  (** bucket bounds of {!count}: [2 × classes + 1] *)
+  index : int array;
+  touch : int array;
+      (** per parent transition, set per candidate: bit 0 (1) when its
+          preset has a place a pending [q+] ([q-]) holds back *)
+  mutable keys : int array;
+  mutable masks : int array;
+  mutable off : int array;
+  mutable arc_tr : int array;
+  mutable arc_dst : int array;
+  mutable bucketed : int array;  (** child masks in bucket order *)
+  mutable n : int;  (** explored child states *)
+  mutable m : int;  (** explored child arcs *)
+  mutable v0 : int;  (** initial value of the new signal *)
+}
+
+let level ?(budget = Sg.default_budget) sg =
   let stg = Sg.stg sg in
-  let net' = stg'.Stg.net in
-  let t_plus = Petri.n_trans stg.Stg.net in
+  let n = Sg.n_states sg and nt = Petri.n_trans stg.Stg.net in
+  let labels = Hashtbl.create 16 in
+  let lbit =
+    Array.init nt (fun t ->
+        let lab = Stg.label stg t in
+        if not (is_controlled stg lab) then 0
+        else begin
+          let i =
+            match Hashtbl.find_opt labels lab with
+            | Some i -> i
+            | None ->
+                let i = Hashtbl.length labels in
+                Hashtbl.add labels lab i;
+                i
+          in
+          if i < max_labels then 1 lsl i else 0
+        end)
+  in
+  let packed =
+    Stg.n_signals stg <= 62 && Hashtbl.length labels <= max_labels
+  in
+  let codes = Hashtbl.create (if packed then n else 1) in
+  let cls =
+    if not packed then [||]
+    else
+      Array.init n (fun s ->
+          let code = Sg.code_bits sg s in
+          match Hashtbl.find_opt codes code with
+          | Some k -> k
+          | None ->
+              let k = Hashtbl.length codes in
+              Hashtbl.add codes code k;
+              k)
+  in
+  let cap = (2 * n) + 1 in
+  {
+    sg;
+    budget;
+    constrained = all_constrained sg;
+    packed;
+    lbit;
+    cls;
+    start = Array.make ((2 * Hashtbl.length codes) + 1) 0;
+    index = Array.make (8 * n) (-1);
+    touch = Array.make nt 0;
+    keys = Array.make cap 0;
+    masks = Array.make cap 0;
+    off = Array.make (cap + 1) 0;
+    arc_tr = Array.make (4 * cap) 0;
+    arc_dst = Array.make (4 * cap) 0;
+    bucketed = Array.make cap 0;
+    n = 0;
+    m = 0;
+    v0 = -1;
+  }
+
+let grow a used len =
+  let g = Array.make len 0 in
+  Array.blit a 0 g 0 used;
+  g
+
+(* The child state of [key], added on first sight. *)
+let target lv key =
+  let j = lv.index.(key) in
+  if j >= 0 then j
+  else begin
+    let j = lv.n in
+    if j = Array.length lv.keys then begin
+      lv.keys <- grow lv.keys j (2 * j);
+      lv.masks <- grow lv.masks j (2 * j);
+      lv.off <- grow lv.off j ((2 * j) + 1);
+      lv.bucketed <- Array.make (2 * j) 0
+    end;
+    lv.keys.(j) <- key;
+    lv.index.(key) <- j;
+    lv.n <- j + 1;
+    if j + 1 > lv.budget then raise Over_budget;
+    j
+  end
+
+let push lv tr j =
+  let m = lv.m in
+  if m = Array.length lv.arc_tr then begin
+    lv.arc_tr <- grow lv.arc_tr m (2 * m);
+    lv.arc_dst <- grow lv.arc_dst m (2 * m)
+  end;
+  lv.arc_tr.(m) <- tr;
+  lv.arc_dst.(m) <- j;
+  lv.m <- m + 1
+
+(* Explore one candidate's child into [lv]: keys, rows, masks and [v0].
+   @raise Fallback, Over_budget or Conflict (the new signal's edge whose
+   inferred initial value contradicts the first). *)
+let explore lv ~set ~reset =
+  if not lv.constrained then raise Fallback;
+  let sg = lv.sg in
+  let net = (Sg.stg sg).Stg.net in
+  let t_plus = Petri.n_trans net in
   let t_minus = t_plus + 1 in
-  (* The inserted place in an edge's preset, or -1 for a free edge: an
-     On_arc site inside the After site's postset leaves its edge with no
-     place at all, enabled in every state. *)
-  let q_of t =
-    match (net'.Petri.pre.(t), net'.Petri.post.(t)) with
-    | [| q |], _ -> q
-    | [||], [||] -> -1
-    | _ -> raise Fallback
+  let ep = edge net set ~other:reset and em = edge net reset ~other:set in
+  let mark e f =
+    Array.iter
+      (fun p ->
+        Array.iter
+          (fun t -> lv.touch.(t) <- f lv.touch.(t))
+          net.Petri.consumers.(p))
+      e.held
   in
-  let q_plus = q_of t_plus and q_minus = q_of t_minus in
-  let c, name =
-    match Stg.label stg' t_plus with
-    | Stg.Edge (c, _) -> (c, (Stg.signal stg' c).Stg.Signal.name)
-    | Stg.Dummy _ -> raise Fallback
+  mark ep (fun b -> b lor 1);
+  mark em (fun b -> b lor 2);
+  (* [tr]'s parent arc leaves [s]; does it fire with the [q]s of [x]
+     pending?  Each preset place must keep a token once they hold theirs
+     back. *)
+  let fires s x tr =
+    let pend = x land lv.touch.(tr) in
+    pend = 0
+    ||
+    let m = Sg.marking sg s in
+    let held e bit p =
+      if pend land bit <> 0 && Array.mem p e.held then 1 else 0
+    in
+    Array.for_all
+      (fun p -> m.(p) > held ep 1 p + held em 2 p)
+      net.Petri.pre.(tr)
   in
-  (* bit 0: firing [t] marks [q+]; bit 1: it marks [q-] *)
-  let adds =
-    Array.init t_plus (fun t ->
-        let post = net'.Petri.post.(t) in
-        (if Array.mem q_plus post then 1 else 0)
-        lor if Array.mem q_minus post then 2 else 0)
+  (* the initial value of the new signal, inferred from its first edge as
+     [of_stg] does; its first contradicting edge ends the exploration *)
+  let fire_new i key tr dir =
+    push lv tr (target lv key);
+    let want = if dir = Stg.Plus then 0 else 1 in
+    let v = want lxor ((lv.keys.(i) lsr 2) land 1) in
+    if lv.v0 = -1 then lv.v0 <- v
+    else if lv.v0 <> v then raise (Conflict dir)
   in
+  let run () =
+    ignore (target lv (8 * Sg.initial sg));
+    let i = ref 0 in
+    while !i < lv.n do
+      let i' = !i in
+      let key = lv.keys.(i') in
+      let s = key lsr 3 and x = key land 7 in
+      lv.off.(i') <- lv.m;
+      let mask = ref 0 in
+      Sg.iter_succ sg s (fun tr s' ->
+          if fires s x tr then begin
+            let add =
+              (if tr = ep.producer then 1 else 0)
+              lor if tr = em.producer then 2 else 0
+            in
+            if x land add <> 0 then raise Fallback (* a second token in a q *);
+            push lv tr (target lv ((8 * s') + (x lor add)));
+            mask := !mask lor lv.lbit.(tr)
+          end);
+      (* a free edge fires everywhere, a placed one where its [q] is
+         marked (and empties it) *)
+      if ep.producer < 0 || x land 1 <> 0 then begin
+        let flip = if ep.producer < 0 then 4 else 5 in
+        fire_new i' (key lxor flip) t_plus Stg.Plus;
+        mask := !mask lor bit_plus
+      end;
+      if em.producer < 0 || x land 2 <> 0 then begin
+        let flip = if em.producer < 0 then 4 else 6 in
+        fire_new i' (key lxor flip) t_minus Stg.Minus;
+        mask := !mask lor bit_minus
+      end;
+      lv.masks.(i') <- !mask;
+      incr i
+    done;
+    lv.off.(lv.n) <- lv.m;
+    if lv.v0 = -1 then raise Fallback (* [of_stg] warns about it *)
+  in
+  let clear () =
+    for j = 0 to lv.n - 1 do
+      lv.index.(lv.keys.(j)) <- -1
+    done;
+    mark ep (fun _ -> 0);
+    mark em (fun _ -> 0)
+  in
+  lv.n <- 0;
+  lv.m <- 0;
+  lv.v0 <- -1;
+  match run () with
+  | () -> clear ()
+  | exception e ->
+      clear ();
+      raise e
+
+(* [Sg.csc_conflict_count] of the explored child, on a [packed] parent.
+   A child's code is its parent state's code plus the new bit, so states
+   with equal codes share a bucket (parent code class, parity of the new
+   signal), filled by a counting sort; inside a bucket, every pair with
+   different controlled-label masks is a conflict.  The count stops once
+   it exceeds [limit], so it is exact up to [limit]. *)
+let count lv ~limit =
+  let n = lv.n and start = lv.start in
+  let nb = Array.length start - 1 in
+  let bucket i =
+    let key = lv.keys.(i) in
+    (2 * lv.cls.(key lsr 3)) + ((key lsr 2) land 1)
+  in
+  Array.fill start 0 (nb + 1) 0;
+  for i = 0 to n - 1 do
+    let b = bucket i + 1 in
+    start.(b) <- start.(b) + 1
+  done;
+  for b = 1 to nb do
+    start.(b) <- start.(b) + start.(b - 1)
+  done;
+  let bucketed = lv.bucketed in
+  (* placing a state advances its bucket's start: afterwards [start.(b)]
+     is where bucket [b] ends *)
+  for i = 0 to n - 1 do
+    let b = bucket i in
+    bucketed.(start.(b)) <- lv.masks.(i);
+    start.(b) <- start.(b) + 1
+  done;
+  let c = ref 0 and lo = ref 0 and b = ref 0 in
+  while !b < nb && !c <= limit do
+    let hi = start.(!b) in
+    for a = !lo to hi - 2 do
+      let mask = bucketed.(a) in
+      for a' = a + 1 to hi - 1 do
+        if bucketed.(a') <> mask then incr c
+      done
+    done;
+    lo := hi;
+    incr b
+  done;
+  !c
+
+(* The explored child as an SG: its STG from [insert_signal], its
+   markings from the parent's with the held tokens moved into [q±], its
+   rows from the explored CSR. *)
+let build lv ~set ~reset ~name =
+  let sg = lv.sg in
+  let stg = Sg.stg sg in
+  let net = stg.Stg.net in
+  let stg' = insert_signal stg ~set ~reset ~name in
+  let net' = stg'.Stg.net in
+  let np = Petri.n_places net and np' = Petri.n_places net' in
+  let t_plus = Petri.n_trans net in
+  let hold e t bit =
+    if e.producer < 0 then fun _ _ -> ()
+    else
+      let q = net'.Petri.pre.(t).(0) in
+      fun key m ->
+        if key land bit <> 0 then begin
+          Array.iter (fun p -> m.(p) <- m.(p) - 1) e.held;
+          m.(q) <- 1
+        end
+  in
+  let hold_plus = hold (edge net set ~other:reset) t_plus 1
+  and hold_minus = hold (edge net reset ~other:set) (t_plus + 1) 2 in
+  let b = Sg.Builder.create ~expect:lv.n stg' in
+  let qs = Array.make (np' - np) 0 in
+  for i = 0 to lv.n - 1 do
+    let key = lv.keys.(i) in
+    let m = Array.append (Sg.marking sg (key lsr 3)) qs in
+    hold_plus key m;
+    hold_minus key m;
+    ignore (Sg.Builder.add_state b m);
+    for k = lv.off.(i) to lv.off.(i + 1) - 1 do
+      Sg.Builder.add_arc b i lv.arc_tr.(k) lv.arc_dst.(k)
+    done
+  done;
+  let c = Stg.signal_of_name stg' name in
   let parent_sig =
     Array.init (Stg.n_signals stg') (fun i ->
         if i = c then -1
         else Stg.signal_of_name stg (Stg.signal stg' i).Stg.Signal.name)
   in
-  (* key = parent state * 8 + token in q+ (1) + token in q- (2) + parity
-     of the new signal (4) *)
-  let index = Array.make (8 * Sg.n_states sg) (-1) in
-  let keys = ref (Array.make 64 0) and marks = ref (Array.make 64 [||]) in
-  let b = Sg.Builder.create ~expect:(2 * Sg.n_states sg) stg' in
-  let target key mark =
-    let j = index.(key) in
-    if j >= 0 then j
-    else begin
-      let m = mark () in
-      let j = Sg.Builder.add_state b m in
-      if j = Array.length !keys then begin
-        let grow a fill =
-          let g = Array.make (2 * j) fill in
-          Array.blit a 0 g 0 j;
-          g
-        in
-        keys := grow !keys 0;
-        marks := grow !marks [||]
-      end;
-      !keys.(j) <- key;
-      !marks.(j) <- m;
-      index.(key) <- j;
-      if j + 1 > budget then raise Over_budget;
-      j
-    end
-  in
-  ignore (target (8 * Sg.initial sg) (fun () -> Petri.initial_marking net'));
-  (* initial value of the new signal, inferred from its first edge as
-     [of_stg] does; its first contradicting edge ends the exploration *)
-  let v0 = ref (-1) in
-  let fire_new i key tr want =
-    let m = !marks.(i) in
-    let j = target key (fun () -> Petri.fire net' m tr) in
-    Sg.Builder.add_arc b i tr j;
-    let v = want lxor ((!keys.(i) lsr 2) land 1) in
-    if !v0 = -1 then v0 := v
-    else if !v0 <> v then
-      raise
-        (Conflict
-           (Printf.sprintf "signal %s: conflicting initial value via %s" name
-              (Stg.trans_display stg' tr)))
-  in
-  let i = ref 0 in
-  while !i < Sg.Builder.n_states b do
-    let i' = !i in
-    let key = !keys.(i') in
-    let s = key lsr 3 and x = key land 7 in
-    let m = !marks.(i') in
-    Sg.iter_succ sg s (fun tr s' ->
-        if Petri.enabled net' m tr then begin
-          let add = adds.(tr) in
-          if x land add <> 0 then raise Fallback (* a second token in a q *);
-          let j =
-            target ((8 * s') + (x lor add)) (fun () -> Petri.fire net' m tr)
-          in
-          Sg.Builder.add_arc b i' tr j
-        end);
-    if q_plus < 0 then fire_new i' (key lxor 4) t_plus 0
-    else if x land 1 <> 0 then fire_new i' (key lxor 5) t_plus 0;
-    if q_minus < 0 then fire_new i' (key lxor 4) t_minus 1
-    else if x land 2 <> 0 then fire_new i' (key lxor 6) t_minus 1;
-    incr i
-  done;
-  if !v0 = -1 then raise Fallback (* [of_stg] warns about it *);
-  let keys = !keys and v0 = !v0 in
+  let keys = lv.keys and v0 = lv.v0 in
   let code j sigid =
     let key = keys.(j) in
     if sigid = c then v0 lxor ((key lsr 2) land 1)
@@ -270,15 +518,29 @@ let product_exn ~budget ~constrained sg stg' =
   in
   Sg.Builder.build b ~code ~initial:0
 
-let product_gen ?(budget = Sg.default_budget) ~constrained sg stg' =
-  match product_exn ~budget ~constrained sg stg' with
-  | child -> Some (Ok child)
-  | exception Over_budget -> Some (Error (Sg.Unbounded budget))
-  | exception Conflict msg -> Some (Error (Sg.Inconsistent msg))
+let product ?budget sg ~set ~reset ~name =
+  validate (Sg.stg sg) ~set ~reset ~name;
+  let lv = level ?budget sg in
+  match explore lv ~set ~reset with
+  | () -> Some (Ok (build lv ~set ~reset ~name))
   | exception Fallback -> None
+  | exception Over_budget -> Some (Error (Sg.Unbounded lv.budget))
+  | exception Conflict dir ->
+      let via = name ^ if dir = Stg.Plus then "+" else "-" in
+      Some
+        (Error
+           (Sg.Inconsistent
+              (Printf.sprintf "signal %s: conflicting initial value via %s"
+                 name via)))
 
-let product ?budget sg stg' =
-  product_gen ?budget ~constrained:(all_constrained sg) sg stg'
+let product_conflicts ?budget sg ~set ~reset =
+  check_pair (Sg.stg sg) ~set ~reset;
+  let lv = level ?budget sg in
+  if not lv.packed then None
+  else
+    match explore lv ~set ~reset with
+    | () -> Some (count lv ~limit:max_int)
+    | exception (Fallback | Over_budget | Conflict _) -> None
 
 type resolution = {
   stg : Stg.t;
@@ -300,6 +562,7 @@ let c_accepted = Obs.Counter.make "csc.accepted"
 let c_scored = Obs.Counter.make "csc.scored"
 let c_product = Obs.Counter.make "csc.child.product"
 let c_fallback = Obs.Counter.make "csc.child.fallback"
+let c_input_separated = Obs.Counter.make "csc.fail.input_separated"
 
 let reject counter =
   Obs.Counter.incr counter;
@@ -308,50 +571,104 @@ let reject counter =
 (* Evaluate one candidate insertion, cheapest check first; None when
    invalid or degrading.  Plateau steps (same conflict count) are kept: a
    signal can trade the current conflict for a new one that a further
-   signal resolves.  The last signal ([final]) must leave no conflict. *)
-let try_insertion ?budget ~constrained ~final sg conflicts ~set ~reset ~name =
-  match insert_signal (Sg.stg sg) ~set ~reset ~name with
+   signal resolves.  The last signal ([final]) must leave no conflict.
+   The child is explored and counted on the parent ([lv]); its STG and SG
+   are built only once the count passes. *)
+let try_insertion (lv : level) ~final conflicts ~set ~reset ~name =
+  let stg = Sg.stg lv.sg in
+  match validate stg ~set ~reset ~name with
   | exception Invalid_argument _ -> reject c_invalid_site
-  | stg' -> (
-      let child =
-        match product_gen ?budget ~constrained sg stg' with
-        | Some child ->
-            Obs.Counter.incr c_product;
-            child
-        | None ->
-            Obs.Counter.incr c_fallback;
-            Sg.of_stg ?budget stg'
-      in
-      match child with
-      | Error _ -> reject c_sg_error
-      | Ok sg' ->
-          let c = Sg.csc_conflict_count sg' in
-          if c > conflicts then reject c_more_conflicts
-          else if final && c > 0 then reject c_not_final
-          else if not (Sg.is_speed_independent sg') then reject c_not_si
+  | () -> (
+      let decide c child =
+        if c > conflicts then reject c_more_conflicts
+        else if final && c > 0 then reject c_not_final
+        else
+          let sg' = child () in
+          if not (Sg.is_speed_independent sg') then reject c_not_si
           else begin
             Obs.Counter.incr c_accepted;
-            Some (stg', sg', c)
-          end)
+            Some (Sg.stg sg', sg', c)
+          end
+      in
+      match explore lv ~set ~reset with
+      | () ->
+          Obs.Counter.incr c_product;
+          let child () = build lv ~set ~reset ~name in
+          if lv.packed then decide (count lv ~limit:conflicts) child
+          else
+            let sg' = child () in
+            decide (Sg.csc_conflict_count sg') (fun () -> sg')
+      | exception (Over_budget | Conflict _) ->
+          Obs.Counter.incr c_product;
+          reject c_sg_error
+      | exception Fallback -> (
+          Obs.Counter.incr c_fallback;
+          match
+            Sg.of_stg ~budget:lv.budget (insert_signal stg ~set ~reset ~name)
+          with
+          | Error _ -> reject c_sg_error
+          | Ok sg' -> decide (Sg.csc_conflict_count sg') (fun () -> sg')))
 
 (* Backtracking descends into the best few candidates only. *)
 let n_best = 5
 
+(* [csc<k>] for the k-th inserted signal, or the first free [csc<j>],
+   [j > k], when the STG already has a signal of that name. *)
+let fresh_name stg k =
+  let rec go j =
+    let name = Printf.sprintf "csc%d" j in
+    match Stg.signal_of_name stg name with
+    | _ -> go (j + 1)
+    | exception Not_found -> name
+  in
+  go k
+
+let input_separated sg =
+  let stg = Sg.stg sg in
+  let n = Sg.n_states sg in
+  let fwd = Array.make n (-1) and bwd = Array.make n (-1) in
+  let queue = Array.make n 0 in
+  (* stamp [a] on every state an input-only path along [iter] joins it to *)
+  let sweep stamp iter a =
+    stamp.(a) <- a;
+    queue.(0) <- a;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let s = queue.(!head) in
+      incr head;
+      iter sg s (fun tr s' ->
+          if stamp.(s') <> a && Stg.is_input_trans stg tr then begin
+            stamp.(s') <- a;
+            queue.(!tail) <- s';
+            incr tail
+          end)
+    done
+  in
+  let last = ref (-1) in
+  List.find_opt
+    (fun (a, b) ->
+      if a <> !last then begin
+        last := a;
+        sweep fwd Sg.iter_succ a;
+        sweep bwd Sg.iter_pred a
+      end;
+      fwd.(b) = a || bwd.(b) = a)
+    (Sg.csc_conflicts sg)
+
 let resolve ?(max_signals = 6) ?budget ?(work = 20_000) sg0 =
   Obs.Counter.incr c_resolve;
   Obs.span "csc.resolve" @@ fun () ->
-  (* [work] bounds the total number of candidate insertions evaluated, so
-     that unresolvable specifications (e.g. conflicts separated only by
-     input events, like the paper's Fig. 1) fail fast instead of exploring
-     the whole plateau tree. *)
+  (* [work] bounds the total number of candidate insertions evaluated.  It
+     is only a budget: specifications that no insertion can resolve
+     (input-separated conflicts, like the paper's Fig. 1) are turned away
+     before the search. *)
   let work_left = ref work in
   let rec solve stg sg depth inserted =
     let conflicts = Sg.csc_conflict_count sg in
     if conflicts = 0 then Ok { stg; sg; inserted = List.rev inserted }
     else if depth = 0 then Error "signal budget exhausted"
     else begin
-      let name = Printf.sprintf "csc%d" (List.length inserted) in
-      let constrained = all_constrained sg in
+      let name = fresh_name stg (List.length inserted) in
       let all_sites = sites stg in
       (* A level enumerates every pair before it recurses, so one that
          would run out of work fails before evaluating any. *)
@@ -359,6 +676,7 @@ let resolve ?(max_signals = 6) ?budget ?(work = 20_000) sg0 =
       let pairs = ns * (ns - 1) in
       if !work_left < pairs then raise Out_of_work;
       work_left := !work_left - pairs;
+      let lv = level ?budget sg in
       let accepted = ref [] in
       List.iter
         (fun set ->
@@ -367,8 +685,8 @@ let resolve ?(max_signals = 6) ?budget ?(work = 20_000) sg0 =
               if set <> reset then begin
                 Obs.Counter.incr c_insertions;
                 match
-                  try_insertion ?budget ~constrained ~final:(depth = 1) sg
-                    conflicts ~set ~reset ~name
+                  try_insertion lv ~final:(depth = 1) conflicts ~set ~reset
+                    ~name
                 with
                 | Some (stg', sg', c) ->
                     accepted := (c, stg', sg', set, reset) :: !accepted
@@ -412,12 +730,23 @@ let resolve ?(max_signals = 6) ?budget ?(work = 20_000) sg0 =
       try_best (List.filteri (fun i _ -> i < n_best) sorted)
     end
   in
-  match solve (Sg.stg sg0) sg0 max_signals [] with
-  | Ok r as result ->
-      Obs.Counter.add c_inserted (List.length r.inserted);
-      result
-  | Error _ as result -> result
-  | exception Out_of_work -> Error "insertion work budget exhausted"
+  let separated =
+    if Sg.csc_conflict_count sg0 = 0 then None else input_separated sg0
+  in
+  match separated with
+  | Some (s, _) ->
+      Obs.Counter.incr c_input_separated;
+      Error
+        (Printf.sprintf
+           "CSC conflict at code %s is separated only by input events"
+           (Sg.code sg0 s))
+  | None -> (
+      match solve (Sg.stg sg0) sg0 max_signals [] with
+      | Ok r as result ->
+          Obs.Counter.add c_inserted (List.length r.inserted);
+          result
+      | Error _ as result -> result
+      | exception Out_of_work -> Error "insertion work budget exhausted")
 
 let count_signals ?max_signals sg =
   match resolve ?max_signals sg with

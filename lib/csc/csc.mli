@@ -21,8 +21,10 @@
 
     The solver searches (set site, reset site) pairs greedily with
     backtracking until CSC holds or the signal budget is exhausted.  Each
-    candidate's state graph is derived from its parent's by {!product}
-    rather than by re-exploring the refined net. *)
+    candidate is explored and its conflicts counted on its parent's state
+    graph; only an accepted candidate's STG and state graph are built
+    ({!product}), never by re-exploring the refined net.  Conflicts that
+    only input events separate are refused before the search. *)
 
 (** An insertion site. *)
 type site =
@@ -42,31 +44,59 @@ val sites : Stg.t -> site list
     existing signal. *)
 val insert_signal : Stg.t -> set:site -> reset:site -> name:string -> Stg.t
 
-(** [product sg stg'] — the state graph of [stg' = insert_signal (Sg.stg
-    sg) ~set ~reset ~name], derived from [sg] instead of re-exploring
-    [stg']'s net.  Because the insertion only delays events, a child state
-    is a parent state plus the new signal's parity and which of the two
-    inserted places (the presets of [c+] and [c-]) hold a token; an
-    original transition fires where its parent arc exists and none of its
-    input tokens is held back in an inserted place, and [c±] fires where
-    its place is marked.  States are explored in {!Sg.of_stg}'s order and
-    initial values inferred as it does, so the result is structurally
-    identical to [Sg.of_stg ?budget stg']: state numbering, initial state,
-    codes, markings, arc rows and unconstrained signals.  An [Error] is
-    returned wherever [Sg.of_stg] returns one; an inconsistent new signal
-    stops the exploration at its first contradicting edge (reported as
-    [Inconsistent], where [Sg.of_stg] would report [Unbounded] if the full
-    exploration also exceeded [budget]).
+(** [product sg ~set ~reset ~name] — the state graph of [insert_signal
+    (Sg.stg sg) ~set ~reset ~name], derived from [sg] instead of
+    re-exploring the refined net.  Because the insertion only delays
+    events, a child state is a parent state plus the new signal's parity
+    and which of the two inserted places (the presets of [c+] and [c-])
+    hold a token.  The child is explored on [sg] alone: an original
+    transition fires where its parent arc exists and the parent marking,
+    less the tokens held back in a pending inserted place, still marks its
+    preset; [c±] fires where its place is marked.  Only then is the child
+    built: its STG by {!insert_signal}, its markings from the parent's with
+    the held tokens moved into the inserted places.  States are explored
+    in {!Sg.of_stg}'s order and initial values inferred as it does, so the
+    result is structurally identical to [Sg.of_stg ?budget (insert_signal
+    ...)]: state numbering, initial state, codes, markings, arc rows and
+    unconstrained signals.  An [Error] is returned wherever [Sg.of_stg]
+    returns one; an inconsistent new signal stops the exploration at its
+    first contradicting edge (reported as [Inconsistent], where [Sg.of_stg]
+    would report [Unbounded] if the full exploration also exceeded
+    [budget]).
 
     Precondition: [sg] is the full state graph of its own STG, as
     [Sg.of_stg] (or [product]) built it — a reduced SG is not.
 
     [None] when the product does not apply and the caller should run
-    [Sg.of_stg stg'] instead: a degenerate site pair (an edge with no
-    input place), an inserted place that would take a second token, or a
-    signal of [stg'] left unconstrained by +/− edges (so [Sg.of_stg]'s
-    warning is kept). *)
-val product : ?budget:int -> Sg.t -> Stg.t -> (Sg.t, Sg.error) result option
+    [Sg.of_stg] on the refined STG instead: an inserted place that would
+    take a second token, a new signal that never fires, or a signal left
+    unconstrained by +/− edges (so [Sg.of_stg]'s warning is kept).
+    @raise Invalid_argument as {!insert_signal} does. *)
+val product :
+  ?budget:int ->
+  Sg.t ->
+  set:site ->
+  reset:site ->
+  name:string ->
+  (Sg.t, Sg.error) result option
+
+(** [product_conflicts sg ~set ~reset] — {!Sg.csc_conflict_count} of
+    [product]'s child, counted on [sg] without building the child: a
+    child's code is its parent state's code plus the new bit, so its
+    states are bucketed by (parent code, value of the new signal) and
+    compared by controlled enabled labels.  [None] where [product] returns [None] or
+    an [Error], and when [sg] has more than 62 signals or 60 controlled
+    labels (the child is then built and counted by [Sg]).
+    @raise Invalid_argument on coinciding sites or a site that delays an
+    input. *)
+val product_conflicts :
+  ?budget:int -> Sg.t -> set:site -> reset:site -> int option
+
+(** [input_separated sg] — the first pair of {!Sg.csc_conflicts} joined,
+    in either direction, by a path of input events only; [None] when no
+    conflict pair is.  No state-signal insertion resolves such a pair (see
+    {!resolve}). *)
+val input_separated : Sg.t -> (Sg.state * Sg.state) option
 
 type resolution = {
   stg : Stg.t;  (** STG with the inserted signals *)
@@ -77,17 +107,30 @@ type resolution = {
 
 (** [resolve sg] — returns a CSC-satisfying refinement of the STG behind
     [sg], inserting at most [max_signals] (default 6) internal signals
-    named [csc0], [csc1], ...  Each level tries every (set, reset) site
-    pair and checks a candidate cheapest first: its state graph, its
-    conflict count (no more than the parent's, and zero for the last
-    signal), then speed-independence.  Accepted candidates rank by
-    (conflicts, literals) and the search backtracks over the best five;
-    candidates with more conflicts than the fifth-smallest count cannot be
-    among them and are not scored.  [work] (default 20_000) bounds the
-    number of candidate insertions evaluated before giving up; it is
-    checked once per level, so a level that would exceed it fails before
-    evaluating any pair.  [Error] when the search fails.  [sg] must be the
-    state graph of its own backing STG (realize reduced SGs first). *)
+    named [csc0], [csc1], ... (the k-th takes the first [csc<j>], [j >=
+    k], that is not already a signal).  Each level tries every (set,
+    reset) site pair and checks a candidate cheapest first: its conflict
+    count, read off the product explored on the parent (no more than the
+    parent's, and zero for the last signal); only then is the child SG
+    built and checked for speed-independence.  Accepted candidates rank
+    by (conflicts, literals) and the search backtracks over the best
+    five; candidates with more conflicts than the fifth-smallest count
+    cannot be among them and are not scored.
+
+    Before the search, [Error] when {!input_separated} finds a conflict
+    pair joined by input events only; the message gives the pair's code.
+    No insertion resolves such a pair: sites never delay an input, so in
+    every child the same input path joins a state over the pair's first
+    state (all inserted places empty) to one over the second, with equal
+    codes and controlled enabled sets that still differ — by a parent
+    label or by a pending new edge.  The paper's Fig. 1 is such a
+    specification.
+
+    [work] (default 20_000) is a budget only, no longer what makes Fig.
+    1-class specifications fail fast: it bounds the number of candidate
+    insertions evaluated before giving up, and is checked once per level,
+    so a level that would exceed it fails before evaluating any pair.  [Error] when the search fails.  [sg] must be the state graph of
+    its own backing STG (realize reduced SGs first). *)
 val resolve :
   ?max_signals:int ->
   ?budget:int ->

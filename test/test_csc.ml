@@ -117,7 +117,7 @@ out- in+
 
 let test_resolve_unresolvable () =
   (* Fig. 1: the conflict window contains only input events; resolution
-     must fail (quickly) rather than delay an input. *)
+     must fail, before the search, rather than delay an input. *)
   let sg = Gen.sg_exn (Specs.fig1 ()) in
   match Csc.resolve ~max_signals:2 ~work:2_000 sg with
   | Error _ -> ()
@@ -233,16 +233,24 @@ let same_sg a b =
 
 let error_string e = Format.asprintf "%a" Sg.pp_error e
 
-(* [Some true]: the product matches [Sg.of_stg] (graph or error);
-   [Some false]: it does not; [None]: the product fell back. *)
-let product_agrees sg stg' =
-  match (Csc.product sg stg', Sg.of_stg ~warn:ignore stg') with
+(* [Some true]: the product matches [Sg.of_stg] (graph or error), and its
+   conflict count, counted before the child is built, is the built
+   child's; [Some false]: it does not; [None]: the product fell back. *)
+let product_agrees sg ~set ~reset =
+  let stg' = Csc.insert_signal (Sg.stg sg) ~set ~reset ~name:"z" in
+  match
+    (Csc.product sg ~set ~reset ~name:"z", Sg.of_stg ~warn:ignore stg')
+  with
   | None, _ -> None
-  | Some (Ok a), Ok b -> Some (same_sg a b)
+  | Some (Ok a), Ok b ->
+      Some
+        (same_sg a b
+        && Csc.product_conflicts sg ~set ~reset
+           = Some (Sg.csc_conflict_count b))
   | Some (Error e1), Error e2 -> Some (error_string e1 = error_string e2)
   | Some (Ok _), Error _ | Some (Error _), Ok _ -> Some false
 
-(* [f set reset stg'] on every valid first-level insertion into [stg]. *)
+(* [f set reset] on every valid first-level insertion into [stg]. *)
 let iter_children stg f =
   let sites = Csc.sites stg in
   List.iter
@@ -252,7 +260,7 @@ let iter_children stg f =
           if set <> reset then
             match Csc.insert_signal stg ~set ~reset ~name:"z" with
             | exception Invalid_argument _ -> ()
-            | stg' -> f set reset stg')
+            | _ -> f set reset)
         sites)
     sites
 
@@ -261,9 +269,9 @@ let test_product_first_level () =
     (fun (name, stg) ->
       let sg = Gen.sg_exn stg in
       let pairs = ref 0 and fallbacks = ref 0 in
-      iter_children stg (fun set reset stg' ->
+      iter_children stg (fun set reset ->
           incr pairs;
-          match product_agrees sg stg' with
+          match product_agrees sg ~set ~reset with
           | Some true -> ()
           | None -> incr fallbacks
           | Some false ->
@@ -282,8 +290,8 @@ let test_packed_si_first_level () =
     (fun (name, stg) ->
       let sg = Gen.sg_exn stg in
       let not_si = ref 0 in
-      iter_children stg (fun _ _ stg' ->
-          match Csc.product sg stg' with
+      iter_children stg (fun set reset ->
+          match Csc.product sg ~set ~reset ~name:"z" with
           | Some (Ok sg') ->
               if not (Test_sg.packed_si_agrees sg') then
                 Alcotest.failf "%s: packed SI differs from the scans" name;
@@ -307,11 +315,9 @@ let prop_product_random =
           let j = Random.State.int st (Array.length sites) in
           i = j
           ||
-          match
-            Csc.insert_signal stg ~set:sites.(i) ~reset:sites.(j) ~name:"z"
-          with
+          match product_agrees sg ~set:sites.(i) ~reset:sites.(j) with
           | exception Invalid_argument _ -> true
-          | stg' -> product_agrees sg stg' <> Some false)
+          | agrees -> agrees <> Some false)
         (List.init 8 Fun.id))
 
 (* A 2-bounded place [p] between dummies: [d1] may fire twice (two slots
@@ -342,18 +348,34 @@ let test_product_fallbacks () =
   let stg, s0, p, xp, xm = two_slot_buffer () in
   let sg = Gen.sg_exn stg in
   (* the inserted place after d1 takes a second token *)
-  let stg' =
-    Csc.insert_signal stg ~set:(Csc.On_arc p) ~reset:(Csc.After xp) ~name:"c"
-  in
-  check "second token falls back" true (Csc.product sg stg' = None);
+  let set = Csc.On_arc p and reset = Csc.After xp in
+  check "second token falls back" true
+    (Csc.product sg ~set ~reset ~name:"c" = None);
+  check "and is not counted" true (Csc.product_conflicts sg ~set ~reset = None);
   check "of_stg rejects it" true
-    (Result.is_error (Sg.of_stg ~warn:ignore stg'));
+    (Result.is_error
+       (Sg.of_stg ~warn:ignore (Csc.insert_signal stg ~set ~reset ~name:"c")));
   (* degenerate pair: s0 lies in x-'s postset, so the reset edge gets no
      place at all; the product fires it everywhere, as the net does *)
-  let stg' =
-    Csc.insert_signal stg ~set:(Csc.After xm) ~reset:(Csc.On_arc s0) ~name:"c"
-  in
-  check "degenerate pair agrees" true (product_agrees sg stg' = Some true);
+  check "degenerate pair agrees" true
+    (product_agrees sg ~set:(Csc.After xm) ~reset:(Csc.On_arc s0) = Some true);
+  (* 62 controlled labels: the child is built by product but not counted
+     on it ([resolve] counts it with [Sg]) *)
+  let ring = Gen.ring ~inputs:0 31 in
+  let sg = Gen.sg_exn ring in
+  (match Csc.sites ring with
+  | set :: reset :: _ ->
+      check "wide parent is not counted" true
+        (Csc.product_conflicts sg ~set ~reset = None);
+      check "wide parent is built" true
+        (match
+           ( Csc.product sg ~set ~reset ~name:"z",
+             Sg.of_stg ~warn:ignore
+               (Csc.insert_signal ring ~set ~reset ~name:"z") )
+         with
+        | Some (Ok a), Ok b -> same_sg a b
+        | _ -> false)
+  | [] | [ _ ] -> Alcotest.fail "expected two sites");
   (* a toggle-only (unconstrained) signal falls back so that of_stg's
      warning is kept *)
   let stg =
@@ -378,16 +400,18 @@ x- a+
   in
   match Csc.sites stg with
   | set :: reset :: _ ->
-      let stg' = Csc.insert_signal stg ~set ~reset ~name:"c" in
-      check "unconstrained signal falls back" true (Csc.product sg stg' = None)
+      check "unconstrained signal falls back" true
+        (Csc.product sg ~set ~reset ~name:"c" = None)
   | [] | [ _ ] -> Alcotest.fail "expected two sites"
 
-let explore _ stg' = Sg.of_stg ~warn:ignore stg'
+let explore _ ~set:_ ~reset:_ ~name:_ stg' = Sg.of_stg ~warn:ignore stg'
 
 (* The product, which "product = of_stg" checks against [explore]: cheaper
    where the oracle's tree of children is large. *)
-let by_product sg stg' =
-  match Csc.product sg stg' with Some r -> r | None -> explore sg stg'
+let by_product sg ~set ~reset ~name stg' =
+  match Csc.product sg ~set ~reset ~name with
+  | Some r -> r
+  | None -> explore sg ~set ~reset ~name stg'
 
 (* The resolve loop as it was before child SGs were derived by product:
    every candidate re-explores its refined net ([child], [explore] by
@@ -419,7 +443,7 @@ let reference_resolve ?(on_level = ignore) ?(child = explore) ?(max_signals = 6)
                 match Csc.insert_signal stg ~set ~reset ~name with
                 | exception Invalid_argument _ -> ()
                 | stg' -> (
-                    match child sg stg' with
+                    match child sg ~set ~reset ~name stg' with
                     | Error _ -> ()
                     | Ok sg' ->
                         if Sg.is_speed_independent sg' then
@@ -452,9 +476,12 @@ let reference_resolve ?(on_level = ignore) ?(child = explore) ?(max_signals = 6)
   | exception Out_of_work -> Error "insertion work budget exhausted"
 
 (* [Ok ()] when [Csc.resolve] and the oracle agree on [Ok]/[Error], the
-   error string, the insertions, the STG and the final SG. *)
+   error string, the insertions, the STG and the final SG.  On an
+   input-separated spec [resolve] stops before the search with its own
+   message, so there both must fail and the messages may differ. *)
 let agrees_with_reference ?child ~max_signals ~work stg =
   let sg = Gen.sg_exn stg in
+  let separated = Csc.input_separated sg <> None in
   match
     ( Csc.resolve ~max_signals ~work sg,
       reference_resolve ?child ~max_signals ~work sg )
@@ -464,6 +491,7 @@ let agrees_with_reference ?child ~max_signals ~work stg =
       else if Stg.Io.print r.Csc.stg <> Stg.Io.print stg' then Error "STG"
       else if not (same_sg r.Csc.sg sg') then Error "final SG"
       else Ok ()
+  | Error _, Error _ when separated -> Ok ()
   | Error e1, Error e2 ->
       if e1 = e2 then Ok ()
       else Error (Printf.sprintf "error %S, oracle %S" e1 e2)
@@ -477,10 +505,10 @@ let check_reference ?child (name, stg, max_signals, work) =
 
 (* Cumulative pair counts at the ends of the oracle's first levels on
    [stg]: a work budget equal to one ends exactly at a level boundary. *)
-let level_boundaries ~max_signals ~work stg =
+let level_boundaries ?child ~max_signals ~work stg =
   let ends = ref [] and total = ref 0 in
   ignore
-    (reference_resolve ~max_signals ~work
+    (reference_resolve ?child ~max_signals ~work
        ~on_level:(fun pairs ->
          total := !total + pairs;
          if !total <= work then ends := !total :: !ends)
@@ -511,22 +539,27 @@ let test_resolve_reference () =
 
 (* The work budget is checked once per level: budgets ending one pair
    before, exactly at and one pair after a level boundary end the way the
-   pair-by-pair oracle ends — on fig1 (unresolvable) at its third level,
-   on LR at the level whose best candidate resolves it. *)
+   pair-by-pair oracle ends — on PAR at 3 signals (a failing plateau search
+   of 14,570 candidates, children by product) at its third level, on LR at
+   the level whose best candidate resolves it. *)
 let test_resolve_work_boundaries () =
-  let fig1 = Specs.fig1 () and lr = Expansion.four_phase Specs.lr in
-  let around name stg b =
+  let par = Expansion.four_phase Specs.par
+  and lr = Expansion.four_phase Specs.lr in
+  let around ?child name stg ~max_signals b =
     List.iter
       (fun work ->
-        check_reference (Printf.sprintf "%s, work %d" name work, stg, 6, work))
+        check_reference ?child
+          (Printf.sprintf "%s, work %d" name work, stg, max_signals, work))
       [ b - 1; b; b + 1 ]
   in
-  (match level_boundaries ~max_signals:6 ~work:400 fig1 with
-  | _ :: _ :: b :: _ -> around "fig1" fig1 b
-  | _ -> Alcotest.fail "fig1: expected three levels within the budget");
+  (match
+     level_boundaries ~child:by_product ~max_signals:3 ~work:20_000 par
+   with
+  | _ :: _ :: b :: _ -> around ~child:by_product "PAR at 3" par ~max_signals:3 b
+  | _ -> Alcotest.fail "PAR at 3: expected three levels within the budget");
   match List.rev (level_boundaries ~max_signals:6 ~work:20_000 lr) with
   | b :: _ ->
-      around "LR" lr b;
+      around "LR" lr ~max_signals:6 b;
       let resolves work = Result.is_ok (Csc.resolve ~work (Gen.sg_exn lr)) in
       check "LR resolves at the boundary" true (resolves b);
       check "LR runs out one pair short" false (resolves (b - 1))
@@ -553,6 +586,7 @@ let decision_counters =
     "csc.scored";
     "csc.child.product";
     "csc.child.fallback";
+    "csc.fail.input_separated";
   ]
 
 (* Counter deltas over one [Csc.resolve], in [decision_counters] order. *)
@@ -569,34 +603,35 @@ let counter_deltas ?max_signals ?work sg =
        (fun () -> Csc.resolve ?max_signals ?work sg));
   List.map2 ( - ) (snapshot ()) before
 
+let check_counters want got =
+  List.iter2
+    (fun name (want, got) -> check_int name want got)
+    decision_counters (List.combine want got)
+
 (* Every candidate of PAR's resolution is derived by product and
    accounted for by exactly one decision counter; only those that can
    reach the best five are scored. *)
 let test_decision_counters () =
   let sg = Gen.sg_exn (Expansion.four_phase Specs.par) in
-  List.iter2
-    (fun name (want, got) -> check_int name want got)
-    decision_counters
-    (List.combine
-       [ 1760; 0; 980; 0; 568; 0; 212; 152; 1760; 0 ]
-       (counter_deltas sg))
+  check_counters
+    [ 1760; 0; 980; 0; 568; 0; 212; 152; 1760; 0; 0 ]
+    (counter_deltas sg)
 
-(* fig1's conflicts cannot be resolved: with two signals most candidates
-   for the second are rejected as not final, and each tried candidate
-   still lands in exactly one counter. *)
+(* LR at two signals: most candidates for the second signal leave a
+   conflict and are rejected as not final. *)
+let test_decision_counters_lr () =
+  let sg = Gen.sg_exn (Expansion.four_phase Specs.lr) in
+  check_counters
+    [ 228; 0; 96; 0; 28; 84; 20; 20; 228; 0; 0 ]
+    (counter_deltas ~max_signals:2 sg)
+
+(* fig1's conflict is separated only by input events: resolve fails
+   before trying any candidate. *)
 let test_decision_counters_fig1 () =
   let sg = Gen.sg_exn (Specs.fig1 ()) in
-  match counter_deltas ~max_signals:2 ~work:2_000 sg with
-  | [
-   tried; invalid; sg_error; not_si; more; not_final; accepted; scored;
-   product; fallback;
-  ] ->
-      check_int "one counter each" tried
-        (invalid + sg_error + not_si + more + not_final + accepted);
-      check_int "one child each" (tried - invalid) (product + fallback);
-      check "last-signal rejects" true (not_final > 0);
-      check "scored among accepted" true (scored <= accepted)
-  | _ -> Alcotest.fail "counter list"
+  check_counters
+    [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 1 ]
+    (counter_deltas ~max_signals:2 ~work:2_000 sg)
 
 (* [astg synth micropipeline.g], byte for byte: the top-five cut skips
    654 of its 986 logic evaluations, and the [Sg.of_stg] oracle is too
@@ -606,13 +641,143 @@ let test_micropipeline_golden () =
   | 0, out, _ -> Test_obs.check_golden "synth_micropipeline.expected" out
   | rc, _, err -> Alcotest.failf "astg synth exited %d: %s" rc err
 
+(* [astg synth --emit verilog fig1.g], byte for byte: the one output that
+   names the input-separated conflict. *)
+let test_fig1_emit_golden () =
+  match Test_serve.run_cli [ "synth"; "--emit"; "verilog"; data "fig1.g" ] with
+  | 0, out, _ -> Test_obs.check_golden "synth_fig1_emit.expected" out
+  | rc, _, err -> Alcotest.failf "astg synth exited %d: %s" rc err
+
+(* An inserted signal takes the first free [csc<j>]: LR with its output
+   [lo] renamed [csc0] resolves as LR does. *)
+let test_resolve_name_clash () =
+  let stg =
+    Stg.Io.parse
+      {|
+.inputs li ri
+.outputs csc0 ro
+.graph
+li+ ro+
+ro+ ri+
+ri+ csc0+ ro-
+csc0+ li+ li-
+ro- ri-
+li- csc0-
+ri- ro+
+csc0- li+
+.marking { <csc0+,li+> <ri-,ro+> <csc0-,li+> }
+.end
+|}
+  in
+  let sg = Gen.sg_exn stg in
+  let report = Core.implement ~name:"lr" sg in
+  check "two state signals" true (report.Core.csc_signals = Some 2);
+  check "area 264" true (report.Core.area = Some 264);
+  match Csc.resolve sg with
+  | Ok r ->
+      let names = List.map (fun (name, _, _) -> name) r.Csc.inserted in
+      check "no clash with the spec" true
+        (List.for_all
+           (fun name ->
+             match Stg.signal_of_name stg name with
+             | _ -> false
+             | exception Not_found -> true)
+           names);
+      check "first free names" true (names = [ "csc1"; "csc2" ])
+  | Error msg -> Alcotest.fail msg
+
+(* Fig. 1 started from another marking: its conflict pair is states 1
+   and 4, and the input path Req-, Req+ runs from 4 back to 1. *)
+let fig1_rotated () =
+  Stg.Io.parse
+    {|
+.inputs Req
+.outputs Ack
+.graph
+Req+ Ack+
+Ack+ Req-
+Req- Ack- Req+
+Ack- Ack+
+.marking { <Req-,Ack-> <Req-,Req+> }
+.end
+|}
+
+(* Of the shipped specifications only fig1 is input-separated: the root
+   check never cuts off a search that can succeed.  The check follows
+   input paths both ways from a pair's first state. *)
+let test_input_separated_specs () =
+  let fig1 = Gen.sg_exn (Specs.fig1 ()) in
+  (match Csc.input_separated fig1 with
+  | Some (a, b) ->
+      check "fig1: a conflict pair" true
+        (List.mem (a, b) (Sg.csc_conflicts fig1))
+  | None -> Alcotest.fail "fig1 should be input-separated");
+  check "fig1, path back to the first state" true
+    (Csc.input_separated (Gen.sg_exn (fig1_rotated ())) = Some (1, 4));
+  List.iter
+    (fun (name, stg) ->
+      check name true (Csc.input_separated (Gen.sg_exn stg) = None))
+    [
+      ("LR", Expansion.four_phase Specs.lr);
+      ("PAR", Expansion.four_phase Specs.par);
+      ("MMU", Expansion.four_phase Specs.mmu);
+      ("micropipeline", Stg.Io.parse_file (data "micropipeline.g"));
+      ("ahb_master", Stg.Io.parse_file (data "ahb_master.g"));
+      ("ahb_arbiter", Stg.Io.parse_file (data "ahb_arbiter.g"));
+      ("buffer", Stg.Io.parse_file (data "buffer.g"));
+    ]
+
+(* The induction step behind [resolve]'s early [Error]: every first-level
+   child of an input-separated root, built by the [Sg.of_stg] oracle, still
+   has a conflict and is input-separated.  The same children also check
+   the product and its conflict count on choice nets. *)
+let test_input_separated_children () =
+  let roots = ref 0 in
+  let check_spec name stg =
+    let sg = Gen.sg_exn stg in
+    if Csc.input_separated sg <> None then begin
+      incr roots;
+      iter_children stg (fun set reset ->
+          let stg' = Csc.insert_signal stg ~set ~reset ~name:"z" in
+          (match Sg.of_stg ~warn:ignore stg' with
+          | Error _ -> ()
+          | Ok sg' ->
+              if Sg.csc_conflict_count sg' = 0 then
+                Alcotest.failf "%s: a child resolves every conflict" name;
+              if Csc.input_separated sg' = None then
+                Alcotest.failf "%s: a child is no longer input-separated" name);
+          if product_agrees sg ~set ~reset = Some false then
+            Alcotest.failf "%s: product differs from of_stg" name)
+    end
+  in
+  check_spec "fig1" (Specs.fig1 ());
+  check_spec "fig1 rotated" (fig1_rotated ());
+  List.iter
+    (fun cls ->
+      for seed = 0 to 23 do
+        check_spec
+          (Printf.sprintf "%s %d" (Gen.class_name cls) seed)
+          (Gen.case_to_stg (Gen.random_case ~max_signals:4 ~cls seed))
+      done)
+    Gen.all_classes;
+  check "some roots are input-separated" true (!roots > 1)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "decision counters on PAR" `Quick
         test_decision_counters;
+      Alcotest.test_case "decision counters on LR at 2" `Quick
+        test_decision_counters_lr;
       Alcotest.test_case "decision counters on fig1" `Quick
         test_decision_counters_fig1;
+      Alcotest.test_case "synth fig1 --emit golden" `Quick
+        test_fig1_emit_golden;
+      Alcotest.test_case "resolve name clash" `Quick test_resolve_name_clash;
+      Alcotest.test_case "input-separated specs" `Quick
+        test_input_separated_specs;
+      Alcotest.test_case "input-separated children" `Quick
+        test_input_separated_children;
       Alcotest.test_case "resolve = reference loop" `Quick
         test_resolve_reference;
       Alcotest.test_case "resolve = reference loop, work boundaries" `Quick
