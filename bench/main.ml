@@ -871,7 +871,7 @@ let json_pr2 out_file =
    Times Search.optimize on LR/PAR/MMU in its default [`Delta] evaluation
    mode against the search timings recorded in BENCH_PR3.json (the same
    kernels at the same parameters, costed from scratch), plus a
-   three-way mode comparison (scratch / memo / delta) and the cache
+   two-way mode comparison (scratch / delta) and the cache
    effectiveness counters: {!Boolf.Memo} hit rate and {!Logic}
    delta-reuse fraction over one fresh search per spec.  [--smoke] runs
    one timing pass for CI; [--annotate] emits non-failing GitHub
@@ -911,7 +911,6 @@ let json_pr4 ~smoke ~annotate out_file =
          specs)
   in
   let delta_ns = measure "delta" `Delta in
-  let memo_ns = measure "memo" `Memo in
   let scratch_ns = measure "scratch" `Scratch in
   (* Cache effectiveness over ONE fresh search per spec: cleared cover
      cache, zeroed counters, sequential run (every minimization happens in
@@ -953,7 +952,6 @@ let json_pr4 ~smoke ~annotate out_file =
     "17fa0ac (PR 3: packed SG, from-scratch logic estimate)";
   Harness.Json.obj j "old_ns" pr4_baseline_ns;
   Harness.Json.obj j "new_ns" delta_ns;
-  Harness.Json.obj j "memo_ns" memo_ns;
   Harness.Json.obj j "scratch_ns" scratch_ns;
   Harness.Json.obj ~fmt:"%.2f" j "speedup"
     (Harness.ratio pr4_baseline_ns delta_ns);
@@ -1091,10 +1089,10 @@ let json_pr5 ~smoke ~check_overhead out_file =
    Times the search kernels in their default [`Delta] evaluation mode
    against the BENCH_PR5 disabled-mode timings of the identical kernels —
    recorded before support tracking, when any pruning reduction re-derived
-   every signal — plus the other two modes for context; snapshots the
+   every signal — plus the scratch mode for context; snapshots the
    delta-reuse stats and the support/steal Obs counters of one fresh
    search per kernel (sequential and pooled); and re-runs each kernel
-   under all three evaluation modes on both scheduling paths, recording
+   under both evaluation modes on both scheduling paths, recording
    whether the outcomes (cost, script, exploration trace, per-signal
    covers) are byte-identical.  [--smoke] runs one timing pass for CI. *)
 
@@ -1185,7 +1183,6 @@ let json_pr6 ~smoke out_file =
          specs)
   in
   let delta_ns = measure "delta" `Delta in
-  let memo_ns = measure "memo" `Memo in
   let scratch_ns = measure "scratch" `Scratch in
   (* Reuse + support counters over ONE fresh sequential search per kernel:
      cleared cover cache, zeroed stats, every decision made in this
@@ -1221,7 +1218,7 @@ let json_pr6 ~smoke out_file =
         (name, cs))
       specs
   in
-  (* Byte-identity: scratch/memo/delta, sequential and streamed, must all
+  (* Byte-identity: scratch/delta, sequential and streamed, must all
      render the same outcome. *)
   let identity =
     List.map
@@ -1238,7 +1235,7 @@ let json_pr6 ~smoke out_file =
               run mode = reference
               && Pool.with_pool ~jobs:pool_jobs (fun p ->
                      run ~pool:p mode = reference))
-            [ `Scratch; `Memo; `Delta ]
+            [ `Scratch; `Delta ]
         in
         Printf.eprintf "identity %-23s %s\n%!" name
           (if ok then "ok" else "DIVERGED");
@@ -1260,7 +1257,6 @@ let json_pr6 ~smoke out_file =
   Harness.Json.obj j "old_ns" pr6_baseline_ns;
   Harness.Json.obj j "old_same_box_ns" pr6_baseline_same_box_ns;
   Harness.Json.obj j "new_ns" delta_ns;
-  Harness.Json.obj j "memo_ns" memo_ns;
   Harness.Json.obj j "scratch_ns" scratch_ns;
   Harness.Json.obj ~fmt:"%.2f" j "speedup"
     (Harness.ratio pr6_baseline_ns delta_ns);
@@ -1431,11 +1427,11 @@ let json_pr8 ~smoke out_file =
 (* PR 9: portfolio search.  Baseline: the PR 6 delta path run once per  *)
 (* arm — K standalone pooled searches, summed — vs ONE portfolio run    *)
 (* over the same arms, pool and streaming session.  Per-arm byte        *)
-(* identity against the standalone searches (sequential and pooled,     *)
-(* speculation on and off) is a hard gate; the >= 2x speed gate only    *)
-(* arms on a genuinely multicore box (>= 4 effective domains), because  *)
-(* the portfolio's win is cross-arm sharing plus parallelism and a      *)
-(* 1-2 core container can only show the sharing half.                   *)
+(* identity against the standalone searches (sequential and pooled) is  *)
+(* a hard gate; the >= 2x speed gate only arms on a genuinely multicore *)
+(* box (>= 4 effective domains), because the portfolio's win is         *)
+(* cross-arm sharing plus parallelism and a 1-2 core container can      *)
+(* only show the sharing half.                                          *)
 
 let json_pr9 ~smoke out_file =
   let specs =
@@ -1506,7 +1502,7 @@ let json_pr9 ~smoke out_file =
       specs
   in
   let speedup = Harness.ratio baseline_sum_ns portfolio_ns in
-  (* Cross-arm table and speculation totals over one pooled run each. *)
+  (* Cross-arm table totals over one pooled run each. *)
   let stats =
     List.map
       (fun (name, _, sg, width) ->
@@ -1515,13 +1511,10 @@ let json_pr9 ~smoke out_file =
         let evals = st.Search.table_hits + st.Search.table_misses in
         ( name,
           Printf.sprintf
-            "{ \"table_hits\": %d, \"table_misses\": %d, \"hit_rate\": %.3f, \
-             \"spec_published\": %d, \"spec_hits\": %d, \"spec_waste\": %d }"
+            "{ \"table_hits\": %d, \"table_misses\": %d, \"hit_rate\": %.3f }"
             st.Search.table_hits st.Search.table_misses
             (if evals = 0 then 0.0
-             else float_of_int st.Search.table_hits /. float_of_int evals)
-            st.Search.spec_published st.Search.spec_hits
-            (st.Search.spec_published - st.Search.spec_hits) ))
+             else float_of_int st.Search.table_hits /. float_of_int evals) ))
       specs
   in
   (* Byte identity: every arm of every portfolio variant must render the
@@ -1547,9 +1540,6 @@ let json_pr9 ~smoke out_file =
         let ok =
           matches (Search.portfolio ~size_frontier:width ~arms sg)
           && matches (Search.portfolio ~pool:p ~size_frontier:width ~arms sg)
-          && matches
-               (Search.portfolio ~pool:p ~size_frontier:width ~speculate:false
-                  ~arms sg)
         in
         Printf.eprintf "identity %-23s %s\n%!" name
           (if ok then "ok" else "DIVERGED");

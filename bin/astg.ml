@@ -147,8 +147,8 @@ let synth_cmd =
 (* ---- reduce ---- *)
 
 let reduce_cmd =
-  let run stg w frontier keeps print_stg area_mode portfolio no_speculate jobs
-      trace metrics =
+  let run stg w frontier keeps print_stg area_mode portfolio jobs trace
+      metrics =
     with_obs trace metrics @@ fun () ->
     let keep_pairs =
       try
@@ -190,7 +190,6 @@ let reduce_cmd =
             print_stg;
             area_mode;
             portfolio;
-            speculate = not no_speculate;
             jobs;
           }
         in
@@ -249,15 +248,6 @@ let reduce_cmd =
              anytime improvements, a per-arm summary and the winner.  \
              $(b,--w) is ignored.")
   in
-  let no_speculate =
-    Arg.(
-      value & flag
-      & info [ "no-speculate" ]
-          ~doc:
-            "Disable speculative pre-evaluation of likely candidates by \
-             idle pool workers (portfolio mode with $(b,--jobs) > 1 \
-             only).  The outcome is identical either way.")
-  in
   let jobs =
     Arg.(
       value & opt int 1
@@ -269,8 +259,7 @@ let reduce_cmd =
   Cmd.v
     (Cmd.info "reduce" ~doc:"Optimize an STG by concurrency reduction.")
     Term.(ret (const run $ file_pos $ w $ frontier $ keeps $ print_stg
-          $ area_mode $ portfolio $ no_speculate $ jobs $ trace_arg
-          $ metrics_arg))
+          $ area_mode $ portfolio $ jobs $ trace_arg $ metrics_arg))
 
 (* ---- fuzz ---- *)
 

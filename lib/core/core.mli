@@ -94,12 +94,11 @@ val optimize :
 
 (** [optimize_portfolio ~arms ~name sg] — run the {!Search.portfolio}
     search (one beam search per arm sharing a cross-arm signature table
-    and, with [pool], one streaming session with speculative evaluation),
-    then implement the winning arm's best configuration.  Returns the
-    report together with the full per-arm portfolio outcome so callers
-    can render the losing arms too.  [on_improvement] streams the
-    anytime best-so-far per arm on the caller's thread, in deterministic
-    order (see {!Search.portfolio}). *)
+    and, with [pool], one streaming session), then implement the winning
+    arm's best configuration.  Returns the report together with the full
+    per-arm portfolio outcome so callers can render the losing arms too.
+    [on_improvement] streams the anytime best-so-far per arm on the
+    caller's thread, in deterministic order (see {!Search.portfolio}). *)
 val optimize_portfolio :
   ?pool:Pool.t ->
   ?delays:(Stg.t -> Petri.trans -> int) ->
@@ -109,7 +108,6 @@ val optimize_portfolio :
   ?keep_conc:Search.keep ->
   ?perf_delays:(Stg.label -> int) ->
   ?max_cycle:int ->
-  ?speculate:bool ->
   ?on_improvement:(arm:int -> Search.config -> unit) ->
   arms:Search.arm list ->
   name:string ->
@@ -180,7 +178,6 @@ module Cli : sig
     area_mode : Search.area_mode;  (** [--area-model], default [`Tree] *)
     portfolio : float list;
         (** [--portfolio] weights in arm order; [[]] = single search *)
-    speculate : bool;  (** negated [--no-speculate]; never changes bytes *)
     jobs : int;  (** [--jobs]; never changes bytes *)
   }
 

@@ -3,15 +3,14 @@
     One {e case} is a random spec from one of the {!Gen} generator classes
     (series-parallel, free-choice, asymmetric-choice), driven through the
     whole pipeline: [.g] print/parse round-trip, SG construction,
-    {!Search.optimize} under all three evaluation modes
-    ([`Scratch]/[`Memo]/[`Delta]) sequentially and pooled — all six
-    outcomes must be byte-identical — a netlist arm (CSC-resolve the
-    spec, build the hash-consed {!Netlist}, and on every reachable state
-    cross-check the one-pass simulator against direct cover evaluation
-    and the {!Circuit.conforms} verdict against the direct-semantics
-    verdict; unresolvable specs skip the arm) — then STG realization of
-    the best reduced SG (causality places, falling back to region
-    synthesis) and verification.
+    {!Search.optimize} under both evaluation modes ([`Scratch]/[`Delta])
+    sequentially and pooled — all four outcomes must be byte-identical —
+    a netlist arm (CSC-resolve the spec, build the hash-consed
+    {!Netlist}, and on every reachable state cross-check the one-pass
+    simulator against direct cover evaluation and the {!Circuit.conforms}
+    verdict against the direct-semantics verdict; unresolvable specs skip
+    the arm) — then STG realization of the best reduced SG (causality
+    places, falling back to region synthesis) and verification.
 
     Every failure is {e triaged} into a fixed taxonomy (crash /
     inconsistent / divergence / verify-fail), minimized with the
@@ -77,12 +76,12 @@ type report = {
 
 (** Run one case through the full flow: round-trip, SG, the search in
     every eval mode (sequential, and pooled when [pool] is given), a
-    two-arm {!Search.portfolio} run (sequential, and pooled with
-    speculation) checked arm-by-arm against standalone searches, netlist
-    cross-checks and realization.  [record] (default false) turns
-    observability recording on for the sequential searches and off for
-    the pooled ones (so captured counters stay deterministic); the
-    calling domain's {!Boolf.Memo} table is cleared first either way. *)
+    two-arm {!Search.portfolio} run (sequential, and pooled) checked
+    arm-by-arm against standalone searches, netlist cross-checks and
+    realization.  [record] (default false) turns observability recording
+    on for the sequential searches and off for the pooled ones (so
+    captured counters stay deterministic); the calling domain's
+    {!Boolf.Memo} table is cleared first either way. *)
 val run_case : ?pool:Pool.t -> ?record:bool -> Gen.case -> outcome
 
 (** [run ~count ~seed ()] fuzzes [count] cases, assigned round-robin over

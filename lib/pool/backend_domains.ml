@@ -148,11 +148,6 @@ module Stream = struct
     sm : Mutex.t;
     cv : Condition.t;  (** signalled on submission and on job completion *)
     jobs_q : (unit -> unit) Queue.t;
-    low_q : (unit -> unit) Queue.t;
-        (** speculative lane: workers only take from it when [jobs_q] is
-            empty, the caller never does, and [finish] discards whatever
-            is left — so nothing the session's result contract depends on
-            may ever be submitted here *)
     mutable stolen : int;  (** jobs run by pool workers, not the caller *)
     mutable closed : bool;
   }
@@ -173,7 +168,6 @@ module Stream = struct
         sm = Mutex.create ();
         cv = Condition.create ();
         jobs_q = Queue.create ();
-        low_q = Queue.create ();
         stolen = 0;
         closed = false;
       }
@@ -183,11 +177,7 @@ module Stream = struct
         let continue = ref true in
         while !continue do
           Mutex.lock s.sm;
-          while
-            (not s.closed)
-            && Queue.is_empty s.jobs_q
-            && Queue.is_empty s.low_q
-          do
+          while (not s.closed) && Queue.is_empty s.jobs_q do
             Condition.wait s.cv s.sm
           done;
           match Queue.take_opt s.jobs_q with
@@ -195,24 +185,9 @@ module Stream = struct
               Mutex.unlock s.sm;
               run_one s job ~worker:true
           | None ->
-              if s.closed then begin
-                (* closed and the main queue drained; leftover speculative
-                   jobs are discardable by contract ([finish] clears them) *)
-                Mutex.unlock s.sm;
-                continue := false
-              end
-              else begin
-                (match Queue.take_opt s.low_q with
-                | Some job ->
-                    Mutex.unlock s.sm;
-                    (* [~worker:false]: [stolen] counts main-lane jobs
-                       only, so its meaning (candidate tasks run by
-                       workers) survives the speculative lane *)
-                    run_one s job ~worker:false
-                | None ->
-                    (* raced with another worker; back to the wait *)
-                    Mutex.unlock s.sm)
-              end
+              (* closed and drained *)
+              Mutex.unlock s.sm;
+              continue := false
         done
       in
       (* Install the drain as the pool's task via the usual epoch
@@ -227,18 +202,15 @@ module Stream = struct
     end;
     s
 
-  let submit_to q s job =
+  let submit s job =
     Mutex.lock s.sm;
     if s.closed then begin
       Mutex.unlock s.sm;
       raise Stream_finished
     end;
-    Queue.add job (q s);
+    Queue.add job s.jobs_q;
     Condition.broadcast s.cv;
     Mutex.unlock s.sm
-
-  let submit s job = submit_to (fun s -> s.jobs_q) s job
-  let submit_low s job = submit_to (fun s -> s.low_q) s job
 
   let help s =
     Mutex.lock s.sm;
@@ -276,9 +248,6 @@ module Stream = struct
   let finish s =
     Mutex.lock s.sm;
     s.closed <- true;
-    (* Speculative jobs are discardable by contract — nothing the caller
-       waits on may be published only from the low lane. *)
-    Queue.clear s.low_q;
     Condition.broadcast s.cv;
     Mutex.unlock s.sm;
     (* Help drain whatever is still queued, then wait for the workers'

@@ -24,25 +24,15 @@ exception Stream_finished
 
 (* Streaming sessions on the sequential backend: a plain FIFO the caller
    drains itself.  [wait]'s predicate must be satisfiable from already
-   submitted jobs, exactly as on the domains backend.  The speculative
-   lane is accepted but never run — there are no idle workers to run it,
-   and its jobs are discardable by contract. *)
+   submitted jobs, exactly as on the domains backend. *)
 module Stream = struct
-  type session = {
-    q : (unit -> unit) Queue.t;
-    low : (unit -> unit) Queue.t;
-    mutable closed : bool;
-  }
+  type session = { q : (unit -> unit) Queue.t; mutable closed : bool }
 
-  let start _ = { q = Queue.create (); low = Queue.create (); closed = false }
+  let start _ = { q = Queue.create (); closed = false }
 
   let submit s job =
     if s.closed then raise Stream_finished;
     Queue.add job s.q
-
-  let submit_low s job =
-    if s.closed then raise Stream_finished;
-    Queue.add job s.low
 
   let help s =
     match Queue.take_opt s.q with
@@ -63,8 +53,7 @@ module Stream = struct
 
   let finish s =
     s.closed <- true;
-    while help s do () done;
-    Queue.clear s.low
+    while help s do () done
 end
 
 (* Shared memo table, sequential flavour: one plain hash table, no

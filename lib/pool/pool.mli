@@ -52,10 +52,9 @@ val shutdown : t -> unit
 (** [with_pool ~jobs f] — {!create}, run [f], always {!shutdown}. *)
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 
-(** Raised by {!Stream.submit}/{!Stream.submit_low} on a session that
-    {!Stream.finish} has already closed — a session producer that
-    outlives its session is a bug that must fail loudly, not enqueue
-    into the void. *)
+(** Raised by {!Stream.submit} on a session that {!Stream.finish} has
+    already closed — a session producer that outlives its session is a
+    bug that must fail loudly, not enqueue into the void. *)
 exception Stream_finished
 
 (** Streaming work sessions — the barrier-free alternative to
@@ -88,16 +87,6 @@ module Stream : sig
   (** Enqueue a job.  Wakes a parked worker (or the waiting caller).
       @raise Stream_finished after {!finish}. *)
   val submit : session -> (unit -> unit) -> unit
-
-  (** Enqueue a job on the {e speculative} lane: pool workers take it
-      only when the main queue is empty, the caller ({!help}/{!wait})
-      never runs it, and {!finish} discards whatever is still queued —
-      on the sequential backend low jobs therefore never run at all.
-      Nothing the session's results depend on may be published only from
-      this lane; it exists for discardable warm-up work (the portfolio
-      search's speculative candidate pre-evaluation).
-      @raise Stream_finished after {!finish}. *)
-  val submit_low : session -> (unit -> unit) -> unit
 
   (** Run one queued job in the caller; [false] if the queue was empty. *)
   val help : session -> bool

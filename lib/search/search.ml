@@ -18,7 +18,7 @@ type outcome = {
 
 type keep = (Stg.label * Stg.label) list
 
-type eval_mode = [ `Scratch | `Memo | `Delta ]
+type eval_mode = [ `Scratch | `Delta ]
 type area_mode = [ `Tree | `Shared ]
 
 (* Post-sharing area of an evaluation's covers, plus the same
@@ -110,13 +110,26 @@ let neighbours ?(keep_conc = []) ?(skip = fun _ -> false) cfg =
   in
   List.fold_left try_one [] (oriented_candidates ~keep_conc sg)
 
+(* Logic evaluation of the child [sg'] that FwdRed(a, _) built from
+   [parent] (with arc-filter report [delta]), by [eval_mode].  Both modes
+   produce identical evaluations (same totals, same per-signal covers),
+   differing only in work: [`Scratch] re-derives and re-minimizes
+   everything, [`Delta] inherits from the parent the signals the
+   reduction provably left unchanged ({!Logic.estimate_delta}) and serves
+   the rest from the {!Boolf.Memo} cover cache. *)
+let child_logic eval_mode parent ~a ~delta sg' =
+  match eval_mode with
+  | `Scratch -> Logic.evaluate ~memo:false sg'
+  | `Delta -> Logic.estimate_delta ~parent:parent.logic ~dropped:a ~delta sg'
+
 (* Worker-side verdict on one candidate task.  [Cand] with [cfg = None]
    marks a candidate that passed Def. 5.1 but failed the performance bound:
    its signature must still enter the dedup table (as in the sequential
-   search), but it never joins the frontier. *)
-type verdict =
+   search), but it never joins the frontier.  [optimize] carries the
+   priced [config]; the portfolio carries it with its cross-arm table key. *)
+type 'c verdict =
   | Dropped
-  | Cand of { signature : string; cfg : config option }
+  | Cand of { signature : string; cfg : 'c option }
 
 (* Phase counters (see DESIGN.md, "Observability").  Every candidate task is
    counted exactly once: [candidates] at evaluation, then one of [deduped]
@@ -152,22 +165,11 @@ let optimize ?pool ?(w = 0.5) ?(size_frontier = 4) ?(keep_conc = [])
   in
   (* During the search, [applied] holds the reduction script in REVERSE
      order (cons instead of O(n) append per step); it is put back in
-     application order when the outcome is materialized.
-
-     Logic cost by [eval_mode] — all three produce identical evaluations
-     (same totals, same per-signal covers), differing only in work:
-     [`Scratch] re-derives and re-minimizes everything, [`Memo] serves
-     repeated minimizations from the {!Boolf.Memo} cover cache, [`Delta]
-     additionally inherits from the parent the signals the reduction
-     provably left unchanged ({!Logic.estimate_delta}). *)
+     application order when the outcome is materialized. *)
   let eval_child parent ~a ~delta sg' applied_rev =
-    let logic =
-      match eval_mode with
-      | `Scratch -> Logic.evaluate ~memo:false sg'
-      | `Memo -> Logic.evaluate ~memo:true sg'
-      | `Delta -> Logic.estimate_delta ~parent:parent.logic ~dropped:a ~delta sg'
-    in
-    price ~w ~csc_weight ~area_mode logic sg' applied_rev
+    price ~w ~csc_weight ~area_mode
+      (child_logic eval_mode parent ~a ~delta sg')
+      sg' applied_rev
   in
   let initial =
     price ~w ~csc_weight ~area_mode
@@ -345,22 +347,15 @@ let optimize ?pool ?(w = 0.5) ?(size_frontier = 4) ?(keep_conc = [])
 
 (* ------------------------------------------------------------------ *)
 (* Portfolio search: K arms (distinct weights and/or area models) over
-   one long-lived Stream session, sharing one cross-arm signature table
-   and pre-warming it speculatively from the pool's idle capacity.  Each
-   arm is byte-identical to its standalone single-arm [optimize] run;
-   the per-level machinery below deliberately mirrors [optimize]'s —
+   one long-lived Stream session, sharing one cross-arm signature table.
+   Each arm is byte-identical to its standalone single-arm [optimize]
+   run; the per-level machinery below deliberately mirrors [optimize]'s —
    any change there must be reflected here (the portfolio differential
    suites hold the two to that promise). *)
 
 type arm = { arm_w : float; arm_area : area_mode }
 type arm_outcome = { arm : arm; outcome : outcome; yardstick : float }
-
-type portfolio_stats = {
-  table_hits : int;
-  table_misses : int;
-  spec_published : int;
-  spec_hits : int;
-}
+type portfolio_stats = { table_hits : int; table_misses : int }
 
 type portfolio_outcome = {
   arms : arm_outcome array;
@@ -368,17 +363,15 @@ type portfolio_outcome = {
   stats : portfolio_stats;
 }
 
-(* An entry of the shared signature table: the full logic evaluation of
-   one candidate SG, plus whether a speculative job published it (feeds
-   the speculation hit/waste ratio, nothing else).  [te_claimed] flips
-   on the first demand hit so a speculative entry read by several arms
-   still counts as ONE consumed speculation — [spec_published] minus
-   [spec_hits] is then exactly the number of wasted speculative evals. *)
-type table_entry = {
-  te_eval : Logic.eval;
-  te_spec : bool;
-  te_claimed : bool Atomic.t;
-}
+(* An entry of the shared signature table: the logic evaluation of one
+   candidate SG, plus whether the caller has already counted a lookup of
+   its key (see the accounting in [portfolio]).  Workers only read
+   [te_eval]; [te_counted] is read and written by the caller alone. *)
+type table_entry = { te_eval : Logic.eval; mutable te_counted : bool }
+
+(* A portfolio candidate's verdict: the priced configuration together
+   with its table entry, which the merge needs for the table accounting. *)
+type pverdict = (config * table_entry) verdict
 
 (* Per-arm mutable search state, plus the in-flight level (submitted but
    not yet merged) on the pooled path. *)
@@ -395,15 +388,13 @@ type arm_run = {
 }
 
 and level_inflight = {
-  li_slots : verdict array;
+  li_slots : pverdict array;
   li_flags : bool Atomic.t array;
   li_err : exn option Atomic.t;
 }
 
 let c_tbl_hit = Obs.Counter.make "search.portfolio.table_hit"
 let c_tbl_miss = Obs.Counter.make "search.portfolio.table_miss"
-let c_spec_eval = Obs.Counter.make "search.portfolio.spec_eval"
-let c_spec_hit = Obs.Counter.make "search.portfolio.spec_hit"
 let c_arm_win = Obs.Counter.make "search.portfolio.arm_win"
 
 (* Identity of a candidate SG for cross-arm sharing: the label-level
@@ -442,7 +433,7 @@ let share_key sg =
 
 let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
     ?(max_levels = max_int) ?(csc_weight = 8.0) ?perf_delays ?max_cycle
-    ?(eval_mode = `Delta) ?(speculate = true) ?on_improvement ~arms sg0 =
+    ?(eval_mode = `Delta) ?on_improvement ~arms sg0 =
   if arms = [] then invalid_arg "Search.portfolio: empty arm list";
   Obs.span "search.portfolio" @@ fun () ->
   let arms = Array.of_list arms in
@@ -460,100 +451,61 @@ let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
     | Some _ | None -> None
   in
   let parallel = Option.is_some session in
-  (* Speculation only makes sense with idle workers to absorb it; the
-     low lane never runs on the sequential path anyway. *)
-  let speculate = speculate && parallel in
   let table : table_entry Pool.Smemo.t = Pool.Smemo.create () in
-  (* Per-call stats, written from worker domains: independent of the Obs
-     enabled flag so the bench can always report them. *)
-  let tbl_hits = Atomic.make 0 in
-  let tbl_misses = Atomic.make 0 in
-  let spec_pub = Atomic.make 0 in
-  let spec_hits = Atomic.make 0 in
   (* Logic evaluation of one candidate through the shared table: a hit
-     skips the evaluation outright, whichever arm (or speculative job)
-     paid for it; a miss computes it exactly as the arm's standalone run
-     would, then publishes.  Sound because all eval modes produce
-     identical evaluations and the key determines the value (see
-     [share_key]), so a hit returns precisely what this arm would have
-     computed — hence per-arm byte-identity survives sharing. *)
-  let eval_logic parent ~a ~delta ~key sg' =
+     skips the evaluation outright, whichever arm paid for it; a miss
+     computes it exactly as the arm's standalone run would, then
+     publishes.  Sound because both eval modes produce identical
+     evaluations and the key determines the value (see [share_key]), so
+     a hit returns precisely what this arm would have computed — hence
+     per-arm byte-identity survives sharing.  A worker that loses a
+     publish race returns the winner's entry, so each key has exactly one
+     entry. *)
+  let lookup parent ~a ~delta ~key sg' =
     match Pool.Smemo.find table key with
-    | Some e ->
-        Obs.Counter.incr c_tbl_hit;
-        Atomic.incr tbl_hits;
-        if e.te_spec && Atomic.compare_and_set e.te_claimed false true
-        then begin
-          Obs.Counter.incr c_spec_hit;
-          Atomic.incr spec_hits
-        end;
-        e.te_eval
-    | None ->
-        Obs.Counter.incr c_tbl_miss;
-        Atomic.incr tbl_misses;
-        let logic =
-          match eval_mode with
-          | `Scratch -> Logic.evaluate ~memo:false sg'
-          | `Memo -> Logic.evaluate ~memo:true sg'
-          | `Delta ->
-              Logic.estimate_delta ~parent:parent.logic ~dropped:a ~delta sg'
+    | Some e -> e
+    | None -> (
+        let e =
+          {
+            te_eval = child_logic eval_mode parent ~a ~delta sg';
+            te_counted = false;
+          }
         in
-        ignore
-          (Pool.Smemo.publish table key
-             { te_eval = logic; te_spec = false; te_claimed = Atomic.make false }
-            : bool);
-        logic
+        if Pool.Smemo.publish table key e then e
+        else
+          match Pool.Smemo.find table key with
+          | Some winner -> winner
+          | None -> assert false (* entries are never removed *))
   in
-  (* Speculative pre-evaluation of a candidate's children, submitted on
-     the low-priority lane the moment a worker sees a candidate beat its
-     parent's cost — the cheapest available predictor that it will
-     survive the merge and fan out next level.  Results only ever land
-     in the shared table (never in any arm's state), so a mispredicted
-     speculation is dead weight, never a divergence; [finish] discards
-     whatever the workers did not get to. *)
-  let speculate_children s cfg' =
-    Sg.force_analyses cfg'.sg;
-    match
-      Pool.Stream.submit_low s (fun () ->
-          List.iter
-            (fun (a, b) ->
-              match Reduction.fwd_red_built cfg'.sg ~a ~b with
-              | Error _ -> ()
-              | Ok built -> (
-                  match Reduction.validate ~source:cfg'.sg built with
-                  | Error _ -> ()
-                  | Ok sg' ->
-                      if keeps_protected keep_conc sg' then begin
-                        let key = share_key sg' in
-                        match Pool.Smemo.find table key with
-                        | Some _ -> ()
-                        | None ->
-                            let logic =
-                              Logic.estimate_delta ~parent:cfg'.logic
-                                ~dropped:a ~delta:built.Reduction.delta sg'
-                            in
-                            if
-                              Pool.Smemo.publish table key
-                                {
-                                  te_eval = logic;
-                                  te_spec = true;
-                                  te_claimed = Atomic.make false;
-                                }
-                            then begin
-                              Obs.Counter.incr c_spec_eval;
-                              Atomic.incr spec_pub
-                            end
-                      end))
-            (oriented_candidates ~keep_conc cfg'.sg))
-    with
-    | () -> ()
-    | exception Pool.Stream_finished -> ()
+  (* The table's hit/miss accounting, kept on the caller at merge time so
+     that it does not depend on how the pool's domains interleave: every
+     merged candidate that the sequential path looks up (unseen by its
+     arm, valid, within the performance bound) counts once, as a hit iff
+     an earlier counted candidate had the same key, i.e. the same entry.
+     Sequentially this is exactly what the table saw; pooled, the
+     workers' lookups race (and also cover intra-level duplicates the
+     merge then drops), but the printed numbers stay the sequential ones.
+     The mark lives on the entry because the keys run to kilobytes: a
+     second, caller-side set of them spent 4% of a sequential MMU
+     portfolio on hashing alone (3 of 72 ms on a 2-vCPU host). *)
+  let tbl_hits = ref 0 in
+  let tbl_misses = ref 0 in
+  let count_lookup e =
+    if e.te_counted then begin
+      Obs.Counter.incr c_tbl_hit;
+      incr tbl_hits
+    end
+    else begin
+      e.te_counted <- true;
+      Obs.Counter.incr c_tbl_miss;
+      incr tbl_misses
+    end
   in
   (* Worker-side candidate evaluation — [optimize]'s [eval_task] with the
      shared-table lookup spliced into the pricing step.  The dedup key
      stays the per-arm signature (the table key is only needed for
      candidates that survive validation and the performance bound). *)
-  let eval_task ~arm ~spec tbl (cfg, a, b) =
+  let eval_task ~arm tbl (cfg, a, b) : pverdict =
     Obs.Counter.incr c_candidates;
     Obs.span "search.candidate" @@ fun () ->
     match Reduction.fwd_red_built cfg.sg ~a ~b with
@@ -571,19 +523,15 @@ let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
           | Ok sg' when keeps_protected keep_conc sg' ->
               let cfg' =
                 if meets_perf sg' then begin
-                  let logic =
-                    eval_logic cfg ~a ~delta:built.Reduction.delta
+                  let e =
+                    lookup cfg ~a ~delta:built.Reduction.delta
                       ~key:(share_key sg') sg'
                   in
-                  let c =
-                    price ~w:arm.arm_w ~csc_weight ~area_mode:arm.arm_area
-                      logic sg'
-                      ((a, b) :: cfg.applied)
-                  in
-                  (match spec with
-                  | Some s when c.cost < cfg.cost -> speculate_children s c
-                  | Some _ | None -> ());
-                  Some c
+                  Some
+                    ( price ~w:arm.arm_w ~csc_weight ~area_mode:arm.arm_area
+                        e.te_eval sg'
+                        ((a, b) :: cfg.applied),
+                      e )
                 end
                 else begin
                   Obs.Counter.incr c_infeasible;
@@ -623,9 +571,10 @@ let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
       arms
   in
   (* Merge one verdict into arm [i], exactly as [optimize]'s merge; the
-     improvement callback fires at the best-update, so its sequence is
-     fixed by the deterministic merge order. *)
-  let merge_verdict i r merged verdict =
+     improvement callback fires at the best-update and the table lookup
+     is counted here, so both sequences are fixed by the deterministic
+     merge order. *)
+  let merge_verdict i r merged (verdict : pverdict) =
     match verdict with
     | Dropped -> ()
     | Cand { signature = key; cfg } ->
@@ -633,7 +582,8 @@ let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
           Hashtbl.replace r.ar_seen key ();
           match cfg with
           | None -> ()
-          | Some cfg' ->
+          | Some (cfg', e) ->
+              count_lookup e;
               Obs.Counter.incr c_accepted;
               r.ar_explored <- r.ar_explored + 1;
               (match r.ar_best with
@@ -684,12 +634,11 @@ let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
       let slots = Array.make n Dropped in
       let flags = Array.init n (fun _ -> Atomic.make false) in
       let err = Atomic.make None in
-      let spec = if speculate then Some s else None in
       let arm = r.ar_arm in
       Array.iteri
         (fun j t ->
           Pool.Stream.submit s (fun () ->
-              (try slots.(j) <- eval_task ~arm ~spec snapshot t
+              (try slots.(j) <- eval_task ~arm snapshot t
                with e -> ignore (Atomic.compare_and_set err None (Some e)));
               Atomic.set flags.(j) true))
         tasks;
@@ -738,8 +687,7 @@ let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
             let merged = ref [] in
             Array.iter
               (fun t ->
-                merge_verdict i r merged
-                  (eval_task ~arm:r.ar_arm ~spec:None r.ar_seen t))
+                merge_verdict i r merged (eval_task ~arm:r.ar_arm r.ar_seen t))
               tasks;
             next_frontier r !merged
           end)
@@ -799,13 +747,7 @@ let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
         (fun i o -> { arm = arms.(i); outcome = o; yardstick = yardstick o })
         outcomes;
     winner = !winner;
-    stats =
-      {
-        table_hits = Atomic.get tbl_hits;
-        table_misses = Atomic.get tbl_misses;
-        spec_published = Atomic.get spec_pub;
-        spec_hits = Atomic.get spec_hits;
-      };
+    stats = { table_hits = !tbl_hits; table_misses = !tbl_misses };
   }
 
 let apply_script sg script =

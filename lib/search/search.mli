@@ -40,18 +40,17 @@ type outcome = {
     [Keep_Conc] input).  Pairs are unordered. *)
 type keep = (Stg.label * Stg.label) list
 
-(** How candidate configurations are logic-costed.  All three modes produce
+(** How candidate configurations are logic-costed.  Both modes produce
     byte-identical outcomes (same totals, covers, frontier and script);
     they differ only in work per candidate:
 
     - [`Scratch] — full re-derivation and unmemoized minimization (the
       reference);
-    - [`Memo] — full re-derivation, minimizations served from the
-      {!Boolf.Memo} cover cache;
     - [`Delta] (default) — {!Logic.estimate_delta}: per-signal results
       inherited from the parent configuration wherever the reduction
-      provably left them unchanged, the rest memoized. *)
-type eval_mode = [ `Scratch | `Memo | `Delta ]
+      provably left them unchanged, the rest served from the
+      {!Boolf.Memo} cover cache. *)
+type eval_mode = [ `Scratch | `Delta ]
 
 (** How a candidate's logic complexity enters the cost function:
 
@@ -102,8 +101,7 @@ val optimize :
 (** {2 Portfolio search}
 
     Several cost weightings explored concurrently over one pool session,
-    with cross-arm sharing and speculative evaluation.  See DESIGN.md,
-    "Portfolio search". *)
+    with cross-arm sharing.  See DESIGN.md, "Portfolio search". *)
 
 (** One arm of a portfolio: a weight [W] plus an area model. *)
 type arm = { arm_w : float; arm_area : area_mode }
@@ -119,18 +117,13 @@ type arm_outcome = {
           weights or area models are not comparable *)
 }
 
-(** Sharing/speculation totals of one portfolio run (counted whether or
-    not {!Obs} recording is on).  [table_hits] are candidate evaluations
-    served by the cross-arm signature table; [spec_published] the table
-    entries published by speculative jobs, of which [spec_hits] were
-    later actually consumed (an entry read by several arms counts once)
-    — their difference is exactly the speculation waste. *)
-type portfolio_stats = {
-  table_hits : int;
-  table_misses : int;
-  spec_published : int;
-  spec_hits : int;
-}
+(** Cross-arm table totals of one portfolio run (counted whether or not
+    {!Obs} recording is on).  Each candidate an arm accepts (unseen by
+    that arm, valid, within the performance bound) is one table lookup,
+    counted in the deterministic merge order: a hit when an earlier
+    counted candidate had the same key, a miss otherwise.  The totals are
+    therefore the same sequential or pooled, at any job count. *)
+type portfolio_stats = { table_hits : int; table_misses : int }
 
 type portfolio_outcome = {
   arms : arm_outcome array;  (** in input arm order *)
@@ -142,18 +135,11 @@ type portfolio_outcome = {
 
 (** [portfolio ~arms sg] runs one beam search per arm, all sharing one
     {!Pool.Stream} session (with [pool]) and one cross-arm signature
-    table: a candidate SG evaluated by any arm — or pre-evaluated by a
-    speculative job — is never logic-evaluated again by another, keyed by
-    signature plus lineage ghost sequence so the cached evaluation is
-    exactly what every arm would have computed itself.  Each arm's
-    [outcome] is byte-identical to its standalone {!optimize} run with
-    the same parameters, pooled or sequential, speculation on or off.
-
-    [speculate] (default [true], effective only with a pool): idle
-    workers pre-evaluate the children of candidates that beat their
-    parent's cost — the most-likely-accepted ones — on the session's
-    low-priority lane; mispredictions cost only the wasted work (the
-    results land in the shared table and are simply never read).
+    table: a candidate SG evaluated by any arm is never logic-evaluated
+    again by another, keyed by signature plus lineage ghost sequence so
+    the cached evaluation is exactly what every arm would have computed
+    itself.  Each arm's [outcome] is byte-identical to its standalone
+    {!optimize} run with the same parameters, pooled or sequential.
 
     [on_improvement] streams the anytime best-so-far: it fires on the
     caller's thread, in a deterministic order (arms serviced round-robin,
@@ -172,7 +158,6 @@ val portfolio :
   ?perf_delays:(Stg.label -> int) ->
   ?max_cycle:int ->
   ?eval_mode:eval_mode ->
-  ?speculate:bool ->
   ?on_improvement:(arm:int -> config -> unit) ->
   arms:arm list ->
   Sg.t ->

@@ -396,18 +396,15 @@ module Ops = struct
         | "portfolio" ->
             let* portfolio = parse_portfolio v in
             Ok { o with Core.Cli.portfolio }
-        (* jobs/speculate are accepted but normalized away: neither
-           changes response bytes (the PR 2 / PR 9 determinism
-           contracts), and the server's parallelism is its own worker
-           pool, not the client's business. *)
+        (* jobs is accepted but normalized away: it never changes
+           response bytes (the search and its cross-arm accounting are
+           deterministic at any job count), and the server's parallelism
+           is its own worker pool, not the client's business. *)
         | "jobs" ->
             let* _ = as_int "jobs" v in
             Ok o
-        | "speculate" ->
-            let* _ = as_bool "speculate" v in
-            Ok o
         | _ -> Error ("unknown reduce option \"" ^ k ^ "\""))
-      { Core.Cli.default_reduce with jobs = 1; speculate = true }
+      { Core.Cli.default_reduce with jobs = 1 }
       fields
 
   let request_of_json j =

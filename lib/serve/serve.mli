@@ -89,10 +89,10 @@ module Ops : sig
 
   (** Parse the ["op"]/["spec"]/["options"] fields of a request object.
       Unknown option fields are rejected (a typo must not silently
-      become a different cache key).  [jobs] and [speculate] are
-      accepted and normalized away: they never change response bytes
-      (the PR 2/PR 9 determinism contracts), so the server always
-      computes sequentially per request. *)
+      become a different cache key).  [jobs] is accepted and normalized
+      away: it never changes response bytes (every portfolio arm and the
+      cross-arm table accounting are deterministic at any job count), so
+      the server always computes sequentially per request. *)
   val request_of_json : Json.t -> (request, string) result
 
   (** Canonical spec text: parse the [.g] text and return the parsed
@@ -102,7 +102,7 @@ module Ops : sig
 
   (** Canonical option record rendering, the second cache-key
       component: floats in hex ([%h]), [keep] pairs sorted and deduped,
-      fields in fixed order; [jobs]/[speculate] excluded.  Equal
+      fields in fixed order; [jobs] excluded.  Equal
       semantics implies equal string. *)
   val canonical : op -> string
 

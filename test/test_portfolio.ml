@@ -1,13 +1,14 @@
 (* Tests for the portfolio search (Search.portfolio) and its substrate:
-   the Stream speculative lane, the Stream_finished contract, the shared
-   Smemo signature table — and the cross-signal netlist sharing that the
-   literal-chaining reorder of Netlist.of_covers buys.
+   the Stream_finished contract, the shared Smemo signature table — and
+   the cross-signal netlist sharing that the literal-chaining reorder of
+   Netlist.of_covers buys.
 
    The portfolio contract: every arm's outcome is byte-identical to its
    standalone Search.optimize run with the same parameters — sequential
-   or pooled, speculation on or off.  These tests hold it to that promise
-   on the named paper specs and a swarm of seeded random STGs, and pin
-   the deterministic on_improvement stream. *)
+   or pooled.  These tests hold it to that promise on the named paper
+   specs and a swarm of seeded random STGs, pin the deterministic
+   on_improvement stream, and check that `astg reduce --portfolio`
+   prints the same bytes at any job count. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -15,7 +16,7 @@ let pool = Test_parallel.pool
 let outcome_repr = Test_parallel.outcome_repr
 let named_specs = Test_parallel.named_specs
 
-(* ---- Stream: typed close error and the speculative lane ------------ *)
+(* ---- Stream: typed close error ------------------------------------ *)
 
 let test_stream_finished () =
   let p = Lazy.force pool in
@@ -27,28 +28,43 @@ let test_stream_finished () =
   check "submit after finish raises Stream_finished" true
     (match Pool.Stream.submit s (fun () -> ()) with
     | () -> false
-    | exception Pool.Stream_finished -> true);
-  check "submit_low after finish raises Stream_finished" true
-    (match Pool.Stream.submit_low s (fun () -> ()) with
-    | () -> false
     | exception Pool.Stream_finished -> true)
 
-let test_submit_low () =
-  let p = Lazy.force pool in
-  let s = Pool.Stream.start p in
-  let main_done = Atomic.make 0 in
-  let low_ran = Atomic.make false in
-  Pool.Stream.submit_low s (fun () -> Atomic.set low_ran true);
-  for _ = 1 to 8 do
-    Pool.Stream.submit s (fun () -> Atomic.incr main_done)
-  done;
-  Pool.Stream.wait s (fun () -> Atomic.get main_done = 8);
-  Pool.Stream.finish s;
-  (* The low lane is discardable by contract: the job either ran on an
-     idle worker or was dropped by finish.  On the sequential backend it
-     must never run (the caller never takes low jobs). *)
-  if String.equal Pool.backend "sequential" then
-    check "sequential backend discards low jobs" false (Atomic.get low_ran)
+(* ---- Core.Cli.reduce_text: --jobs never changes the bytes ---------- *)
+
+(* The whole `astg reduce --portfolio` output, the cross-arm table line
+   included, is the same at --jobs 2 as at --jobs 1: the table's hits
+   and misses are counted in the deterministic merge order, not in the
+   order the pool's domains happen to publish. *)
+let test_reduce_text_jobs () =
+  let micropipeline =
+    Stg.Io.parse_file
+      (Filename.concat (Test_delta.examples_dir ()) "micropipeline.g")
+  in
+  List.iter
+    (fun (name, stg) ->
+      List.iter
+        (fun portfolio ->
+          let text jobs =
+            match
+              Core.Cli.reduce_text
+                { Core.Cli.default_reduce with portfolio; jobs }
+                stg
+            with
+            | Ok s -> s
+            | Error msg -> Alcotest.failf "%s: %s" name msg
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s --portfolio %s: jobs 2 = jobs 1" name
+               (String.concat "," (List.map string_of_float portfolio)))
+            (text 1) (text 2))
+        [ [ 0.3; 0.8 ]; [ 0.2; 0.5; 0.8 ] ])
+    [
+      ("MMU", Expansion.four_phase Specs.mmu);
+      ("PAR", Expansion.four_phase Specs.par);
+      ("micropipeline", micropipeline);
+      ("LR", Expansion.four_phase Specs.lr);
+    ]
 
 (* ---- Smemo: first-writer-wins shared table ------------------------- *)
 
@@ -95,7 +111,7 @@ let check_arms name refs stg (po : Search.portfolio_outcome) =
     refs
 
 (* Every arm byte-identical to its standalone run: named paper specs,
-   sequential and pooled, speculation on and off. *)
+   sequential and pooled. *)
 let test_portfolio_named () =
   let p = Lazy.force pool in
   List.iter
@@ -104,11 +120,8 @@ let test_portfolio_named () =
       let refs = standalone_reprs ~size_frontier:4 arms3 stg sg in
       check_arms (name ^ " seq") refs stg
         (Search.portfolio ~size_frontier:4 ~arms:arms3 sg);
-      check_arms (name ^ " pooled+spec") refs stg
-        (Search.portfolio ~pool:p ~size_frontier:4 ~arms:arms3 sg);
-      check_arms (name ^ " pooled-spec") refs stg
-        (Search.portfolio ~pool:p ~size_frontier:4 ~speculate:false
-           ~arms:arms3 sg))
+      check_arms (name ^ " pooled") refs stg
+        (Search.portfolio ~pool:p ~size_frontier:4 ~arms:arms3 sg))
     (named_specs ())
 
 (* 100 seeded random STGs, two tree arms. *)
@@ -145,9 +158,11 @@ let test_winner_and_stats () =
   let st = po.Search.stats in
   check "cross-arm table shares evaluations" true (st.Search.table_hits > 0);
   check "table sees misses too" true (st.Search.table_misses > 0);
-  check_int "no speculation when sequential" 0 st.Search.spec_published;
-  check "spec hits never exceed published" true
-    (st.Search.spec_hits <= st.Search.spec_published)
+  let pooled =
+    Search.portfolio ~pool:(Lazy.force pool) ~size_frontier:4 ~arms:arms3 sg
+  in
+  check "pooled table stats = sequential table stats" true
+    (pooled.Search.stats = st)
 
 (* The anytime stream: deterministic across runs and backends, strictly
    improving per arm, first event per arm is its initial configuration. *)
@@ -155,11 +170,11 @@ let test_on_improvement () =
   let p = Lazy.force pool in
   let stg = Expansion.four_phase Specs.mmu in
   let sg = Gen.sg_exn stg in
-  let trace ?pool ?speculate () =
+  let trace ?pool () =
     let buf = Buffer.create 256 in
     let last = Hashtbl.create 4 in
     ignore
-      (Search.portfolio ?pool ?speculate ~size_frontier:4
+      (Search.portfolio ?pool ~size_frontier:4
          ~on_improvement:(fun ~arm cfg ->
            (match Hashtbl.find_opt last arm with
            | Some prev ->
@@ -177,8 +192,6 @@ let test_on_improvement () =
   let seq = trace () in
   Alcotest.(check string) "pooled stream = sequential stream" seq
     (trace ~pool:p ());
-  Alcotest.(check string) "speculation does not change the stream" seq
-    (trace ~pool:p ~speculate:false ());
   Alcotest.(check string) "repeat run = first run" seq (trace ~pool:p ())
 
 (* ---- Core / CLI plumbing ------------------------------------------- *)
@@ -240,7 +253,8 @@ let suite =
   [
     Alcotest.test_case "Stream_finished on closed session" `Quick
       test_stream_finished;
-    Alcotest.test_case "speculative lane smoke" `Quick test_submit_low;
+    Alcotest.test_case "reduce_text --portfolio: jobs 2 = jobs 1" `Slow
+      test_reduce_text_jobs;
     Alcotest.test_case "Smemo first-writer-wins" `Quick test_smemo;
     Alcotest.test_case "portfolio = standalone: named specs" `Slow
       test_portfolio_named;

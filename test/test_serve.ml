@@ -11,8 +11,9 @@
    - Fault injection: malformed JSON, oversized requests, mid-request
      disconnects, truncated/corrupted disk entries, restarts — always a
      typed error or a silent eviction, never a crash or a wrong answer.
-   - Key normalization: option spelling, flag order and jobs/speculate
-     must not change the cache key (unit + QCheck property).
+   - Key normalization: option spelling, flag order and jobs must not
+     change the cache key (unit + QCheck property); an unknown option
+     such as the retired "speculate" is a typed error.
 
    With ASTG_SERVE_SOCKET set (the CI smoke does this), the examples
    differential runs against that external server instead of an
@@ -292,12 +293,18 @@ let test_key_normalization () =
   Alcotest.(check string) "w int spelling = float spelling"
     (key_of_line (line {|{"w":1}|}))
     (key_of_line (line {|{"w":1.0}|}));
-  (* flag order and jobs/speculate must not matter *)
-  Alcotest.(check string) "field order + jobs/speculate are no-ops"
+  (* flag order and jobs must not matter *)
+  Alcotest.(check string) "field order + jobs are no-ops"
     (key_of_line (line {|{"frontier":3,"w":0.5,"keep":["a+,b+","a-,b-"]}|}))
     (key_of_line
        (line
-          {|{"keep":["b+,a+","a-,b-","a+,b+"],"w":0.5,"jobs":7,"speculate":false,"frontier":3}|}));
+          {|{"keep":["b+,a+","a-,b-","a+,b+"],"w":0.5,"jobs":7,"frontier":3}|}));
+  (* speculate is not an option: rejected like any unknown field *)
+  Alcotest.(check (result reject string))
+    "speculate is an unknown option"
+    (Error {|unknown reduce option "speculate"|})
+    (Serve.Ops.request_of_json
+       (Serve.Json.parse (line {|{"speculate":false}|})));
   (* ...but semantics must *)
   let k1 = key_of_line (line {|{"w":0.5}|}) in
   let k2 = key_of_line (line {|{"w":0.25}|}) in
@@ -330,9 +337,9 @@ let prop_key_invariance =
       return (w, frontier, keeps, print_stg, area_tree, portfolio))
   in
   QCheck.Test.make ~count:100
-    ~name:"cache key invariant under keep order/dup and jobs/speculate"
+    ~name:"cache key invariant under keep order/dup and jobs"
     (make opts_gen) (fun (w, frontier, keeps, print_stg, area_tree, portfolio) ->
-      let mk keeps speculate jobs =
+      let mk keeps jobs =
         Serve.Ops.Reduce
           {
             Core.Cli.w;
@@ -341,15 +348,14 @@ let prop_key_invariance =
             print_stg;
             area_mode = (if area_tree then `Tree else `Shared);
             portfolio;
-            speculate;
             jobs;
           }
       in
       let spec = "spec-fixpoint-text" in
-      let base = Serve.Ops.key ~spec (mk keeps true 1) in
+      let base = Serve.Ops.key ~spec (mk keeps 1) in
       let swapped =
         Serve.Ops.key ~spec
-          (mk (List.rev_map (fun (a, b) -> (b, a)) keeps @ keeps) false 9)
+          (mk (List.rev_map (fun (a, b) -> (b, a)) keeps @ keeps) 9)
       in
       String.equal base swapped)
 
