@@ -559,6 +559,7 @@ let c_not_si = Obs.Counter.make "csc.reject.not_si"
 let c_more_conflicts = Obs.Counter.make "csc.reject.more_conflicts"
 let c_not_final = Obs.Counter.make "csc.reject.not_final"
 let c_accepted = Obs.Counter.make "csc.accepted"
+let c_unexamined = Obs.Counter.make "csc.unexamined"
 let c_scored = Obs.Counter.make "csc.scored"
 let c_product = Obs.Counter.make "csc.child.product"
 let c_fallback = Obs.Counter.make "csc.child.fallback"
@@ -568,36 +569,39 @@ let reject counter =
   Obs.Counter.incr counter;
   None
 
-(* Evaluate one candidate insertion, cheapest check first; None when
-   invalid or degrading.  Plateau steps (same conflict count) are kept: a
-   signal can trade the current conflict for a new one that a further
-   signal resolves.  The last signal ([final]) must leave no conflict.
-   The child is explored and counted on the parent ([lv]); its STG and SG
-   are built only once the count passes. *)
-let try_insertion (lv : level) ~final conflicts ~set ~reset ~name =
+(* A candidate's child as far as the search has looked at it. *)
+type child =
+  | Unbuilt  (** explored and counted on the parent only *)
+  | Built of Sg.t  (** built because the count needed it; SI unchecked *)
+  | Ranked of { sg : Sg.t; mutable total : int; mutable exact : bool }
+      (** speed-independent; its logic total is [total] when [exact], at
+          least [total] otherwise *)
+  | Gone  (** not speed-independent, or handed to the search *)
+
+type candidate = { c : int; set : site; reset : site; mutable child : child }
+
+(* Judge one candidate insertion on the parent ([lv]), cheapest check
+   first: its conflict count [c] may not exceed the parent's, and the last
+   signal ([final]) must leave none.  Plateau steps (an equal count) are
+   kept: a signal can trade the current conflict for a new one that a
+   further signal resolves.  A passing candidate is kept unbuilt unless the
+   count needed its child: a fallback, or a parent too wide to count on. *)
+let judge (lv : level) ~final conflicts ~set ~reset ~name =
   let stg = Sg.stg lv.sg in
   match validate stg ~set ~reset ~name with
   | exception Invalid_argument _ -> reject c_invalid_site
   | () -> (
-      let decide c child =
+      let pass c child =
         if c > conflicts then reject c_more_conflicts
         else if final && c > 0 then reject c_not_final
-        else
-          let sg' = child () in
-          if not (Sg.is_speed_independent sg') then reject c_not_si
-          else begin
-            Obs.Counter.incr c_accepted;
-            Some (Sg.stg sg', sg', c)
-          end
+        else Some { c; set; reset; child }
       in
+      let built sg' = pass (Sg.csc_conflict_count sg') (Built sg') in
       match explore lv ~set ~reset with
       | () ->
           Obs.Counter.incr c_product;
-          let child () = build lv ~set ~reset ~name in
-          if lv.packed then decide (count lv ~limit:conflicts) child
-          else
-            let sg' = child () in
-            decide (Sg.csc_conflict_count sg') (fun () -> sg')
+          if lv.packed then pass (count lv ~limit:conflicts) Unbuilt
+          else built (build lv ~set ~reset ~name)
       | exception (Over_budget | Conflict _) ->
           Obs.Counter.incr c_product;
           reject c_sg_error
@@ -607,13 +611,86 @@ let try_insertion (lv : level) ~final conflicts ~set ~reset ~name =
             Sg.of_stg ~budget:lv.budget (insert_signal stg ~set ~reset ~name)
           with
           | Error _ -> reject c_sg_error
-          | Ok sg' -> decide (Sg.csc_conflict_count sg') (fun () -> sg')))
+          | Ok sg' -> built sg'))
+
+(* Build and SI-check a candidate the walk reaches, once. *)
+let reach lv ~name cand =
+  let check sg =
+    if Sg.is_speed_independent sg then begin
+      Obs.Counter.incr c_accepted;
+      cand.child <- Ranked { sg; total = 0; exact = false }
+    end
+    else begin
+      Obs.Counter.incr c_not_si;
+      cand.child <- Gone
+    end
+  in
+  match cand.child with
+  | Unbuilt ->
+      explore lv ~set:cand.set ~reset:cand.reset;
+      check (build lv ~set:cand.set ~reset:cand.reset ~name)
+  | Built sg -> check sg
+  | Ranked _ | Gone -> ()
+
+(* The best candidate not yet handed out, by (conflicts, literals) with
+   ties in list order; [None] when none is left.  [cands] is sorted by [c],
+   stably, so list order holds within a count.  Only the smallest count
+   with a candidate left is reached and scored, each candidate against the
+   best total found before it: a later candidate must be strictly cheaper
+   to win.  A score cut off by {!Logic.evaluate_bounded} leaves a lower
+   bound, and the candidate is scored again when a later call's bound is
+   above it. *)
+let next lv ~name cands =
+  let n = Array.length cands in
+  let rec group first =
+    if first >= n then None
+    else begin
+      let stop = ref first in
+      while !stop < n && cands.(!stop).c = cands.(first).c do
+        incr stop
+      done;
+      let best = ref None and bound = ref max_int in
+      for i = first to !stop - 1 do
+        let cand = cands.(i) in
+        reach lv ~name cand;
+        match cand.child with
+        | Ranked r when r.total < !bound ->
+            if not r.exact then begin
+              Obs.Counter.incr c_scored;
+              match Logic.evaluate_bounded ~bound:!bound r.sg with
+              | Some t ->
+                  r.total <- t;
+                  r.exact <- true
+              | None -> r.total <- !bound
+            end;
+            if r.exact then begin
+              best := Some (cand, r.sg);
+              bound := r.total
+            end
+        | Unbuilt | Built _ | Ranked _ | Gone -> ()
+      done;
+      match !best with
+      | None -> group !stop
+      | Some (cand, sg) ->
+          cand.child <- Gone;
+          Some (sg, cand.set, cand.reset)
+    end
+  in
+  group 0
+
+let unexamined cands =
+  Array.fold_left
+    (fun k cand ->
+      match cand.child with
+      | Unbuilt | Built _ -> k + 1
+      | Ranked _ | Gone -> k)
+    0 cands
 
 (* Backtracking descends into the best few candidates only. *)
 let n_best = 5
 
 (* [csc<k>] for the k-th inserted signal, or the first free [csc<j>],
-   [j > k], when the STG already has a signal of that name. *)
+   [j >= k], when the STG already has a signal of that name. *)
 let fresh_name stg k =
   let rec go j =
     let name = Printf.sprintf "csc%d" j in
@@ -677,7 +754,7 @@ let resolve ?(max_signals = 6) ?budget ?(work = 20_000) sg0 =
       if !work_left < pairs then raise Out_of_work;
       work_left := !work_left - pairs;
       let lv = level ?budget sg in
-      let accepted = ref [] in
+      let passed = ref [] in
       List.iter
         (fun set ->
           List.iter
@@ -685,49 +762,31 @@ let resolve ?(max_signals = 6) ?budget ?(work = 20_000) sg0 =
               if set <> reset then begin
                 Obs.Counter.incr c_insertions;
                 match
-                  try_insertion lv ~final:(depth = 1) conflicts ~set ~reset
-                    ~name
+                  judge lv ~final:(depth = 1) conflicts ~set ~reset ~name
                 with
-                | Some (stg', sg', c) ->
-                    accepted := (c, stg', sg', set, reset) :: !accepted
+                | Some cand -> passed := cand :: !passed
                 | None -> ()
               end)
             all_sites)
         all_sites;
-      (* Candidates rank by (conflicts, literals), so none with more
-         conflicts than the [n_best]-th smallest count can make the cut:
-         only the others are scored. *)
-      let counts =
-        List.sort Int.compare (List.map (fun (c, _, _, _, _) -> c) !accepted)
+      let cands =
+        Array.of_list
+          (List.stable_sort (fun a b -> Int.compare a.c b.c) !passed)
       in
-      let cut =
-        Option.value ~default:max_int (List.nth_opt counts (n_best - 1))
+      let rec try_best k =
+        if k = n_best then Error "no valid insertion found"
+        else
+          match next lv ~name cands with
+          | None -> Error "no valid insertion found"
+          | Some (sg', set, reset) -> (
+              let step = (name, site_display stg set, site_display stg reset) in
+              match solve (Sg.stg sg') sg' (depth - 1) (step :: inserted) with
+              | Ok r -> Ok r
+              | Error _ -> try_best (k + 1))
       in
-      let scored =
-        List.filter_map
-          (fun (c, stg', sg', set, reset) ->
-            if c > cut then None
-            else begin
-              Obs.Counter.incr c_scored;
-              let score = (c, Logic.total (Logic.evaluate sg')) in
-              Some (score, stg', sg', set, reset)
-            end)
-          !accepted
-      in
-      let sorted =
-        List.stable_sort
-          (fun (s1, _, _, _, _) (s2, _, _, _, _) -> compare s1 s2)
-          scored
-      in
-      let rec try_best = function
-        | [] -> Error "no valid insertion found"
-        | (_, stg', sg', set, reset) :: rest -> (
-            let step = (name, site_display stg set, site_display stg reset) in
-            match solve stg' sg' (depth - 1) (step :: inserted) with
-            | Ok r -> Ok r
-            | Error _ -> try_best rest)
-      in
-      try_best (List.filteri (fun i _ -> i < n_best) sorted)
+      Fun.protect
+        ~finally:(fun () -> Obs.Counter.add c_unexamined (unexamined cands))
+        (fun () -> try_best 0)
     end
   in
   let separated =
@@ -747,8 +806,3 @@ let resolve ?(max_signals = 6) ?budget ?(work = 20_000) sg0 =
           result
       | Error _ as result -> result
       | exception Out_of_work -> Error "insertion work budget exhausted")
-
-let count_signals ?max_signals sg =
-  match resolve ?max_signals sg with
-  | Ok r -> Some (List.length r.inserted)
-  | Error _ -> None

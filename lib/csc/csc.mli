@@ -22,9 +22,9 @@
     The solver searches (set site, reset site) pairs greedily with
     backtracking until CSC holds or the signal budget is exhausted.  Each
     candidate is explored and its conflicts counted on its parent's state
-    graph; only an accepted candidate's STG and state graph are built
-    ({!product}), never by re-exploring the refined net.  Conflicts that
-    only input events separate are refused before the search. *)
+    graph; only a candidate the search reaches has its STG and state graph
+    built ({!product}), never by re-exploring the refined net.  Conflicts
+    that only input events separate are refused before the search. *)
 
 (** An insertion site. *)
 type site =
@@ -108,14 +108,28 @@ type resolution = {
 (** [resolve sg] — returns a CSC-satisfying refinement of the STG behind
     [sg], inserting at most [max_signals] (default 6) internal signals
     named [csc0], [csc1], ... (the k-th takes the first [csc<j>], [j >=
-    k], that is not already a signal).  Each level tries every (set,
-    reset) site pair and checks a candidate cheapest first: its conflict
-    count, read off the product explored on the parent (no more than the
-    parent's, and zero for the last signal); only then is the child SG
-    built and checked for speed-independence.  Accepted candidates rank
-    by (conflicts, literals) and the search backtracks over the best
-    five; candidates with more conflicts than the fifth-smallest count
-    cannot be among them and are not scored.
+    k], that is not already a signal).
+
+    Each level tries every (set, reset) site pair and judges it on the
+    parent, cheapest check first: its conflict count, read off the product
+    explored on [sg], may not exceed the parent's, and must be zero for the
+    last signal.  The candidates that pass rank by (conflicts, literals),
+    ties in enumeration order, and the search backtracks over the best
+    five.  They are ranked lazily: only when the search asks for the next
+    best are the candidates with the smallest count left built, checked
+    for speed-independence and scored, each against the best total before
+    it ({!Logic.evaluate_bounded}), so a later candidate must be strictly
+    cheaper to win.  Candidates with a larger count are built only if
+    backtracking exhausts the smaller ones.  The result is the one an eager
+    ranking of every passing candidate gives.
+
+    Every tried candidate ([csc.insertions.tried]) lands in exactly one
+    decision counter: [csc.reject.invalid_site], [.sg_error],
+    [.more_conflicts] or [.not_final] when it is judged; [csc.reject.not_si]
+    or [csc.accepted] when the search reaches it; [csc.unexamined] when it
+    passes but is never reached.  [csc.scored] counts the calls of
+    {!Logic.evaluate_bounded}, and [csc.child.product] / [.fallback] how
+    each candidate was explored.
 
     Before the search, [Error] when {!input_separated} finds a conflict
     pair joined by input events only; the message gives the pair's code.
@@ -126,19 +140,16 @@ type resolution = {
     label or by a pending new edge.  The paper's Fig. 1 is such a
     specification.
 
-    [work] (default 20_000) is a budget only, no longer what makes Fig.
-    1-class specifications fail fast: it bounds the number of candidate
-    insertions evaluated before giving up, and is checked once per level,
-    so a level that would exceed it fails before evaluating any pair.  [Error] when the search fails.  [sg] must be the state graph of
-    its own backing STG (realize reduced SGs first). *)
+    [work] (default 20_000) bounds the number of candidate insertions
+    tried before giving up.  It is a budget only, not what makes Fig.
+    1-class specifications fail fast.  It is checked once per level, so a
+    level that would exceed it fails before trying any pair.
+
+    [Error] when the search fails.  [sg] must be the state graph of its own
+    backing STG (realize reduced SGs first). *)
 val resolve :
   ?max_signals:int ->
   ?budget:int ->
   ?work:int ->
   Sg.t ->
   (resolution, string) result
-
-(** Number of state signals {!resolve} needs (0 when CSC already holds),
-    [None] when resolution fails — the "# CSC sign." column of the paper's
-    tables. *)
-val count_signals : ?max_signals:int -> Sg.t -> int option

@@ -329,11 +329,30 @@ let evaluate_gen ~conflict_penalty ~memo ~ghosts sg =
   in
   eval_of_sigs ~penalty:conflict_penalty sigs
 
-let evaluate ?(conflict_penalty = 4) ?(memo = true) sg =
+let default_penalty = 4
+
+let evaluate ?(conflict_penalty = default_penalty) ?(memo = true) sg =
   evaluate_gen ~conflict_penalty ~memo ~ghosts:true sg
 
-let estimate ?(conflict_penalty = 4) ?(ghosts = true) sg =
+let estimate ?(conflict_penalty = default_penalty) ?(ghosts = true) sg =
   (evaluate_gen ~conflict_penalty ~memo:false ~ghosts sg).e_total
+
+(* [evaluate]'s total, summed conflict penalties first (they need no
+   minimization), then one signal's literals at a time; every term is
+   non-negative, so a partial sum that reaches [bound] settles it. *)
+let evaluate_bounded ~bound sg =
+  let nsig = Stg.n_signals (Sg.stg sg) in
+  let x = extract ~ghosts:true sg in
+  let sets = List.map (sop_sets x) (non_input_signals sg) in
+  let rec go acc = function
+    | _ when acc >= bound -> None
+    | [] -> Some acc
+    | (on, off, _) :: rest ->
+        go (acc + Boolf.Memo.literals ~n:nsig ~on ~off) rest
+  in
+  go
+    (List.fold_left (fun acc (_, _, c) -> acc + (default_penalty * c)) 0 sets)
+    sets
 
 (* Delta-reuse accounting (process-global, all domains combined). *)
 let delta_inherited = Atomic.make 0

@@ -105,6 +105,12 @@ val total : eval -> int
     [evaluate sg |> total = estimate sg] always. *)
 val evaluate : ?conflict_penalty:int -> ?memo:bool -> Sg.t -> eval
 
+(** [evaluate_bounded ~bound sg] — [Some t] when [t = total (evaluate sg)]
+    is below [bound], [None] otherwise.  The conflict penalties are summed
+    first, then each signal's (memoized) literals, and the sum stops as soon
+    as it reaches [bound]: the signals after that are not minimized. *)
+val evaluate_bounded : bound:int -> Sg.t -> int option
+
 (** [estimate_delta ~parent ~dropped ~delta sg] — evaluate [sg], an SG
     built from [parent]'s graph by an arc filter (as
     {!Reduction.fwd_red_built} does), reusing [parent]'s per-signal

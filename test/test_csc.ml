@@ -123,10 +123,6 @@ let test_resolve_unresolvable () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "fig1 should be unresolvable without input delay"
 
-let test_count_signals () =
-  let _, sg = lr_sg () in
-  check "count = 2" true (Csc.count_signals sg = Some 2)
-
 let test_site_display () =
   let stg, _ = lr_sg () in
   let lo_plus = Petri.trans_of_name stg.Stg.net "lo+" in
@@ -166,7 +162,6 @@ let suite =
     Alcotest.test_case "resolve LR" `Quick test_resolve_lr;
     Alcotest.test_case "resolve no-op" `Quick test_resolve_noop;
     Alcotest.test_case "resolve unresolvable" `Quick test_resolve_unresolvable;
-    Alcotest.test_case "count signals" `Quick test_count_signals;
     Alcotest.test_case "site display" `Quick test_site_display;
     QCheck_alcotest.to_alcotest prop_insertion_only_delays;
   ]
@@ -541,7 +536,10 @@ let test_resolve_reference () =
    before, exactly at and one pair after a level boundary end the way the
    pair-by-pair oracle ends — on PAR at 3 signals (a failing plateau search
    of 14,570 candidates, children by product) at its third level, on LR at
-   the level whose best candidate resolves it. *)
+   the level whose best candidate resolves it.  PAR at 3 also ends one
+   pair short of its whole tree as the oracle does: its last level is
+   reached only after backtracking took picks whose first score had been
+   cut off by the bound. *)
 let test_resolve_work_boundaries () =
   let par = Expansion.four_phase Specs.par
   and lr = Expansion.four_phase Specs.lr in
@@ -555,7 +553,11 @@ let test_resolve_work_boundaries () =
   (match
      level_boundaries ~child:by_product ~max_signals:3 ~work:20_000 par
    with
-  | _ :: _ :: b :: _ -> around ~child:by_product "PAR at 3" par ~max_signals:3 b
+  | (_ :: _ :: b :: _) as ends ->
+      around ~child:by_product "PAR at 3" par ~max_signals:3 b;
+      let short = List.nth ends (List.length ends - 1) - 1 in
+      check_reference ~child:by_product
+        (Printf.sprintf "PAR at 3, work %d" short, par, 3, short)
   | _ -> Alcotest.fail "PAR at 3: expected three levels within the budget");
   match List.rev (level_boundaries ~max_signals:6 ~work:20_000 lr) with
   | b :: _ ->
@@ -583,6 +585,7 @@ let decision_counters =
     "csc.reject.more_conflicts";
     "csc.reject.not_final";
     "csc.accepted";
+    "csc.unexamined";
     "csc.scored";
     "csc.child.product";
     "csc.child.fallback";
@@ -603,26 +606,47 @@ let counter_deltas ?max_signals ?work sg =
        (fun () -> Csc.resolve ?max_signals ?work sg));
   List.map2 ( - ) (snapshot ()) before
 
+(* Every tried candidate lands in exactly one decision counter: a
+   rejection, [accepted], or [unexamined]. *)
+let partitioned deltas =
+  let v name = List.assoc name (List.combine decision_counters deltas) in
+  v "csc.insertions.tried"
+  = List.fold_left
+      (fun acc name -> acc + v name)
+      0
+      [
+        "csc.reject.invalid_site";
+        "csc.reject.sg_error";
+        "csc.reject.not_si";
+        "csc.reject.more_conflicts";
+        "csc.reject.not_final";
+        "csc.accepted";
+        "csc.unexamined";
+      ]
+
 let check_counters want got =
+  check "tried = rejected + accepted + unexamined" true (partitioned got);
   List.iter2
     (fun name (want, got) -> check_int name want got)
     decision_counters (List.combine want got)
 
-(* Every candidate of PAR's resolution is derived by product and
-   accounted for by exactly one decision counter; only those that can
-   reach the best five are scored. *)
+(* Every candidate of PAR's resolution is derived by product.  The search
+   reaches 28 of the 212 that pass the count — those with the smallest
+   count at each of its four levels, since every level's first pick
+   succeeds — and scores each once. *)
 let test_decision_counters () =
   let sg = Gen.sg_exn (Expansion.four_phase Specs.par) in
   check_counters
-    [ 1760; 0; 980; 0; 568; 0; 212; 152; 1760; 0; 0 ]
+    [ 1760; 0; 980; 0; 568; 0; 28; 184; 28; 1760; 0; 0 ]
     (counter_deltas sg)
 
 (* LR at two signals: most candidates for the second signal leave a
-   conflict and are rejected as not final. *)
+   conflict and are rejected as not final; 8 of the 20 that pass are
+   reached. *)
 let test_decision_counters_lr () =
   let sg = Gen.sg_exn (Expansion.four_phase Specs.lr) in
   check_counters
-    [ 228; 0; 96; 0; 28; 84; 20; 20; 228; 0; 0 ]
+    [ 228; 0; 96; 0; 28; 84; 8; 12; 8; 228; 0; 0 ]
     (counter_deltas ~max_signals:2 sg)
 
 (* fig1's conflict is separated only by input events: resolve fails
@@ -630,16 +654,37 @@ let test_decision_counters_lr () =
 let test_decision_counters_fig1 () =
   let sg = Gen.sg_exn (Specs.fig1 ()) in
   check_counters
-    [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 1 ]
+    [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 1 ]
     (counter_deltas ~max_signals:2 ~work:2_000 sg)
 
-(* [astg synth micropipeline.g], byte for byte: the top-five cut skips
-   654 of its 986 logic evaluations, and the [Sg.of_stg] oracle is too
-   slow to cover it here. *)
+(* The partition holds however the search ends: resolved, out of signals,
+   or out of work below a level whose unreached candidates must still be
+   counted — budgets up to 2,000 run out past the root. *)
+let prop_decision_counters_random =
+  QCheck.Test.make ~name:"decision counters partition the tried" ~count:20
+    QCheck.(triple (int_range 0 10_000) (int_range 1 3) (int_range 0 2_000))
+    (fun (seed, max_signals, work) ->
+      let sg = Gen.sg_exn (Expansion.four_phase (Gen.random_spec seed)) in
+      partitioned (counter_deltas ~max_signals ~work sg))
+
+(* [astg synth micropipeline.g], byte for byte: the search reaches 34 of
+   the 986 candidates that pass the count, and the [Sg.of_stg] oracle is
+   too slow to cover it here. *)
 let test_micropipeline_golden () =
   match Test_serve.run_cli [ "synth"; data "micropipeline.g" ] with
   | 0, out, _ -> Test_obs.check_golden "synth_micropipeline.expected" out
   | rc, _, err -> Alcotest.failf "astg synth exited %d: %s" rc err
+
+(* [Core.Cli.synth_text] on the four-phase MMU, byte for byte: five
+   signals deep, where ranking every passing candidate eagerly took
+   seconds. *)
+let test_mmu_golden () =
+  match
+    Core.Cli.synth_text Core.Cli.default_synth
+      (Expansion.four_phase Specs.mmu)
+  with
+  | Ok out -> Test_obs.check_golden "synth_mmu.expected" out
+  | Error msg -> Alcotest.fail msg
 
 (* [astg synth --emit verilog fig1.g], byte for byte: the one output that
    names the input-separated conflict. *)
@@ -771,6 +816,7 @@ let suite =
         test_decision_counters_lr;
       Alcotest.test_case "decision counters on fig1" `Quick
         test_decision_counters_fig1;
+      QCheck_alcotest.to_alcotest prop_decision_counters_random;
       Alcotest.test_case "synth fig1 --emit golden" `Quick
         test_fig1_emit_golden;
       Alcotest.test_case "resolve name clash" `Quick test_resolve_name_clash;
@@ -785,6 +831,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_resolve_reference_random;
       Alcotest.test_case "synth micropipeline golden" `Quick
         test_micropipeline_golden;
+      Alcotest.test_case "synth MMU golden" `Quick test_mmu_golden;
       Alcotest.test_case "product = of_stg, first level" `Quick
         test_product_first_level;
       Alcotest.test_case "packed SI = list scans, first level" `Quick

@@ -197,3 +197,54 @@ let suite =
       Alcotest.test_case "gC LR" `Quick test_gc_lr;
       QCheck_alcotest.to_alcotest prop_gc_conforms;
     ]
+
+(* ---- bounded evaluation ---- *)
+
+(* [evaluate_bounded ~bound sg] is [Some t] exactly when [t], the total of
+   [evaluate sg], is below [bound]: checked at the extremes, around the
+   total and at [extra]. *)
+let bounded_agrees ?(extra = 0) sg =
+  let t = Logic.total (Logic.evaluate sg) in
+  List.for_all
+    (fun bound ->
+      Logic.evaluate_bounded ~bound sg = if t < bound then Some t else None)
+    [ min_int; 0; 1; t - 1; t; t + 1; max_int; extra ]
+
+(* Every first-level CSC child of PAR, as [Csc.resolve] scores them. *)
+let test_bounded_par_children () =
+  let stg = Expansion.four_phase Specs.par in
+  let sg = Gen.sg_exn stg in
+  let children = ref 0 in
+  Test_csc.iter_children stg (fun set reset ->
+      match Csc.product sg ~set ~reset ~name:"z" with
+      | Some (Ok sg') ->
+          incr children;
+          if not (bounded_agrees sg') then
+            Alcotest.failf "PAR child %d: bounded total differs" !children
+      | Some (Error _) | None -> ());
+  check "some children" true (!children > 0)
+
+(* Random specifications, and one pruning reduction of each, whose ghost
+   codes the cost-side extraction keeps. *)
+let prop_bounded_random =
+  QCheck.Test.make ~name:"evaluate_bounded = evaluate below the bound"
+    ~count:30
+    QCheck.(pair (int_range 0 10_000) (int_range 0 200))
+    (fun (seed, extra) ->
+      let sg = Gen.sg_exn (Expansion.four_phase (Gen.random_spec seed)) in
+      bounded_agrees ~extra sg
+      &&
+      match Sg.concurrent_pairs sg with
+      | (a, b) :: _ -> (
+          match Reduction.fwd_red sg ~a ~b with
+          | Ok reduced -> bounded_agrees ~extra reduced
+          | Error _ -> true)
+      | [] -> true)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "evaluate_bounded on PAR's CSC children" `Quick
+        test_bounded_par_children;
+      QCheck_alcotest.to_alcotest prop_bounded_random;
+    ]
