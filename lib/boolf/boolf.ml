@@ -239,14 +239,10 @@ let estimate_literals ~n ~on ~off = Cover.literals (minimize ~n ~on ~off)
    domain fills its own table, so there is no locking and no shared
    mutation, and because [minimize] is deterministic every domain converges
    to the same entries — the [Pool.map_array] determinism contract
-   (pure up to commutative-and-idempotent memoization) is preserved.
-   Hit/miss counters are process-global [Atomic]s: they are monitoring
-   only and never influence results. *)
+   (pure up to commutative-and-idempotent memoization) is preserved. *)
 module Memo = struct
   type entry = { cover : Cover.t; lits : int }
 
-  let hit_count = Atomic.make 0
-  let miss_count = Atomic.make 0
   let c_hits = Obs.Counter.make "boolf.memo.hits"
   let c_misses = Obs.Counter.make "boolf.memo.misses"
 
@@ -274,11 +270,9 @@ module Memo = struct
     let tbl = Pool.Dls.get tables in
     match Tbl.find_opt tbl key with
     | Some e ->
-        Atomic.incr hit_count;
         Obs.Counter.incr c_hits;
         e
     | None ->
-        Atomic.incr miss_count;
         Obs.Counter.incr c_misses;
         let cover = minimize ~n ~on ~off in
         let e = { cover; lits = Cover.literals cover } in
@@ -287,14 +281,6 @@ module Memo = struct
 
   let minimize ~n ~on ~off = (lookup ~n ~on ~off).cover
   let literals ~n ~on ~off = (lookup ~n ~on ~off).lits
-
-  type stats = { hits : int; misses : int }
-
-  let stats () = { hits = Atomic.get hit_count; misses = Atomic.get miss_count }
-
-  let reset_stats () =
-    Atomic.set hit_count 0;
-    Atomic.set miss_count 0
 
   let clear () = Tbl.reset (Pool.Dls.get tables)
 end

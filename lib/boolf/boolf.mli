@@ -84,19 +84,14 @@ val estimate_literals : n:int -> on:int list -> off:int list -> int
     [(n, on, off)] (sorted, deduplicated minterm lists), so permuted-but-
     equal inputs return structurally equal covers without recomputation.
     The tables are domain-local ({!Pool.Dls}) — safe inside pool workers
-    with no locking, and deterministic because [minimize] is. *)
+    with no locking, and deterministic because [minimize] is.  Lookups
+    count in the [Obs] counters [boolf.memo.hits] and [boolf.memo.misses]. *)
 module Memo : sig
   (** Same result as {!Boolf.minimize} (memoized). *)
   val minimize : n:int -> on:int list -> off:int list -> Cover.t
 
   (** Same result as {!Boolf.estimate_literals} (memoized). *)
   val literals : n:int -> on:int list -> off:int list -> int
-
-  (** Process-global hit/miss counters (all domains combined). *)
-  type stats = { hits : int; misses : int }
-
-  val stats : unit -> stats
-  val reset_stats : unit -> unit
 
   (** Drop the calling domain's table (worker tables are unaffected). *)
   val clear : unit -> unit

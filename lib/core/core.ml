@@ -223,30 +223,6 @@ let optimize_portfolio ?pool ?delays ?max_csc ?style ?size_frontier ?keep_conc
   in
   (r, po)
 
-(* Batched multi-spec driver: one pool shared across every spec's search.
-   Specs run in sequence (each search parallelizes internally), so the
-   per-spec reports are exactly those of individual [optimize] calls. *)
-let optimize_all ?pool ?delays ?max_csc ?style ?w ?size_frontier ?keep_conc
-    ?perf_delays ?max_cycle ?area_mode ?arms ?on_improvement specs =
-  Obs.span "core.optimize_all" @@ fun () ->
-  let run pool =
-    List.map
-      (fun (name, sg) ->
-        match arms with
-        | Some (_ :: _ as arms) ->
-            fst
-              (optimize_portfolio ~pool ?delays ?max_csc ?style ?size_frontier
-                 ?keep_conc ?perf_delays ?max_cycle ?on_improvement ~arms ~name
-                 sg)
-        | Some [] | None ->
-            optimize ~pool ?delays ?max_csc ?style ?w ?size_frontier ?keep_conc
-              ?perf_delays ?max_cycle ?area_mode ~name sg)
-      specs
-  in
-  match pool with
-  | Some p -> run p
-  | None -> Pool.with_pool ~jobs:(Pool.default_jobs ()) run
-
 let sg_exn ?budget stg =
   match Sg.of_stg ?budget stg with
   | Ok sg -> sg
@@ -366,8 +342,23 @@ module Cli = struct
 
   let area_name = function `Tree -> "tree" | `Shared -> "shared"
 
+  (* The CLI and [astg serve] reach the search only through [reduce_text],
+     so checking here rejects an out-of-range option the same way in both. *)
+  let check_reduce_opts o =
+    let in_unit w = w >= 0. && w <= 1. (* false for NaN *) in
+    if not (in_unit o.w) then
+      Error (Printf.sprintf "w must be in [0, 1], got %g" o.w)
+    else
+      match List.find_opt (fun w -> not (in_unit w)) o.portfolio with
+      | Some w ->
+          Error (Printf.sprintf "portfolio weight must be in [0, 1], got %g" w)
+      | None when o.frontier < 1 ->
+          Error
+            (Printf.sprintf "frontier must be at least 1, got %d" o.frontier)
+      | None -> Ok ()
+
   let reduce_text opts stg =
-    match sg_or_fail stg with
+    match Result.bind (check_reduce_opts opts) (fun () -> sg_or_fail stg) with
     | Error msg -> Error msg
     | Ok sg -> (
         match

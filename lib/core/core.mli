@@ -114,31 +114,6 @@ val optimize_portfolio :
   Sg.t ->
   report * Search.portfolio_outcome
 
-(** [optimize_all specs] — {!optimize} over a [(name, sg)] batch, sharing
-    one pool across every spec (heavy multi-spec traffic amortizes domain
-    spawns).  Without [pool], a pool of {!Pool.default_jobs} workers is
-    created for the batch and shut down afterwards.  Reports are returned
-    in input order and are identical to per-spec {!optimize} results.
-
-    With a non-empty [arms], each spec instead runs
-    {!optimize_portfolio} over those arms ([w]/[area_mode] are ignored)
-    and the report describes the winning arm's implementation. *)
-val optimize_all :
-  ?pool:Pool.t ->
-  ?delays:(Stg.t -> Petri.trans -> int) ->
-  ?max_csc:int ->
-  ?style:Logic.style ->
-  ?w:float ->
-  ?size_frontier:int ->
-  ?keep_conc:Search.keep ->
-  ?perf_delays:(Stg.label -> int) ->
-  ?max_cycle:int ->
-  ?area_mode:Search.area_mode ->
-  ?arms:Search.arm list ->
-  ?on_improvement:(arm:int -> Search.config -> unit) ->
-  (string * Sg.t) list ->
-  report list
-
 (** [Some (Obs.summary ())] when tracing/metrics recording is on, [None]
     otherwise.  Deliberately not folded into {!render_table}: reports are
     byte-identical with observability on or off (the differential suite
@@ -193,6 +168,8 @@ module Cli : sig
 
   (** [astg reduce] output (improvement stream, summaries, winner, and
       with [print_stg] the realized STG), or [Error msg] where the CLI
-      would fail. *)
+      would fail: a NaN [w] or one outside [[0, 1]], the same for a
+      [portfolio] weight, [frontier < 1], an unknown [keeps] event, or an
+      SG failure. *)
   val reduce_text : reduce_opts -> Stg.t -> (string, string) result
 end

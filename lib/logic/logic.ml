@@ -354,22 +354,10 @@ let evaluate_bounded ~bound sg =
     (List.fold_left (fun acc (_, _, c) -> acc + (default_penalty * c)) 0 sets)
     sets
 
-(* Delta-reuse accounting (process-global, all domains combined). *)
-let delta_inherited = Atomic.make 0
-let delta_recomputed = Atomic.make 0
 let c_delta_inherited = Obs.Counter.make "logic.delta.inherited"
 let c_delta_recomputed = Obs.Counter.make "logic.delta.recomputed"
 let c_support_hit = Obs.Counter.make "logic.delta.support_hit"
 let c_support_miss = Obs.Counter.make "logic.delta.support_miss"
-
-type delta_stats = { inherited : int; recomputed : int }
-
-let delta_stats () =
-  { inherited = Atomic.get delta_inherited; recomputed = Atomic.get delta_recomputed }
-
-let reset_delta_stats () =
-  Atomic.set delta_inherited 0;
-  Atomic.set delta_recomputed 0
 
 (* The code universe of a derived SG's cost-side extraction is the
    parent's (surviving states keep their codes, pruned states stay as
@@ -582,14 +570,8 @@ let estimate_delta ~parent ~dropped:_ ~delta sg =
       eval_of_sigs ~penalty:parent.e_penalty sigs
     end
   in
-  if !inherited > 0 then begin
-    ignore (Atomic.fetch_and_add delta_inherited !inherited);
-    Obs.Counter.add c_delta_inherited !inherited
-  end;
-  if !recomputed > 0 then begin
-    ignore (Atomic.fetch_and_add delta_recomputed !recomputed);
-    Obs.Counter.add c_delta_recomputed !recomputed
-  end;
+  if !inherited > 0 then Obs.Counter.add c_delta_inherited !inherited;
+  if !recomputed > 0 then Obs.Counter.add c_delta_recomputed !recomputed;
   if !support_hit > 0 then Obs.Counter.add c_support_hit !support_hit;
   if !support_miss > 0 then Obs.Counter.add c_support_miss !support_miss;
   result

@@ -130,19 +130,15 @@ val evaluate_bounded : bound:int -> Sg.t -> int option
 
     [dropped] is unused (subsumed by the support mask) and kept for call
     symmetry with the non-incremental paths.  Uses [parent]'s conflict
-    penalty.  Equal to [evaluate sg] field by field. *)
+    penalty.  Equal to [evaluate sg] field by field.
+
+    The [Obs] counters [logic.delta.inherited] and
+    [logic.delta.recomputed] count the signals that reused the parent's
+    cover and those that went through the (memoized) minimizer;
+    [logic.delta.support_hit] and [logic.delta.support_miss] split the
+    slots by support membership (misses are the blind inheritances). *)
 val estimate_delta :
   parent:eval -> dropped:Stg.label -> delta:Sg.delta -> Sg.t -> eval
-
-(** Process-global counters of per-signal delta decisions: [inherited]
-    signals reused the parent's cover, [recomputed] went through the
-    (memoized) minimizer.  The [Obs] counters [logic.delta.support_hit]
-    and [logic.delta.support_miss] additionally split the slots by support
-    membership (misses are the blind inheritances). *)
-type delta_stats = { inherited : int; recomputed : int }
-
-val delta_stats : unit -> delta_stats
-val reset_delta_stats : unit -> unit
 
 (** {2 Gate-level area}
 

@@ -258,11 +258,6 @@ let build (b : Builder.t) ~outputs =
   Array.iter (fun (_, u) -> fan.(u) <- fan.(u) + 1) outs;
   { nsig = b.Builder.nsig; nodes; outs; live; fan }
 
-let live_count t =
-  let k = ref 0 in
-  Array.iter (fun l -> if l then incr k) t.live;
-  !k
-
 let iter t f =
   Array.iteri (fun u nd -> if t.live.(u) then f u nd) t.nodes
 

@@ -88,9 +88,6 @@ val n_signals : t -> int
 (** Total node-store size, dead nodes included. *)
 val node_count : t -> int
 
-(** Nodes reachable from some output. *)
-val live_count : t -> int
-
 val node : t -> uid -> node
 
 (** [outputs t] — [(signal, driver)] pairs in signal-id order. *)

@@ -211,16 +211,17 @@ let test_memo_shared_prefix () =
   let keys = List.init 200 (fun i -> (prefix @ [ 100 + i ], [ 512 + i ])) in
   Boolf.Memo.clear ();
   List.iter (fun (on, off) -> ignore (Boolf.Memo.minimize ~n ~on ~off)) keys;
-  let before = Boolf.Memo.stats () in
-  List.iter
-    (fun (on, off) ->
-      check "cover" true
-        (Boolf.Memo.minimize ~n ~on ~off = Boolf.minimize ~n ~on ~off))
-    keys;
-  let after = Boolf.Memo.stats () in
+  let counter name = List.assoc name (Obs.counters ()) in
+  let hits = counter "boolf.memo.hits" and misses = counter "boolf.memo.misses" in
+  Test_obs.with_enabled true (fun () ->
+      List.iter
+        (fun (on, off) ->
+          check "cover" true
+            (Boolf.Memo.minimize ~n ~on ~off = Boolf.minimize ~n ~on ~off))
+        keys);
   check_int "every key hits" (List.length keys)
-    (after.Boolf.Memo.hits - before.Boolf.Memo.hits);
-  check_int "no miss" before.Boolf.Memo.misses after.Boolf.Memo.misses
+    (counter "boolf.memo.hits" - hits);
+  check_int "no miss" misses (counter "boolf.memo.misses")
 
 let suite =
   [

@@ -246,12 +246,16 @@ let test_csc_delta_random () =
    regression.) *)
 let test_mmu_inherit_fraction () =
   let sg = Gen.sg_exn (Expansion.four_phase Specs.mmu) in
-  Logic.reset_delta_stats ();
-  ignore (Search.optimize ~eval_mode:`Delta sg);
-  let s = Logic.delta_stats () in
-  let total = s.Logic.inherited + s.Logic.recomputed in
+  let counter name = List.assoc name (Obs.counters ()) in
+  let inherited = counter "logic.delta.inherited"
+  and recomputed = counter "logic.delta.recomputed" in
+  Test_obs.with_enabled true (fun () ->
+      ignore (Search.optimize ~eval_mode:`Delta sg));
+  let inherited = counter "logic.delta.inherited" - inherited
+  and recomputed = counter "logic.delta.recomputed" - recomputed in
+  let total = inherited + recomputed in
   Alcotest.(check bool) "delta path exercised" true (total > 0);
-  let fraction = float_of_int s.Logic.inherited /. float_of_int total in
+  let fraction = float_of_int inherited /. float_of_int total in
   Alcotest.(check bool)
     (Printf.sprintf "inherited fraction %.3f >= 0.5" fraction)
     true (fraction >= 0.5)

@@ -41,8 +41,8 @@ let test_differential_named () =
     (Test_parallel.named_specs ());
   Obs.reset ()
 
-(* Full end-to-end batch reports — pretty-printed rows, the rendered
-   table and the synthesized equations — through Core.optimize_all. *)
+(* Full end-to-end reports — pretty-printed rows, the rendered table and
+   the synthesized equations — through pooled Core.optimize. *)
 let test_differential_report () =
   let p = Lazy.force pool in
   let specs =
@@ -56,10 +56,14 @@ let test_differential_report () =
              Format.asprintf "%a@.%s" Core.pp_report r r.Core.equations)
            rs)
   in
-  let run () = Core.optimize_all ~pool:p ~w:0.8 ~size_frontier:4 specs in
+  let run () =
+    List.map
+      (fun (name, sg) -> Core.optimize ~pool:p ~w:0.8 ~size_frontier:4 ~name sg)
+      specs
+  in
   let off = with_enabled false run in
   let on = with_enabled true run in
-  Alcotest.(check string) "optimize_all on=off" (render off) (render on);
+  Alcotest.(check string) "Core reports on=off" (render off) (render on);
   Obs.reset ()
 
 (* Every .g file shipped under examples/data (skipping any the SG
@@ -310,29 +314,37 @@ let test_golden_trace () =
   | Error e -> Alcotest.fail ("golden trace invalid: " ^ e));
   check_golden "obs_trace.expected" trace
 
-(* Acceptance: a traced MMU search (the biggest paper spec) exports a
-   Chrome trace the validator accepts, sequentially and pooled. *)
+(* Acceptance: a traced full MMU flow (the biggest paper spec: search,
+   CSC, logic, techmap) exports a Chrome trace the validator accepts,
+   sequentially and pooled, and the trace reaches the CSC and mapping
+   layers. *)
 let test_mmu_trace () =
   let sg = Gen.sg_exn (Expansion.four_phase Specs.mmu) in
   let p = Lazy.force pool in
   List.iter
-    (fun (mode, run) ->
+    (fun (mode, pool) ->
       Obs.reset ();
-      with_enabled true (fun () -> ignore (run ()));
+      with_enabled true (fun () ->
+          ignore (Core.optimize ?pool ~name:"MMU" ~w:0.8 ~size_frontier:4 sg));
       (match Obs.Chrome.validate (Obs.chrome_trace ()) with
       | Ok () -> ()
       | Error e -> Alcotest.fail (mode ^ " MMU trace invalid: " ^ e));
+      let events = Obs.events () in
+      List.iter
+        (fun span ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s MMU trace has %s" mode span)
+            true
+            (List.exists (fun (_, name, ph, _) -> name = span && ph = 'B') events))
+        [ "csc.resolve"; "techmap.map" ];
       Obs.reset ())
-    [
-      ("seq", fun () -> Search.optimize ~w:0.8 ~size_frontier:4 sg);
-      ("pool", fun () -> Search.optimize ~pool:p ~w:0.8 ~size_frontier:4 sg);
-    ]
+    [ ("seq", None); ("pool", Some p) ]
 
 let suite =
   [
     Alcotest.test_case "differential: named specs (seq+pool)" `Slow
       test_differential_named;
-    Alcotest.test_case "differential: optimize_all reports" `Slow
+    Alcotest.test_case "differential: pooled Core reports" `Slow
       test_differential_report;
     Alcotest.test_case "differential: examples/data" `Quick
       test_differential_examples;

@@ -213,13 +213,7 @@ let test_core_portfolio () =
       ~size_frontier:4 ~name:"LR" sg
   in
   Alcotest.(check string) "report = winning arm standalone" (render solo)
-    (render report);
-  (* optimize_all ~arms routes through the portfolio. *)
-  match Core.optimize_all ~arms:arms3 [ ("LR", sg) ] with
-  | [ batch ] ->
-      Alcotest.(check string) "optimize_all ~arms = portfolio" (render report)
-        (render batch)
-  | _ -> Alcotest.fail "optimize_all returned the wrong shape"
+    (render report)
 
 (* ---- netlist literal-chaining reorder ------------------------------ *)
 

@@ -105,6 +105,18 @@ let err_kind resp =
 
 let counter name = Obs.Counter.value (Obs.Counter.make name)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+(* A "failed" response whose message the CLI also printed to stderr. *)
+let check_failed_like_cli name resp cli_err =
+  Alcotest.(check string) (name ^ " error typed") "failed" (err_kind resp);
+  let msg = get_str (member "message" (member "error" resp)) in
+  if not (contains cli_err msg) then
+    Alcotest.failf "%s: serve message %S not in CLI stderr %S" name msg cli_err
+
 (* ---- subprocess CLI ---- *)
 
 let astg_bin () =
@@ -156,19 +168,7 @@ let test_differential_examples () =
         Alcotest.(check string)
           (name ^ " reduce payload = CLI stdout")
           cli_out (ok_output resp)
-      else begin
-        Alcotest.(check string) (name ^ " reduce error typed") "failed"
-          (err_kind resp);
-        let msg = get_str (member "message" (member "error" resp)) in
-        let contains hay needle =
-          let nh = String.length hay and nn = String.length needle in
-          let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-          nn = 0 || go 0
-        in
-        if not (contains cli_err msg) then
-          Alcotest.failf "%s: serve message %S not in CLI stderr %S" name msg
-            cli_err
-      end)
+      else check_failed_like_cli (name ^ " reduce") resp cli_err)
     (g_files ())
 
 let test_differential_options () =
@@ -206,7 +206,29 @@ let test_differential_options () =
         ])
   in
   let out = ok_output (send ~options ~id:"red" ~op:"reduce" c spec) in
-  Alcotest.(check string) "reduce payload = CLI stdout" cli_out out
+  Alcotest.(check string) "reduce payload = CLI stdout" cli_out out;
+  (* out-of-range reduce options: both reject them, with one message *)
+  List.iter
+    (fun (args, options) ->
+      let name = String.concat " " args in
+      let rc, cli_out, cli_err = run_cli ("reduce" :: path :: args) in
+      Alcotest.(check bool) (name ^ " cli fails") true (rc <> 0);
+      Alcotest.(check string) (name ^ " cli prints nothing") "" cli_out;
+      check_failed_like_cli name
+        (send ~options ~id:"bad" ~op:"reduce" c spec)
+        cli_err)
+    Serve.Json.
+      [
+        ([ "-w"; "1.5" ], Obj [ ("w", Float 1.5) ]);
+        ([ "--portfolio"; "0.3,inf" ], Obj [ ("portfolio", Str "0.3,inf") ]);
+        ([ "--frontier=0" ], Obj [ ("frontier", Int 0) ]);
+      ];
+  (* NaN has no JSON spelling; the CLI rejects it too *)
+  let rc, cli_out, cli_err = run_cli [ "reduce"; path; "-w"; "nan" ] in
+  Alcotest.(check bool) "-w nan cli fails" true (rc <> 0);
+  Alcotest.(check string) "-w nan cli prints nothing" "" cli_out;
+  Alcotest.(check bool) "-w nan cli says why" true
+    (contains cli_err "w must be in [0, 1], got nan")
 
 (* ---- differential: 50 random STGs vs the in-process CLI renderer
    (the same function the binary prints, so this pins the transport:
