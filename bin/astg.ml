@@ -151,33 +151,19 @@ let reduce_cmd =
       metrics =
     with_obs trace metrics @@ fun () ->
     let keep_pairs =
-      try
-        Ok
-          (List.map
-             (fun spec ->
-               match String.split_on_char ',' spec with
-               | [ a; b ] -> (a, b)
-               | _ -> failwith ("bad --keep syntax: " ^ spec))
-             keeps)
-      with Failure msg -> Error msg
+      match List.find_opt (fun s -> Core.Cli.keep_pair s = None) keeps with
+      | Some spec -> Error ("bad --keep syntax: " ^ spec)
+      | None -> Ok (List.filter_map Core.Cli.keep_pair keeps)
     in
     let weights =
       match portfolio with
       | None -> Ok []
       | Some spec -> (
-          match
-            try
-              Ok
-                (List.map
-                   (fun s -> float_of_string (String.trim s))
-                   (String.split_on_char ',' spec))
-            with _ -> Error ()
-          with
-          | Error () ->
+          match Core.Cli.portfolio_weights spec with
+          | Some ws -> Ok ws
+          | None ->
               Error
-                ("bad --portfolio syntax (expected \"w1,w2,...\"): " ^ spec)
-          | Ok [] -> Error "--portfolio needs at least one weight"
-          | Ok ws -> Ok ws)
+                ("bad --portfolio syntax (expected \"w1,w2,...\"): " ^ spec))
     in
     match (keep_pairs, weights) with
     | Error msg, _ | _, Error msg -> `Error (false, msg)

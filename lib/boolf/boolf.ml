@@ -238,8 +238,9 @@ let estimate_literals ~n ~on ~off = Cover.literals (minimize ~n ~on ~off)
    Tables live in {!Pool.Dls} domain-local storage: each search worker
    domain fills its own table, so there is no locking and no shared
    mutation, and because [minimize] is deterministic every domain converges
-   to the same entries — the [Pool.map_array] determinism contract
-   (pure up to commutative-and-idempotent memoization) is preserved. *)
+   to the same entries — a pool job stays pure up to
+   commutative-and-idempotent memoization, so pooled results are
+   deterministic. *)
 module Memo = struct
   type entry = { cover : Cover.t; lits : int }
 

@@ -137,22 +137,23 @@ let implement_impl ?delays ?(max_csc = 6) ?(style = `Complex_gate) ~name sg =
 let implement ?delays ?max_csc ?style ~name sg =
   fst (implement_impl ?delays ?max_csc ?style ~name sg)
 
+(* Step 5 of Fig. 4: realize an STG for the SG that the reductions
+   [applied] left — first with simple causality places, then by full
+   region-based synthesis. *)
+let realize reduced applied =
+  match Reduction.realize ~applied reduced with
+  | Ok stg' -> Ok stg'
+  | Error _ -> (
+      match Regions.synthesize reduced with
+      | Ok stg' -> Ok stg'
+      | Error e -> Error (Regions.error_to_string e))
+
 (* A reduced SG no longer matches its backing STG; realize a new STG
-   (the paper's step 5) before CSC insertion and timing. *)
+   before CSC insertion and timing. *)
 let implement_realized ?delays ?max_csc ?style ~name reduced applied =
   if applied = [] then implement ?delays ?max_csc ?style ~name reduced
   else
-    (* Step 5 of Fig. 4: realize an STG for the reduced SG — first with
-       simple causality places, then by full region-based synthesis. *)
-    let realized =
-      match Reduction.realize ~applied reduced with
-      | Ok stg' -> Ok stg'
-      | Error _ -> (
-          match Regions.synthesize reduced with
-          | Ok stg' -> Ok stg'
-          | Error e -> Error (Regions.error_to_string e))
-    in
-    match realized with
+    match realize reduced applied with
     | Ok stg' -> (
         match Sg.of_stg stg' with
         | Ok sg' ->
@@ -198,30 +199,6 @@ let optimize ?pool ?delays ?max_csc ?style ?w ?size_frontier ?keep_conc
       | Some _ -> Some outcome.Search.feasible
       | None -> None);
   }
-
-let optimize_portfolio ?pool ?delays ?max_csc ?style ?size_frontier ?keep_conc
-    ?perf_delays ?max_cycle ?on_improvement ~arms ~name sg =
-  Obs.span ~args:[ ("name", name) ] "core.optimize_portfolio" @@ fun () ->
-  let po =
-    Search.portfolio ?pool ?size_frontier ?keep_conc ?perf_delays ?max_cycle
-      ?on_improvement ~arms sg
-  in
-  let won = po.Search.arms.(po.Search.winner) in
-  let best = won.Search.outcome.Search.best in
-  let r =
-    implement_realized ?delays ?max_csc ?style ~name best.Search.sg
-      best.Search.applied
-  in
-  let r =
-    {
-      r with
-      feasible =
-        (match max_cycle with
-        | Some _ -> Some won.Search.outcome.Search.feasible
-        | None -> None);
-    }
-  in
-  (r, po)
 
 let sg_exn ?budget stg =
   match Sg.of_stg ?budget stg with
@@ -340,6 +317,19 @@ module Cli = struct
         end;
         Ok (Buffer.contents b)
 
+  let keep_pair s =
+    match String.split_on_char ',' s with
+    | [ a; b ] -> Some (String.trim a, String.trim b)
+    | _ -> None
+
+  let portfolio_weights s =
+    try
+      Some
+        (List.map
+           (fun w -> float_of_string (String.trim w))
+           (String.split_on_char ',' s))
+    with Failure _ -> None
+
   let area_name = function `Tree -> "tree" | `Shared -> "shared"
 
   (* The CLI and [astg serve] reach the search only through [reduce_text],
@@ -387,18 +377,7 @@ module Cli = struct
             let print_reduced best =
               if not opts.print_stg then Ok (Buffer.contents b)
               else
-                let realized =
-                  match
-                    Reduction.realize ~applied:best.Search.applied
-                      best.Search.sg
-                  with
-                  | Ok stg' -> Ok stg'
-                  | Error _ -> (
-                      match Regions.synthesize best.Search.sg with
-                      | Ok stg' -> Ok stg'
-                      | Error e -> Error (Regions.error_to_string e))
-                in
-                match realized with
+                match realize best.Search.sg best.Search.applied with
                 | Ok stg' ->
                     Buffer.add_string b (Stg.Io.print stg');
                     Ok (Buffer.contents b)

@@ -92,28 +92,6 @@ val optimize :
   Sg.t ->
   report
 
-(** [optimize_portfolio ~arms ~name sg] — run the {!Search.portfolio}
-    search (one beam search per arm sharing a cross-arm signature table
-    and, with [pool], one streaming session), then implement the winning
-    arm's best configuration.  Returns the report together with the full
-    per-arm portfolio outcome so callers can render the losing arms too.
-    [on_improvement] streams the anytime best-so-far per arm on the
-    caller's thread, in deterministic order (see {!Search.portfolio}). *)
-val optimize_portfolio :
-  ?pool:Pool.t ->
-  ?delays:(Stg.t -> Petri.trans -> int) ->
-  ?max_csc:int ->
-  ?style:Logic.style ->
-  ?size_frontier:int ->
-  ?keep_conc:Search.keep ->
-  ?perf_delays:(Stg.label -> int) ->
-  ?max_cycle:int ->
-  ?on_improvement:(arm:int -> Search.config -> unit) ->
-  arms:Search.arm list ->
-  name:string ->
-  Sg.t ->
-  report * Search.portfolio_outcome
-
 (** [Some (Obs.summary ())] when tracing/metrics recording is on, [None]
     otherwise.  Deliberately not folded into {!render_table}: reports are
     byte-identical with observability on or off (the differential suite
@@ -158,6 +136,15 @@ module Cli : sig
 
   val default_synth : synth_opts
   val default_reduce : reduce_opts
+
+  (** The event names of a [--keep] value ["a,b"], each trimmed of
+      surrounding blanks; [None] unless the value has exactly one comma.
+      [astg reduce] and [astg serve] both parse with it. *)
+  val keep_pair : string -> (string * string) option
+
+  (** The weights of a [--portfolio] value ["w1,w2,..."], each trimmed;
+      [None] when one of them is not a number. *)
+  val portfolio_weights : string -> float list option
 
   (** [astg check] output (SG failures render as ["consistent: no"],
       matching the CLI's exit-0 behaviour). *)

@@ -1,27 +1,23 @@
 (* Domain-based work pool (OCaml >= 5).
 
-   One batch at a time: [map_array] installs a single shared task — a
-   work-stealing loop over an atomic index into the input array — and
-   broadcasts it to every worker domain; the calling domain participates
-   too.  Workers park on a condition variable between batches, so a pool
-   amortizes domain spawn cost across every beam level and every spec of a
-   batched run.
+   Workers park on a condition variable until a streaming session starts:
+   [Stream.start] installs one draining task and broadcasts it to every
+   worker domain (a new epoch), and [Stream.finish] waits for every worker
+   to leave it.  A pool thereby amortizes domain spawn cost across every
+   session it serves.
 
-   Memory model: all writes a worker performs during a batch (the results
-   array, any caches filled inside [f]) happen-before the caller's return
-   from [map_array], because the worker's final decrement of [running] and
-   the caller's read of it are ordered by the pool mutex.  Symmetrically,
-   everything the caller wrote before [map_array] is visible to workers via
-   the broadcast under the same mutex. *)
+   Memory model: everything the caller wrote before [Stream.start] is
+   visible to workers via the broadcast under the pool mutex; see
+   [Stream] for how jobs publish their results. *)
 
 type t = {
-  workers : int;  (** spawned domains; effective parallelism is workers+1 *)
+  mutable workers : int;  (** spawned domains; parallelism is workers+1 *)
   m : Mutex.t;
   work_cv : Condition.t;
   done_cv : Condition.t;
   mutable task : (unit -> unit) option;
-  mutable epoch : int;  (** bumped once per batch *)
-  mutable running : int;  (** workers still inside the current batch *)
+  mutable epoch : int;  (** bumped once per session *)
+  mutable running : int;  (** workers still inside the current session *)
   mutable quit : bool;
   mutable domains : unit Domain.t list;
 }
@@ -58,10 +54,9 @@ let worker_loop t =
   done
 
 let create ~jobs =
-  let jobs = max 1 jobs in
   let t =
     {
-      workers = jobs - 1;
+      workers = 0;
       m = Mutex.create ();
       work_cv = Condition.create ();
       done_cv = Condition.create ();
@@ -72,57 +67,18 @@ let create ~jobs =
       domains = [];
     }
   in
-  t.domains <-
-    List.init t.workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  (* The runtime caps the number of live domains; past the cap
+     [Domain.spawn] fails, and the pool runs with the workers it got.  No
+     result depends on the pool's width. *)
+  (try
+     for _ = 2 to jobs do
+       t.domains <- Domain.spawn (fun () -> worker_loop t) :: t.domains;
+       t.workers <- t.workers + 1
+     done
+   with Failure _ -> ());
   t
 
 let jobs t = t.workers + 1
-
-(* Run [task] on every worker and on the caller; returns once all have
-   finished. *)
-let run_batch t task =
-  if t.workers = 0 then task ()
-  else begin
-    Mutex.lock t.m;
-    t.task <- Some task;
-    t.epoch <- t.epoch + 1;
-    t.running <- t.workers;
-    Condition.broadcast t.work_cv;
-    Mutex.unlock t.m;
-    task ();
-    Mutex.lock t.m;
-    while t.running > 0 do
-      Condition.wait t.done_cv t.m
-    done;
-    t.task <- None;
-    Mutex.unlock t.m
-  end
-
-let map_array t f input =
-  let n = Array.length input in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    let first_error = Atomic.make None in
-    let next = Atomic.make 0 in
-    let work () =
-      let continue = ref true in
-      while !continue do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n then continue := false
-        else
-          match f input.(i) with
-          | v -> results.(i) <- Some v
-          | exception e ->
-              ignore (Atomic.compare_and_set first_error None (Some e))
-      done
-    in
-    run_batch t work;
-    (match Atomic.get first_error with Some e -> raise e | None -> ());
-    Array.map
-      (function Some v -> v | None -> assert false (* no error => all set *))
-      results
-  end
 
 let shutdown t =
   Mutex.lock t.m;
@@ -132,14 +88,14 @@ let shutdown t =
   List.iter Domain.join t.domains;
   t.domains <- []
 
-(* Streaming work sessions: one long-lived draining task per worker instead
-   of one epoch broadcast per batch.  The caller submits jobs at any time
-   and can help run them while waiting on a predicate, so producers
-   (submission) and consumers (workers) overlap freely — the primitive
-   behind the search's barrier-free level scheduling.
+(* Streaming work sessions: one long-lived draining task per worker.  The
+   caller submits jobs at any time and can help run them while waiting on
+   a predicate, so producers (submission) and consumers (workers) overlap
+   freely — the primitive behind the search's barrier-free level
+   scheduling.
 
-   Memory model: a job's plain writes happen-before the bump of
-   [completed] under the session mutex; callers that additionally publish
+   Memory model: a job's plain writes happen-before its completion
+   broadcast under the session mutex; callers that additionally publish
    per-job results through an [Atomic.t] flag get the standard
    release/acquire pairing for [wait]'s predicate reads. *)
 module Stream = struct
@@ -190,9 +146,8 @@ module Stream = struct
               continue := false
         done
       in
-      (* Install the drain as the pool's task via the usual epoch
-         broadcast; the pool must not run [map_array] batches (or a second
-         session) until [finish]. *)
+      (* Install the drain as the pool's task via the epoch broadcast; the
+         pool must not start a second session until [finish]. *)
       Mutex.lock t.m;
       t.task <- Some drain;
       t.epoch <- t.epoch + 1;
@@ -251,7 +206,7 @@ module Stream = struct
     Condition.broadcast s.cv;
     Mutex.unlock s.sm;
     (* Help drain whatever is still queued, then wait for the workers'
-       drain loops to exit so the pool is free for the next batch. *)
+       drain loops to exit so the pool is free for the next session. *)
     while help s do () done;
     if s.st.workers > 0 then begin
       Mutex.lock s.st.m;
@@ -276,15 +231,12 @@ module Smemo = struct
     mask : int;
   }
 
-  let create ?(stripes = 64) () =
-    let n =
-      let rec pow2 k = if k >= max 1 stripes then k else pow2 (k * 2) in
-      pow2 1
-    in
+  (* 64 stripes, a power of two so that a key's stripe is a mask away. *)
+  let create () =
     {
-      locks = Array.init n (fun _ -> Mutex.create ());
-      tables = Array.init n (fun _ -> Hashtbl.create 64);
-      mask = n - 1;
+      locks = Array.init 64 (fun _ -> Mutex.create ());
+      tables = Array.init 64 (fun _ -> Hashtbl.create 64);
+      mask = 63;
     }
 
   let slot t key = Hashtbl.hash (key : string) land t.mask
@@ -303,23 +255,13 @@ module Smemo = struct
     if fresh then Hashtbl.add t.tables.(i) key v;
     Mutex.unlock t.locks.(i);
     fresh
-
-  let length t =
-    let n = ref 0 in
-    Array.iteri
-      (fun i tbl ->
-        Mutex.lock t.locks.(i);
-        n := !n + Hashtbl.length tbl;
-        Mutex.unlock t.locks.(i))
-      t.tables;
-    !n
 end
 
 (* Domain-local storage: each domain (the caller and every worker) gets its
    own instance, created on first access.  Memo tables stored this way are
    filled independently per domain, so no locking is needed and — provided
    the memoized function is deterministic — every domain computes the same
-   values, preserving the [map_array] determinism contract. *)
+   values. *)
 module Dls = struct
   type 'a key = 'a Domain.DLS.key
 

@@ -1,24 +1,18 @@
 (* Sequential fallback backend (OCaml < 5, no domains).
 
-   Same interface as the domains backend; [map_array] is a plain
-   left-to-right [Array.map], so results are trivially in the deterministic
-   order the parallel backend also guarantees. *)
+   Same interface as the domains backend; a streaming session is a plain
+   FIFO that the caller drains itself. *)
 
-type t = { requested : int }
+type t = unit
 
 let backend = "sequential"
 let default_jobs () = 1
-let create ~jobs = { requested = max 1 jobs }
+let create ~jobs:_ = ()
 
 (* Effective parallelism — always 1 here, whatever was requested; callers
    use this to decide whether fan-out bookkeeping is worth doing. *)
-let jobs _ = 1
-let map_array _ f input = Array.map f input
-let shutdown _ = ()
-
-(* Silence the unused-field warning; [requested] exists so that the two
-   backends have structurally similar creation paths. *)
-let _ = fun t -> t.requested
+let jobs () = 1
+let shutdown () = ()
 
 exception Stream_finished
 
@@ -61,15 +55,13 @@ end
 module Smemo = struct
   type 'a t = (string, 'a) Hashtbl.t
 
-  let create ?stripes:_ () = Hashtbl.create 256
+  let create () = Hashtbl.create 256
   let find t key = Hashtbl.find_opt t key
 
   let publish t key v =
     let fresh = not (Hashtbl.mem t key) in
     if fresh then Hashtbl.add t key v;
     fresh
-
-  let length = Hashtbl.length
 end
 
 (* "Domain-local" storage on the sequential backend: there is only one

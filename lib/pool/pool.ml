@@ -1,7 +1,5 @@
 include Pool_backend
 
-let map_list t f l = Array.to_list (map_array t f (Array.of_list l))
-
 let with_pool ~jobs f =
   let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -1,22 +1,17 @@
-(** A small fixed-size work pool for embarrassingly parallel fan-out.
+(** A small fixed-size work pool for streaming fan-out.
 
     On OCaml >= 5 the backend spawns [jobs - 1] worker {!Domain}s that park
-    between batches; the calling domain participates in every batch.  On
-    OCaml 4.x a sequential backend with the identical interface is selected
-    at build time (see [lib/pool/dune]), so callers never need a version
-    test.
+    until a {!Stream} session starts; the calling domain helps run the
+    session's jobs while it waits.  On OCaml 4.x a sequential backend with
+    the identical interface is selected at build time (see
+    [lib/pool/dune]), so callers never need a version test.
 
-    Determinism contract: [map_array t f a] returns exactly
-    [Array.map f a] — results land at the index of their input, whatever
-    the scheduling — provided [f] is pure up to commutative-and-idempotent
-    memoization (filling a cache that any worker would fill with the same
-    value).  Work distribution is dynamic (an atomic next-index counter),
-    so the only per-run variation is *which* worker evaluates an element,
-    never the result array.
-
-    Sharing mutable state across [f] invocations is the caller's problem:
-    see [Sg.force_analyses] for how the reduction search freezes shared
-    caches before fanning out. *)
+    Determinism is the caller's: jobs publish their results into slots the
+    caller reads back in an order of its own choosing (the reduction
+    search merges in task order), so the only per-run variation is
+    {e which} domain runs a job.  Sharing mutable state across jobs is the
+    caller's problem too: see [Sg.force_analyses] for how the search
+    freezes shared caches before fanning out. *)
 
 type t
 
@@ -28,22 +23,15 @@ val backend : string
     domains backend, [1] on the sequential one. *)
 val default_jobs : unit -> int
 
-(** [create ~jobs] spawns a pool of [max 1 jobs] total workers (the caller
-    counts as one).  The sequential backend accepts any [jobs] and runs
-    everything in the caller. *)
+(** [create ~jobs] spawns up to [jobs - 1] worker domains (the caller
+    counts as one).  Past the runtime's limit on live domains it stops
+    spawning and runs with the workers it got.  The sequential backend
+    accepts any [jobs] and runs everything in the caller. *)
 val create : jobs:int -> t
 
-(** Effective parallelism: number of domains that participate in a batch
-    (always [1] on the sequential backend). *)
+(** Effective parallelism: the workers plus the caller (always [1] on the
+    sequential backend). *)
 val jobs : t -> int
-
-(** [map_array t f a] — order-preserving parallel map.  If some [f]
-    raises, the batch still drains and the first recorded exception is
-    re-raised (which exception is "first" is scheduling-dependent). *)
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [map_list t f l] — {!map_array} through a list round-trip. *)
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Stop and join the worker domains.  The pool must not be used
     afterwards. *)
@@ -57,27 +45,24 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
     bug that must fail loudly, not enqueue into the void. *)
 exception Stream_finished
 
-(** Streaming work sessions — the barrier-free alternative to
-    {!map_array}.  A session turns every pool worker into a long-lived
-    consumer of one FIFO job queue: the caller {!Stream.submit}s thunks at
-    any time, {!Stream.help}s run them itself, and {!Stream.wait}s on a
-    result predicate while staying work-conserving.  Because submission
+(** Streaming work sessions.  A session turns every pool worker into a
+    long-lived consumer of one FIFO job queue: the caller
+    {!Stream.submit}s thunks at any time and {!Stream.wait}s on a result
+    predicate, running queued jobs itself meanwhile.  Because submission
     and execution overlap, a producer that learns of new work while
     earlier jobs are still running (the reduction search merging one beam
     level while the next level's candidates evaluate) never re-parks the
     workers between waves.
 
-    Protocol: {!Stream.start} occupies the pool — no {!map_array} batch
-    and no second session may run until {!Stream.finish}.  Jobs must trap
-    their own exceptions and publish their results through memory the
-    caller polls via {!Stream.wait}'s predicate (idiomatically: plain
-    writes followed by an [Atomic.set] flag, read back with [Atomic.get]);
-    a job that escapes with an exception is swallowed by the backstop and
-    its results are simply absent.  [wait]'s predicate must be satisfiable
-    by already submitted jobs, else the sequential backend raises and the
-    domains backend can block.  The scheduling is dynamic, so only
-    {e which} domain runs a job varies between runs — determinism is the
-    caller's in-order merge, exactly as with {!map_array}. *)
+    Protocol: {!Stream.start} occupies the pool — no second session may
+    run until {!Stream.finish}.  Jobs must trap their own exceptions and
+    publish their results through memory the caller polls via
+    {!Stream.wait}'s predicate (idiomatically: plain writes followed by an
+    [Atomic.set] flag, read back with [Atomic.get]); a job that escapes
+    with an exception is swallowed by the backstop and its results are
+    simply absent.  [wait]'s predicate must be satisfiable by already
+    submitted jobs, else the sequential backend raises and the domains
+    backend can block. *)
 module Stream : sig
   type session
 
@@ -88,13 +73,10 @@ module Stream : sig
       @raise Stream_finished after {!finish}. *)
   val submit : session -> (unit -> unit) -> unit
 
-  (** Run one queued job in the caller; [false] if the queue was empty. *)
-  val help : session -> bool
-
   (** [wait s ready] blocks until [ready ()]; while waiting the caller
-      runs queued jobs ([help]) and otherwise sleeps until a completion
-      or submission signal.  [ready] may be called many times and from
-      under the session lock — keep it cheap and side-effect free. *)
+      runs queued jobs and otherwise sleeps until a completion or
+      submission signal.  [ready] may be called many times and from under
+      the session lock — keep it cheap and side-effect free. *)
   val wait : session -> (unit -> bool) -> unit
 
   (** Number of jobs executed by pool workers (not the caller) so far —
@@ -102,16 +84,17 @@ module Stream : sig
       counter. *)
   val stolen : session -> int
 
-  (** Drain remaining jobs, stop the workers' draining loops and release
-      the pool for the next batch or session. *)
+  (** Run the jobs still queued (the caller helps), return once every
+      submitted job has finished, and release the pool for the next
+      session. *)
   val finish : session -> unit
 end
 
 (** A string-keyed memo table shared {e across} domains — the cross-arm
-    signature table of the portfolio search.  On the domains backend the
-    map is striped over [stripes] independent mutexes (keys hashed to a
-    stripe), so concurrent readers and writers on different stripes never
-    contend; the sequential backend is a plain hash table.
+    table of the portfolio search.  On the domains backend the map is
+    striped over 64 independent mutexes (keys hashed to a stripe), so
+    concurrent readers and writers on different stripes never contend;
+    the sequential backend is a plain hash table.
 
     Determinism contract (first-writer-wins): {!publish} on a key that is
     already present changes nothing and returns [false].  Provided every
@@ -121,29 +104,24 @@ end
 module Smemo : sig
   type 'a t
 
-  (** [create ~stripes ()] — an empty table.  [stripes] (default 64) is
-      rounded up to a power of two; ignored on the sequential backend. *)
-  val create : ?stripes:int -> unit -> 'a t
+  (** An empty table. *)
+  val create : unit -> 'a t
 
   val find : 'a t -> string -> 'a option
 
   (** [publish t key v] — insert unless present; [true] iff inserted. *)
   val publish : 'a t -> string -> 'a -> bool
-
-  (** Total number of entries (takes every stripe lock; a snapshot only
-      if no writers are active). *)
-  val length : 'a t -> int
 end
 
 (** Domain-local storage with a sequential fallback: on the domains backend
     this is [Domain.DLS] (one instance per domain, created on first
     access), on the sequential backend a single lazily created instance.
 
-    This is the supported way to give a memo table to code that runs inside
-    {!map_array} workers: each domain fills its own copy, so there is no
-    locking and no cross-domain mutation.  The {!map_array} determinism
-    contract is preserved as long as the memoized computation is
-    deterministic — every domain's table converges to the same entries. *)
+    This is the supported way to give a memo table to code that runs
+    inside pool jobs: each domain fills its own copy, so there is no
+    locking and no cross-domain mutation.  Results stay deterministic as
+    long as the memoized computation is — every domain's table converges
+    to the same entries. *)
 module Dls : sig
   type 'a key
 

@@ -38,12 +38,15 @@ let shared_estimate (logic : Logic.eval) sg =
   Netlist.shared_area ~nsig covers
   + (conflicts * logic.Logic.e_penalty * Logic.gate_cost_2input)
 
+(* The cost of one CSC-conflicting state pair, in literals. *)
+let csc_weight = 8.0
+
 (* Price an already-computed logic evaluation: the cost function of Sec. 7
    over the logic estimate and the CSC-conflict count.  [`Tree] estimates
    logic by [Logic.total] (literals, each signal an independent tree);
    [`Shared] prices the post-sharing netlist area instead, so a candidate
    whose covers share subcones is cheaper than one whose covers do not. *)
-let price ~w ~csc_weight ~area_mode logic sg applied =
+let price ~w ~area_mode logic sg applied =
   let logic_estimate =
     match area_mode with
     | `Tree -> Logic.total logic
@@ -56,9 +59,8 @@ let price ~w ~csc_weight ~area_mode logic sg applied =
   in
   { sg; applied; cost; logic_estimate; csc_pairs; logic }
 
-let evaluate ?(w = 0.5) ?(csc_weight = 8.0) ?(memo = false)
-    ?(area_mode = `Tree) sg =
-  price ~w ~csc_weight ~area_mode (Logic.evaluate ~memo sg) sg []
+let evaluate ?(w = 0.5) ?(memo = false) ?(area_mode = `Tree) sg =
+  price ~w ~area_mode (Logic.evaluate ~memo sg) sg []
 
 let in_keep keep a b =
   List.exists (fun (x, y) -> (x = a && y = b) || (x = b && y = a)) keep
@@ -78,7 +80,7 @@ let keeps_protected keep_conc sg' =
    deterministic enumeration order every consumer relies on: concurrent
    pairs in [Sg.concurrent_pairs] order, orientation (a, b) before (b, a);
    inputs (never delayable) and Keep_Conc-protected pairs excluded.
-   Shared by [neighbours] and [optimize] so the two paths cannot drift. *)
+   Shared by [neighbours] and the beam search so the two cannot drift. *)
 let oriented_candidates ~keep_conc sg =
   let stg = Sg.stg sg in
   List.concat_map
@@ -89,26 +91,16 @@ let oriented_candidates ~keep_conc sg =
         @ if is_input stg b then [] else [ (b, a) ])
     (Sg.concurrent_pairs sg)
 
-(* Candidate reductions from one SG: FwdRed(a, b) for every oriented
-   candidate.  [skip], given the built-but-unvalidated candidate SG, says
-   it is already known (the search passes its signature dedup): a skipped
-   candidate is dropped without paying for the Def. 5.1 validity checks.
-   Sound because checks are a deterministic function of (source,
-   candidate) — a candidate can only be "seen" if an identical one was
-   already processed. *)
-let neighbours ?(keep_conc = []) ?(skip = fun _ -> false) cfg =
-  let sg = cfg.sg in
-  let try_one acc (a, b) =
-    match Reduction.fwd_red_built sg ~a ~b with
-    | Error _ -> acc
-    | Ok built -> (
-        if skip built.Reduction.cand then acc
-        else
-          match Reduction.validate ~source:sg built with
-          | Ok sg' when keeps_protected keep_conc sg' -> (sg', (a, b)) :: acc
-          | Ok _ | Error _ -> acc)
-  in
-  List.fold_left try_one [] (oriented_candidates ~keep_conc sg)
+(* Candidate reductions from one SG, newest first: FwdRed(a, b) for every
+   oriented candidate that passes Def. 5.1 and keeps the protected pairs
+   concurrent. *)
+let neighbours ~keep_conc cfg =
+  List.fold_left
+    (fun acc (a, b) ->
+      match Reduction.fwd_red cfg.sg ~a ~b with
+      | Ok sg' when keeps_protected keep_conc sg' -> (sg', (a, b)) :: acc
+      | Ok _ | Error _ -> acc)
+    [] (oriented_candidates ~keep_conc cfg.sg)
 
 (* Logic evaluation of the child [sg'] that FwdRed(a, _) built from
    [parent] (with arc-filter report [delta]), by [eval_mode].  Both modes
@@ -121,15 +113,6 @@ let child_logic eval_mode parent ~a ~delta sg' =
   match eval_mode with
   | `Scratch -> Logic.evaluate ~memo:false sg'
   | `Delta -> Logic.estimate_delta ~parent:parent.logic ~dropped:a ~delta sg'
-
-(* Worker-side verdict on one candidate task.  [Cand] with [cfg = None]
-   marks a candidate that passed Def. 5.1 but failed the performance bound:
-   its signature must still enter the dedup table (as in the sequential
-   search), but it never joins the frontier.  [optimize] carries the
-   priced [config]; the portfolio carries it with its cross-arm table key. *)
-type 'c verdict =
-  | Dropped
-  | Cand of { signature : string; cfg : 'c option }
 
 (* Phase counters (see DESIGN.md, "Observability").  Every candidate task is
    counted exactly once: [candidates] at evaluation, then one of [deduped]
@@ -147,211 +130,9 @@ let c_levels = Obs.Counter.make "search.levels"
    domain (0 in sequential runs and on the sequential backend). *)
 let c_steal = Obs.Counter.make "search.steal"
 
-let optimize ?pool ?(w = 0.5) ?(size_frontier = 4) ?(keep_conc = [])
-    ?(max_levels = max_int) ?(csc_weight = 8.0) ?perf_delays ?max_cycle
-    ?(eval_mode = `Delta) ?(area_mode = `Tree) sg0 =
-  Obs.span "search.optimize" @@ fun () ->
-  (* Performance constraint: when both [perf_delays] and [max_cycle] are
-     given, a configuration only survives if the timed replay of its SG has
-     a critical cycle within the bound (reduction can only lengthen the
-     cycle, so pruning early is sound for the frontier heuristic). *)
-  let meets_perf sg =
-    match (perf_delays, max_cycle) with
-    | Some delays, Some bound -> (
-        match Timing.analyze_sg ~delays sg with
-        | Ok r -> r.Timing.period <= bound
-        | Error _ -> false)
-    | (Some _ | None), _ -> true
-  in
-  (* During the search, [applied] holds the reduction script in REVERSE
-     order (cons instead of O(n) append per step); it is put back in
-     application order when the outcome is materialized. *)
-  let eval_child parent ~a ~delta sg' applied_rev =
-    price ~w ~csc_weight ~area_mode
-      (child_logic eval_mode parent ~a ~delta sg')
-      sg' applied_rev
-  in
-  let initial =
-    price ~w ~csc_weight ~area_mode
-      (Logic.evaluate ~memo:(eval_mode <> `Scratch) sg0)
-      sg0 []
-  in
-  let seen = Hashtbl.create 64 in
-  Hashtbl.replace seen (Sg.signature sg0) ();
-  let explored = ref 1 in
-  let best = ref (if meets_perf sg0 then Some initial else None) in
-  let frontier = ref [ initial ] in
-  let levels = ref 0 in
-  let fanout = ref [] in
-  (* One streaming session spans the whole search: workers go into
-     job-draining mode once and never re-park between beam levels.  The
-     caller merges each level in task order (determinism) while later
-     tasks of the same level still evaluate on the workers — the
-     [map_array] end-of-batch barrier is gone. *)
-  let session =
-    match pool with
-    | Some p when Pool.jobs p > 1 -> Some (Pool.Stream.start p)
-    | Some _ | None -> None
-  in
-  let parallel = Option.is_some session in
-  (* Evaluate one candidate FwdRed(a, b) of [cfg]: build, dedup by
-     signature against [tbl], validate (Def. 5.1), price.  Sequentially
-     [tbl] is the live [seen] table; during a streamed level it is a
-     level-start snapshot (the caller mutates [seen] while workers run),
-     so the dedup read is race-free and intra-level duplicates are left
-     for the merge to drop.  Skipping validation for an already-seen
-     candidate is sound because the checks are a deterministic function
-     of (source, candidate). *)
-  let eval_task tbl (cfg, a, b) =
-    Obs.Counter.incr c_candidates;
-    Obs.span "search.candidate" @@ fun () ->
-    match Reduction.fwd_red_built cfg.sg ~a ~b with
-    | Error _ ->
-        Obs.Counter.incr c_rejected;
-        Dropped
-    | Ok built -> (
-        let key = Sg.signature built.Reduction.cand in
-        if Hashtbl.mem tbl key then begin
-          Obs.Counter.incr c_deduped;
-          Dropped
-        end
-        else
-          match Reduction.validate ~source:cfg.sg built with
-          | Ok sg' when keeps_protected keep_conc sg' ->
-              let cfg' =
-                if meets_perf sg' then
-                  Some
-                    (eval_child cfg ~a ~delta:built.Reduction.delta sg'
-                       ((a, b) :: cfg.applied))
-                else begin
-                  Obs.Counter.incr c_infeasible;
-                  None
-                end
-              in
-              Cand { signature = key; cfg = cfg' }
-          | Ok _ | Error _ ->
-              Obs.Counter.incr c_rejected;
-              Dropped)
-  in
-  let run_levels () =
-  while !frontier <> [] && !levels < max_levels do
-    incr levels;
-    Obs.Counter.incr c_levels;
-    (* Raw begin/end (no closure on the search's outer loop); nothing in
-       the level body raises, so the pair always closes. *)
-    Obs.span_begin "search.level";
-    (* Deterministic task enumeration: frontier configurations in rank
-       order, then [oriented_candidates] order.  The merge below processes
-       verdicts in exactly this order, so parallel and sequential runs are
-       byte-identical. *)
-    let tasks =
-      List.concat_map
-        (fun cfg ->
-          (* Freeze the shared caches of a parent before its candidates fan
-             out across domains; workers then only read them. *)
-          if parallel then Sg.force_analyses cfg.sg;
-          List.map
-            (fun (a, b) -> (cfg, a, b))
-            (oriented_candidates ~keep_conc cfg.sg))
-        !frontier
-      |> Array.of_list
-    in
-    fanout := Array.length tasks :: !fanout;
-    let merged = ref [] in
-    let merge verdict =
-      match verdict with
-      | Dropped -> ()
-      | Cand { signature = key; cfg } ->
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.replace seen key ();
-            match cfg with
-            | None -> ()
-            | Some cfg' ->
-                Obs.Counter.incr c_accepted;
-                incr explored;
-                (match !best with
-                | Some b when cfg'.cost >= b.cost -> ()
-                | Some _ | None -> best := Some cfg');
-                merged := cfg' :: !merged
-          end
-          else
-            (* Streamed intra-level duplicate: the worker only saw the
-               level-start snapshot, so the merge is the first to notice.
-               Keeps the one-count-per-candidate invariant in line with
-               sequential runs (unreachable sequentially: [eval_task]
-               checked the live table just before). *)
-            Obs.Counter.incr c_deduped
-    in
-    (match session with
-    | Some s ->
-        (* Streamed level: submit every task, then merge in task order,
-           helping with unfinished tasks while waiting.  Results are
-           published by plain slot write then [Atomic.set] on the task's
-           flag; the merge of task [i] overlaps the evaluation of tasks
-           [> i].  [err] mirrors [Pool.map_array]'s drain-then-reraise
-           exception contract. *)
-        let n = Array.length tasks in
-        let snapshot = Hashtbl.copy seen in
-        let slots = Array.make n Dropped in
-        let flags = Array.init n (fun _ -> Atomic.make false) in
-        let err = Atomic.make None in
-        Array.iteri
-          (fun i t ->
-            Pool.Stream.submit s (fun () ->
-                (try slots.(i) <- eval_task snapshot t
-                 with e ->
-                   ignore (Atomic.compare_and_set err None (Some e)));
-                Atomic.set flags.(i) true))
-          tasks;
-        for i = 0 to n - 1 do
-          Pool.Stream.wait s (fun () -> Atomic.get flags.(i));
-          merge slots.(i)
-        done;
-        (match Atomic.get err with Some e -> raise e | None -> ())
-    | None ->
-        (* Sequential: interleave evaluation and merge so intra-level
-           duplicates skip validation via the live [seen] table (the PR 1
-           dedup-before-validate optimization).  Outcome-equivalent to the
-           streamed path: the extra skips only avoid recomputing verdicts
-           the merge would discard anyway. *)
-        Array.iter (fun t -> merge (eval_task seen t)) tasks);
-    let sorted =
-      List.stable_sort
-        (fun c1 c2 -> compare c1.cost c2.cost)
-        (List.rev !merged)
-    in
-    frontier := List.filteri (fun i _ -> i < size_frontier) sorted;
-    Obs.span_end "search.level"
-  done
-  in
-  (match session with
-  | Some s ->
-      Fun.protect run_levels ~finally:(fun () ->
-          Pool.Stream.finish s;
-          let k = Pool.Stream.stolen s in
-          if k > 0 then Obs.Counter.add c_steal k)
-  | None -> run_levels ());
-  let best, feasible =
-    match !best with
-    | Some b -> ({ b with applied = List.rev b.applied }, true)
-    | None -> (initial, false)
-  in
-  {
-    best;
-    feasible;
-    initial;
-    explored = !explored;
-    levels = !levels;
-    fanout = List.rev !fanout;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Portfolio search: K arms (distinct weights and/or area models) over
-   one long-lived Stream session, sharing one cross-arm signature table.
-   Each arm is byte-identical to its standalone single-arm [optimize]
-   run; the per-level machinery below deliberately mirrors [optimize]'s —
-   any change there must be reflected here (the portfolio differential
-   suites hold the two to that promise). *)
+let c_tbl_hit = Obs.Counter.make "search.portfolio.table_hit"
+let c_tbl_miss = Obs.Counter.make "search.portfolio.table_miss"
+let c_arm_win = Obs.Counter.make "search.portfolio.arm_win"
 
 type arm = { arm_w : float; arm_area : area_mode }
 type arm_outcome = { arm : arm; outcome : outcome; yardstick : float }
@@ -363,18 +144,35 @@ type portfolio_outcome = {
   stats : portfolio_stats;
 }
 
-(* An entry of the shared signature table: the logic evaluation of one
-   candidate SG, plus whether the caller has already counted a lookup of
-   its key (see the accounting in [portfolio]).  Workers only read
-   [te_eval]; [te_counted] is read and written by the caller alone. *)
+(* An entry of the cross-arm table: the logic evaluation of one candidate
+   SG, plus whether the caller has already counted a lookup of its key
+   (see [count_lookup] in [run]).  Workers only read [te_eval];
+   [te_counted] is read and written by the caller alone. *)
 type table_entry = { te_eval : Logic.eval; mutable te_counted : bool }
 
-(* A portfolio candidate's verdict: the priced configuration together
-   with its table entry, which the merge needs for the table accounting. *)
-type pverdict = (config * table_entry) verdict
+(* Verdict on one candidate task.  [Cand] with [cfg = None] marks a
+   candidate that passed Def. 5.1 but failed the performance bound: its
+   signature must still enter the arm's dedup table, but it never joins
+   the frontier.  [entry] is the candidate's cross-arm table entry when
+   the run shares a table.  [Failed] carries a pool job's exception to
+   the merge, which re-raises it in task order. *)
+type verdict =
+  | Dropped
+  | Cand of {
+      signature : string;
+      cfg : config option;
+      entry : table_entry option;
+    }
+  | Failed of exn
 
-(* Per-arm mutable search state, plus the in-flight level (submitted but
-   not yet merged) on the pooled path. *)
+(* A started beam level of one arm: its task count, and how the merge gets
+   task [j]'s verdict — by evaluating the task there (sequential) or by
+   waiting for the pool job that evaluates it. *)
+type level = { tasks : int; verdict : int -> verdict }
+
+(* Per-arm search state.  [applied] holds each configuration's reduction
+   script in REVERSE order during the search (cons instead of an O(n)
+   append per step); the outcome puts it back in application order. *)
 type arm_run = {
   ar_arm : arm;
   ar_seen : (string, unit) Hashtbl.t;
@@ -384,18 +182,8 @@ type arm_run = {
   mutable ar_explored : int;
   mutable ar_levels : int;
   mutable ar_fanout : int list;  (* reversed; reversed back at the end *)
-  mutable ar_inflight : level_inflight option;
+  mutable ar_level : level option;  (* started, not yet merged *)
 }
-
-and level_inflight = {
-  li_slots : pverdict array;
-  li_flags : bool Atomic.t array;
-  li_err : exn option Atomic.t;
-}
-
-let c_tbl_hit = Obs.Counter.make "search.portfolio.table_hit"
-let c_tbl_miss = Obs.Counter.make "search.portfolio.table_miss"
-let c_arm_win = Obs.Counter.make "search.portfolio.arm_win"
 
 (* Identity of a candidate SG for cross-arm sharing: the label-level
    signature plus the ghost (code, excitation-mask) sequence in storage
@@ -431,12 +219,19 @@ let share_key sg =
           Buffer.add_int64_le b (Int64.of_int exc));
       Buffer.contents b
 
-let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
-    ?(max_levels = max_int) ?(csc_weight = 8.0) ?perf_delays ?max_cycle
-    ?(eval_mode = `Delta) ?on_improvement ~arms sg0 =
-  if arms = [] then invalid_arg "Search.portfolio: empty arm list";
-  Obs.span "search.portfolio" @@ fun () ->
-  let arms = Array.of_list arms in
+(* The beam search of Fig. 9 over K >= 1 [arms]: the one engine behind
+   [optimize] (one arm) and [portfolio].  Each arm keeps its own dedup
+   table, frontier and best; the arms take turns level by level,
+   round-robin, and every merge runs on the caller in task order, so each
+   arm's outcome is the one it reaches alone, with or without a pool.
+   With [share], the arms' logic evaluations go through one cross-arm
+   table.  Returns the outcomes in arm order and the table's totals. *)
+let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
+    ~keep_conc ~max_levels ~eval_mode arms sg0 =
+  (* Performance constraint: when both [perf_delays] and [max_cycle] are
+     given, a configuration only survives if the timed replay of its SG has
+     a critical cycle within the bound (reduction can only lengthen the
+     cycle, so pruning early is sound for the frontier heuristic). *)
   let meets_perf sg =
     match (perf_delays, max_cycle) with
     | Some delays, Some bound -> (
@@ -445,37 +240,44 @@ let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
         | Error _ -> false)
     | (Some _ | None), _ -> true
   in
+  (* One streaming session spans the whole search: workers go into
+     job-draining mode once and never re-park between levels. *)
   let session =
     match pool with
     | Some p when Pool.jobs p > 1 -> Some (Pool.Stream.start p)
     | Some _ | None -> None
   in
-  let parallel = Option.is_some session in
-  let table : table_entry Pool.Smemo.t = Pool.Smemo.create () in
-  (* Logic evaluation of one candidate through the shared table: a hit
-     skips the evaluation outright, whichever arm paid for it; a miss
-     computes it exactly as the arm's standalone run would, then
+  let table = if share then Some (Pool.Smemo.create ()) else None in
+  (* Logic evaluation of the candidate [sg'], through the table when there
+     is one: a hit skips the evaluation outright, whichever arm paid for
+     it; a miss computes it exactly as a run without the table would, then
      publishes.  Sound because both eval modes produce identical
-     evaluations and the key determines the value (see [share_key]), so
-     a hit returns precisely what this arm would have computed — hence
-     per-arm byte-identity survives sharing.  A worker that loses a
-     publish race returns the winner's entry, so each key has exactly one
-     entry. *)
-  let lookup parent ~a ~delta ~key sg' =
-    match Pool.Smemo.find table key with
-    | Some e -> e
-    | None -> (
+     evaluations and the key determines the value (see [share_key]), so a
+     hit returns precisely what this arm would have computed.  A worker
+     that loses a publish race takes the winner's entry, so each key has
+     exactly one entry. *)
+  let child_eval parent ~a ~delta sg' =
+    match table with
+    | None -> (child_logic eval_mode parent ~a ~delta sg', None)
+    | Some t ->
+        let key = share_key sg' in
         let e =
-          {
-            te_eval = child_logic eval_mode parent ~a ~delta sg';
-            te_counted = false;
-          }
+          match Pool.Smemo.find t key with
+          | Some e -> e
+          | None -> (
+              let e =
+                {
+                  te_eval = child_logic eval_mode parent ~a ~delta sg';
+                  te_counted = false;
+                }
+              in
+              if Pool.Smemo.publish t key e then e
+              else
+                match Pool.Smemo.find t key with
+                | Some winner -> winner
+                | None -> assert false (* entries are never removed *))
         in
-        if Pool.Smemo.publish table key e then e
-        else
-          match Pool.Smemo.find table key with
-          | Some winner -> winner
-          | None -> assert false (* entries are never removed *))
+        (e.te_eval, Some e)
   in
   (* The table's hit/miss accounting, kept on the caller at merge time so
      that it does not depend on how the pool's domains interleave: every
@@ -501,11 +303,11 @@ let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
       incr tbl_misses
     end
   in
-  (* Worker-side candidate evaluation — [optimize]'s [eval_task] with the
-     shared-table lookup spliced into the pricing step.  The dedup key
-     stays the per-arm signature (the table key is only needed for
-     candidates that survive validation and the performance bound). *)
-  let eval_task ~arm tbl (cfg, a, b) : pverdict =
+  (* Evaluate one candidate FwdRed(a, b) of [cfg] for [arm]: build, dedup
+     by signature against [seen], validate (Def. 5.1), price.  Skipping
+     validation for an already-seen candidate is sound because the checks
+     are a deterministic function of (source, candidate). *)
+  let eval_task arm seen (cfg, a, b) =
     Obs.Counter.incr c_candidates;
     Obs.span "search.candidate" @@ fun () ->
     match Reduction.fwd_red_built cfg.sg ~a ~b with
@@ -513,32 +315,27 @@ let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
         Obs.Counter.incr c_rejected;
         Dropped
     | Ok built -> (
-        let key = Sg.signature built.Reduction.cand in
-        if Hashtbl.mem tbl key then begin
+        let signature = Sg.signature built.Reduction.cand in
+        if Hashtbl.mem seen signature then begin
           Obs.Counter.incr c_deduped;
           Dropped
         end
         else
           match Reduction.validate ~source:cfg.sg built with
           | Ok sg' when keeps_protected keep_conc sg' ->
-              let cfg' =
-                if meets_perf sg' then begin
-                  let e =
-                    lookup cfg ~a ~delta:built.Reduction.delta
-                      ~key:(share_key sg') sg'
-                  in
-                  Some
-                    ( price ~w:arm.arm_w ~csc_weight ~area_mode:arm.arm_area
-                        e.te_eval sg'
-                        ((a, b) :: cfg.applied),
-                      e )
-                end
-                else begin
-                  Obs.Counter.incr c_infeasible;
-                  None
-                end
-              in
-              Cand { signature = key; cfg = cfg' }
+              if meets_perf sg' then
+                let logic, entry =
+                  child_eval cfg ~a ~delta:built.Reduction.delta sg'
+                in
+                let cfg' =
+                  price ~w:arm.arm_w ~area_mode:arm.arm_area logic sg'
+                    ((a, b) :: cfg.applied)
+                in
+                Cand { signature; cfg = Some cfg'; entry }
+              else begin
+                Obs.Counter.incr c_infeasible;
+                Cand { signature; cfg = None; entry = None }
+              end
           | Ok _ | Error _ ->
               Obs.Counter.incr c_rejected;
               Dropped)
@@ -547,7 +344,7 @@ let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
     Array.mapi
       (fun i arm ->
         let initial =
-          price ~w:arm.arm_w ~csc_weight ~area_mode:arm.arm_area
+          price ~w:arm.arm_w ~area_mode:arm.arm_area
             (Logic.evaluate ~memo:(eval_mode <> `Scratch) sg0)
             sg0 []
         in
@@ -566,160 +363,178 @@ let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
           ar_explored = 1;
           ar_levels = 0;
           ar_fanout = [];
-          ar_inflight = None;
+          ar_level = None;
         })
       arms
   in
-  (* Merge one verdict into arm [i], exactly as [optimize]'s merge; the
-     improvement callback fires at the best-update and the table lookup
-     is counted here, so both sequences are fixed by the deterministic
-     merge order. *)
-  let merge_verdict i r merged (verdict : pverdict) =
-    match verdict with
+  (* Start arm [r]'s next level, if it has one.  The tasks are enumerated
+     deterministically: frontier configurations in rank order, then
+     [oriented_candidates] order; the merge takes their verdicts in this
+     order, so pooled and sequential runs are byte-identical.
+
+     Sequentially each task is evaluated when the merge reaches it,
+     against the live [seen] table, so an intra-level duplicate skips
+     validation.  Pooled, every task is submitted now and dedups against a
+     level-start snapshot (the caller mutates [seen] while workers run);
+     the intra-level duplicates this lets through are dropped by the
+     merge, which gives them the same verdict. *)
+  let start_level r =
+    if r.ar_frontier <> [] && r.ar_levels < max_levels then begin
+      r.ar_levels <- r.ar_levels + 1;
+      Obs.Counter.incr c_levels;
+      let tasks =
+        List.concat_map
+          (fun cfg ->
+            (* Freeze the shared caches of a parent before its candidates
+               fan out across domains; workers then only read them. *)
+            if Option.is_some session then Sg.force_analyses cfg.sg;
+            List.map
+              (fun (a, b) -> (cfg, a, b))
+              (oriented_candidates ~keep_conc cfg.sg))
+          r.ar_frontier
+        |> Array.of_list
+      in
+      let n = Array.length tasks in
+      r.ar_fanout <- n :: r.ar_fanout;
+      let arm = r.ar_arm in
+      r.ar_level <-
+        Some
+          (match session with
+          | None ->
+              {
+                tasks = n;
+                verdict = (fun j -> eval_task arm r.ar_seen tasks.(j));
+              }
+          | Some s ->
+              (* Results are published by a plain slot write, then
+                 [Atomic.set] on the task's flag; merging task [j]
+                 overlaps the evaluation of later tasks. *)
+              let snapshot = Hashtbl.copy r.ar_seen in
+              let slots = Array.make n Dropped in
+              let flags = Array.init n (fun _ -> Atomic.make false) in
+              Array.iteri
+                (fun j t ->
+                  Pool.Stream.submit s (fun () ->
+                      slots.(j) <-
+                        (try eval_task arm snapshot t with e -> Failed e);
+                      Atomic.set flags.(j) true))
+                tasks;
+              {
+                tasks = n;
+                verdict =
+                  (fun j ->
+                    Pool.Stream.wait s (fun () -> Atomic.get flags.(j));
+                    slots.(j));
+              })
+    end
+  in
+  (* Merge one verdict into arm [i].  The improvement callback fires at
+     the best-update and the table lookup is counted here, so both
+     sequences are fixed by the deterministic merge order. *)
+  let merge_verdict i r merged = function
     | Dropped -> ()
-    | Cand { signature = key; cfg } ->
-        if not (Hashtbl.mem r.ar_seen key) then begin
-          Hashtbl.replace r.ar_seen key ();
+    | Failed e -> raise e
+    | Cand { signature; cfg; entry } ->
+        if not (Hashtbl.mem r.ar_seen signature) then begin
+          Hashtbl.replace r.ar_seen signature ();
           match cfg with
           | None -> ()
-          | Some (cfg', e) ->
-              count_lookup e;
+          | Some cfg' ->
+              Option.iter count_lookup entry;
               Obs.Counter.incr c_accepted;
               r.ar_explored <- r.ar_explored + 1;
               (match r.ar_best with
               | Some b when cfg'.cost >= b.cost -> ()
-              | Some _ | None ->
+              | Some _ | None -> (
                   r.ar_best <- Some cfg';
-                  (match on_improvement with
+                  match on_improvement with
                   | Some f -> f ~arm:i cfg'
                   | None -> ()));
               merged := cfg' :: !merged
         end
-        else Obs.Counter.incr c_deduped
+        else
+          (* A pooled intra-level duplicate: the worker only saw the
+             level-start snapshot, so the merge is the first to notice.
+             Keeps the one-count-per-candidate invariant in line with
+             sequential runs. *)
+          Obs.Counter.incr c_deduped
   in
-  let next_frontier r merged =
+  let merge_level i r level =
+    Obs.span "search.level" @@ fun () ->
+    let merged = ref [] in
+    for j = 0 to level.tasks - 1 do
+      merge_verdict i r merged (level.verdict j)
+    done;
     let sorted =
-      List.stable_sort (fun c1 c2 -> compare c1.cost c2.cost) (List.rev merged)
+      List.stable_sort
+        (fun c1 c2 -> compare c1.cost c2.cost)
+        (List.rev !merged)
     in
     r.ar_frontier <- List.filteri (fun j _ -> j < size_frontier) sorted
   in
-  (* Start arm [r]'s next level: bump the level count, enumerate the
-     deterministic task array (as in [optimize]: frontier rank order,
-     then [oriented_candidates] order), record the fanout. *)
-  let level_tasks r =
-    r.ar_levels <- r.ar_levels + 1;
-    Obs.Counter.incr c_levels;
-    let tasks =
-      List.concat_map
-        (fun cfg ->
-          if parallel then Sg.force_analyses cfg.sg;
-          List.map
-            (fun (a, b) -> (cfg, a, b))
-            (oriented_candidates ~keep_conc cfg.sg))
-        r.ar_frontier
-      |> Array.of_list
-    in
-    r.ar_fanout <- Array.length tasks :: r.ar_fanout;
-    tasks
-  in
-  (* Pooled driver: keep one level per arm in flight, serviced round-robin
-     by the caller.  Submitting arm [k+1]'s level before merging arm [k]'s
-     keeps every worker busy across arms; all merges stay on the caller in
-     a deterministic order, so the anytime stream is reproducible. *)
-  let submit_level s r =
-    if r.ar_frontier <> [] && r.ar_levels < max_levels then begin
-      let tasks = level_tasks r in
-      let n = Array.length tasks in
-      let snapshot = Hashtbl.copy r.ar_seen in
-      let slots = Array.make n Dropped in
-      let flags = Array.init n (fun _ -> Atomic.make false) in
-      let err = Atomic.make None in
-      let arm = r.ar_arm in
-      Array.iteri
-        (fun j t ->
-          Pool.Stream.submit s (fun () ->
-              (try slots.(j) <- eval_task ~arm snapshot t
-               with e -> ignore (Atomic.compare_and_set err None (Some e)));
-              Atomic.set flags.(j) true))
-        tasks;
-      r.ar_inflight <- Some { li_slots = slots; li_flags = flags; li_err = err }
-    end
-  in
-  let merge_level s i r =
-    match r.ar_inflight with
-    | None -> ()
-    | Some li ->
-        r.ar_inflight <- None;
-        let merged = ref [] in
-        Array.iteri
-          (fun j flag ->
-            Pool.Stream.wait s (fun () -> Atomic.get flag);
-            merge_verdict i r merged li.li_slots.(j))
-          li.li_flags;
-        (match Atomic.get li.li_err with Some e -> raise e | None -> ());
-        next_frontier r !merged
-  in
-  let run_pooled s =
-    Array.iter (fun r -> submit_level s r) runs;
-    while Array.exists (fun r -> Option.is_some r.ar_inflight) runs do
+  (* Round-robin by level.  Pooled, every arm keeps one level in flight:
+     arm [k+1]'s level is on the workers while arm [k]'s merges, and an
+     arm's next level is submitted as soon as its last one is merged. *)
+  let drive () =
+    Array.iter start_level runs;
+    while Array.exists (fun r -> Option.is_some r.ar_level) runs do
       Array.iteri
         (fun i r ->
-          if Option.is_some r.ar_inflight then begin
-            merge_level s i r;
-            submit_level s r
-          end)
-        runs
-    done
-  in
-  (* Sequential driver: the same round-robin by level, with [optimize]'s
-     live-table merge (evaluation and merge interleaved) per arm level.
-     Cross-arm sharing still pays off — the table is weight-independent,
-     and early levels of different arms overlap heavily. *)
-  let run_seq () =
-    let progressed = ref true in
-    while !progressed do
-      progressed := false;
-      Array.iteri
-        (fun i r ->
-          if r.ar_frontier <> [] && r.ar_levels < max_levels then begin
-            progressed := true;
-            let tasks = level_tasks r in
-            let merged = ref [] in
-            Array.iter
-              (fun t ->
-                merge_verdict i r merged (eval_task ~arm:r.ar_arm r.ar_seen t))
-              tasks;
-            next_frontier r !merged
-          end)
+          match r.ar_level with
+          | None -> ()
+          | Some level ->
+              r.ar_level <- None;
+              merge_level i r level;
+              start_level r)
         runs
     done
   in
   (match session with
   | Some s ->
-      Fun.protect
-        (fun () -> run_pooled s)
-        ~finally:(fun () ->
+      Fun.protect drive ~finally:(fun () ->
           Pool.Stream.finish s;
           let k = Pool.Stream.stolen s in
           if k > 0 then Obs.Counter.add c_steal k)
-  | None -> run_seq ());
-  let outcomes =
-    Array.map
-      (fun r ->
-        let best, feasible =
-          match r.ar_best with
-          | Some b -> ({ b with applied = List.rev b.applied }, true)
-          | None -> (r.ar_initial, false)
-        in
-        {
-          best;
-          feasible;
-          initial = r.ar_initial;
-          explored = r.ar_explored;
-          levels = r.ar_levels;
-          fanout = List.rev r.ar_fanout;
-        })
-      runs
+  | None -> drive ());
+  let outcome r =
+    let best, feasible =
+      match r.ar_best with
+      | Some b -> ({ b with applied = List.rev b.applied }, true)
+      | None -> (r.ar_initial, false)
+    in
+    {
+      best;
+      feasible;
+      initial = r.ar_initial;
+      explored = r.ar_explored;
+      levels = r.ar_levels;
+      fanout = List.rev r.ar_fanout;
+    }
+  in
+  ( Array.map outcome runs,
+    { table_hits = !tbl_hits; table_misses = !tbl_misses } )
+
+let optimize ?pool ?(w = 0.5) ?(size_frontier = 4) ?(keep_conc = [])
+    ?(max_levels = max_int) ?perf_delays ?max_cycle ?(eval_mode = `Delta)
+    ?(area_mode = `Tree) sg0 =
+  Obs.span "search.optimize" @@ fun () ->
+  let outcomes, _ =
+    run ?pool ?perf_delays ?max_cycle ~share:false ~size_frontier ~keep_conc
+      ~max_levels ~eval_mode
+      [| { arm_w = w; arm_area = area_mode } |]
+      sg0
+  in
+  outcomes.(0)
+
+let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
+    ?(max_levels = max_int) ?perf_delays ?max_cycle ?(eval_mode = `Delta)
+    ?on_improvement ~arms sg0 =
+  if arms = [] then invalid_arg "Search.portfolio: empty arm list";
+  Obs.span "search.portfolio" @@ fun () ->
+  let arms = Array.of_list arms in
+  let outcomes, stats =
+    run ?pool ?perf_delays ?max_cycle ?on_improvement ~share:true
+      ~size_frontier ~keep_conc ~max_levels ~eval_mode arms sg0
   in
   (* Cross-arm yardstick: arms priced under different weights or area
      models have incomparable [cost]s, so the winner is chosen under one
@@ -747,7 +562,7 @@ let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
         (fun i o -> { arm = arms.(i); outcome = o; yardstick = yardstick o })
         outcomes;
     winner = !winner;
-    stats = { table_hits = !tbl_hits; table_misses = !tbl_misses };
+    stats;
   }
 
 let apply_script sg script =
@@ -760,7 +575,7 @@ let apply_script sg script =
   (sg, List.rev done_)
 
 let reduce_fully ?(w = 0.5) ?(keep_conc = []) sg0 =
-  (* As in [optimize], [applied] is accumulated in reverse during the
+  (* As in the beam search, [applied] is accumulated in reverse during the
      descent and reversed once at the end. *)
   let rec loop cfg =
     match neighbours ~keep_conc cfg with

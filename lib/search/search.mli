@@ -5,7 +5,12 @@
     concurrent), hence terminating.
 
     The cost function (Sec. 7) combines estimated logic complexity and CSC
-    conflicts: [cost = w * logic + (1 - w) * csc_pairs * csc_weight]. *)
+    conflicts: [cost = w * logic + (1 - w) * 8 * csc_pairs], one
+    conflicting state pair weighing as much as eight literals.
+
+    One engine runs every search: {!optimize} is a portfolio of one arm
+    without the cross-arm table, and {!portfolio} runs K arms over one
+    pool session with it. *)
 
 type config = {
   sg : Sg.t;
@@ -90,7 +95,6 @@ val optimize :
   ?size_frontier:int ->
   ?keep_conc:keep ->
   ?max_levels:int ->
-  ?csc_weight:float ->
   ?perf_delays:(Stg.label -> int) ->
   ?max_cycle:int ->
   ?eval_mode:eval_mode ->
@@ -147,14 +151,13 @@ type portfolio_outcome = {
     improvement, starting with each arm's initial configuration.
 
     The per-arm search parameters ([size_frontier], [keep_conc],
-    [max_levels], [csc_weight], [perf_delays], [max_cycle], [eval_mode])
-    are shared by all arms. *)
+    [max_levels], [perf_delays], [max_cycle], [eval_mode]) are shared by
+    all arms. *)
 val portfolio :
   ?pool:Pool.t ->
   ?size_frontier:int ->
   ?keep_conc:keep ->
   ?max_levels:int ->
-  ?csc_weight:float ->
   ?perf_delays:(Stg.label -> int) ->
   ?max_cycle:int ->
   ?eval_mode:eval_mode ->
@@ -166,13 +169,7 @@ val portfolio :
 (** Evaluate one SG with the search's cost function.  [memo] (default
     false) routes the logic minimizations through {!Boolf.Memo}; the
     result is identical either way.  [area_mode] defaults to [`Tree]. *)
-val evaluate :
-  ?w:float ->
-  ?csc_weight:float ->
-  ?memo:bool ->
-  ?area_mode:area_mode ->
-  Sg.t ->
-  config
+val evaluate : ?w:float -> ?memo:bool -> ?area_mode:area_mode -> Sg.t -> config
 
 (** Apply a fixed reduction script [(a, b), ...] in order, skipping invalid
     steps; returns the final SG and the steps that actually applied.  Used

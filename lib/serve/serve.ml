@@ -324,9 +324,9 @@ module Ops = struct
   let parse_keep v =
     let pair = function
       | Json.Str s -> (
-          match String.split_on_char ',' s with
-          | [ a; b ] -> Ok (String.trim a, String.trim b)
-          | _ -> Error ("bad keep pair " ^ s ^ " (expected \"a,b\")"))
+          match Core.Cli.keep_pair s with
+          | Some p -> Ok p
+          | None -> Error ("bad keep pair " ^ s ^ " (expected \"a,b\")"))
       | Json.List [ Json.Str a; Json.Str b ] -> Ok (a, b)
       | _ -> Error "keep entries must be \"a,b\" strings or [a, b] pairs"
     in
@@ -350,13 +350,10 @@ module Ops = struct
             Ok (f :: acc))
           l (Ok [])
     | Json.Str s -> (
-        (* the CLI's --portfolio "w1,w2,..." spelling, verbatim *)
-        try
-          Ok
-            (List.map
-               (fun x -> float_of_string (String.trim x))
-               (String.split_on_char ',' s))
-        with _ -> Error ("bad portfolio spec " ^ s))
+        (* the CLI's --portfolio "w1,w2,..." spelling *)
+        match Core.Cli.portfolio_weights s with
+        | Some ws -> Ok ws
+        | None -> Error ("bad portfolio spec " ^ s))
     | _ -> Error "portfolio expects a list of numbers or \"w1,w2,...\""
 
   let synth_of_options fields =

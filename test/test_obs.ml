@@ -145,18 +145,19 @@ let arb_forest =
         (List.fold_left (fun a t -> a + tree_size t) 0 ts))
     QCheck.Gen.(list_size (int_bound 8) gen_tree)
 
+(* Run [f] on every element of [xs] as the jobs of one pool session;
+   [Pool.Stream.finish] returns once every job has run. *)
+let in_session f xs =
+  let s = Pool.Stream.start (Lazy.force pool) in
+  List.iter (fun x -> Pool.Stream.submit s (fun () -> f x)) xs;
+  Pool.Stream.finish s
+
 (* Execute a forest of span trees across the pool's domains and return
    the merged event stream. *)
 let record_forest forest =
-  let p = Lazy.force pool in
   with_enabled true (fun () ->
       Obs.reset ();
-      ignore
-        (Pool.map_list p
-           (fun t ->
-             exec_tree t;
-             0)
-           forest));
+      in_session exec_tree forest);
   let evs = Obs.events () in
   Obs.reset ();
   evs
@@ -194,15 +195,9 @@ let prop_chrome_validates =
   QCheck.Test.make
     ~name:"chrome_trace passes the validator for any recorded forest"
     ~count:50 arb_forest (fun forest ->
-      let p = Lazy.force pool in
       with_enabled true (fun () ->
           Obs.reset ();
-          ignore
-            (Pool.map_list p
-               (fun t ->
-                 exec_tree t;
-                 0)
-               forest));
+          in_session exec_tree forest);
       let r = Obs.Chrome.validate (Obs.chrome_trace ()) in
       Obs.reset ();
       r = Ok ())
@@ -213,20 +208,17 @@ let prop_counter_totals =
     ~name:"counter totals equal the sum of per-task increments" ~count:50
     QCheck.(list_of_size Gen.(int_range 1 16) (int_range 0 64))
     (fun tasks ->
-      let p = Lazy.force pool in
       let c = Obs.Counter.make "test.obs.incr" in
       let a = Obs.Counter.make "test.obs.add" in
       with_enabled true (fun () ->
           Obs.reset ();
-          ignore
-            (Pool.map_list p
-               (fun n ->
-                 for _ = 1 to n do
-                   Obs.Counter.incr c
-                 done;
-                 Obs.Counter.add a n;
-                 n)
-               tasks));
+          in_session
+            (fun n ->
+              for _ = 1 to n do
+                Obs.Counter.incr c
+              done;
+              Obs.Counter.add a n)
+            tasks);
       let sum = List.fold_left ( + ) 0 tasks in
       let ok = Obs.Counter.value c = sum && Obs.Counter.value a = sum in
       Obs.reset ();
@@ -314,31 +306,74 @@ let test_golden_trace () =
   | Error e -> Alcotest.fail ("golden trace invalid: " ^ e));
   check_golden "obs_trace.expected" trace
 
+(* No search.level span opens inside another on the same domain: a
+   level's span covers that level's merge, and merges run one after
+   another on the caller.  (A span opened when a level's tasks are
+   submitted would still pass [well_nested], since both arms' level spans
+   carry the same name.) *)
+let levels_disjoint evs =
+  let depth = Hashtbl.create 4 in
+  List.for_all
+    (fun (tid, name, ph, _) ->
+      name <> "search.level"
+      ||
+      let d = Option.value ~default:0 (Hashtbl.find_opt depth tid) in
+      let d = if ph = 'B' then d + 1 else d - 1 in
+      Hashtbl.replace depth tid d;
+      d <= 1)
+    evs
+
 (* Acceptance: a traced full MMU flow (the biggest paper spec: search,
    CSC, logic, techmap) exports a Chrome trace the validator accepts,
    sequentially and pooled, and the trace reaches the CSC and mapping
-   layers. *)
+   layers.  So does a traced two-arm portfolio at --jobs 1 and 2, whose
+   level spans never nest, although at --jobs 2 both arms have a level
+   in flight on the pool. *)
 let test_mmu_trace () =
-  let sg = Gen.sg_exn (Expansion.four_phase Specs.mmu) in
+  let stg = Expansion.four_phase Specs.mmu in
+  let sg = Gen.sg_exn stg in
   let p = Lazy.force pool in
+  let check_trace mode run spans =
+    Obs.reset ();
+    with_enabled true run;
+    (match Obs.Chrome.validate (Obs.chrome_trace ()) with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (mode ^ " MMU trace invalid: " ^ e));
+    let events = Obs.events () in
+    Alcotest.(check bool) (mode ^ " MMU spans well-nested") true
+      (well_nested events);
+    Alcotest.(check bool) (mode ^ " MMU level spans disjoint") true
+      (levels_disjoint events);
+    List.iter
+      (fun span ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s MMU trace has %s" mode span)
+          true
+          (List.exists (fun (_, name, ph, _) -> name = span && ph = 'B') events))
+      spans;
+    Obs.reset ()
+  in
   List.iter
     (fun (mode, pool) ->
-      Obs.reset ();
-      with_enabled true (fun () ->
-          ignore (Core.optimize ?pool ~name:"MMU" ~w:0.8 ~size_frontier:4 sg));
-      (match Obs.Chrome.validate (Obs.chrome_trace ()) with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail (mode ^ " MMU trace invalid: " ^ e));
-      let events = Obs.events () in
-      List.iter
-        (fun span ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s MMU trace has %s" mode span)
-            true
-            (List.exists (fun (_, name, ph, _) -> name = span && ph = 'B') events))
-        [ "csc.resolve"; "techmap.map" ];
-      Obs.reset ())
-    [ ("seq", None); ("pool", Some p) ]
+      check_trace mode
+        (fun () ->
+          ignore (Core.optimize ?pool ~name:"MMU" ~w:0.8 ~size_frontier:4 sg))
+        [ "csc.resolve"; "techmap.map" ])
+    [ ("seq", None); ("pool", Some p) ];
+  List.iter
+    (fun jobs ->
+      check_trace
+        (Printf.sprintf "portfolio --jobs %d" jobs)
+        (fun () ->
+          match
+            Core.Cli.reduce_text
+              { Core.Cli.default_reduce with portfolio = [ 0.3; 0.8 ]; jobs }
+              stg
+          with
+          | Ok _ -> ()
+          | Error msg -> Alcotest.fail msg)
+        [ "search.portfolio"; "search.level" ])
+    [ 1; 2 ]
 
 let suite =
   [

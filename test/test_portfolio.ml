@@ -66,6 +66,22 @@ let test_reduce_text_jobs () =
       ("LR", Expansion.four_phase Specs.lr);
     ]
 
+(* A pool wider than the runtime's limit on live domains (128 on OCaml 5)
+   runs with the workers it could spawn, and prints the same bytes. *)
+let test_reduce_text_wide_pool () =
+  let stg = Expansion.four_phase Specs.lr in
+  let text jobs =
+    match
+      Core.Cli.reduce_text
+        { Core.Cli.default_reduce with portfolio = [ 0.3; 0.8 ]; jobs }
+        stg
+    with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check string) "LR --portfolio 0.3,0.8: jobs 200 = jobs 1"
+    (text 1) (text 200)
+
 (* ---- Smemo: first-writer-wins shared table ------------------------- *)
 
 let test_smemo () =
@@ -75,14 +91,9 @@ let test_smemo () =
   Alcotest.(check (option int))
     "first writer wins" (Some 1) (Pool.Smemo.find t "k");
   Alcotest.(check (option int)) "absent key" None (Pool.Smemo.find t "nope");
-  ignore (Pool.Smemo.publish t "k2" 3 : bool);
-  check_int "length counts entries" 2 (Pool.Smemo.length t);
-  (* Degenerate stripe count still behaves. *)
-  let t1 = Pool.Smemo.create ~stripes:1 () in
-  for i = 0 to 99 do
-    ignore (Pool.Smemo.publish t1 (string_of_int i) i : bool)
-  done;
-  check_int "single stripe holds all keys" 100 (Pool.Smemo.length t1)
+  check "another key inserts" true (Pool.Smemo.publish t "k2" 3);
+  Alcotest.(check (option int))
+    "keys are independent" (Some 3) (Pool.Smemo.find t "k2")
 
 (* ---- portfolio vs standalone --------------------------------------- *)
 
@@ -111,17 +122,23 @@ let check_arms name refs stg (po : Search.portfolio_outcome) =
     refs
 
 (* Every arm byte-identical to its standalone run: named paper specs,
-   sequential and pooled. *)
+   sequential and pooled.  The one-arm set compares the engine with the
+   cross-arm table against [Search.optimize], the same engine without
+   it. *)
 let test_portfolio_named () =
   let p = Lazy.force pool in
   List.iter
     (fun (name, stg) ->
       let sg = Gen.sg_exn stg in
-      let refs = standalone_reprs ~size_frontier:4 arms3 stg sg in
-      check_arms (name ^ " seq") refs stg
-        (Search.portfolio ~size_frontier:4 ~arms:arms3 sg);
-      check_arms (name ^ " pooled") refs stg
-        (Search.portfolio ~pool:p ~size_frontier:4 ~arms:arms3 sg))
+      List.iter
+        (fun (set, arms) ->
+          let name = Printf.sprintf "%s %s" name set in
+          let refs = standalone_reprs ~size_frontier:4 arms stg sg in
+          check_arms (name ^ " seq") refs stg
+            (Search.portfolio ~size_frontier:4 ~arms sg);
+          check_arms (name ^ " pooled") refs stg
+            (Search.portfolio ~pool:p ~size_frontier:4 ~arms sg))
+        [ ("3 arms", arms3); ("1 arm", [ List.hd arms3 ]) ])
     (named_specs ())
 
 (* 100 seeded random STGs, two tree arms. *)
@@ -194,27 +211,6 @@ let test_on_improvement () =
     (trace ~pool:p ());
   Alcotest.(check string) "repeat run = first run" seq (trace ~pool:p ())
 
-(* ---- Core / CLI plumbing ------------------------------------------- *)
-
-let test_core_portfolio () =
-  let stg = Expansion.four_phase Specs.lr in
-  let sg = Gen.sg_exn stg in
-  let render (r : Core.report) =
-    Format.asprintf "%a@.%s" Core.pp_report r r.Core.equations
-  in
-  let report, po =
-    Core.optimize_portfolio ~arms:arms3 ~name:"LR" sg
-  in
-  (* The portfolio report implements the winning arm's best — identical
-     to a standalone Core.optimize run at the winning arm's parameters. *)
-  let won = po.Search.arms.(po.Search.winner).Search.arm in
-  let solo =
-    Core.optimize ~w:won.Search.arm_w ~area_mode:won.Search.arm_area
-      ~size_frontier:4 ~name:"LR" sg
-  in
-  Alcotest.(check string) "report = winning arm standalone" (render solo)
-    (render report)
-
 (* ---- netlist literal-chaining reorder ------------------------------ *)
 
 let cover s = List.map Boolf.Cube.of_string s
@@ -249,6 +245,8 @@ let suite =
       test_stream_finished;
     Alcotest.test_case "reduce_text --portfolio: jobs 2 = jobs 1" `Slow
       test_reduce_text_jobs;
+    Alcotest.test_case "pool past the domain limit: jobs 200 = jobs 1"
+      `Quick test_reduce_text_wide_pool;
     Alcotest.test_case "Smemo first-writer-wins" `Quick test_smemo;
     Alcotest.test_case "portfolio = standalone: named specs" `Slow
       test_portfolio_named;
@@ -258,7 +256,6 @@ let suite =
       test_winner_and_stats;
     Alcotest.test_case "anytime improvement stream is deterministic" `Slow
       test_on_improvement;
-    Alcotest.test_case "Core portfolio wiring" `Slow test_core_portfolio;
     Alcotest.test_case "cross-signal netlist sharing" `Quick
       test_cross_signal_sharing;
   ]

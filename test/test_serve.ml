@@ -207,6 +207,12 @@ let test_differential_options () =
   in
   let out = ok_output (send ~options ~id:"red" ~op:"reduce" c spec) in
   Alcotest.(check string) "reduce payload = CLI stdout" cli_out out;
+  (* a --keep pair with a blank after the comma: both trim the names *)
+  let rc, cli_out, _ = run_cli [ "reduce"; path; "--keep"; "Req+, Ack-" ] in
+  Alcotest.(check int) "cli spaced keep rc" 0 rc;
+  let options = Serve.Json.(Obj [ ("keep", List [ Str "Req+, Ack-" ]) ]) in
+  let out = ok_output (send ~options ~id:"keep" ~op:"reduce" c spec) in
+  Alcotest.(check string) "spaced keep payload = CLI stdout" cli_out out;
   (* out-of-range reduce options: both reject them, with one message *)
   List.iter
     (fun (args, options) ->
