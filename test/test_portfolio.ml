@@ -245,8 +245,6 @@ let suite =
       test_stream_finished;
     Alcotest.test_case "reduce_text --portfolio: jobs 2 = jobs 1" `Slow
       test_reduce_text_jobs;
-    Alcotest.test_case "pool past the domain limit: jobs 200 = jobs 1"
-      `Quick test_reduce_text_wide_pool;
     Alcotest.test_case "Smemo first-writer-wins" `Quick test_smemo;
     Alcotest.test_case "portfolio = standalone: named specs" `Slow
       test_portfolio_named;
@@ -258,4 +256,6 @@ let suite =
       test_on_improvement;
     Alcotest.test_case "cross-signal netlist sharing" `Quick
       test_cross_signal_sharing;
+    Alcotest.test_case "pool past the domain limit: jobs 200 = jobs 1"
+      `Quick test_reduce_text_wide_pool;
   ]
