@@ -52,26 +52,48 @@ let metrics_arg =
           "Record phase counters and spans during the run and print the \
            observability summary afterwards.")
 
+(* Write [contents], an artifact of a run that ended in [result].  A
+   failure to write fails a run that succeeded; beside a run that failed
+   it is printed and the run's own error stands. *)
+let write_artifact file contents result =
+  match
+    Out_channel.with_open_text file (fun oc ->
+        Out_channel.output_string oc contents)
+  with
+  | () ->
+      Printf.eprintf "wrote %s\n" file;
+      result
+  | exception Sys_error msg -> (
+      (* Sys_error puts "FILE: " in front of the reason *)
+      let n = String.length file + 2 in
+      let reason =
+        if String.starts_with ~prefix:(file ^ ": ") msg then
+          String.sub msg n (String.length msg - n)
+        else msg
+      in
+      let msg = Printf.sprintf "cannot write %s: %s" file reason in
+      match result with
+      | `Ok _ -> `Error (false, msg)
+      | r ->
+          prerr_endline ("astg: " ^ msg);
+          r)
+
 (* Run [f] with recording on when asked, and emit the requested artifacts
    afterwards — also on failure, so a trace of a crashing run survives. *)
 let with_obs trace metrics f =
   if trace <> None || metrics then Obs.set_enabled true;
-  let finish () =
+  let finish r =
     (match Core.metrics_summary () with
     | Some s when metrics -> print_string s
     | Some _ | None -> ());
     match trace with
-    | Some file ->
-        Obs.write_chrome_trace file;
-        Printf.eprintf "wrote %s\n" file
-    | None -> ()
+    | Some file -> write_artifact file (Obs.chrome_trace ()) r
+    | None -> r
   in
   match f () with
-  | r ->
-      finish ();
-      r
+  | r -> finish r
   | exception e ->
-      finish ();
+      ignore (finish (`Ok ()));
       raise e
 
 (* ---- show ---- *)
@@ -269,21 +291,18 @@ let fuzz_cmd =
     | Ok classes ->
         let r = Fuzz.run ~jobs ~classes ~max_signals ~corpus ~count ~seed () in
         print_string (Fuzz.report_summary r);
-        (match report with
-        | None -> ()
-        | Some file ->
-            let oc = open_out file in
-            output_string oc (Fuzz.report_to_json r);
-            output_char oc '\n';
-            close_out oc;
-            Printf.eprintf "wrote %s\n" file);
-        if r.Fuzz.r_failures = [] then `Ok ()
-        else
-          `Error
-            ( false,
-              Printf.sprintf
-                "%d failing spec(s); minimized repros under %s/"
-                (List.length r.Fuzz.r_failures) corpus )
+        let result =
+          if r.Fuzz.r_failures = [] then `Ok ()
+          else
+            `Error
+              ( false,
+                Printf.sprintf
+                  "%d failing spec(s); minimized repros under %s/"
+                  (List.length r.Fuzz.r_failures) corpus )
+        in
+        match report with
+        | None -> result
+        | Some file -> write_artifact file (Fuzz.report_to_json r ^ "\n") result
   in
   let count =
     Arg.(
@@ -530,7 +549,7 @@ let client_cmd =
         let request =
           match op with
           | "metrics" ->
-              Ok (Serve.Json.Obj [ ("id", Serve.Json.Str id); ("op", Serve.Json.Str "metrics") ])
+              Ok (Json.Obj [ ("id", Json.Str id); ("op", Json.Str "metrics") ])
           | "check" | "synth" | "reduce" -> (
               match file with
               | None -> Error ("op " ^ op ^ " needs FILE.g")
@@ -543,17 +562,17 @@ let client_cmd =
                   | Ok spec -> (
                       let base =
                         [
-                          ("id", Serve.Json.Str id);
-                          ("op", Serve.Json.Str op);
-                          ("spec", Serve.Json.Str spec);
+                          ("id", Json.Str id);
+                          ("op", Json.Str op);
+                          ("spec", Json.Str spec);
                         ]
                       in
                       match options_json with
-                      | None -> Ok (Serve.Json.Obj base)
+                      | None -> Ok (Json.Obj base)
                       | Some s -> (
-                          match Serve.Json.parse s with
-                          | o -> Ok (Serve.Json.Obj (base @ [ ("options", o) ]))
-                          | exception Serve.Json.Parse_error msg ->
+                          match Json.parse s with
+                          | o -> Ok (Json.Obj (base @ [ ("options", o) ]))
+                          | exception Json.Parse_error msg ->
                               Error ("bad --options JSON: " ^ msg)))))
           | other -> Error ("unknown op " ^ other ^ " (check/synth/reduce/metrics)")
         in
@@ -567,41 +586,24 @@ let client_cmd =
                     Printf.sprintf "cannot connect: %s(%s): %s" fn arg
                       (Unix.error_message e) )
             | c ->
-                let resp = Serve.Client.request c (Serve.Json.to_string req) in
+                let resp = Serve.Client.request c (Json.to_string req) in
                 Serve.Client.close c;
-                let parsed =
-                  match Serve.Json.parse resp with
-                  | j -> Some j
-                  | exception Serve.Json.Parse_error _ -> None
+                let j =
+                  try Json.parse resp with Json.Parse_error _ -> Json.Null
                 in
-                (* --raw/pretty: by default unwrap a successful payload's
-                   "output" so the bytes land on stdout exactly as the
-                   CLI would print them *)
-                let unwrapped =
-                  if pretty then None
-                  else
-                    match parsed with
-                    | Some j -> (
-                        match
-                          ( Serve.Json.member "ok" j,
-                            Option.bind (Serve.Json.member "result" j)
-                              (Serve.Json.member "output") )
-                        with
-                        | Some (Serve.Json.Bool true), Some (Serve.Json.Str out)
-                          ->
-                            Some out
-                        | _ -> None)
-                    | None -> None
+                let ok = Json.member "ok" j in
+                let output =
+                  Option.bind (Json.member "result" j) (Json.member "output")
                 in
-                (match unwrapped with
-                | Some out -> print_string out
-                | None -> print_endline resp);
-                let failed =
-                  match parsed with
-                  | Some j -> Serve.Json.member "ok" j = Some (Serve.Json.Bool false)
-                  | None -> false
-                in
-                if failed then `Error (false, "request failed") else `Ok ()))
+                (* unless --raw, unwrap a successful payload's "output" so
+                   the bytes land on stdout exactly as the CLI prints them *)
+                (match (ok, output) with
+                | Some (Json.Bool true), Some (Json.Str out) when not pretty ->
+                    print_string out
+                | _ -> print_endline resp);
+                if ok = Some (Json.Bool false) then
+                  `Error (false, "request failed")
+                else `Ok ()))
   in
   let op =
     Arg.(

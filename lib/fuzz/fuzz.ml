@@ -427,78 +427,47 @@ let run ?(jobs = 2) ?(classes = Gen.all_classes) ?(max_signals = 6) ?corpus
     r_counters = counters;
   }
 
-(* ---- JSON rendering (hand-rolled: stable key order, no deps) ---- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = "\"" ^ json_escape s ^ "\""
-
-let json_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> json_str k ^ ":" ^ v) fields)
-  ^ "}"
-
-let json_arr items = "[" ^ String.concat "," items ^ "]"
+(* ---- JSON rendering: key order is the [Obj] field order ---- *)
 
 let report_to_json r =
+  let str s = Json.Str s and int n = Json.Int n in
   let failure f =
-    json_obj
+    Json.Obj
       [
-        ("class", json_str (Gen.class_name f.f_cls));
-        ("seed", string_of_int f.f_seed);
-        ("kind", json_str (kind_tag f.f_kind));
-        ("detail", json_str (kind_detail f.f_kind));
-        ("case", json_str (Gen.case_to_string f.f_case));
-        ("generated_as", json_str (Gen.case_to_string f.f_orig));
-        ("shrink_steps", string_of_int f.f_shrink_steps);
-        ( "file",
-          match f.f_file with None -> "null" | Some f -> json_str f );
-        ("repro", json_str f.f_repro);
+        ("class", str (Gen.class_name f.f_cls));
+        ("seed", int f.f_seed);
+        ("kind", str (kind_tag f.f_kind));
+        ("detail", str (kind_detail f.f_kind));
+        ("case", str (Gen.case_to_string f.f_case));
+        ("generated_as", str (Gen.case_to_string f.f_orig));
+        ("shrink_steps", int f.f_shrink_steps);
+        ("file", match f.f_file with None -> Json.Null | Some f -> str f);
+        ("repro", str f.f_repro);
       ]
   in
-  json_obj
-    [
-      ("tool", json_str "astg fuzz");
-      ("seed", string_of_int r.r_seed);
-      ("count", string_of_int r.r_count);
-      ( "classes",
-        json_arr (List.map (fun c -> json_str (Gen.class_name c)) r.r_classes)
-      );
-      ( "params",
-        json_obj
-          [
-            ("w", Printf.sprintf "%.3f" search_w);
-            ("frontier", string_of_int search_frontier);
-            ("max_signals", string_of_int r.r_max_signals);
-            ("jobs", string_of_int r.r_jobs);
-          ] );
-      ( "cases",
-        json_obj
-          (List.map
-             (fun (c, n) -> (Gen.class_name c, string_of_int n))
-             r.r_cases) );
-      ( "outcomes",
-        json_obj (List.map (fun (t, n) -> (t, string_of_int n)) r.r_outcomes)
-      );
-      ("failure_count", string_of_int (List.length r.r_failures));
-      ("failures", json_arr (List.map failure r.r_failures));
-      ( "counters",
-        json_obj
-          (List.map (fun (n, v) -> (n, string_of_int v)) r.r_counters) );
-    ]
+  let counts key l = Json.Obj (List.map (fun (k, n) -> (key k, int n)) l) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("tool", str "astg fuzz");
+         ("seed", int r.r_seed);
+         ("count", int r.r_count);
+         ( "classes",
+           Json.List (List.map (fun c -> str (Gen.class_name c)) r.r_classes) );
+         ( "params",
+           Json.Obj
+             [
+               ("w", Json.Float search_w);
+               ("frontier", int search_frontier);
+               ("max_signals", int r.r_max_signals);
+               ("jobs", int r.r_jobs);
+             ] );
+         ("cases", counts Gen.class_name r.r_cases);
+         ("outcomes", counts Fun.id r.r_outcomes);
+         ("failure_count", int (List.length r.r_failures));
+         ("failures", Json.List (List.map failure r.r_failures));
+         ("counters", counts Fun.id r.r_counters);
+       ])
 
 let report_summary r =
   let b = Buffer.create 256 in

@@ -271,14 +271,58 @@ let epoch () =
     (fun acc b -> if b.len > 0 then Float.min acc b.evs.(0).ev_ts else acc)
     infinity (sorted_buffers ())
 
-let events () =
+(* Every recorded event as [(tid, ev, microseconds from the earliest)]. *)
+let recorded () =
   let t0 = epoch () in
   List.concat_map
     (fun b ->
       List.init b.len (fun i ->
           let e = b.evs.(i) in
-          (b.tid, e.ev_name, e.ev_ph, (e.ev_ts -. t0) *. 1e6)))
+          (b.tid, e, (e.ev_ts -. t0) *. 1e6)))
     (sorted_buffers ())
+
+let events () =
+  List.map (fun (tid, e, us) -> (tid, e.ev_name, e.ev_ph, us)) (recorded ())
+
+(* The one begin/end walk behind [summary] and [Chrome.validate]: pair
+   the B/E events of each tid with a stack, call [on_span name t0 t1]
+   once per closed span, and return the first break of stack discipline
+   (a ts going backwards on a tid, an E that closes nothing or names
+   another open span, a B never closed).  An E without a name closes the
+   innermost open span, as in Chrome's format. *)
+let walk_spans on_span evs =
+  let tids = Hashtbl.create 8 (* tid -> last ts, open spans *) in
+  let error = ref None in
+  let fail fmt =
+    Printf.ksprintf (fun s -> if !error = None then error := Some s) fmt
+  in
+  List.iter
+    (fun (tid, name, ph, ts) ->
+      let last, stack =
+        Option.value (Hashtbl.find_opt tids tid) ~default:(ts, [])
+      in
+      if ts < last then fail "ts %.3f < %.3f on tid %d" ts last tid;
+      let stack =
+        match (ph, stack) with
+        | 'B', _ -> (name, ts) :: stack
+        | 'E', [] ->
+            fail "E \"%s\" with empty stack on tid %d" name tid;
+            []
+        | 'E', (open_name, t0) :: rest ->
+            if name <> "" && name <> open_name then
+              fail "E \"%s\" closes open \"%s\" on tid %d" name open_name tid;
+            on_span open_name t0 ts;
+            rest
+        | _ -> stack
+      in
+      Hashtbl.replace tids tid (ts, stack))
+    evs;
+  Hashtbl.iter
+    (fun tid -> function
+      | _, [] -> ()
+      | _, (name, _) :: _ -> fail "tid %d: span \"%s\" never closed" tid name)
+    tids;
+  match !error with None -> Ok () | Some msg -> Error msg
 
 let summary () =
   let buf = Buffer.create 1024 in
@@ -295,189 +339,77 @@ let summary () =
     add "dropped spans (event cap): %d\n" (Atomic.get dropped);
   let gs = List.filter (fun (_, v) -> v <> 0) (gauges ()) in
   if gs <> [] then section "gauges" gs;
-  (* Per-name span aggregates: pair B/E per tid with a stack. *)
-  let agg : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun b ->
-      let stack = ref [] in
-      for i = 0 to b.len - 1 do
-        let e = b.evs.(i) in
-        match e.ev_ph with
-        | 'B' -> stack := (e.ev_name, e.ev_ts) :: !stack
-        | 'E' -> (
-            match !stack with
-            | (name, t0) :: rest ->
-                stack := rest;
-                let count, total =
-                  match Hashtbl.find_opt agg name with
-                  | Some cell -> cell
-                  | None ->
-                      let cell = (ref 0, ref 0.) in
-                      Hashtbl.add agg name cell;
-                      order := name :: !order;
-                      cell
-                in
-                incr count;
-                total := !total +. (e.ev_ts -. t0)
-            | [] -> () (* unmatched E: drop *))
-        | _ -> ()
-      done)
-    (sorted_buffers ());
-  (match List.sort String.compare !order with
+  (* Per-name span aggregates: count and total microseconds. *)
+  let agg = Hashtbl.create 16 in
+  ignore
+    (walk_spans
+       (fun name t0 t1 ->
+         let n, total =
+           Option.value (Hashtbl.find_opt agg name) ~default:(0, 0.)
+         in
+         Hashtbl.replace agg name (n + 1, total +. (t1 -. t0)))
+       (events ()));
+  let spans = Hashtbl.fold (fun name (n, t) l -> (name, n, t) :: l) agg [] in
+  (match List.sort compare spans with
   | [] -> add "spans: (none)\n"
-  | names ->
+  | spans ->
       add "spans:\n";
       add "  %-36s %8s %12s\n" "name" "count" "total_ms";
       List.iter
-        (fun name ->
-          let count, total = Hashtbl.find agg name in
-          add "  %-36s %8d %12.3f\n" name !count (!total *. 1e3))
-        names);
+        (fun (name, n, t) -> add "  %-36s %8d %12.3f\n" name n (t /. 1e3))
+        spans);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
+(* One event per line; [ts] in microseconds, rounded to 3 decimals. *)
 let chrome_trace () =
-  let t0 = epoch () in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  let first = ref true in
-  List.iter
-    (fun b ->
-      for i = 0 to b.len - 1 do
-        let e = b.evs.(i) in
-        if not !first then Buffer.add_string buf ",\n";
-        first := false;
-        Buffer.add_string buf
-          (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%c\",\"ts\":%.3f,\"pid\":1,\"tid\":%d"
-             (json_escape e.ev_name) e.ev_ph
-             ((e.ev_ts -. t0) *. 1e6)
-             b.tid);
-        if e.ev_args <> [] then begin
-          Buffer.add_string buf ",\"args\":{";
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then Buffer.add_char buf ',';
-              Buffer.add_string buf
-                (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-            e.ev_args;
-          Buffer.add_char buf '}'
-        end;
-        Buffer.add_char buf '}'
-      done)
-    (sorted_buffers ());
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
-
-let write_chrome_trace path =
-  let oc = open_out path in
-  output_string oc (chrome_trace ());
-  close_out oc
+  let event (tid, e, us) =
+    let args = List.map (fun (k, v) -> (k, Json.Str v)) e.ev_args in
+    Json.to_string
+      (Json.Obj
+         ([
+            ("name", Json.Str e.ev_name);
+            ("ph", Json.Str (String.make 1 e.ev_ph));
+            ("ts", Json.Float (Float.round (us *. 1e3) /. 1e3));
+            ("pid", Json.Int 1);
+            ("tid", Json.Int tid);
+          ]
+         @ if args = [] then [] else [ ("args", Json.Obj args) ]))
+  in
+  "{\"traceEvents\":[\n"
+  ^ String.concat ",\n" (List.map event (recorded ()))
+  ^ "\n],\"displayTimeUnit\":\"ms\"}\n"
 
 module Chrome = struct
-  (* Pull the value of ["key":] out of one event line.  Good enough for
-     the one-event-per-line JSON this module emits (and for hand-written
-     test fixtures in the same shape). *)
-  let field line key =
-    let pat = "\"" ^ key ^ "\":" in
-    let n = String.length line and m = String.length pat in
-    let rec find i =
-      if i + m > n then None
-      else if String.sub line i m = pat then Some (i + m)
-      else find (i + 1)
-    in
-    Option.map
-      (fun start ->
-        let stop = ref start in
-        if start < n && line.[start] = '"' then begin
-          (* string value: scan to the closing unescaped quote *)
-          incr stop;
-          let start = !stop in
-          while !stop < n && line.[!stop] <> '"' do
-            if line.[!stop] = '\\' then incr stop;
-            incr stop
-          done;
-          String.sub line start (!stop - start)
-        end
-        else begin
-          while
-            !stop < n
-            && (match line.[!stop] with
-               | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-               | _ -> false)
-          do
-            incr stop
-          done;
-          String.sub line start (!stop - start)
-        end)
-      (find 0)
-
   let validate text =
-    let stacks : (int, (string * float) list ref) Hashtbl.t =
-      Hashtbl.create 8
+    let invalid fmt = Printf.ksprintf failwith fmt in
+    (* A B/E event as [(tid, name, ph, ts)]; [None] for any other phase. *)
+    let span e =
+      let field k = Json.member k e in
+      let name = match field "name" with Some (Json.Str n) -> n | _ -> "" in
+      let ts =
+        match field "ts" with
+        | Some (Json.Int n) -> Some (float_of_int n)
+        | Some (Json.Float f) -> Some f
+        | _ -> None
+      in
+      match (field "ph", field "tid", ts) with
+      | Some (Json.Str (("B" | "E") as ph)), Some (Json.Int tid), Some ts ->
+          Some (tid, name, ph.[0], ts)
+      | Some (Json.Str (("B" | "E") as ph)), _, _ ->
+          invalid "%s \"%s\" without an integer tid and a numeric ts" ph name
+      | _ -> None
     in
-    let stack tid =
-      match Hashtbl.find_opt stacks tid with
-      | Some s -> s
-      | None ->
-          let s = ref [] in
-          Hashtbl.add stacks tid s;
-          s
-    in
-    let last_ts : (int, float) Hashtbl.t = Hashtbl.create 8 in
-    let error = ref None in
-    let fail fmt = Printf.ksprintf (fun s -> if !error = None then error := Some s) fmt in
-    let handle lineno line =
-      match field line "ph" with
-      | None -> ()
-      | Some ph when ph = "B" || ph = "E" -> (
-          let name = Option.value (field line "name") ~default:"" in
-          match (field line "tid", field line "ts") with
-          | None, _ -> fail "line %d: event without tid" lineno
-          | _, None -> fail "line %d: event without ts" lineno
-          | Some tid, Some ts -> (
-              match (int_of_string_opt tid, float_of_string_opt ts) with
-              | Some tid, Some ts -> (
-                  (match Hashtbl.find_opt last_ts tid with
-                  | Some prev when ts < prev ->
-                      fail "line %d: ts %.3f < %.3f on tid %d" lineno ts prev
-                        tid
-                  | Some _ | None -> ());
-                  Hashtbl.replace last_ts tid ts;
-                  let s = stack tid in
-                  if ph = "B" then s := (name, ts) :: !s
-                  else
-                    match !s with
-                    | [] -> fail "line %d: E \"%s\" with empty stack" lineno name
-                    | (open_name, _) :: rest ->
-                        if name <> "" && name <> open_name then
-                          fail "line %d: E \"%s\" closes open \"%s\"" lineno
-                            name open_name
-                        else s := rest)
-              | _ -> fail "line %d: unparsable tid/ts" lineno))
-      | Some _ -> ()
-    in
-    List.iteri (fun i l -> handle (i + 1) l) (String.split_on_char '\n' text);
-    Hashtbl.iter
-      (fun tid s ->
-        match !s with
-        | [] -> ()
-        | (name, _) :: _ -> fail "tid %d: span \"%s\" never closed" tid name)
-      stacks;
-    match !error with None -> Ok () | Some msg -> Error msg
+    match
+      List.filter_map span
+        (match Json.parse text with
+        | Json.List evs -> evs
+        | doc -> (
+            match Json.member "traceEvents" doc with
+            | Some (Json.List evs) -> evs
+            | _ -> invalid "no traceEvents array"))
+    with
+    | spans -> walk_spans (fun _ _ _ -> ()) spans
+    | exception (Json.Parse_error msg | Failure msg) -> Error msg
 
   let scrub_timestamps text =
     let buf = Buffer.create (String.length text) in

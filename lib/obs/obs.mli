@@ -135,18 +135,19 @@ val events : unit -> (int * string * char * float) list
     opted in (e.g. [astg --metrics]); see {!Core.metrics_summary}. *)
 val summary : unit -> string
 
-(** Chrome [trace_event] JSON (one event per line), loadable in Perfetto
-    ([ui.perfetto.dev]) or [about://tracing]. *)
+(** Chrome [trace_event] JSON (one event per line, [ts] in microseconds
+    rounded to 3 decimals), loadable in Perfetto ([ui.perfetto.dev]) or
+    [about://tracing]. *)
 val chrome_trace : unit -> string
 
-val write_chrome_trace : string -> unit
-
 module Chrome : sig
-  (** Minimal validator for the JSON {!chrome_trace} emits: every [B]
-      event has a matching [E] (stack discipline per tid, names must
-      agree), timestamps are non-decreasing per tid, and no stack is left
-      open.  Works on any string in the one-event-per-line shape of
-      {!chrome_trace}. *)
+  (** Validator for any Chrome trace JSON document (a [traceEvents]
+      object or a bare event array, in any layout): the text must parse,
+      and among the [B]/[E] events, each with an integer [tid] and a
+      numeric [ts], every [B] has a matching [E] (stack discipline per
+      tid; an [E]'s name, when given, must agree), timestamps are
+      non-decreasing per tid and no span is left open — the span walk
+      {!summary} aggregates with. *)
   val validate : string -> (unit, string) result
 
   (** Replace every ["ts":<number>] with ["ts":0] — the timestamp scrub

@@ -51,30 +51,8 @@
     ["failed"] (the flow itself reported an error, e.g. realization
     failure), ["internal"]. *)
 
-module Json : sig
-  (** A minimal JSON tree, parser and printer — just enough for the
-      wire protocol and the on-disk report shapes; no external
-      dependency. *)
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list  (** field order is preserved *)
-
-  exception Parse_error of string
-
-  (** @raise Parse_error on malformed input or trailing garbage. *)
-  val parse : string -> t
-
-  val to_string : t -> string
-
-  (** [member name j] — field of an object, [None] when absent or when
-      [j] is not an object. *)
-  val member : string -> t -> t option
-end
+(** The wire codec ({!Json}), under the name its callers already use. *)
+module Json = Json
 
 module Ops : sig
   (** A compute request: which CLI verb, with which (typed) options. *)

@@ -10,7 +10,8 @@ let () =
           Option.value ~default:"obs_trace.json"
             (Sys.getenv_opt "ASYNC_REPRO_TRACE_FILE")
         in
-        Obs.write_chrome_trace file;
+        Out_channel.with_open_text file (fun oc ->
+            Out_channel.output_string oc (Obs.chrome_trace ()));
         Printf.eprintf "wrote %s\n%!" file)
 
 let () =
@@ -42,4 +43,5 @@ let () =
       ("roundtrip", Test_roundtrip.suite);
       ("fuzz", Test_fuzz.suite);
       ("serve", Test_serve.suite);
+      ("json", Test_json.suite);
     ]

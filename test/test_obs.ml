@@ -375,6 +375,47 @@ let test_mmu_trace () =
         [ "search.portfolio"; "search.level" ])
     [ 1; 2 ]
 
+(* The validator parses the JSON document: text that is no trace, a
+   trace cut off before its end and each break of stack discipline are
+   rejected, whatever the line layout. *)
+let test_validate_rejects () =
+  let trace events = {|{"traceEvents":[|} ^ String.concat "," events ^ "]}" in
+  let ev ?(tid = 0) name ph ts =
+    Printf.sprintf {|{"name":"%s","ph":"%s","ts":%g,"pid":1,"tid":%d}|} name
+      ph ts tid
+  in
+  let real =
+    Obs.reset ();
+    with_enabled true (fun () -> Obs.span "a" (fun () -> Obs.span "b" ignore));
+    let t = Obs.chrome_trace () in
+    Obs.reset ();
+    t
+  in
+  let tail = "],\"displayTimeUnit\":\"ms\"}\n" in
+  Alcotest.(check bool) "trace ends with displayTimeUnit" true
+    (String.ends_with ~suffix:tail real);
+  let cut = String.sub real 0 (String.length real - String.length tail) in
+  List.iter
+    (fun (what, text) ->
+      match Obs.Chrome.validate text with
+      | Ok () -> Alcotest.failf "validate accepted %s" what
+      | Error _ -> ())
+    [
+      ("the empty string", "");
+      ("plain text", "hello world");
+      ("a trace cut before its end", cut);
+      ("an E naming another open span", trace [ ev "a" "B" 0.; ev "b" "E" 1. ]);
+      ("a ts going backwards", trace [ ev "a" "B" 2.; ev "a" "E" 1. ]);
+      ( "a B never closed",
+        trace [ ev "a" "B" 0.; ev "b" "B" 1.; ev "b" "E" 2. ] );
+    ];
+  let two_tids =
+    [ ev "a" "B" 0.; ev ~tid:1 "c" "B" 0.5; ev "a" "E" 1.; ev ~tid:1 "c" "E" 2. ]
+  in
+  match Obs.Chrome.validate (trace two_tids) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "one-line trace rejected: %s" e
+
 let suite =
   [
     Alcotest.test_case "differential: named specs (seq+pool)" `Slow
@@ -391,4 +432,6 @@ let suite =
     Alcotest.test_case "golden: summary table" `Quick test_golden_summary;
     Alcotest.test_case "golden: chrome trace" `Quick test_golden_trace;
     Alcotest.test_case "MMU trace validates (seq+pool)" `Slow test_mmu_trace;
+    Alcotest.test_case "Chrome.validate rejects malformed traces" `Quick
+      test_validate_rejects;
   ]

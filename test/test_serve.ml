@@ -456,6 +456,7 @@ let test_fault_malformed () =
   in
   expect_kind "parse" "{nope";
   expect_kind "parse" "[1,2,3";
+  expect_kind "parse" {|{"id":1e400,"op":"metrics"}|};
   expect_kind "op" {|{"id":1,"op":"frobnicate","spec":"x"}|};
   expect_kind "op" {|{"id":1,"spec":"x"}|};
   expect_kind "op" {|{"id":1,"op":"reduce","spec":"x","options":{"wibble":1}}|};
@@ -581,6 +582,31 @@ let test_metrics () =
   ignore (member "depth" (member "queue" result));
   ignore (member "counters" result)
 
+(* An artifact the CLI cannot write is a command error (exit 124) after
+   the run's own output, not an uncaught exception. *)
+let test_cli_unwritable () =
+  let fig1 = Filename.concat (examples_dir ()) "fig1.g" in
+  let dir = tmpdir "astg_unwritable" in
+  let bad = Filename.concat dir "missing/out.json" in
+  let _, check_out, _ = run_cli [ "check"; fig1 ] in
+  List.iter
+    (fun (what, args, stdout) ->
+      let rc, out, err = run_cli args in
+      Alcotest.(check int) (what ^ " exits 124") 124 rc;
+      if not (contains err ("cannot write " ^ bad)) then
+        Alcotest.failf "%s: stderr lacks the write error: %S" what err;
+      Option.iter
+        (fun s -> Alcotest.(check string) (what ^ " stdout") s out)
+        stdout)
+    [
+      ("check --trace", [ "check"; "--trace"; bad; fig1 ], Some check_out);
+      ( "fuzz --report",
+        [ "fuzz"; "--count"; "2"; "--jobs"; "1" ]
+        @ [ "--corpus"; dir; "--report"; bad ],
+        None );
+    ];
+  Unix.rmdir dir
+
 let suite =
   [
     Alcotest.test_case "differential: serve = CLI on every example" `Quick
@@ -610,4 +636,6 @@ let suite =
       `Quick test_timeout;
     Alcotest.test_case "metrics: live counters, hit rate, latency" `Quick
       test_metrics;
+    Alcotest.test_case "CLI: an unwritable --trace or --report exits 124"
+      `Quick test_cli_unwritable;
   ]
