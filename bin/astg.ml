@@ -261,8 +261,9 @@ let reduce_cmd =
       value & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Pool size for the portfolio search (1 = sequential).  Every \
-             arm's outcome is byte-identical at any job count.")
+            "Pool size for the portfolio search (1 = sequential), capped at \
+             the CPUs this process may run on.  Every arm's outcome is \
+             byte-identical at any job count.")
   in
   Cmd.v
     (Cmd.info "reduce" ~doc:"Optimize an STG by concurrency reduction.")

@@ -264,9 +264,16 @@ module Memo = struct
   let tables : entry Tbl.t Pool.Dls.key =
     Pool.Dls.new_key (fun () -> Tbl.create 1024)
 
+  (* [Logic] passes its ON/OFF lists strictly ascending already: check
+     that in one walk and sort only the lists that are not. *)
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a < b && ascending rest
+    | [] | [ _ ] -> true
+
+  let canonical l = if ascending l then l else List.sort_uniq Int.compare l
+
   let lookup ~n ~on ~off =
-    let on = List.sort_uniq Int.compare on
-    and off = List.sort_uniq Int.compare off in
+    let on = canonical on and off = canonical off in
     let key = (n, on, off) in
     let tbl = Pool.Dls.get tables in
     match Tbl.find_opt tbl key with

@@ -131,7 +131,9 @@ module Cli : sig
     area_mode : Search.area_mode;  (** [--area-model], default [`Tree] *)
     portfolio : float list;
         (** [--portfolio] weights in arm order; [[]] = single search *)
-    jobs : int;  (** [--jobs]; never changes bytes *)
+    jobs : int;
+        (** [--jobs]; never changes bytes.  {!reduce_text} opens no wider a
+            pool than {!Pool.default_jobs}. *)
   }
 
   val default_synth : synth_opts

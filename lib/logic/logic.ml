@@ -507,7 +507,7 @@ let patch_sig ~codes ~any ~all ps =
    go through the memoized minimizer.  [support = -1] (more than 62
    signals — no tracking) degrades to re-deriving every signal from a
    full extraction. *)
-let estimate_delta ~parent ~dropped:_ ~delta sg =
+let estimate_delta ~parent ~delta sg =
   let nsig = Stg.n_signals (Sg.stg sg) in
   let inherited = ref 0 and recomputed = ref 0 in
   let support_hit = ref 0 and support_miss = ref 0 in

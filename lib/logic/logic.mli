@@ -111,7 +111,7 @@ val evaluate : ?conflict_penalty:int -> ?memo:bool -> Sg.t -> eval
     as it reaches [bound]: the signals after that are not minimized. *)
 val evaluate_bounded : bound:int -> Sg.t -> int option
 
-(** [estimate_delta ~parent ~dropped ~delta sg] — evaluate [sg], an SG
+(** [estimate_delta ~parent ~delta sg] — evaluate [sg], an SG
     built from [parent]'s graph by an arc filter (as
     {!Reduction.fwd_red_built} does), reusing [parent]'s per-signal
     results wherever sound.  [delta.support] bounds the signals whose
@@ -128,17 +128,15 @@ val evaluate_bounded : bound:int -> Sg.t -> int option
     - [delta.support = -1] (no tracking past 62 signals) re-derives every
       signal.
 
-    [dropped] is unused (subsumed by the support mask) and kept for call
-    symmetry with the non-incremental paths.  Uses [parent]'s conflict
-    penalty.  Equal to [evaluate sg] field by field.
+    Uses [parent]'s conflict penalty.  Equal to [evaluate sg] field by
+    field.
 
     The [Obs] counters [logic.delta.inherited] and
     [logic.delta.recomputed] count the signals that reused the parent's
     cover and those that went through the (memoized) minimizer;
     [logic.delta.support_hit] and [logic.delta.support_miss] split the
     slots by support membership (misses are the blind inheritances). *)
-val estimate_delta :
-  parent:eval -> dropped:Stg.label -> delta:Sg.delta -> Sg.t -> eval
+val estimate_delta : parent:eval -> delta:Sg.delta -> Sg.t -> eval
 
 (** {2 Gate-level area}
 

@@ -102,17 +102,17 @@ let neighbours ~keep_conc cfg =
       | Ok _ | Error _ -> acc)
     [] (oriented_candidates ~keep_conc cfg.sg)
 
-(* Logic evaluation of the child [sg'] that FwdRed(a, _) built from
+(* Logic evaluation of the child [sg'] that a reduction built from
    [parent] (with arc-filter report [delta]), by [eval_mode].  Both modes
    produce identical evaluations (same totals, same per-signal covers),
    differing only in work: [`Scratch] re-derives and re-minimizes
    everything, [`Delta] inherits from the parent the signals the
    reduction provably left unchanged ({!Logic.estimate_delta}) and serves
    the rest from the {!Boolf.Memo} cover cache. *)
-let child_logic eval_mode parent ~a ~delta sg' =
+let child_logic eval_mode parent ~delta sg' =
   match eval_mode with
   | `Scratch -> Logic.evaluate ~memo:false sg'
-  | `Delta -> Logic.estimate_delta ~parent:parent.logic ~dropped:a ~delta sg'
+  | `Delta -> Logic.estimate_delta ~parent:parent.logic ~delta sg'
 
 (* Phase counters (see DESIGN.md, "Observability").  Every candidate task is
    counted exactly once: [candidates] at evaluation, then one of [deduped]
@@ -256,9 +256,9 @@ let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
      hit returns precisely what this arm would have computed.  A worker
      that loses a publish race takes the winner's entry, so each key has
      exactly one entry. *)
-  let child_eval parent ~a ~delta sg' =
+  let child_eval parent ~delta sg' =
     match table with
-    | None -> (child_logic eval_mode parent ~a ~delta sg', None)
+    | None -> (child_logic eval_mode parent ~delta sg', None)
     | Some t ->
         let key = share_key sg' in
         let e =
@@ -267,7 +267,7 @@ let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
           | None -> (
               let e =
                 {
-                  te_eval = child_logic eval_mode parent ~a ~delta sg';
+                  te_eval = child_logic eval_mode parent ~delta sg';
                   te_counted = false;
                 }
               in
@@ -325,7 +325,7 @@ let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
           | Ok sg' when keeps_protected keep_conc sg' ->
               if meets_perf sg' then
                 let logic, entry =
-                  child_eval cfg ~a ~delta:built.Reduction.delta sg'
+                  child_eval cfg ~delta:built.Reduction.delta sg'
                 in
                 let cfg' =
                   price ~w:arm.arm_w ~area_mode:arm.arm_area logic sg'

@@ -23,9 +23,12 @@ type conc_rel = {
    graph gets one bit: [em_state.(s)] is the enabled set of state [s],
    [em_ctl] the controlled (output/internal) labels, [em_tr.(tr)] the bit
    index of transition [tr]'s label (only meaningful for transitions that
-   appear on some arc).  Only available when the graph has at most
-   [bits_per_word - 1] distinct labels; callers fall back to the plain
-   label-array scans otherwise. *)
+   appear on some arc).  A graph derived by [filter_arcs_delta] may keep
+   its source's numbering, bits of labels it lost included: readers only
+   test membership, equality and popcount, which no numbering changes.
+   Only available when the graph has at most [bits_per_word - 1]
+   distinct labels; callers fall back to the plain label-array scans
+   otherwise. *)
 type enmask = { em_state : int array; em_ctl : int; em_tr : int array }
 
 type cache = {
@@ -43,9 +46,6 @@ type cache = {
   mutable c_arc_labels : (Stg.label * Petri.trans list) list option;
   mutable c_signature : string option;
   mutable c_csc_count : int option;
-  mutable c_csc_groups : (int, (int, int) Hashtbl.t) Hashtbl.t option;
-      (** packed code -> (controlled enabled mask -> state count); the
-          census behind the incremental CSC count of derived candidates *)
   mutable c_persistent : bool option;
 }
 
@@ -60,7 +60,6 @@ let fresh_cache () =
     c_arc_labels = None;
     c_signature = None;
     c_csc_count = None;
-    c_csc_groups = None;
     c_persistent = None;
   }
 
@@ -404,8 +403,6 @@ let default_warn msg = Printf.eprintf "sg: warning: %s\n%!" msg
 let c_of_stg = Obs.Counter.make "sg.of_stg.calls"
 let c_of_stg_states = Obs.Counter.make "sg.of_stg.states"
 let c_filter_arcs = Obs.Counter.make "sg.filter_arcs.calls"
-let c_csc_preset = Obs.Counter.make "sg.csc.preset"
-let c_csc_scratch = Obs.Counter.make "sg.csc.scratch"
 
 (* A state is a (marking, signal parity) pair: an STG with toggle events
    (2-phase refinements) revisits markings with flipped signal values, which
@@ -614,46 +611,6 @@ let enmask sg =
       sg.cache.c_enmask <- Some e;
       e
 
-(* Per-code census of controlled-enabled masks — the base data of the
-   incremental CSC-conflict count.  [groups.(code)] maps each distinct
-   controlled mask (in this SG's [enmask] bit numbering) to the number of
-   states carrying it; a code's conflict-pair count is then
-   [C(n,2) - sum_m C(cnt_m,2)].  Built once per frontier configuration and
-   read by every candidate filter, so the lazy cache is shared exactly
-   like the other analyses.  Only defined on the packed-code path
-   ([wps = 1] and a packed [enmask]). *)
-let csc_groups sg (em : enmask) =
-  match sg.cache.c_csc_groups with
-  | Some g -> g
-  | None ->
-      let g = Hashtbl.create (max 16 sg.n) in
-      for s = 0 to sg.n - 1 do
-        let code = sg.codes.(s) in
-        let mask = em.em_state.(s) land em.em_ctl in
-        let t =
-          match Hashtbl.find_opt g code with
-          | Some t -> t
-          | None ->
-              let t = Hashtbl.create 4 in
-              Hashtbl.add g code t;
-              t
-        in
-        Hashtbl.replace t mask
-          (1 + Option.value ~default:0 (Hashtbl.find_opt t mask))
-      done;
-      sg.cache.c_csc_groups <- Some g;
-      g
-
-(* Conflict pairs inside one code group: every cross-mask pair. *)
-let group_pairs t =
-  let n = ref 0 and same = ref 0 in
-  Hashtbl.iter
-    (fun _ c ->
-      n := !n + c;
-      same := !same + (c * (c - 1) / 2))
-    t;
-  (!n * (!n - 1) / 2) - !same
-
 let filter_arcs_delta sg ~keep =
   (* Counter only — this runs once per search candidate, so even a span's
      closure allocation is unwelcome on the disabled fast path. *)
@@ -697,17 +654,31 @@ let filter_arcs_delta sg ~keep =
      semantics, the only signals whose per-code ON/OFF aggregates can
      differ from the source graph's (DESIGN.md, "Per-signal support
      tracking").  Tracking is gated on codes fitting one word; past 62
-     signals the sentinel [-1] tells consumers to recompute everything. *)
+     signals the sentinel [-1] tells consumers to recompute everything.
+     When the source's [enmask] is cached, the same pass ORs its label bits
+     over the kept arcs: the child's enabled masks in the source's bit
+     numbering, so the child never builds its own label table. *)
   let track = sg.nsig <= 62 in
+  let parent_em =
+    match sg.cache.c_enmask with
+    | Some (Some em) -> Some em
+    | Some None | None -> None
+  in
+  let em_state = if Option.is_some parent_em then Array.make n 0 else [||] in
   let support = ref 0 in
   let changed = ref [] and n_changed = ref 0 in
   for s_new = n - 1 downto 0 do
     let s = old_of_new.(s_new) in
     let c = ref 0 in
-    let exc_all = ref 0 and exc_kept = ref 0 in
+    let exc_all = ref 0 and exc_kept = ref 0 and lab_kept = ref 0 in
     for k = sg.off.(s) to sg.off.(s + 1) - 1 do
       let kept_k = Bytes.get kept k = '\001' in
-      if kept_k then incr c;
+      if kept_k then begin
+        incr c;
+        match parent_em with
+        | Some em -> lab_kept := !lab_kept lor (1 lsl em.em_tr.(sg.arc_tr.(k)))
+        | None -> ()
+      end;
       if track then
         match Stg.label sg.stg sg.arc_tr.(k) with
         | Stg.Edge (sid, _) ->
@@ -717,6 +688,7 @@ let filter_arcs_delta sg ~keep =
         | Stg.Dummy _ -> ()
     done;
     noff.(s_new + 1) <- !c;
+    if Option.is_some parent_em then em_state.(s_new) <- !lab_kept;
     if !c < sg.off.(s + 1) - sg.off.(s) then begin
       changed := s_new :: !changed;
       incr n_changed;
@@ -764,77 +736,6 @@ let filter_arcs_delta sg ~keep =
       (gc, ge)
     end
   in
-  (* Incremental CSC-conflict count: when the source graph's count and
-     packed enabled masks are already cached (true for every frontier
-     configuration — the search priced it), the candidate's count is the
-     source count plus per-code-group corrections for the pruned states
-     (leave their group) and the changed rows (controlled mask may
-     change).  Affected groups are copied on first touch from the shared
-     {!csc_groups} census, so concurrent candidate builds over one parent
-     only read the caches.  [None] falls back to the from-scratch count on
-     first use. *)
-  let csc_count =
-    if not track then None
-    else
-      match (sg.cache.c_csc_count, sg.cache.c_enmask) with
-      | Some base, Some (Some em) ->
-          if pruned = 0 && !n_changed = 0 then Some base
-          else begin
-            let groups = csc_groups sg em in
-            (* code -> (pair count before the updates, mutable copy) *)
-            let touched = Hashtbl.create 8 in
-            let touch code =
-              match Hashtbl.find_opt touched code with
-              | Some (_, t) -> t
-              | None ->
-                  let t =
-                    match Hashtbl.find_opt groups code with
-                    | Some t -> Hashtbl.copy t
-                    | None -> Hashtbl.create 4
-                  in
-                  Hashtbl.add touched code (group_pairs t, t);
-                  t
-            in
-            let remove code mask =
-              let t = touch code in
-              match Hashtbl.find_opt t mask with
-              | Some 1 -> Hashtbl.remove t mask
-              | Some c -> Hashtbl.replace t mask (c - 1)
-              | None -> ()
-            in
-            let add code mask =
-              let t = touch code in
-              Hashtbl.replace t mask
-                (1 + Option.value ~default:0 (Hashtbl.find_opt t mask))
-            in
-            if pruned > 0 then
-              for s = 0 to n_old - 1 do
-                if remap.(s) = -1 then
-                  remove sg.codes.(s) (em.em_state.(s) land em.em_ctl)
-              done;
-            List.iter
-              (fun s_new ->
-                let s = old_of_new.(s_new) in
-                let old_mask = em.em_state.(s) land em.em_ctl in
-                let nm = ref 0 in
-                for k = sg.off.(s) to sg.off.(s + 1) - 1 do
-                  if Bytes.get kept k = '\001' then
-                    nm := !nm lor (1 lsl em.em_tr.(sg.arc_tr.(k)))
-                done;
-                let new_mask = !nm land em.em_ctl in
-                if new_mask <> old_mask then begin
-                  remove sg.codes.(s) old_mask;
-                  add sg.codes.(s) new_mask
-                end)
-              !changed;
-            let d = ref 0 in
-            Hashtbl.iter
-              (fun _ (old_pairs, t) -> d := !d + group_pairs t - old_pairs)
-              touched;
-            Some (base + !d)
-          end
-      | (Some _ | None), _ -> None
-  in
   for i = 1 to n do
     noff.(i) <- noff.(i) + noff.(i - 1)
   done;
@@ -857,10 +758,8 @@ let filter_arcs_delta sg ~keep =
     Array.blit sg.codes (old_of_new.(s_new) * wps) ncodes (s_new * wps) wps
   done;
   let cache = fresh_cache () in
-  (match csc_count with
-  | Some c ->
-      Obs.Counter.incr c_csc_preset;
-      cache.c_csc_count <- Some c
+  (match parent_em with
+  | Some em -> cache.c_enmask <- Some (Some { em with em_state })
   | None -> ());
   ( {
       sg with
@@ -1177,85 +1076,136 @@ let controlled_mask sg s =
     0
     (enabled_arrays sg).(s)
 
+(* Per-domain scratch for the direct CSC count: [cs_head.(code)] is the
+   first state of that code's bucket or [-1] (all [-1] between calls),
+   [cs_next.(s)] the next state of [s]'s bucket.  Grown on demand, like
+   [Logic.extract]'s tables; one call touches only the codes it meets. *)
+type csc_scratch = { mutable cs_head : int array; mutable cs_next : int array }
+
+let csc_scratch_key =
+  Pool.Dls.new_key (fun () -> { cs_head = [||]; cs_next = [||] })
+
+(* Codes in at most 16 bits: bucket the states by packed code in the
+   direct-address [cs_head] table and count, inside each bucket, the pairs
+   whose controlled enabled masks differ.  A bucket is counted when its
+   first state is met, and its head is reset there, which also restores
+   the table for the next call. *)
+let direct_csc_count sg em =
+  let sc = Pool.Dls.get csc_scratch_key in
+  if Array.length sc.cs_head < 1 lsl sg.nsig then
+    sc.cs_head <- Array.make (1 lsl sg.nsig) (-1);
+  if Array.length sc.cs_next < sg.n then sc.cs_next <- Array.make sg.n 0;
+  let head = sc.cs_head and next = sc.cs_next in
+  for s = sg.n - 1 downto 0 do
+    let c = sg.codes.(s) in
+    next.(s) <- head.(c);
+    head.(c) <- s
+  done;
+  let count = ref 0 in
+  for s = 0 to sg.n - 1 do
+    let c = sg.codes.(s) in
+    if head.(c) >= 0 then begin
+      head.(c) <- -1;
+      let a = ref s in
+      while !a >= 0 do
+        let ma = em.em_state.(!a) land em.em_ctl in
+        let b = ref next.(!a) in
+        while !b >= 0 do
+          if em.em_state.(!b) land em.em_ctl <> ma then incr count;
+          b := next.(!b)
+        done;
+        a := next.(!a)
+      done
+    end
+  done;
+  !count
+
+(* The general count: equal codes are grouped by sorting.  When everything
+   fits (the packed code in [62 - log2 n] bits, controlled sets in 62
+   bits) the sort keys are [code << log2n | s] — built straight from the
+   packed word, no per-state loop — and the conflict test compares
+   bitmasks. *)
+let sorted_csc_count sg em =
+  let nsig = sg.nsig in
+  let log2n =
+    let k = ref 0 in
+    while 1 lsl !k < sg.n do
+      incr k
+    done;
+    !k
+  in
+  let count = ref 0 in
+  if nsig + log2n <= 62 && (em <> None || 3 * nsig <= 62) then begin
+    let keys = Array.init sg.n (fun s -> (sg.codes.(s) lsl log2n) lor s) in
+    Array.sort (fun (a : int) b -> compare a b) keys;
+    let mask =
+      (* Only set equality matters, so any injective packing of the
+         controlled enabled set works: the precomputed label bitmasks
+         when available, the per-signal packing otherwise. *)
+      match em with
+      | Some em -> fun s -> em.em_state.(s) land em.em_ctl
+      | None ->
+          let masks = Array.make sg.n (-1) in
+          fun s ->
+            if masks.(s) >= 0 then masks.(s)
+            else begin
+              let m = controlled_mask sg s in
+              masks.(s) <- m;
+              m
+            end
+    in
+    let lim = (1 lsl log2n) - 1 in
+    let i = ref 0 in
+    while !i < sg.n do
+      let c0 = keys.(!i) lsr log2n in
+      let j = ref (!i + 1) in
+      while !j < sg.n && keys.(!j) lsr log2n = c0 do
+        incr j
+      done;
+      if !j - !i > 1 then
+        for a = !i to !j - 2 do
+          for b = a + 1 to !j - 1 do
+            if mask (keys.(a) land lim) <> mask (keys.(b) land lim) then
+              incr count
+          done
+        done;
+      i := !j
+    done
+  end
+  else begin
+    let idx = Array.init sg.n Fun.id in
+    Array.sort (fun s1 s2 -> compare_codes sg s1 s2) idx;
+    let i = ref 0 in
+    while !i < sg.n do
+      let j = ref (!i + 1) in
+      while !j < sg.n && compare_codes sg idx.(!i) idx.(!j) = 0 do
+        incr j
+      done;
+      if !j - !i > 1 then
+        for a = !i to !j - 2 do
+          for b = a + 1 to !j - 1 do
+            if controlled_labels sg idx.(a) <> controlled_labels sg idx.(b)
+            then incr count
+          done
+        done;
+      i := !j
+    done
+  end;
+  !count
+
 (* Same count as [List.length (csc_conflicts sg)] — this is in the search
-   cost function's inner loop.  Equal codes are grouped by sorting, not
-   hashing; when everything fits (the packed code in [62 - log2 n] bits,
-   controlled sets in 62 bits) the sort keys are [code << log2n | s] —
-   built straight from the packed word, no per-state loop — and the
-   conflict test compares bitmasks. *)
+   cost function's inner loop, once per candidate. *)
 let csc_conflict_count sg =
   match sg.cache.c_csc_count with
   | Some c -> c
   | None ->
-      Obs.Counter.incr c_csc_scratch;
-      let nsig = sg.nsig in
-      let log2n =
-        let k = ref 0 in
-        while 1 lsl !k < sg.n do
-          incr k
-        done;
-        !k
+      let c =
+        match enmask sg with
+        | Some em when sg.nsig <= 16 -> direct_csc_count sg em
+        | em -> sorted_csc_count sg em
       in
-      let count = ref 0 in
-      let em = enmask sg in
-      if nsig + log2n <= 62 && (em <> None || 3 * nsig <= 62) then begin
-        let keys = Array.init sg.n (fun s -> (sg.codes.(s) lsl log2n) lor s) in
-        Array.sort (fun (a : int) b -> compare a b) keys;
-        let mask =
-          (* Only set equality matters, so any injective packing of the
-             controlled enabled set works: the precomputed label bitmasks
-             when available, the per-signal packing otherwise. *)
-          match em with
-          | Some em -> fun s -> em.em_state.(s) land em.em_ctl
-          | None ->
-              let masks = Array.make sg.n (-1) in
-              fun s ->
-                if masks.(s) >= 0 then masks.(s)
-                else begin
-                  let m = controlled_mask sg s in
-                  masks.(s) <- m;
-                  m
-                end
-        in
-        let lim = (1 lsl log2n) - 1 in
-        let i = ref 0 in
-        while !i < sg.n do
-          let c0 = keys.(!i) lsr log2n in
-          let j = ref (!i + 1) in
-          while !j < sg.n && keys.(!j) lsr log2n = c0 do
-            incr j
-          done;
-          if !j - !i > 1 then
-            for a = !i to !j - 2 do
-              for b = a + 1 to !j - 1 do
-                if mask (keys.(a) land lim) <> mask (keys.(b) land lim) then
-                  incr count
-              done
-            done;
-          i := !j
-        done
-      end
-      else begin
-        let idx = Array.init sg.n Fun.id in
-        Array.sort (fun s1 s2 -> compare_codes sg s1 s2) idx;
-        let i = ref 0 in
-        while !i < sg.n do
-          let j = ref (!i + 1) in
-          while !j < sg.n && compare_codes sg idx.(!i) idx.(!j) = 0 do
-            incr j
-          done;
-          if !j - !i > 1 then
-            for a = !i to !j - 2 do
-              for b = a + 1 to !j - 1 do
-                if controlled_labels sg idx.(a) <> controlled_labels sg idx.(b)
-                then incr count
-              done
-            done;
-          i := !j
-        done
-      end;
-      sg.cache.c_csc_count <- Some !count;
-      !count
+      sg.cache.c_csc_count <- Some c;
+      c
 
 let has_csc sg = csc_conflict_count sg = 0
 
@@ -1525,7 +1475,9 @@ let signature sg =
    pure reads of already-filled cache fields.  The per-state
    controlled-label memo is intentionally not forced: the search never
    calls [csc_conflicts]/[controlled_labels] on a shared value, and the
-   int-packed [csc_conflict_count] path does not touch it.
+   int-packed [csc_conflict_count] paths do not touch it.  Forcing
+   [enmask] also lets every candidate built from [sg] by
+   [filter_arcs_delta] inherit its enabled masks.
 
    Forcing [signature] also populates the per-STG [sig_tables] memo, so
    workers computing candidate signatures over the same STG only read it. *)
@@ -1538,12 +1490,7 @@ let force_analyses sg =
   ignore (conc_rel sg);
   ignore (arc_label_instances sg);
   ignore (is_output_persistent sg);
-  ignore (csc_conflict_count sg);
-  (* The census behind candidates' incremental CSC counts: built here so
-     concurrent [filter_arcs_delta] calls over this value only read it. *)
-  match enmask sg with
-  | Some em when sg.wps = 1 -> ignore (csc_groups sg em)
-  | Some _ | None -> ()
+  ignore (csc_conflict_count sg)
 
 (* ------------------------------------------------------------------ *)
 (* Output *)

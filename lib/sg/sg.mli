@@ -245,7 +245,10 @@ val is_speed_independent : t -> bool
 val csc_conflicts : t -> (state * state) list
 
 (** [List.length (csc_conflicts sg)], memoized — the count the search cost
-    function needs at every evaluation. *)
+    function needs at every evaluation.  With codes of at most 16 signals
+    and at most 62 distinct labels it buckets the states by code in a
+    per-domain direct-address table; otherwise it sorts them by code.
+    Either way it counts from [sg] alone. *)
 val csc_conflict_count : t -> int
 
 (** Pairs of distinct states with equal codes (USC conflicts). *)
@@ -290,12 +293,14 @@ val deadlocks : t -> state list
 val signature : t -> string
 
 (** Force every memoized analysis the reduction search consults on a
-    shared value (enabled labels, reverse index, excitation regions, the
-    concurrency relation, arc-label instances, output persistency,
-    signature, CSC-conflict count), making subsequent queries from
-    concurrent readers pure cache reads.  Call this on an SG before
-    sharing it read-only across pool workers; see DESIGN.md, "Parallel
-    candidate evaluation". *)
+    shared value (enabled labels and their bitmasks, reverse index,
+    excitation regions, the concurrency relation, arc-label instances,
+    output persistency, signature, CSC-conflict count), making subsequent
+    queries from concurrent readers pure cache reads.  Call this on an SG
+    before sharing it read-only across pool workers; see DESIGN.md,
+    "Parallel candidate evaluation".  Graphs that {!filter_arcs_delta}
+    then builds from it inherit its enabled-label bitmasks instead of
+    numbering their labels afresh. *)
 val force_analyses : t -> unit
 
 val pp : Format.formatter -> t -> unit

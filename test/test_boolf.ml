@@ -223,6 +223,33 @@ let test_memo_shared_prefix () =
     (counter "boolf.memo.hits" - hits);
   check_int "no miss" misses (counter "boolf.memo.misses")
 
+(* [Memo] keys on the sorted, deduplicated lists: a lookup with the same
+   sets out of order, or with a repeated minterm, hits the entry the
+   ascending lists made, and an unsorted first lookup makes the entry the
+   ascending lists then hit. *)
+let test_memo_unsorted_hits () =
+  let n = 6 in
+  let on = [ 1; 5; 12; 33 ] and off = [ 0; 2; 40; 63 ] in
+  let scrambled =
+    [ ([ 33; 5; 1; 12 ], [ 63; 0; 40; 2 ]); ([ 1; 5; 5; 12; 33 ], off) ]
+  in
+  let counter name = List.assoc name (Obs.counters ()) in
+  let direct = Boolf.minimize ~n ~on ~off in
+  List.iter
+    (fun (first, then_) ->
+      Boolf.Memo.clear ();
+      let hits = counter "boolf.memo.hits"
+      and misses = counter "boolf.memo.misses" in
+      Test_obs.with_enabled true (fun () ->
+          List.iter
+            (fun (on, off) ->
+              check "cover" true (Boolf.Memo.minimize ~n ~on ~off = direct))
+            (first :: then_));
+      check_int "one miss" 1 (counter "boolf.memo.misses" - misses);
+      check_int "the rest hit" (List.length then_)
+        (counter "boolf.memo.hits" - hits))
+    [ ((on, off), scrambled); (List.hd scrambled, [ (on, off) ]) ]
+
 let suite =
   [
     Alcotest.test_case "cube strings" `Quick test_cube_strings;
@@ -244,4 +271,6 @@ let suite =
     Alcotest.test_case "memo keys sharing a long prefix" `Quick
       test_memo_shared_prefix;
     QCheck_alcotest.to_alcotest prop_contains_covers;
+    Alcotest.test_case "memo: unsorted lists hit the sorted key" `Quick
+      test_memo_unsorted_hits;
   ]

@@ -59,8 +59,7 @@ let check_logic_paths name stg =
         let scratch = Logic.evaluate ~memo:false sg' in
         let memo = Logic.evaluate ~memo:true sg' in
         let delta =
-          Logic.estimate_delta ~parent ~dropped:a ~delta:built.Reduction.delta
-            sg'
+          Logic.estimate_delta ~parent ~delta:built.Reduction.delta sg'
         in
         let step =
           Printf.sprintf "%s FwdRed(%s,%s)" name (Stg.label_name stg a)
@@ -186,20 +185,23 @@ let test_support_random () =
       (Gen.random_stg ~max_signals:6 seed)
   done
 
-(* The candidate CSC-conflict count computed incrementally at filter time
-   (from the parent's cached count and per-code census) must equal the
-   from-scratch count.  Every mode builds candidates the same way, so the
-   search-outcome differentials cannot catch a bias here: compare against
-   a candidate built from a FRESH parent (no cached count to increment),
-   and recurse one level so lineage-accumulated increments are covered. *)
+(* The CSC-conflict count and the enabled masks a candidate inherits from
+   its parent.  A candidate built from a parent whose masks are cached (as
+   every search candidate is: the search forces its frontier's analyses)
+   reads its parent's label-bit numbering; one built from a fresh parent
+   numbers its own labels.  Every mode builds candidates the same way, so
+   the search-outcome differentials cannot catch a bias here: along a warm
+   and a cold lineage of equal graphs, two levels deep, check the count
+   against the pair-list oracle [List.length (Sg.csc_conflicts _)], and
+   each warm graph against its cold twin on every check that reads the
+   masks. *)
 let check_csc_delta name stg =
   let depth_budget = ref 24 in
-  (* Invariant: [warm]'s count is cached before its candidates are built
-     (so they take the incremental path, like search candidates); [cold]'s
-     candidates are built while its count is still unknown (so they can
-     only compute from scratch). *)
+  (* Invariant: [warm]'s analyses are forced before its candidates are
+     built (so they inherit its masks, like search candidates); [cold]'s
+     candidates are built while nothing of it is cached. *)
   let rec go depth label (warm : Sg.t) (cold : Sg.t) =
-    ignore (Sg.csc_conflict_count warm);
+    Sg.force_analyses warm;
     let recs =
       if depth = 0 then []
       else
@@ -221,10 +223,21 @@ let check_csc_delta name stg =
               | _ -> None)
           (Sg.concurrent_pairs warm)
     in
+    let same what f =
+      Alcotest.(check bool) (label ^ ": warm = cold " ^ what) true
+        (f warm = f cold)
+    in
+    same "deterministic" Sg.is_deterministic;
+    same "commutative" Sg.is_commutative;
+    same "first persistency violation" Sg.first_persistency_violation;
     Alcotest.(check int)
-      (label ^ ": incremental csc = scratch csc")
+      (label ^ ": warm csc = cold csc")
       (Sg.csc_conflict_count cold)
       (Sg.csc_conflict_count warm);
+    Alcotest.(check int)
+      (label ^ ": csc count = pair list")
+      (List.length (Sg.csc_conflicts cold))
+      (Sg.csc_conflict_count cold);
     List.iter (fun (lbl, w, c) -> go (depth - 1) lbl w c) recs
   in
   go 2 name (Gen.sg_exn stg) (Gen.sg_exn stg)
@@ -238,6 +251,45 @@ let test_csc_delta_random () =
       (Printf.sprintf "seed %d" seed)
       (Gen.random_stg ~max_signals:6 seed)
   done
+
+(* The ring a+ a- b+ b- of two outputs, whose code 00 enables a+ in one
+   state and b+ in another, beside an independent ring of [k] outputs (as
+   [two_rings] in test_sg.ml): 2 + k signals, 4 + 2k labels and one
+   conflicting pair per state of the wide ring, 2k in all. *)
+let conflict_beside_ring k =
+  let edges d = List.init k (fun i -> Printf.sprintf "x%d%s" i d) in
+  let seq = edges "+" @ edges "-" in
+  let ring =
+    List.map2 (fun a b -> a ^ " " ^ b) seq (List.tl seq @ [ List.hd seq ])
+  in
+  let names = String.concat " " (List.init k (Printf.sprintf "x%d")) in
+  let marking = Printf.sprintf ".marking { <b-,a+> <x%d-,x0+> }" (k - 1) in
+  Stg.Io.parse
+    (String.concat "\n"
+       ([ ".outputs a b " ^ names; ".graph" ]
+       @ [ "a+ a-"; "a- b+"; "b+ b-"; "b- a+" ]
+       @ ring
+       @ [ marking; ".end"; "" ]))
+
+(* The count's fallbacks off the direct path, each with conflicts to
+   count: codes wider than 16 bits (the sort path, with label masks) and
+   more labels than a mask word holds (no masks at all). *)
+let test_csc_fallbacks () =
+  List.iter
+    (fun (k, what, on_path) ->
+      let stg = conflict_beside_ring k in
+      let sg = Gen.sg_exn stg in
+      let name = Printf.sprintf "%d-signal ring beside a conflict" k in
+      Alcotest.(check bool) (name ^ ": " ^ what) true (on_path sg);
+      Alcotest.(check int) (name ^ ": csc count") (2 * k)
+        (Sg.csc_conflict_count sg);
+      check_csc_delta name stg)
+    [
+      (16, "more than 16 signals", fun sg -> Stg.n_signals (Sg.stg sg) > 16);
+      ( 30,
+        "more than 62 labels",
+        fun sg -> List.length (Sg.arc_label_instances sg) > 62 );
+    ]
 
 (* Regression for the tentpole: on the MMU search the delta path must
    actually reuse — at least half of the per-signal slots inherited rather
@@ -332,4 +384,6 @@ let suite =
       test_search_named;
     Alcotest.test_case "search modes agree: 100 random specs" `Slow
       test_search_random;
+    Alcotest.test_case "csc count fallbacks: >16 signals, >62 labels" `Quick
+      test_csc_fallbacks;
   ]

@@ -67,20 +67,28 @@ let test_reduce_text_jobs () =
     ]
 
 (* A pool wider than the runtime's limit on live domains (128 on OCaml 5)
-   runs with the workers it could spawn, and prints the same bytes. *)
-let test_reduce_text_wide_pool () =
+   runs with the workers it could spawn, and the portfolio over it ends
+   as the pool-less one does.  [Core.Cli.reduce_text] caps its pool at the
+   usable CPUs, so the test opens the pool itself. *)
+let test_wide_pool () =
   let stg = Expansion.four_phase Specs.lr in
-  let text jobs =
-    match
-      Core.Cli.reduce_text
-        { Core.Cli.default_reduce with portfolio = [ 0.3; 0.8 ]; jobs }
-        stg
-    with
-    | Ok s -> s
-    | Error msg -> Alcotest.fail msg
+  let sg = Gen.sg_exn stg in
+  let arms =
+    [ { Search.arm_w = 0.3; arm_area = `Tree };
+      { Search.arm_w = 0.8; arm_area = `Tree } ]
   in
-  Alcotest.(check string) "LR --portfolio 0.3,0.8: jobs 200 = jobs 1"
-    (text 1) (text 200)
+  let repr (po : Search.portfolio_outcome) =
+    Printf.sprintf "winner %d, %d hits, %d misses\n%s" po.Search.winner
+      po.Search.stats.Search.table_hits po.Search.stats.Search.table_misses
+      (String.concat "\n"
+         (Array.to_list
+            (Array.map
+               (fun ao -> outcome_repr stg ao.Search.outcome)
+               po.Search.arms)))
+  in
+  let run pool = repr (Search.portfolio ?pool ~size_frontier:4 ~arms sg) in
+  Alcotest.(check string) "LR portfolio 0.3,0.8: jobs 200 = jobs 1" (run None)
+    (Pool.with_pool ~jobs:200 (fun p -> run (Some p)))
 
 (* ---- Smemo: first-writer-wins shared table ------------------------- *)
 
@@ -257,5 +265,5 @@ let suite =
     Alcotest.test_case "cross-signal netlist sharing" `Quick
       test_cross_signal_sharing;
     Alcotest.test_case "pool past the domain limit: jobs 200 = jobs 1"
-      `Quick test_reduce_text_wide_pool;
+      `Quick test_wide_pool;
   ]
