@@ -494,15 +494,17 @@ let serve_cmd =
     Arg.(
       value & opt int 256
       & info [ "mem-entries" ] ~docv:"N"
-          ~doc:"In-memory LRU capacity, in cached responses.")
+          ~doc:
+            "In-memory LRU capacity, in cached responses; also the \
+             capacity of the memo of canonical spec texts.")
   in
   let queue_bound =
     Arg.(
       value & opt int 64
       & info [ "queue-bound" ] ~docv:"N"
           ~doc:
-            "Load shedding: requests arriving while $(docv) are already \
-             queued get an immediate typed $(b,busy) response.")
+            "Load shedding: requests that must queue while $(docv) are \
+             already queued get an immediate typed $(b,busy) response.")
   in
   let max_inflight =
     Arg.(

@@ -3,13 +3,15 @@
    design rationale.
 
    Thread/domain layout: one accept thread, one reader thread per
-   connection, one dispatcher thread, an optional deadline watchdog —
-   all ordinary Threads on the main domain — plus the pool's worker
-   domains executing compute jobs through a long-lived Pool.Stream
-   session.  All scheduler state is guarded by one mutex [t.mu];
-   per-connection writes are serialized by a per-connection mutex so
-   response lines never interleave.  Lock order: [t.mu] may be held
-   while taking a connection's write mutex, never the reverse. *)
+   connection (which also answers its client's cache hits and errors
+   while that client has nothing else pending), one dispatcher thread,
+   an optional deadline watchdog — all ordinary Threads on the main
+   domain — plus the pool's worker domains executing compute jobs
+   through a long-lived Pool.Stream session.  All scheduler state is
+   guarded by one mutex [t.mu]; per-connection writes are serialized by
+   a per-connection mutex so response lines never interleave.  Lock
+   order: [t.mu] may be held while taking a connection's write mutex,
+   never the reverse. *)
 
 (* ------------------------------------------------------------------ *)
 
@@ -428,17 +430,22 @@ module Server = struct
   let c_err_oversized = Obs.Counter.make "serve.error.oversized"
   let c_err_request = Obs.Counter.make "serve.error.request"
   let c_disconnect = Obs.Counter.make "serve.disconnect"
+  let c_spec_memo_hit = Obs.Counter.make "serve.spec_memo.hit"
   let g_queue = Obs.Gauge.make "serve.queue_depth"
   let g_inflight = Obs.Gauge.make "serve.inflight"
   let lat = Obs.Latency.make "serve.request_ms"
 
-  type job = {
-    j_id : Json.t;
-    j_key : string;
-    j_op : Ops.op;
-    j_stg : Stg.t;
-    j_enq : float;
-  }
+  (* A queued request: a compute, or a response line that only has to
+     wait its turn (an error found by the reader). *)
+  type job =
+    | Compute of {
+        j_id : Json.t;
+        j_key : string;
+        j_op : Ops.op;
+        j_stg : Stg.t Lazy.t;  (* forced only on a cache miss *)
+        j_enq : float;
+      }
+    | Reply of string
 
   type conn = {
     c_fd : Unix.file_descr;
@@ -446,7 +453,8 @@ module Server = struct
     mutable c_open : bool;  (* writes still allowed; guarded by [c_wmu] *)
     mutable c_alive : bool;  (* reader still attached; guarded by [t.mu] *)
     c_queue : job Queue.t;  (* guarded by [t.mu] *)
-    mutable c_busy : bool;  (* one request in flight; guarded by [t.mu] *)
+    mutable c_busy : bool;
+        (* a popped request is not answered yet; guarded by [t.mu] *)
   }
 
   type pending = {
@@ -459,7 +467,7 @@ module Server = struct
   type flight = {
     f_key : string;
     f_op : Ops.op;
-    f_stg : Stg.t;
+    f_stg : Stg.t Lazy.t;
     f_primary : pending;
     mutable f_waiters : pending list;  (* reverse arrival order *)
   }
@@ -477,6 +485,7 @@ module Server = struct
     cond : Condition.t;
     cfg : config;
     cache : Cache.t;
+    memo : Cache.t;  (* spec bytes -> canonical spec text, memory only *)
     pool : Pool.t;
     session : Pool.Stream.session option;  (* None: compute inline *)
     lsock : Unix.file_descr;
@@ -588,7 +597,6 @@ module Server = struct
        after the snapshot, then answer everyone, then free the conns *)
     Mutex.lock t.mu;
     Hashtbl.remove t.inflight fl.f_key;
-    let all = fl.f_primary :: List.rev fl.f_waiters in
     let to_send =
       List.filter
         (fun p ->
@@ -597,7 +605,7 @@ module Server = struct
             p.p_done <- true;
             true
           end)
-        all
+        (fl.f_primary :: List.rev fl.f_waiters)
     in
     Mutex.unlock t.mu;
     let now = Unix.gettimeofday () in
@@ -618,21 +626,28 @@ module Server = struct
     Mutex.lock t.mu;
     t.inflight_n <- t.inflight_n - 1;
     Obs.Gauge.set g_inflight t.inflight_n;
-    List.iter (fun p -> p.p_conn.c_busy <- false) all;
+    (* only the conns answered here: the watchdog released a timed-out
+       pending's conn itself, and that client may have moved on *)
+    List.iter (fun p -> p.p_conn.c_busy <- false) to_send;
     Condition.broadcast t.cond;
     Mutex.unlock t.mu
+
+  (* Count a cache hit; its tier as the response names it. *)
+  let hit_tier = function
+    | `Mem ->
+        Obs.Counter.incr c_hit_mem;
+        "mem"
+    | `Disk ->
+        Obs.Counter.incr c_hit_disk;
+        "disk"
 
   let run_flight t fl =
     let outcome =
       match Cache.find t.cache fl.f_key with
-      | Some (payload, tier) ->
-          (match tier with
-          | `Mem -> Obs.Counter.incr c_hit_mem
-          | `Disk -> Obs.Counter.incr c_hit_disk);
-          `Hit (payload, (match tier with `Mem -> "mem" | `Disk -> "disk"))
+      | Some (payload, tier) -> `Hit (payload, hit_tier tier)
       | None -> (
           Obs.Counter.incr c_miss;
-          match Ops.run fl.f_op fl.f_stg with
+          match Ops.run fl.f_op (Lazy.force fl.f_stg) with
           | Ok text ->
               let payload =
                 Json.to_string (Json.Obj [ ("output", Json.Str text) ])
@@ -650,8 +665,16 @@ module Server = struct
     | `Err (kind, msg) -> respond_flight t fl (Error (kind, msg))
 
   (* ---- dispatcher: round-robin over per-connection FIFO queues,
-     at most one request of a given client in flight (which is what
-     makes per-client responses arrive in request order) ---- *)
+     at most one request of a given client popped and unanswered (which
+     is what makes per-client responses arrive in request order) ---- *)
+
+  (* Send a popped job's only response line, then free its conn; called
+     and returns with [t.mu] held. *)
+  let answer_popped t c line =
+    Mutex.unlock t.mu;
+    conn_send c line;
+    Mutex.lock t.mu;
+    c.c_busy <- false
 
   let dispatcher t =
     Mutex.lock t.mu;
@@ -669,6 +692,9 @@ module Server = struct
               if (not c.c_busy) && not (Queue.is_empty c.c_queue) then begin
                 t.rr <- (t.rr + i + 1) mod n;
                 let j = Queue.pop c.c_queue in
+                (* busy from the pop on: whichever branch below answers
+                   the job frees the conn once its line is written *)
+                c.c_busy <- true;
                 t.queued <- t.queued - 1;
                 Obs.Gauge.set g_queue t.queued;
                 action := Some (c, j);
@@ -681,26 +707,26 @@ module Server = struct
         | None ->
             Condition.wait t.cond t.mu;
             loop ()
-        | Some (c, j) ->
+        | Some (c, Reply line) ->
+            answer_popped t c line;
+            loop ()
+        | Some (c, Compute j) ->
             let now = Unix.gettimeofday () in
             if
               t.cfg.timeout_ms > 0
               && (now -. j.j_enq) *. 1e3 > float_of_int t.cfg.timeout_ms
             then begin
-              Mutex.unlock t.mu;
               Obs.Counter.incr c_timeout;
-              conn_send c
+              answer_popped t c
                 (err_line ~id:j.j_id "timeout"
                    (Printf.sprintf "deadline exceeded in queue (%d ms)"
                       t.cfg.timeout_ms));
-              Mutex.lock t.mu;
               loop ()
             end
             else begin
               let p =
                 { p_conn = c; p_id = j.j_id; p_enq = j.j_enq; p_done = false }
               in
-              c.c_busy <- true;
               match Hashtbl.find_opt t.inflight j.j_key with
               | Some fl ->
                   (* single-flight: coalesce onto the running compute *)
@@ -757,23 +783,86 @@ module Server = struct
                 (* the compute keeps running and still lands in the
                    cache; only this response is replaced *)
                 p.p_done <- true;
-                p.p_conn.c_busy <- false;
                 victims := p :: !victims
               end)
             (fl.f_primary :: fl.f_waiters))
         t.inflight;
-      if !victims <> [] then Condition.broadcast t.cond;
       Mutex.unlock t.mu;
-      List.iter
-        (fun p ->
-          Obs.Counter.incr c_timeout;
-          conn_send p.p_conn
-            (err_line ~id:p.p_id "timeout"
-               (Printf.sprintf "deadline exceeded (%d ms)" t.cfg.timeout_ms)))
-        !victims
+      if !victims <> [] then begin
+        List.iter
+          (fun p ->
+            Obs.Counter.incr c_timeout;
+            conn_send p.p_conn
+              (err_line ~id:p.p_id "timeout"
+                 (Printf.sprintf "deadline exceeded (%d ms)" t.cfg.timeout_ms)))
+          !victims;
+        (* free the conns only now, so the client's next response cannot
+           overtake its timeout line *)
+        Mutex.lock t.mu;
+        List.iter (fun p -> p.p_conn.c_busy <- false) !victims;
+        Condition.broadcast t.cond;
+        Mutex.unlock t.mu
+      end
     done
 
   (* ---- per-connection reader ---- *)
+
+  (* The canonical text of [spec], memoized by its exact bytes.  On a
+     memo hit the STG is parsed only if the request misses the result
+     cache, by the worker that computes it. *)
+  let memo_canonical_spec t spec =
+    match Cache.find t.memo spec with
+    | Some (canon, _) ->
+        Obs.Counter.incr c_spec_memo_hit;
+        Ok (lazy (Stg.Io.parse spec), canon)
+    | None ->
+        Result.map
+          (fun (stg, canon) ->
+            Cache.store t.memo spec canon;
+            (Lazy.from_val stg, canon))
+          (Ops.canonical_spec spec)
+
+  (* Queue [job] behind the client's earlier requests, or shed it. *)
+  let enqueue t c ~id job =
+    Mutex.lock t.mu;
+    if t.stopping then begin
+      Mutex.unlock t.mu;
+      conn_send c (err_line ~id "busy" "server stopping")
+    end
+    else if t.queued >= t.cfg.queue_bound then begin
+      Mutex.unlock t.mu;
+      Obs.Counter.incr c_shed;
+      conn_send c
+        (err_line ~id "busy"
+           (Printf.sprintf "queue full (%d queued)" t.cfg.queue_bound))
+    end
+    else begin
+      Queue.push job c.c_queue;
+      t.queued <- t.queued + 1;
+      Obs.Gauge.set g_queue t.queued;
+      Condition.broadcast t.cond;
+      Mutex.unlock t.mu
+    end
+
+  (* Answer [job] here if [c] has nothing queued, popped or in flight, and
+     it is a reply or a cache hit; queue it otherwise.  Only this reader
+     queues for [c], so an idle [c] stays idle until the answer is sent,
+     and the answer cannot overtake one of the client's requests. *)
+  let answer t c ~id job =
+    Mutex.lock t.mu;
+    let idle = (not c.c_busy) && Queue.is_empty c.c_queue in
+    Mutex.unlock t.mu;
+    match job with
+    | Reply line when idle -> conn_send c line
+    | Compute j when idle -> (
+        match Cache.find t.cache j.j_key with
+        | Some (payload, tier) ->
+            let tier = hit_tier tier in
+            let now = Unix.gettimeofday () in
+            conn_send c (ok_line ~id ~cached:true ~tier payload);
+            Obs.Latency.record lat ((now -. j.j_enq) *. 1e3)
+        | None -> enqueue t c ~id job)
+    | Reply _ | Compute _ -> enqueue t c ~id job
 
   let handle_line t c line =
     let line =
@@ -785,13 +874,14 @@ module Server = struct
       match Json.parse line with
       | exception Json.Parse_error msg ->
           Obs.Counter.incr c_err_parse;
-          conn_send c (err_line ~id:Json.Null "parse" msg)
+          let id = Json.Null in
+          answer t c ~id (Reply (err_line ~id "parse" msg))
       | j -> (
           let id = Option.value (Json.member "id" j) ~default:Json.Null in
           match Ops.request_of_json j with
           | Error msg ->
               Obs.Counter.incr c_err_request;
-              conn_send c (err_line ~id "op" msg)
+              answer t c ~id (Reply (err_line ~id "op" msg))
           | Ok Ops.Metrics ->
               (* served inline: a live probe must not sit behind queued
                  compute (a documented deviation from per-client FIFO) *)
@@ -799,39 +889,18 @@ module Server = struct
                 (ok_line ~id ~cached:false ~tier:"metrics" (metrics_payload t))
           | Ok (Ops.Exec (op, spec)) -> (
               Obs.Counter.incr c_req;
-              match Ops.canonical_spec spec with
-              | Error msg -> conn_send c (err_line ~id "spec" msg)
+              match memo_canonical_spec t spec with
+              | Error msg -> answer t c ~id (Reply (err_line ~id "spec" msg))
               | Ok (stg, canon) ->
-                  let key = Ops.key ~spec:canon op in
-                  let job =
-                    {
-                      j_id = id;
-                      j_key = key;
-                      j_op = op;
-                      j_stg = stg;
-                      j_enq = Unix.gettimeofday ();
-                    }
-                  in
-                  Mutex.lock t.mu;
-                  if t.stopping then begin
-                    Mutex.unlock t.mu;
-                    conn_send c (err_line ~id "busy" "server stopping")
-                  end
-                  else if t.queued >= t.cfg.queue_bound then begin
-                    Mutex.unlock t.mu;
-                    Obs.Counter.incr c_shed;
-                    conn_send c
-                      (err_line ~id "busy"
-                         (Printf.sprintf "queue full (%d queued)"
-                            t.cfg.queue_bound))
-                  end
-                  else begin
-                    Queue.push job c.c_queue;
-                    t.queued <- t.queued + 1;
-                    Obs.Gauge.set g_queue t.queued;
-                    Condition.broadcast t.cond;
-                    Mutex.unlock t.mu
-                  end))
+                  answer t c ~id
+                    (Compute
+                       {
+                         j_id = id;
+                         j_key = Ops.key ~spec:canon op;
+                         j_op = op;
+                         j_stg = stg;
+                         j_enq = Unix.gettimeofday ();
+                       })))
 
   let reader t c =
     let chunk = Bytes.create 4096 in
@@ -964,6 +1033,7 @@ module Server = struct
       if Pool.jobs pool > 1 then Some (Pool.Stream.start pool) else None
     in
     let cache = Cache.create ~mem_entries ?dir:cache_dir () in
+    let memo = Cache.create ~mem_entries () in
     let t =
       {
         mu = Mutex.create ();
@@ -971,6 +1041,7 @@ module Server = struct
         cfg =
           { workers; queue_bound; max_inflight; timeout_ms; max_request_bytes };
         cache;
+        memo;
         pool;
         session;
         lsock;

@@ -13,9 +13,14 @@
     most one request of a given client in flight (so responses arrive in
     request order per client), and compute runs on a long-lived
     {!Pool.Stream} session across the pool's domains, bounded by
-    [max_inflight].  Identical in-flight requests are coalesced
-    (single-flight): the key is computed at most once and every waiter
-    receives the same payload bytes.
+    [max_inflight].  A connection with nothing queued or in flight has
+    its cache hits and request errors answered on arrival by its own
+    reader thread; that keeps the order too, since only a connection's
+    reader queues for it.  Only [metrics] and the [busy] and
+    [oversized] errors may overtake a client's earlier requests.
+    Identical in-flight requests are coalesced (single-flight): the key
+    is computed at most once and every waiter receives the same payload
+    bytes.
 
     Results are cached content-addressed in two tiers: an in-memory LRU
     and an optional on-disk tier (one file per key, written
@@ -24,7 +29,9 @@
     cache key is the MD5 of the spec's canonical [Stg.Io.print] fixpoint
     text together with the normalized option record
     ({!Ops.canonical}), so semantically identical requests cannot miss
-    on option spelling or ordering.
+    on option spelling or ordering.  The canonical text is memoized by
+    the request's exact spec bytes, so a repeated spec is not parsed
+    again unless its result must be computed.
 
     Degradation is graceful and typed: a malformed or oversized request
     line yields an error response without tearing down the connection, a
@@ -127,6 +134,8 @@ module Server : sig
       [workers + 1] jobs so [workers] pool domains execute requests
       while the dispatcher thread only schedules (on the sequential
       backend the dispatcher computes inline, one request at a time).
+      [mem_entries] (default 256) bounds both the in-memory result tier
+      and the memo of canonical spec texts.
       [timeout_ms = 0] (default) disables deadlines.  Recording
       ({!Obs.set_enabled}) is switched on: the serve counters, gauges
       and latency reservoirs back the [metrics] response. *)

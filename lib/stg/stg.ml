@@ -194,7 +194,7 @@ module Io = struct
 
   let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
-  type node = Trans of string | Place of string
+  type node = Trans of int | Place of int
 
   let tokenize line =
     line |> String.split_on_char ' '
@@ -283,131 +283,137 @@ module Io = struct
     in
     List.iter handle lines;
     let graph_lines = List.rev !graph_lines in
-    let declared_signals = !inputs @ !outputs @ !internals in
-    let is_trans_name name =
-      match parse_label_name name with
-      | Some (base, _) -> List.mem base declared_signals
-      | None -> List.mem name !dummies
+    let declared =
+      let mk kind name = { Signal.name; kind } in
+      List.map (mk Signal.Input) !inputs
+      @ List.map (mk Signal.Output) !outputs
+      @ List.map (mk Signal.Internal) !internals
     in
-    let node_of name = if is_trans_name name then Trans name else Place name in
-    (* Collect transitions and explicit places in order of appearance. *)
-    let trans_tbl = Hashtbl.create 64 and trans_order = ref [] in
-    let place_tbl = Hashtbl.create 64 and place_order = ref [] in
+    let signal_ids = Hashtbl.create 16 in
+    List.iteri
+      (fun i s ->
+        if not (Hashtbl.mem signal_ids s.Signal.name) then
+          Hashtbl.add signal_ids s.Signal.name i)
+      declared;
+    let is_dummy = Hashtbl.create 8 in
+    List.iter (fun d -> Hashtbl.replace is_dummy d ()) !dummies;
+    (* Each distinct name is classified once, at its first appearance, and
+       numbered in order of appearance among its kind: a transition when
+       it reads as an edge of a declared signal or is a declared dummy, an
+       explicit place otherwise. *)
+    let nodes = Hashtbl.create 64 in
+    let trans_rev = ref [] and n_trans = ref 0 in
+    let places_rev = ref [] and n_places = ref 0 in
     let note name =
-      match node_of name with
-      | Trans n ->
-          if not (Hashtbl.mem trans_tbl n) then begin
-            Hashtbl.replace trans_tbl n ();
-            trans_order := n :: !trans_order
-          end
-      | Place n ->
-          if not (Hashtbl.mem place_tbl n) then begin
-            Hashtbl.replace place_tbl n ();
-            place_order := n :: !place_order
-          end
+      if not (Hashtbl.mem nodes name) then begin
+        let label =
+          match parse_label_name name with
+          | Some (base, d) ->
+              Option.map
+                (fun s -> Edge (s, d))
+                (Hashtbl.find_opt signal_ids base)
+          | None ->
+              if Hashtbl.mem is_dummy name then Some (Dummy name) else None
+        in
+        match label with
+        | Some label ->
+            Hashtbl.add nodes name (Trans !n_trans);
+            trans_rev := (name, label) :: !trans_rev;
+            incr n_trans
+        | None ->
+            Hashtbl.add nodes name (Place !n_places);
+            places_rev := name :: !places_rev;
+            incr n_places
+      end
     in
     List.iter (List.iter note) graph_lines;
-    let b = Petri.Builder.create () in
-    let trans_ids = Hashtbl.create 64 in
-    List.iter
-      (fun n -> Hashtbl.replace trans_ids n (Petri.Builder.add_trans b ~name:n))
-      (List.rev !trans_order);
-    let place_ids = Hashtbl.create 64 in
-    List.iter
-      (fun n ->
-        Hashtbl.replace place_ids n
-          (Petri.Builder.add_place b ~name:n ~tokens:0))
-      (List.rev !place_order);
-    (* Implicit places between transition pairs. *)
-    let implicit = Hashtbl.create 64 in
-    let implicit_place t1 t2 =
-      let key = (t1, t2) in
-      match Hashtbl.find_opt implicit key with
-      | Some p -> p
-      | None ->
-          let name = Printf.sprintf "<%s,%s>" t1 t2 in
-          let p = Petri.Builder.add_place b ~name ~tokens:0 in
-          Hashtbl.replace implicit key p;
-          p
-    in
+    (* Arcs; a transition-to-transition arc goes through the implicit place
+       [<t1,t2>], numbered after every explicit place in order of first
+       use. *)
+    let implicit = Hashtbl.create 64 and implicit_rev = ref [] in
+    let arcs_tp = ref [] and arcs_pt = ref [] in
     let add_arc src dst =
-      match (node_of src, node_of dst) with
+      match (Hashtbl.find nodes src, Hashtbl.find nodes dst) with
       | Trans t1, Trans t2 ->
-          let p = implicit_place t1 t2 in
-          Petri.Builder.arc_tp b (Hashtbl.find trans_ids t1) p;
-          Petri.Builder.arc_pt b p (Hashtbl.find trans_ids t2)
-      | Trans t1, Place p2 ->
-          Petri.Builder.arc_tp b (Hashtbl.find trans_ids t1)
-            (Hashtbl.find place_ids p2)
-      | Place p1, Trans t2 ->
-          Petri.Builder.arc_pt b (Hashtbl.find place_ids p1)
-            (Hashtbl.find trans_ids t2)
-      | Place p1, Place p2 -> fail "place-to-place arc %s -> %s" p1 p2
+          let p =
+            match Hashtbl.find_opt implicit (t1, t2) with
+            | Some p -> p
+            | None ->
+                let p = !n_places in
+                Hashtbl.add implicit (t1, t2) p;
+                implicit_rev := ("<" ^ src ^ "," ^ dst ^ ">") :: !implicit_rev;
+                incr n_places;
+                p
+          in
+          arcs_tp := (t1, p) :: !arcs_tp;
+          arcs_pt := (p, t2) :: !arcs_pt
+      | Trans t, Place p -> arcs_tp := (t, p) :: !arcs_tp
+      | Place p, Trans t -> arcs_pt := (p, t) :: !arcs_pt
+      | Place _, Place _ -> fail "place-to-place arc %s -> %s" src dst
     in
     List.iter
       (function
         | [] -> ()
         | src :: dsts -> List.iter (add_arc src) dsts)
       graph_lines;
-    (* Initial marking: remember tokens to patch; Builder stores tokens at
-       creation, so rebuild via a token map applied before build.  Simplest:
-       build first, then patch the (private) initial array is not allowed —
-       instead collect marking first.  We already created places with 0
-       tokens; patch by rebuilding would be wasteful, so instead we compute
-       token counts and mutate through Builder: not supported.  We therefore
-       post-process below using the fact that [Petri.t.initial] is reachable
-       through the record.  To keep [Petri.t] truly immutable we instead add
-       tokens before build: redo creation order is complex, so we allow one
-       controlled mutation here via Obj?  No — we simply build the net, then
-       construct a second builder copying everything with tokens.  Cheap. *)
-    let net0 = Petri.Builder.build b in
-    let tokens = Array.make (Petri.n_places net0) 0 in
+    let tokens = Array.make !n_places 0 in
     let resolve_marking_token tok =
-      if String.length tok > 1 && tok.[0] = '<' then begin
+      let n = String.length tok in
+      if n > 1 && tok.[0] = '<' then begin
         (* <t1,t2> *)
-        let inner = String.sub tok 1 (String.length tok - 2) in
-        match String.split_on_char ',' inner with
-        | [ t1; t2 ] ->
+        if tok.[n - 1] <> '>' then
+          fail "unclosed implicit place token %s" (String.trim tok);
+        match String.split_on_char ',' (String.sub tok 1 (n - 2)) with
+        | [ t1; t2 ] -> (
             let t1 = String.trim t1 and t2 = String.trim t2 in
-            (match Hashtbl.find_opt implicit (t1, t2) with
+            let place =
+              match (Hashtbl.find_opt nodes t1, Hashtbl.find_opt nodes t2) with
+              | Some (Trans i1), Some (Trans i2) ->
+                  Hashtbl.find_opt implicit (i1, i2)
+              | _ -> None
+            in
+            match place with
             | Some p -> tokens.(p) <- tokens.(p) + 1
             | None -> fail "marking names unknown implicit place <%s,%s>" t1 t2)
         | _ -> fail "bad implicit place token %s" tok
       end
       else begin
-        (* possibly p=k *)
+        (* possibly p=k, k a decimal count *)
         let name, k =
           match String.index_opt tok '=' with
-          | Some i ->
-              ( String.sub tok 0 i,
-                int_of_string
-                  (String.sub tok (i + 1) (String.length tok - i - 1)) )
+          | Some i -> (
+              let count = String.sub tok (i + 1) (n - i - 1) in
+              let digits =
+                count <> ""
+                && String.for_all (fun c -> '0' <= c && c <= '9') count
+              in
+              match if digits then int_of_string_opt count else None with
+              | Some k -> (String.sub tok 0 i, k)
+              | None -> fail "bad token count in marking token %s" tok)
           | None -> (tok, 1)
         in
-        match Hashtbl.find_opt place_ids name with
-        | Some p -> tokens.(p) <- tokens.(p) + k
-        | None -> fail "marking names unknown place %s" name
+        match Hashtbl.find_opt nodes name with
+        | Some (Place p) -> tokens.(p) <- tokens.(p) + k
+        | Some (Trans _) | None -> fail "marking names unknown place %s" name
       end
     in
     (match !marking with
     | None -> fail "missing .marking"
     | Some toks -> List.iter resolve_marking_token toks);
-    let b2 = Petri.Builder.create () in
-    for p = 0 to Petri.n_places net0 - 1 do
-      ignore
-        (Petri.Builder.add_place b2
-           ~name:(Petri.place_name net0 p)
-           ~tokens:tokens.(p))
-    done;
-    for t = 0 to Petri.n_trans net0 - 1 do
-      ignore (Petri.Builder.add_trans b2 ~name:(Petri.trans_name net0 t))
-    done;
-    for t = 0 to Petri.n_trans net0 - 1 do
-      Array.iter (fun p -> Petri.Builder.arc_pt b2 p t) net0.Petri.pre.(t);
-      Array.iter (fun p -> Petri.Builder.arc_tp b2 t p) net0.Petri.post.(t)
-    done;
-    let net = Petri.Builder.build b2 in
-    of_net ~inputs:!inputs ~outputs:!outputs ~internals:!internals net
+    let b = Petri.Builder.create () in
+    List.iteri
+      (fun p name ->
+        ignore (Petri.Builder.add_place b ~name ~tokens:tokens.(p)))
+      (List.rev_append !places_rev (List.rev !implicit_rev));
+    let trans = List.rev !trans_rev in
+    List.iter (fun (name, _) -> ignore (Petri.Builder.add_trans b ~name)) trans;
+    List.iter (fun (t, p) -> Petri.Builder.arc_tp b t p) !arcs_tp;
+    List.iter (fun (p, t) -> Petri.Builder.arc_pt b p t) !arcs_pt;
+    {
+      net = Petri.Builder.build b;
+      signals = Array.of_list declared;
+      labels = Array.of_list (List.map snd trans);
+    }
 
   let parse text =
     Obs.Counter.incr c_parse;

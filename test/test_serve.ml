@@ -464,7 +464,30 @@ let test_fault_malformed () =
   expect_kind "spec" {|{"id":1,"op":"check","spec":"not a .g file"}|};
   (* the connection survived all of it *)
   let spec = read_file (Filename.concat (examples_dir ()) "fig1.g") in
-  ignore (ok_output (send ~id:"after" ~op:"check" c spec))
+  ignore (ok_output (send ~id:"after" ~op:"check" c spec));
+  (* pipelined behind a compute, each error waits its turn *)
+  let slow = read_file (Filename.concat (examples_dir ()) "micropipeline.g") in
+  List.iter (Serve.Client.send_line c)
+    [
+      Serve.Json.to_string (request_obj ~id:"slow" ~op:"reduce" slow);
+      {|{"id":"op","op":"frobnicate"}|};
+      "{nope";
+      {|{"id":"spec","op":"check","spec":"not a .g file"}|};
+    ];
+  let next () =
+    match Serve.Client.recv_line c with
+    | Some l -> Serve.Json.parse l
+    | None -> Alcotest.fail "server closed mid-stream"
+  in
+  let r = next () in
+  Alcotest.(check string) "the compute is answered first" "slow"
+    (get_str (member "id" r));
+  ignore (ok_output r);
+  List.iter
+    (fun kind ->
+      Alcotest.(check string) (kind ^ " error in request order") kind
+        (err_kind (next ())))
+    [ "op"; "parse"; "spec" ]
 
 let test_fault_oversized () =
   with_server ~workers:1 ~max_request_bytes:1024 @@ fun addr ->
@@ -607,6 +630,115 @@ let test_cli_unwritable () =
     ];
   Unix.rmdir dir
 
+(* ---- the spec memo: a repeated spec is not parsed again ---- *)
+
+let test_spec_memo () =
+  with_server ~workers:1 @@ fun addr ->
+  with_client addr @@ fun c ->
+  let spec = read_file (Filename.concat (examples_dir ()) "fig1.g") in
+  let counter name =
+    let r =
+      Serve.Client.request_json c
+        Serve.Json.(Obj [ ("id", Str "m"); ("op", Str "metrics") ])
+    in
+    match member name (member "counters" (member "result" r)) with
+    | Serve.Json.Int n -> n
+    | j -> Alcotest.failf "%s is not a count: %s" name (Serve.Json.to_string j)
+  in
+  let cold = ok_output (send ~id:"cold" ~op:"reduce" c spec) in
+  let parses = counter "stg.parse.calls" in
+  let memo_hits = counter "serve.spec_memo.hit" in
+  for i = 1 to 5 do
+    let r = send ~id:(Printf.sprintf "warm%d" i) ~op:"reduce" c spec in
+    Alcotest.(check string) "repeat tier" "mem" (get_str (member "tier" r));
+    Alcotest.(check string) "repeat bytes" cold (ok_output r)
+  done;
+  Alcotest.(check int) "byte-identical repeats parse nothing" parses
+    (counter "stg.parse.calls");
+  Alcotest.(check int) "every repeat is a memo hit" (memo_hits + 5)
+    (counter "serve.spec_memo.hit");
+  (* other comments and whitespace: parsed once, same cache entry *)
+  let variant =
+    String.split_on_char '\n' spec
+    |> List.map (fun l -> if l = "" then l else "\t" ^ l ^ "   # note")
+    |> String.concat "\n"
+  in
+  let r = send ~id:"variant" ~op:"reduce" c ("# a variant\n" ^ variant) in
+  Alcotest.(check string) "variant tier" "mem" (get_str (member "tier" r));
+  Alcotest.(check string) "variant bytes" cold (ok_output r);
+  Alcotest.(check int) "the variant is parsed once" (parses + 1)
+    (counter "stg.parse.calls")
+
+(* ---- per-client order while computes outlive their deadlines ---- *)
+
+(* Each round times out a slow compute, then pipelines a second one and
+   a cache hit while the first may still run on another worker: nothing
+   may overtake the second compute's answer.  The rounds grow the
+   computes (1 to 4 portfolio arms) so some round straddles the deadline
+   on a fast or a slow machine.  Only the order is checked, as which
+   requests time out depends on the machine. *)
+let test_fifo_under_timeouts () =
+  let slow = read_file (Filename.concat (examples_dir ()) "micropipeline.g") in
+  let fast = read_file (Filename.concat (examples_dir ()) "fig1.g") in
+  let n_clients = 2 and rounds = 4 in
+  let failures = Array.make n_clients None in
+  with_server ~workers:4 ~timeout_ms:30 (fun addr ->
+      let client i () =
+        try
+          with_client addr @@ fun c ->
+          let seq = ref 0 in
+          let send_req ?options op spec =
+            incr seq;
+            Serve.Client.send_line c
+              (Serve.Json.to_string
+                 (request_obj ?options ~id:(Printf.sprintf "c%d-%d" i !seq) ~op
+                    spec))
+          in
+          let expect j =
+            match Serve.Client.recv_line c with
+            | None -> failwith "server closed mid-stream"
+            | Some resp ->
+                let r = Serve.Json.parse resp in
+                let want = Printf.sprintf "c%d-%d" i j in
+                let id = get_str (member "id" r) in
+                if id <> want then
+                  failwith
+                    (Printf.sprintf "FIFO violation: got %s want %s" id want);
+                if not (get_bool (member "ok" r) || err_kind r = "timeout")
+                then failwith ("unexpected response: " ^ resp)
+          in
+          (* distinct weights: every reduce is a fresh compute *)
+          let reduce k r =
+            let base = float_of_int ((((i * rounds) + k) * 2) + r + 1) /. 100. in
+            let weights =
+              List.init (k + 1) (fun a ->
+                  Serve.Json.Float (base +. (0.25 *. float_of_int a)))
+            in
+            send_req
+              ~options:Serve.Json.(Obj [ ("portfolio", List weights) ])
+              "reduce" slow
+          in
+          for k = 0 to rounds - 1 do
+            reduce k 0;
+            expect !seq;
+            reduce k 1;
+            send_req "check" fast;
+            expect (!seq - 1);
+            expect !seq
+          done
+        with e -> failures.(i) <- Some (Printexc.to_string e)
+      in
+      let threads =
+        List.init n_clients (fun i -> Thread.create (client i) ())
+      in
+      List.iter Thread.join threads);
+  Array.iteri
+    (fun i f ->
+      match f with
+      | Some msg -> Alcotest.failf "client %d failed: %s" i msg
+      | None -> ())
+    failures
+
 let suite =
   [
     Alcotest.test_case "differential: serve = CLI on every example" `Quick
@@ -638,4 +770,8 @@ let suite =
       test_metrics;
     Alcotest.test_case "CLI: an unwritable --trace or --report exits 124"
       `Quick test_cli_unwritable;
+    Alcotest.test_case "spec memo: repeats parse nothing, variants still hit"
+      `Quick test_spec_memo;
+    Alcotest.test_case "stress: FIFO per client while computes time out"
+      `Quick test_fifo_under_timeouts;
   ]

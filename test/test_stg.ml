@@ -81,7 +81,28 @@ let test_parse_errors () =
     (parse_fails
        ".inputs a\n.graph\np1 p2\n.marking { p1 }\n.end\n");
   check "marking of unknown place" true
-    (parse_fails ".inputs a\n.graph\na+ a-\na- a+\n.marking { nope }\n.end\n")
+    (parse_fails ".inputs a\n.graph\na+ a-\na- a+\n.marking { nope }\n.end\n");
+  (* bad marking tokens are typed errors naming the token *)
+  let parse_error text =
+    match Stg.Io.parse text with
+    | exception Stg.Io.Parse_error msg -> msg
+    | _ -> "accepted"
+  in
+  let explicit marking =
+    ".inputs a\n.outputs b\n.graph\na+ p1\np1 b+\nb+ a-\na- b-\nb- a+\n"
+    ^ ".marking { " ^ marking ^ " }\n.end\n"
+  in
+  check_str "non-numeric token count"
+    "bad token count in marking token p1=x"
+    (parse_error (explicit "p1=x"));
+  check_str "negative token count"
+    "bad token count in marking token p1=-1"
+    (parse_error (explicit "p1=-1"));
+  check_str "unclosed implicit place"
+    "unclosed implicit place token <b-,a+"
+    (parse_error
+       ".inputs a\n.outputs b\n.graph\na+ b+\nb+ a-\na- b-\nb- a+\n\
+        .marking { <b-,a+ }\n.end\n")
 
 let test_parse_explicit_places () =
   let text =
