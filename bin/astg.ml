@@ -252,7 +252,7 @@ let reduce_cmd =
           ~doc:
             "Run a portfolio search: one search arm per comma-separated \
              weight (all priced with the selected $(b,--area-model)), \
-             sharing a cross-arm signature table.  Prints each arm's \
+             sharing a cross-arm evaluation table.  Prints each arm's \
              anytime improvements, a per-arm summary and the winner.  \
              $(b,--w) is ignored.")
   in

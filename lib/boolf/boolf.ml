@@ -95,11 +95,17 @@ module Cover = struct
     | cover -> String.concat " + " (List.map (Cube.render ~names) cover)
 end
 
-(* Does [cube] cover some OFF minterm?  Two strategies over the same
-   OFF-set: when the cube has few free variables, enumerate its minterms
-   and probe the membership set (2^free probes); otherwise scan the OFF
-   array.  Always the cheaper of the two — the previous code rescanned the
-   whole OFF list for every (minterm, variable) pair. *)
+(* Does [cube] cover a minterm of [off_arr]?  One scan of the array. *)
+let scan_off off_arr cube =
+  let rec go i =
+    i < Array.length off_arr && (Cube.covers cube off_arr.(i) || go (i + 1))
+  in
+  go 0
+
+(* The general OFF test, for more than 16 variables: when the cube has few
+   free variables, enumerate its minterms and probe the hashed OFF set
+   (2^free probes); otherwise scan the OFF array.  Always the cheaper of
+   the two. *)
 let covers_some_off ~n ~off_arr ~off_mem cube =
   let free_mask = ((1 lsl n) - 1) land lnot cube.Cube.care in
   let free_bits = Cube.popcount free_mask in
@@ -111,57 +117,92 @@ let covers_some_off ~n ~off_arr ~off_mem cube =
     in
     loop free_mask
   end
-  else Array.exists (fun o -> Cube.covers cube o) off_arr
+  else scan_off off_arr cube
+
+(* The OFF test for at most 16 variables, over the OFF set held as 32-bit
+   words: minterm [m] is bit [m land 31] of word [m lsr 5], so one word
+   holds the 32 minterms that agree on the variables above the fifth.  A
+   cube's minterms over the low five variables form one 32-bit mask
+   ([low_masks], indexed by the low five bits of care and value), and it
+   selects one word per assignment of its free high variables: 2^free_hi
+   word tests instead of 2^free minterm probes.  When that is more words
+   than OFF has minterms, scanning OFF is cheaper. *)
+let low_masks =
+  Array.init 1024 (fun i ->
+      let care = i lsr 5 and value = i land 31 in
+      let m = ref 0 in
+      for p = 0 to 31 do
+        if p land care = value then m := !m lor (1 lsl p)
+      done;
+      !m)
+
+let covers_off_words ~n ~words ~off_arr cube =
+  let free_hi = (((1 lsl n) - 1) lsr 5) land lnot (cube.Cube.care lsr 5) in
+  if 1 lsl Cube.popcount free_hi > Array.length off_arr then
+    scan_off off_arr cube
+  else begin
+    let lo =
+      low_masks.(((cube.Cube.care land 31) lsl 5) lor (cube.Cube.value land 31))
+    in
+    let base = cube.Cube.value lsr 5 in
+    (* enumerate sub-masks of free_hi, including 0 *)
+    let rec loop sub =
+      words.(base lor sub) land lo <> 0
+      || (sub <> 0 && loop ((sub - 1) land free_hi))
+    in
+    loop free_hi
+  end
+
+(* Per-domain OFF words (see [covers_off_words]), grown on demand and all
+   zeros between calls: a call sets the words of its OFF minterms and
+   clears them again, like [Logic.extract]'s scratch tables. *)
+type off_words = { mutable words : int array }
+
+let off_words_key = Pool.Dls.new_key (fun () -> { words = [||] })
+
+(* [f ~mem ~covers_off] with OFF membership and the cube test over the
+   domain's OFF words. *)
+let with_off_words ~n off_arr f =
+  let sc = Pool.Dls.get off_words_key in
+  let size = 1 lsl max 0 (n - 5) in
+  if Array.length sc.words < size then sc.words <- Array.make size 0;
+  let words = sc.words in
+  Array.iter
+    (fun o -> words.(o lsr 5) <- words.(o lsr 5) lor (1 lsl (o land 31)))
+    off_arr;
+  let clear () = Array.iter (fun o -> words.(o lsr 5) <- 0) off_arr in
+  match
+    f
+      ~mem:(fun m -> words.(m lsr 5) land (1 lsl (m land 31)) <> 0)
+      ~covers_off:(covers_off_words ~n ~words ~off_arr)
+  with
+  | r ->
+      clear ();
+      r
+  | exception e ->
+      clear ();
+      raise e
 
 (* Expand minterm [m] to a prime implicant w.r.t. the OFF-set: greedily drop
    literals (lowest variable first) while no OFF minterm becomes covered. *)
-let expand_against_off ~n ~off_arr ~off_mem m =
+let expand_against_off ~n ~covers_off m =
   let cube = ref (Cube.of_minterm ~n m) in
   for v = 0 to n - 1 do
     let candidate = Cube.free !cube v in
-    if not (covers_some_off ~n ~off_arr ~off_mem candidate) then
-      cube := candidate
+    if not (covers_off candidate) then cube := candidate
   done;
   !cube
 
-(* Hashed membership of the OFF-set.  For small variable counts the perfect
-   direct-address table (a 2^n-bit bitset) beats a [Hashtbl]: constant-time
-   probes with no hashing, and the whole table fits in a few cache lines.
-   [minimize] is the inner loop of the search's cost function, so the
-   per-call setup must stay cheap. *)
-let off_membership ~n off_arr =
-  if n <= 16 && Array.for_all (fun m -> m >= 0 && m < 1 lsl n) off_arr then begin
-    let bits = Bytes.make (((1 lsl n) + 7) lsr 3) '\000' in
-    Array.iter
-      (fun m ->
-        let i = m lsr 3 in
-        Bytes.unsafe_set bits i
-          (Char.unsafe_chr
-             (Char.code (Bytes.unsafe_get bits i) lor (1 lsl (m land 7)))))
-      off_arr;
-    let size = 1 lsl n in
-    fun m ->
-      m >= 0 && m < size
-      && Char.code (Bytes.unsafe_get bits (m lsr 3)) land (1 lsl (m land 7))
-         <> 0
-  end
-  else begin
-    let tbl = Hashtbl.create (2 * max 1 (Array.length off_arr)) in
-    Array.iter (fun m -> Hashtbl.replace tbl m ()) off_arr;
-    fun m -> Hashtbl.mem tbl m
-  end
-
-let minimize ~n ~on ~off =
-  if n > 62 then invalid_arg "Boolf.minimize: more than 62 variables";
-  let off_arr = Array.of_list off in
-  let off_mem = off_membership ~n off_arr in
-  (match List.find_opt off_mem on with
+(* The minimizer behind both OFF representations: [mem] tests OFF
+   membership, [covers_off] whether a cube covers some OFF minterm. *)
+let prime_cover ~n ~on ~mem ~covers_off =
+  (match List.find_opt mem on with
   | Some m ->
       invalid_arg
         (Printf.sprintf "Boolf.minimize: minterm %d in both ON and OFF" m)
   | None -> ());
   let on = List.sort_uniq Int.compare on in
-  let primes = List.map (expand_against_off ~n ~off_arr ~off_mem) on in
+  let primes = List.map (expand_against_off ~n ~covers_off) on in
   let primes = List.sort_uniq Cube.compare primes in
   (* Greedy set cover of ON minterms, over flag arrays: the sets are small
      and this runs in the search's cost function, so no per-round hash
@@ -222,6 +263,19 @@ let minimize ~n ~on ~off =
         else drop_redundant (c :: kept) rest
   in
   drop_redundant [] chosen
+
+let minimize ~n ~on ~off =
+  if n > 62 then invalid_arg "Boolf.minimize: more than 62 variables";
+  let off_arr = Array.of_list off in
+  let in_range m = m >= 0 && m < 1 lsl n in
+  if n <= 16 && Array.for_all in_range off_arr && List.for_all in_range on
+  then with_off_words ~n off_arr (prime_cover ~n ~on)
+  else
+    let tbl = Hashtbl.create (2 * max 1 (Array.length off_arr)) in
+    Array.iter (fun m -> Hashtbl.replace tbl m ()) off_arr;
+    let off_mem m = Hashtbl.mem tbl m in
+    prime_cover ~n ~on ~mem:off_mem
+      ~covers_off:(covers_some_off ~n ~off_arr ~off_mem)
 
 let estimate_literals ~n ~on ~off = Cover.literals (minimize ~n ~on ~off)
 

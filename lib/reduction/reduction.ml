@@ -58,7 +58,7 @@ type built = { cand : Sg.t; old_of_new : Sg.state array; delta : Sg.delta }
    the source's cached {!Sg.arc_label_instances} minus the reduced one,
    and a new deadlock is a reduced state with no successors whose source
    state had some.  Kept separate from the build so the search can dedup
-   candidates by signature before paying for the checks. *)
+   candidates by the root arcs they keep before paying for the checks. *)
 let validate ~source { cand = reduced; old_of_new; delta = _ } =
   (* Transitions still firing somewhere in the pruned graph: a plain sweep
      ([Petri.trans] is a dense int), no hashing. *)

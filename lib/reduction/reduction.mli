@@ -33,8 +33,8 @@ type built = { cand : Sg.t; old_of_new : Sg.state array; delta : Sg.delta }
 
 (** The build half of {!fwd_red}: remove the arcs and prune, but skip the
     Def. 5.1 validity checks; {!validate} completes the pipeline.  The
-    search uses the split to discard signature-duplicate candidates before
-    paying for validation. *)
+    search uses the split to discard duplicate candidates (equal
+    {!Sg.root_arc_key}) before paying for validation. *)
 val fwd_red_built :
   Sg.t -> a:Stg.label -> b:Stg.label -> (built, invalid_reason) result
 

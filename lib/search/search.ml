@@ -116,7 +116,7 @@ let child_logic eval_mode parent ~delta sg' =
 
 (* Phase counters (see DESIGN.md, "Observability").  Every candidate task is
    counted exactly once: [candidates] at evaluation, then one of [deduped]
-   (signature already seen), [rejected] (build or Def. 5.1 validation
+   (dedup key already seen), [rejected] (build or Def. 5.1 validation
    failure), [infeasible] (valid but over the performance bound), or
    [accepted] (joined the frontier at merge). *)
 let c_candidates = Obs.Counter.make "search.candidates"
@@ -152,14 +152,14 @@ type table_entry = { te_eval : Logic.eval; mutable te_counted : bool }
 
 (* Verdict on one candidate task.  [Cand] with [cfg = None] marks a
    candidate that passed Def. 5.1 but failed the performance bound: its
-   signature must still enter the arm's dedup table, but it never joins
-   the frontier.  [entry] is the candidate's cross-arm table entry when
-   the run shares a table.  [Failed] carries a pool job's exception to
-   the merge, which re-raises it in task order. *)
+   dedup key ({!Sg.root_arc_key}) must still enter the arm's dedup table,
+   but it never joins the frontier.  [entry] is the candidate's cross-arm
+   table entry when the run shares a table.  [Failed] carries a pool
+   job's exception to the merge, which re-raises it in task order. *)
 type verdict =
   | Dropped
   | Cand of {
-      signature : string;
+      key : string;
       cfg : config option;
       entry : table_entry option;
     }
@@ -185,15 +185,14 @@ type arm_run = {
   mutable ar_level : level option;  (* started, not yet merged *)
 }
 
-(* Identity of a candidate SG for cross-arm sharing: the label-level
-   signature plus the ghost (code, excitation-mask) sequence in storage
-   order.  Two SGs with equal keys have equal logic evaluations: the
-   signature fixes the live per-code excitation aggregates
-   (label-bisimilar SGs derived from the same root carry the same
-   codes), and the ghost pairs fix the pruned-state contributions.
-   Ghosts are lineage-dependent (frozen at pruning time), which is why
-   the signature alone is NOT a sound key: two arms can reach the same
-   live graph along different reduction paths with different ghost sets.
+(* Identity of a candidate SG for cross-arm sharing: its root-arc [key]
+   ({!Sg.root_arc_key}) plus the ghost (code, excitation-mask) sequence in
+   storage order.  Two SGs with equal keys have equal logic evaluations:
+   the root arcs fix the graph, hence its live per-code excitation
+   aggregates, and the ghost pairs fix the pruned-state contributions.
+   Ghosts are lineage-dependent (frozen at pruning time), which is why the
+   root arcs alone are NOT a sound key: two arms can reach the same live
+   graph along different reduction paths with different ghost sets.
 
    The ghost sequence is deliberately NOT canonicalized (sorted): the
    evaluation depends only on the ghost multiset, so a sequence key is
@@ -201,18 +200,16 @@ type arm_run = {
    paths pile up the same ghosts in different orders — but reductions
    are deterministic, so arms walking the same lineage produce
    byte-equal sequences, which is where virtually all cross-arm overlap
-   lives (measured on the MMU: sorting recovers 1 extra hit in 493
-   while costing more than every other part of the key put together,
-   having to sort hundreds of pairs per accepted candidate). *)
-let share_key sg =
-  let signature = Sg.signature sg in
+   lives, and sorting would cost a sort of hundreds of pairs per accepted
+   candidate. *)
+let share_key key sg =
   match Sg.n_ghosts sg with
-  | 0 -> signature
+  | 0 -> key
   | n ->
       (* Raw little-endian words: the key is an equality token, not a
          rendering. *)
-      let b = Buffer.create (String.length signature + 1 + (16 * n)) in
-      Buffer.add_string b signature;
+      let b = Buffer.create (String.length key + 1 + (16 * n)) in
+      Buffer.add_string b key;
       Buffer.add_char b '\x00';
       Sg.iter_ghosts sg (fun code exc ->
           Buffer.add_int64_le b (Int64.of_int code);
@@ -256,11 +253,11 @@ let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
      hit returns precisely what this arm would have computed.  A worker
      that loses a publish race takes the winner's entry, so each key has
      exactly one entry. *)
-  let child_eval parent ~delta sg' =
+  let child_eval parent ~delta ~key sg' =
     match table with
     | None -> (child_logic eval_mode parent ~delta sg', None)
     | Some t ->
-        let key = share_key sg' in
+        let key = share_key key sg' in
         let e =
           match Pool.Smemo.find t key with
           | Some e -> e
@@ -287,9 +284,8 @@ let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
      Sequentially this is exactly what the table saw; pooled, the
      workers' lookups race (and also cover intra-level duplicates the
      merge then drops), but the printed numbers stay the sequential ones.
-     The mark lives on the entry because the keys run to kilobytes: a
-     second, caller-side set of them spent 4% of a sequential MMU
-     portfolio on hashing alone (3 of 72 ms on a 2-vCPU host). *)
+     The mark lives on the entry, so no key is hashed a second time on
+     the caller. *)
   let tbl_hits = ref 0 in
   let tbl_misses = ref 0 in
   let count_lookup e =
@@ -304,9 +300,13 @@ let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
     end
   in
   (* Evaluate one candidate FwdRed(a, b) of [cfg] for [arm]: build, dedup
-     by signature against [seen], validate (Def. 5.1), price.  Skipping
-     validation for an already-seen candidate is sound because the checks
-     are a deterministic function of (source, candidate). *)
+     by the root arcs it keeps against [seen], validate (Def. 5.1), price.
+     Skipping validation for an already-seen candidate is sound because
+     the checks are a deterministic function of (source, candidate).  From
+     a deterministic root the key dedups exactly the candidates their
+     signatures would (see {!Sg.root_arc_key}); from any other it can only
+     keep apart candidates with equal signatures, never merge two that
+     differ. *)
   let eval_task arm seen (cfg, a, b) =
     Obs.Counter.incr c_candidates;
     Obs.span "search.candidate" @@ fun () ->
@@ -315,8 +315,8 @@ let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
         Obs.Counter.incr c_rejected;
         Dropped
     | Ok built -> (
-        let signature = Sg.signature built.Reduction.cand in
-        if Hashtbl.mem seen signature then begin
+        let key = Sg.root_arc_key built.Reduction.cand in
+        if Hashtbl.mem seen key then begin
           Obs.Counter.incr c_deduped;
           Dropped
         end
@@ -325,16 +325,16 @@ let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
           | Ok sg' when keeps_protected keep_conc sg' ->
               if meets_perf sg' then
                 let logic, entry =
-                  child_eval cfg ~delta:built.Reduction.delta sg'
+                  child_eval cfg ~delta:built.Reduction.delta ~key sg'
                 in
                 let cfg' =
                   price ~w:arm.arm_w ~area_mode:arm.arm_area logic sg'
                     ((a, b) :: cfg.applied)
                 in
-                Cand { signature; cfg = Some cfg'; entry }
+                Cand { key; cfg = Some cfg'; entry }
               else begin
                 Obs.Counter.incr c_infeasible;
-                Cand { signature; cfg = None; entry = None }
+                Cand { key; cfg = None; entry = None }
               end
           | Ok _ | Error _ ->
               Obs.Counter.incr c_rejected;
@@ -349,7 +349,7 @@ let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
             sg0 []
         in
         let seen = Hashtbl.create 64 in
-        Hashtbl.replace seen (Sg.signature sg0) ();
+        Hashtbl.replace seen (Sg.root_arc_key sg0) ();
         let best = if meets_perf sg0 then Some initial else None in
         (match (on_improvement, best) with
         | Some f, Some b -> f ~arm:i b
@@ -434,9 +434,9 @@ let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
   let merge_verdict i r merged = function
     | Dropped -> ()
     | Failed e -> raise e
-    | Cand { signature; cfg; entry } ->
-        if not (Hashtbl.mem r.ar_seen signature) then begin
-          Hashtbl.replace r.ar_seen signature ();
+    | Cand { key; cfg; entry } ->
+        if not (Hashtbl.mem r.ar_seen key) then begin
+          Hashtbl.replace r.ar_seen key ();
           match cfg with
           | None -> ()
           | Some cfg' ->

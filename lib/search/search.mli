@@ -75,8 +75,12 @@ type area_mode = [ `Tree | `Shared ]
     CSC conflicts ([w -> 0]).  [size_frontier] defaults to 4.
     [max_levels] (default unlimited) bounds the depth.
 
+    Candidates are deduplicated by the root-SG arcs they keep
+    ({!Sg.root_arc_key}): from a deterministic root that makes exactly
+    the dedup decisions of their {!Sg.signature}s.
+
     With [pool] (and an effective {!Pool.jobs} > 1), each level's candidate
-    evaluations — build, signature dedup, Def. 5.1 validation, cost — fan
+    evaluations — build, dedup, Def. 5.1 validation, cost — fan
     out across the pool's domains against the shared immutable parent SGs
     (whose caches are forced first; see {!Sg.force_analyses}).  Verdicts
     are merged in the deterministic task-enumeration order (frontier rank,
@@ -138,12 +142,13 @@ type portfolio_outcome = {
 }
 
 (** [portfolio ~arms sg] runs one beam search per arm, all sharing one
-    {!Pool.Stream} session (with [pool]) and one cross-arm signature
+    {!Pool.Stream} session (with [pool]) and one cross-arm evaluation
     table: a candidate SG evaluated by any arm is never logic-evaluated
-    again by another, keyed by signature plus lineage ghost sequence so
-    the cached evaluation is exactly what every arm would have computed
-    itself.  Each arm's [outcome] is byte-identical to its standalone
-    {!optimize} run with the same parameters, pooled or sequential.
+    again by another, keyed by the root arcs it keeps
+    ({!Sg.root_arc_key}) plus its lineage ghost sequence, so the cached
+    evaluation is exactly what every arm would have computed itself.
+    Each arm's [outcome] is byte-identical to its standalone {!optimize}
+    run with the same parameters, pooled or sequential.
 
     [on_improvement] streams the anytime best-so-far: it fires on the
     caller's thread, in a deterministic order (arms serviced round-robin,

@@ -647,6 +647,10 @@ module Server = struct
       | Some (payload, tier) -> `Hit (payload, hit_tier tier)
       | None -> (
           Obs.Counter.incr c_miss;
+          (* Each compute starts from an empty minimization memo, as a
+             CLI run does: the domain's table would otherwise keep every
+             cover the server ever computed. *)
+          Boolf.Memo.clear ();
           match Ops.run fl.f_op (Lazy.force fl.f_stg) with
           | Ok text ->
               let payload =

@@ -5,7 +5,8 @@ type state = int
    bit [sigid mod 63] of word [s*wps + sigid/63] = value of signal [sigid]
    in state [s].  Arcs are compressed sparse rows: the outgoing arcs of
    state [s] are the index range [off.(s) .. off.(s+1)-1] of the parallel
-   arrays [arc_tr] (transition ids) and [arc_dst] (target states).  A [t]
+   arrays [arc_tr] (transition ids), [arc_dst] (target states) and
+   [arc_root] (the arc's index in the root of its filter lineage).  A [t]
    is immutable after construction; the memoized analyses below are sound
    because no function mutates the graph arrays. *)
 
@@ -44,7 +45,6 @@ type cache = {
   mutable c_ers : (Stg.label, state list) Hashtbl.t option;
   mutable c_conc : conc_rel option;
   mutable c_arc_labels : (Stg.label * Petri.trans list) list option;
-  mutable c_signature : string option;
   mutable c_csc_count : int option;
   mutable c_persistent : bool option;
 }
@@ -58,7 +58,6 @@ let fresh_cache () =
     c_ers = None;
     c_conc = None;
     c_arc_labels = None;
-    c_signature = None;
     c_csc_count = None;
     c_persistent = None;
   }
@@ -73,6 +72,10 @@ type t = {
   off : int array;  (** n+1 entries *)
   arc_tr : int array;
   arc_dst : int array;
+  arc_root : int array;
+      (** index of each arc in the root of the filter lineage: the graph
+          that {!Builder.build} or {!derive} made, which a chain of
+          [filter_arcs_delta] calls led here *)
   initial : state;
   unconstrained : int list;
   g_codes : int array;
@@ -388,6 +391,7 @@ module Builder = struct
       off;
       arc_tr;
       arc_dst;
+      arc_root = Array.init m Fun.id;
       initial;
       unconstrained;
       g_codes = [||];
@@ -741,6 +745,7 @@ let filter_arcs_delta sg ~keep =
   done;
   let m = noff.(n) in
   let ntr = Array.make m 0 and ndst = Array.make m 0 in
+  let nroot = Array.make m 0 in
   for s_new = 0 to n - 1 do
     let s = old_of_new.(s_new) in
     let p = ref noff.(s_new) in
@@ -748,6 +753,7 @@ let filter_arcs_delta sg ~keep =
       if Bytes.get kept k = '\001' then begin
         ntr.(!p) <- sg.arc_tr.(k);
         ndst.(!p) <- remap.(sg.arc_dst.(k));
+        nroot.(!p) <- sg.arc_root.(k);
         incr p
       end
     done
@@ -769,6 +775,7 @@ let filter_arcs_delta sg ~keep =
       off = noff;
       arc_tr = ntr;
       arc_dst = ndst;
+      arc_root = nroot;
       initial = 0;
       g_codes;
       g_excs;
@@ -783,7 +790,8 @@ let filter_arcs sg ~keep =
 
 (* General arc rewiring over the same state space: materialize the given
    rows into a temporary CSR sharing the codes/markings, then let
-   [filter_arcs] prune and renumber. *)
+   [filter_arcs] prune and renumber.  The rewired arcs are new, so the
+   temporary graph roots a fresh lineage. *)
 let derive ?unconstrained sg ~arcs =
   let unconstrained =
     match unconstrained with Some u -> u | None -> sg.unconstrained
@@ -805,7 +813,15 @@ let derive ?unconstrained sg ~arcs =
       rows.(s)
   done;
   let tmp =
-    { sg with off; arc_tr; arc_dst; unconstrained; cache = fresh_cache () }
+    {
+      sg with
+      off;
+      arc_tr;
+      arc_dst;
+      arc_root = Array.init m Fun.id;
+      unconstrained;
+      cache = fresh_cache ();
+    }
   in
   filter_arcs tmp ~keep:(fun _ _ _ -> true)
 
@@ -1360,36 +1376,23 @@ let deadlocks sg =
 (* ------------------------------------------------------------------ *)
 (* Signature *)
 
-(* Per-transition label names and their rank in sorted-name order, shared
-   by every signature computation over the same STG (reduction search
-   builds thousands of SGs over one STG).  Keyed by physical equality; a
-   one-entry memo suffices because a search works one STG at a time. *)
-let sig_tables_memo :
-    (Stg.t * (string array * string array * int array)) option ref =
-  ref None
-
+(* Per-transition label names in sorted order, and each transition's rank
+   in it. *)
 let sig_tables stg =
-  match !sig_tables_memo with
-  | Some (s, t) when s == stg -> t
-  | _ ->
-      let names =
-        Array.map (fun lab -> Stg.label_name stg lab) stg.Stg.labels
-      in
-      let sorted = Array.copy names in
-      Array.sort compare sorted;
-      let rank_of nm =
-        let lo = ref 0 and hi = ref (Array.length sorted - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if sorted.(mid) < nm then lo := mid + 1 else hi := mid
-        done;
-        !lo
-      in
-      let t = (names, sorted, Array.map rank_of names) in
-      sig_tables_memo := Some (stg, t);
-      t
+  let names = Array.map (fun lab -> Stg.label_name stg lab) stg.Stg.labels in
+  let sorted = Array.copy names in
+  Array.sort compare sorted;
+  let rank_of nm =
+    let lo = ref 0 and hi = ref (Array.length sorted - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if sorted.(mid) < nm then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  (sorted, Array.map rank_of names)
 
-let compute_signature sg =
+let signature sg =
   (* Canonical BFS renumbering with deterministic tie-breaking on
      (label-name, old target id is NOT canonical — instead order children by
      label then by discovery).  For deterministic SGs this yields a canonical
@@ -1400,7 +1403,7 @@ let compute_signature sg =
      lexicographic name order and equal names share a rank, so the result
      is byte-identical to sorting (name, old target) pairs — without any
      string comparisons in the loop. *)
-  let _, sorted_names, rank = sig_tables sg.stg in
+  let sorted_names, rank = sig_tables sg.stg in
   let buf = Buffer.create (sg.n * 8) in
   let rec add_int i =
     if i >= 10 then add_int (i / 10);
@@ -1459,30 +1462,36 @@ let compute_signature sg =
   done;
   Buffer.contents buf
 
-let signature sg =
-  match sg.cache.c_signature with
-  | Some s -> s
-  | None ->
-      let s = compute_signature sg in
-      sg.cache.c_signature <- Some s;
-      s
+(* The root arcs [sg] keeps, as a bitset over the root's arc indices up to
+   the highest one kept (the set fixes the length, so equal sets give
+   equal strings).  A graph of a filter lineage is fixed by the root arcs
+   it keeps (its states are the root states they reach), so equal keys
+   mean equal graphs; see sg.mli for when equal signatures mean equal
+   keys. *)
+let root_arc_key sg =
+  let top = Array.fold_left max (-1) sg.arc_root in
+  let b = Bytes.make ((top + 8) lsr 3) '\000' in
+  Array.iter
+    (fun r ->
+      let i = r lsr 3 in
+      Bytes.unsafe_set b i
+        (Char.unsafe_chr
+           (Char.code (Bytes.unsafe_get b i) lor (1 lsl (r land 7)))))
+    sg.arc_root;
+  Bytes.unsafe_to_string b
 
 (* Force every shared memoized analysis the reduction search reads on a
    value that is about to be shared read-only across domains.  After this
    returns, the queries the search performs on [sg] from pool workers
    ([er], [iter_pred], [arc_label_instances], [is_output_persistent],
-   [concurrent], [signature], [csc_conflict_count], [enabled_labels]) are
-   pure reads of already-filled cache fields.  The per-state
-   controlled-label memo is intentionally not forced: the search never
-   calls [csc_conflicts]/[controlled_labels] on a shared value, and the
+   [concurrent], [csc_conflict_count], [enabled_labels]) are pure reads
+   of already-filled cache fields.  The per-state controlled-label memo
+   is intentionally not forced: the search never calls
+   [csc_conflicts]/[controlled_labels] on a shared value, and the
    int-packed [csc_conflict_count] paths do not touch it.  Forcing
    [enmask] also lets every candidate built from [sg] by
-   [filter_arcs_delta] inherit its enabled masks.
-
-   Forcing [signature] also populates the per-STG [sig_tables] memo, so
-   workers computing candidate signatures over the same STG only read it. *)
+   [filter_arcs_delta] inherit its enabled masks. *)
 let force_analyses sg =
-  ignore (signature sg);
   ignore (enabled_arrays sg);
   ignore (enmask sg);
   ignore (pred sg);

@@ -288,14 +288,33 @@ val deadlocks : t -> state list
 
 (** Canonical structural signature at the label level (BFS renumbering,
     arcs named by their labels): two SGs with equal signatures are
-    label-bisimilar.  Used for deduplicating explored SGs during search and
-    for verifying STG realizations. *)
+    label-bisimilar.  Used for verifying STG realizations; not memoized. *)
 val signature : t -> string
+
+(** {2 Root arcs}
+
+    A graph built by {!of_stg}, {!Builder} or {!derive} is the {e root} of
+    a filter lineage: every graph that a chain of {!filter_arcs} /
+    {!filter_arcs_delta} calls derives from it carries, for each of its
+    arcs, that arc's index in the root. *)
+
+(** [root_arc_key sg] — the set of root arcs [sg] keeps, as a bitset over
+    the root's arc indices packed into a string (one bit per index, up to
+    the highest one kept).
+    For two graphs of one lineage:
+    - equal keys mean the same graph (same root states, same arcs, hence
+      equal {!signature}s);
+    - when the root is deterministic ({!is_deterministic}), equal
+      signatures mean equal keys: every state is reached by the same
+      label path as its root state, and a root state has at most one arc
+      per label.
+    The reduction search dedups its candidates by this key. *)
+val root_arc_key : t -> string
 
 (** Force every memoized analysis the reduction search consults on a
     shared value (enabled labels and their bitmasks, reverse index,
     excitation regions, the concurrency relation, arc-label instances,
-    output persistency, signature, CSC-conflict count), making subsequent
+    output persistency, CSC-conflict count), making subsequent
     queries from concurrent readers pure cache reads.  Call this on an SG
     before sharing it read-only across pool workers; see DESIGN.md,
     "Parallel candidate evaluation".  Graphs that {!filter_arcs_delta}

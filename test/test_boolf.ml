@@ -202,6 +202,79 @@ let prop_contains_covers =
       in
       Boolf.Cube.contains c1 c2 = by_minterms)
 
+(* A reference for [Boolf.minimize] at any width: expand each ON minterm
+   by dropping literal v, for v from 0 to n - 1, when a scan of the OFF
+   list finds no minterm the wider cube covers; then the same cover step
+   (greedy set cover, gain first, then fewer literals, ties to the first
+   prime in cube order; then the irredundancy pass in cube order). *)
+let reference_minimize ~n ~on ~off =
+  let covers = Boolf.Cube.covers and lits = Boolf.Cube.literals in
+  let expand m =
+    let c = ref (Boolf.Cube.of_minterm ~n m) in
+    for v = 0 to n - 1 do
+      let wider = Boolf.Cube.free !c v in
+      if not (List.exists (covers wider) off) then c := wider
+    done;
+    !c
+  in
+  let on = List.sort_uniq compare on in
+  let primes = List.sort_uniq Boolf.Cube.compare (List.map expand on) in
+  let rec greedy chosen = function
+    | [] -> chosen
+    | uncovered ->
+        let best =
+          List.fold_left
+            (fun best c ->
+              let g = List.length (List.filter (covers c) uncovered) in
+              match best with
+              | _ when g = 0 -> best
+              | Some (bg, bl, _) when (bg, bl) >= (g, -lits c) -> best
+              | Some _ | None -> Some (g, -lits c, c))
+            None primes
+        in
+        let c = match best with Some (_, _, c) -> c | None -> assert false in
+        greedy (c :: chosen)
+          (List.filter (fun m -> not (covers c m)) uncovered)
+  in
+  let rec drop_redundant kept = function
+    | [] -> List.rev kept
+    | c :: rest ->
+        let others m = List.exists (fun c' -> covers c' m) (kept @ rest) in
+        if List.for_all (fun m -> (not (covers c m)) || others m) on then
+          drop_redundant kept rest
+        else drop_redundant (c :: kept) rest
+  in
+  drop_redundant [] (List.sort Boolf.Cube.compare (greedy [] on))
+
+(* Widths 1 to 16 (at most 5 variables fit one OFF word; 16 is the widest
+   word table), with OFF sets from empty to a few hundred minterms: the
+   small ones make the minimizer scan OFF rather than test words. *)
+let arb_any_width =
+  let gen =
+    QCheck.Gen.(
+      let* n = oneof [ int_range 1 5; int_range 6 16; return 16 ] in
+      let minterm = int_range 0 ((1 lsl n) - 1) in
+      let* on = list_size (int_range 0 24) minterm in
+      let* off =
+        list_size (oneof [ int_range 0 8; int_range 0 64; int_range 0 400 ])
+          minterm
+      in
+      return (n, List.filter (fun m -> not (List.mem m off)) on, off))
+  in
+  QCheck.make
+    ~print:(fun (n, on, off) ->
+      Printf.sprintf "n=%d on=[%s] off=[%s]" n
+        (String.concat ";" (List.map string_of_int on))
+        (String.concat ";" (List.map string_of_int off)))
+    gen
+
+let prop_minimize_any_width =
+  QCheck.Test.make
+    ~name:"minimize = OFF-scan reference, widths 1 to 16" ~count:600
+    arb_any_width
+    (fun (n, on, off) ->
+      Boolf.minimize ~n ~on ~off = reference_minimize ~n ~on ~off)
+
 (* Keys that share a 16-minterm ON prefix (more list cells than the
    polymorphic hash reads) each get their own entry: a second lookup hits
    and returns what [minimize] computes. *)
@@ -273,4 +346,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_contains_covers;
     Alcotest.test_case "memo: unsorted lists hit the sorted key" `Quick
       test_memo_unsorted_hits;
+    QCheck_alcotest.to_alcotest prop_minimize_any_width;
   ]

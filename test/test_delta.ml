@@ -362,6 +362,12 @@ let test_search_random () =
       modes
   done
 
+(* A root with two same-label arcs out of one state: the search dedups
+   by root arcs, which need not match the signature there; every mode
+   and the pool must still agree. *)
+let test_search_same_label_choice () =
+  check_search_modes "same-label choice" (Test_search.same_label_choice ())
+
 let suite =
   [
     Alcotest.test_case "logic paths agree: named specs" `Quick
@@ -386,4 +392,6 @@ let suite =
       test_search_random;
     Alcotest.test_case "csc count fallbacks: >16 signals, >62 labels" `Quick
       test_csc_fallbacks;
+    Alcotest.test_case "search modes agree: same-label choice" `Quick
+      test_search_same_label_choice;
   ]

@@ -1,5 +1,5 @@
 (* Tests for the portfolio search (Search.portfolio) and its substrate:
-   the Stream_finished contract, the shared Smemo signature table — and
+   the Stream_finished contract, the shared Smemo evaluation table — and
    the cross-signal netlist sharing that the literal-chaining reorder of
    Netlist.of_covers buys.
 

@@ -99,6 +99,155 @@ let prop_search_monotone_cost_levels =
       o.Search.best.Search.cost <= o.Search.initial.Search.cost
       && Sg.deadlocks o.Search.best.Search.sg = [])
 
+(* ---- the dedup key ---- *)
+
+let is_input stg = function
+  | Stg.Edge (s, _) -> Stg.Signal.is_input (Stg.signal stg s)
+  | Stg.Dummy _ -> false
+
+(* A replay of [Search.optimize] at its defaults (w = 0.5, frontier 4)
+   from public steps, deduplicating by signature: every candidate SG the
+   search builds with its signature, the root first, plus the replay's
+   explored count and best cost. *)
+let search_candidates sg0 =
+  let w = 0.5 and size_frontier = 4 in
+  let cost sg = (Search.evaluate ~w ~memo:true sg).Search.cost in
+  let seen = Hashtbl.create 64 in
+  let sig0 = Sg.signature sg0 in
+  Hashtbl.replace seen sig0 ();
+  let built = ref [ (sg0, sig0) ] and explored = ref 1 in
+  let best = ref (cost sg0) in
+  let rec level frontier =
+    if frontier <> [] then begin
+      let merged = ref [] in
+      List.iter
+        (fun sg ->
+          let stg = Sg.stg sg in
+          List.concat_map
+            (fun (a, b) ->
+              (if is_input stg a then [] else [ (a, b) ])
+              @ if is_input stg b then [] else [ (b, a) ])
+            (Sg.concurrent_pairs sg)
+          |> List.iter (fun (a, b) ->
+                 match Reduction.fwd_red_built sg ~a ~b with
+                 | Error _ -> ()
+                 | Ok cand -> (
+                     let signature = Sg.signature cand.Reduction.cand in
+                     built := (cand.Reduction.cand, signature) :: !built;
+                     if not (Hashtbl.mem seen signature) then
+                       match Reduction.validate ~source:sg cand with
+                       | Error _ -> ()
+                       | Ok sg' ->
+                           Hashtbl.replace seen signature ();
+                           incr explored;
+                           let c = cost sg' in
+                           if c < !best then best := c;
+                           merged := (c, sg') :: !merged)))
+        frontier;
+      List.rev !merged
+      |> List.stable_sort (fun (c1, _) (c2, _) -> compare c1 c2)
+      |> List.filteri (fun i _ -> i < size_frontier)
+      |> List.map snd |> level
+    end
+  in
+  level [ sg0 ];
+  (List.rev !built, !explored, !best)
+
+(* Over the candidates of one search: equal root-arc keys imply equal
+   signatures, and with [exact] the converse too.  With [replay], also
+   check that the replay explores what [Search.optimize] does.  Returns
+   the number of candidates. *)
+let check_keys ~exact ~replay name sg0 =
+  let cands, explored, best = search_candidates sg0 in
+  if replay then begin
+    let o = Search.optimize sg0 in
+    check_int (name ^ ": the replay explores what the search does")
+      o.Search.explored explored;
+    check (name ^ ": the replay finds the search's best") true
+      (best = o.Search.best.Search.cost)
+  end;
+  let by_key = Hashtbl.create 64 and by_sig = Hashtbl.create 64 in
+  List.iter
+    (fun (c, s) ->
+      let k = Sg.root_arc_key c in
+      (match Hashtbl.find_opt by_key k with
+      | Some s' when not (String.equal s s') ->
+          Alcotest.failf "%s: equal keys, different signatures" name
+      | Some _ | None -> Hashtbl.replace by_key k s);
+      match Hashtbl.find_opt by_sig s with
+      | Some k' when exact && not (String.equal k k') ->
+          Alcotest.failf "%s: equal signatures, different keys" name
+      | Some _ | None -> Hashtbl.replace by_sig s k)
+    cands;
+  List.length cands
+
+(* From a deterministic root, the search's key and the signature make the
+   same dedup decisions: the paper's specs, then 300 specs of each
+   generator family (every tenth also checked against the search). *)
+let test_key_exact () =
+  let exact ~replay name stg =
+    let sg = Gen.sg_exn stg in
+    check (name ^ ": deterministic root") true (Sg.is_deterministic sg);
+    check_keys ~exact:true ~replay name sg
+  in
+  List.iter
+    (fun (name, stg) -> ignore (exact ~replay:true name stg))
+    (Test_parallel.named_specs ());
+  List.iter
+    (fun (family, stg_of_seed) ->
+      let total = ref 0 in
+      for seed = 0 to 299 do
+        total :=
+          !total
+          + exact ~replay:(seed mod 10 = 0)
+              (Printf.sprintf "%s seed %d" family seed)
+              (stg_of_seed seed)
+      done;
+      check (family ^ ": candidates checked") true (!total > 300))
+    [
+      ("sp", fun seed -> Gen.random_stg seed);
+      ("fc", fun seed -> Gen.random_fc_stg seed);
+      ("ac", Gen.random_ac_stg);
+    ]
+
+(* Two a+ arcs leave the initial state (a choice between two occurrences
+   of one label), and each branch has concurrent events to reduce: a
+   nondeterministic root, where the key may keep apart candidates with
+   equal signatures but never merges two that differ. *)
+let same_label_choice () =
+  Stg.Io.parse
+    (String.concat "\n"
+       [
+         ".outputs a b c d";
+         ".graph";
+         "p0 a+/1 a+/2";
+         "a+/1 b+/1 c+/1 d+/1";
+         "b+/1 a-/1";
+         "c+/1 a-/1";
+         "d+/1 a-/1";
+         "a-/1 b-/1";
+         "b-/1 c-/1";
+         "c-/1 d-/1";
+         "d-/1 p0";
+         "a+/2 b+/2 c+/2";
+         "b+/2 d+/2";
+         "c+/2 d+/2";
+         "d+/2 a-/2";
+         "a-/2 b-/2 c-/2";
+         "b-/2 d-/2";
+         "c-/2 d-/2";
+         "d-/2 p0";
+         ".marking { p0 }";
+         ".end";
+         "";
+       ])
+
+let test_key_nondeterministic () =
+  let sg = Gen.sg_exn (same_label_choice ()) in
+  check "two arcs share a label" false (Sg.is_deterministic sg);
+  check "some pair is concurrent" true (Sg.concurrent_pairs sg <> []);
+  ignore (check_keys ~exact:false ~replay:false "same-label choice" sg)
+
 let suite =
   [
     Alcotest.test_case "evaluate" `Quick test_evaluate;
@@ -151,4 +300,8 @@ let suite =
   @ [
       Alcotest.test_case "max_cycle constraint" `Quick
         test_max_cycle_constraint;
+      Alcotest.test_case "dedup key = signature from deterministic roots"
+        `Slow test_key_exact;
+      Alcotest.test_case "dedup key on a same-label choice" `Quick
+        test_key_nondeterministic;
     ]

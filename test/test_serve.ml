@@ -630,21 +630,23 @@ let test_cli_unwritable () =
     ];
   Unix.rmdir dir
 
+(* One of the server's live counters, read through a [metrics] request. *)
+let server_counter c name =
+  let r =
+    Serve.Client.request_json c
+      Serve.Json.(Obj [ ("id", Str "m"); ("op", Str "metrics") ])
+  in
+  match member name (member "counters" (member "result" r)) with
+  | Serve.Json.Int n -> n
+  | j -> Alcotest.failf "%s is not a count: %s" name (Serve.Json.to_string j)
+
 (* ---- the spec memo: a repeated spec is not parsed again ---- *)
 
 let test_spec_memo () =
   with_server ~workers:1 @@ fun addr ->
   with_client addr @@ fun c ->
   let spec = read_file (Filename.concat (examples_dir ()) "fig1.g") in
-  let counter name =
-    let r =
-      Serve.Client.request_json c
-        Serve.Json.(Obj [ ("id", Str "m"); ("op", Str "metrics") ])
-    in
-    match member name (member "counters" (member "result" r)) with
-    | Serve.Json.Int n -> n
-    | j -> Alcotest.failf "%s is not a count: %s" name (Serve.Json.to_string j)
-  in
+  let counter = server_counter c in
   let cold = ok_output (send ~id:"cold" ~op:"reduce" c spec) in
   let parses = counter "stg.parse.calls" in
   let memo_hits = counter "serve.spec_memo.hit" in
@@ -668,6 +670,59 @@ let test_spec_memo () =
   Alcotest.(check string) "variant bytes" cold (ok_output r);
   Alcotest.(check int) "the variant is parsed once" (parses + 1)
     (counter "stg.parse.calls")
+
+(* ---- every compute starts from an empty minimization memo ---- *)
+
+(* [text] with every identifier in [names] prefixed by "s_": the same
+   net and signal order under other signal names. *)
+let rename_signals names text =
+  let b = Buffer.create (String.length text + 64) in
+  let is_ident ch =
+    match ch with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+    | _ -> false
+  in
+  let n = String.length text in
+  let i = ref 0 in
+  while !i < n do
+    if is_ident text.[!i] then begin
+      let j = ref !i in
+      while !j < n && is_ident text.[!j] do
+        incr j
+      done;
+      let id = String.sub text !i (!j - !i) in
+      if List.mem id names then Buffer.add_string b "s_";
+      Buffer.add_string b id;
+      i := !j
+    end
+    else begin
+      Buffer.add_char b text.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+(* A spec and a copy with renamed signals have different cache keys but
+   the same minimizations.  A long-lived server would keep every cover it
+   ever minimized in its domains' memo tables; each compute clears its
+   table, so the copy misses the memo exactly as often as the original. *)
+let test_memo_per_compute () =
+  with_server ~workers:1 @@ fun addr ->
+  with_client addr @@ fun c ->
+  let spec = read_file (Filename.concat (examples_dir ()) "micropipeline.g") in
+  let renamed =
+    rename_signals [ "rin"; "aout"; "ain"; "rout"; "lt1"; "lt2" ] spec
+  in
+  let misses id text =
+    let m0 = server_counter c "boolf.memo.misses" in
+    let r = send ~id ~op:"reduce" c text in
+    Alcotest.(check string) (id ^ " tier") "compute" (get_str (member "tier" r));
+    server_counter c "boolf.memo.misses" - m0
+  in
+  let first = misses "original" spec in
+  if first = 0 then Alcotest.fail "the original compute minimized nothing";
+  Alcotest.(check int) "renamed copy misses as often" first
+    (misses "renamed" renamed)
 
 (* ---- per-client order while computes outlive their deadlines ---- *)
 
@@ -774,4 +829,6 @@ let suite =
       `Quick test_spec_memo;
     Alcotest.test_case "stress: FIFO per client while computes time out"
       `Quick test_fifo_under_timeouts;
+    Alcotest.test_case "memo: each compute starts from an empty table"
+      `Quick test_memo_per_compute;
   ]
