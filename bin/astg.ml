@@ -261,9 +261,8 @@ let reduce_cmd =
       value & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Pool size for the portfolio search (1 = sequential), capped at \
-             the CPUs this process may run on.  Every arm's outcome is \
-             byte-identical at any job count.")
+            "Accepted and ignored: the search runs on one domain, and the \
+             output is the same at any $(docv).")
   in
   Cmd.v
     (Cmd.info "reduce" ~doc:"Optimize an STG by concurrency reduction.")
@@ -273,7 +272,7 @@ let reduce_cmd =
 (* ---- fuzz ---- *)
 
 let fuzz_cmd =
-  let run count seed classes corpus report jobs max_signals =
+  let run count seed classes corpus report max_signals =
     let classes =
       match
         List.map
@@ -290,7 +289,7 @@ let fuzz_cmd =
     match classes with
     | Error msg -> `Error (false, msg)
     | Ok classes ->
-        let r = Fuzz.run ~jobs ~classes ~max_signals ~corpus ~count ~seed () in
+        let r = Fuzz.run ~classes ~max_signals ~corpus ~count ~seed () in
         print_string (Fuzz.report_summary r);
         let result =
           if r.Fuzz.r_failures = [] then `Ok ()
@@ -341,12 +340,6 @@ let fuzz_cmd =
       & info [ "report" ] ~docv:"FILE"
           ~doc:"Write the JSON triage report to $(docv).")
   in
-  let jobs =
-    Arg.(
-      value & opt int 2
-      & info [ "jobs" ] ~docv:"J"
-          ~doc:"Pool size for the pooled search arms (>= 1).")
-  in
   let max_signals =
     Arg.(
       value & opt int 6
@@ -358,14 +351,12 @@ let fuzz_cmd =
        ~doc:
          "Differential fuzzing of the full flow: random free-choice, \
           asymmetric-choice and series-parallel specs through parse, SG, \
-          the reduction search under every evaluation mode (sequential \
-          and pooled, byte-identity enforced), realization and \
-          verification, with crash/divergence triage, shrinking and a \
-          deterministic JSON report.")
+          the reduction search under every evaluation mode (byte-identity \
+          enforced), realization and verification, with crash/divergence \
+          triage, shrinking and a deterministic JSON report.")
     Term.(
       ret
-        (const run $ count $ seed $ classes $ corpus $ report $ jobs
-       $ max_signals))
+        (const run $ count $ seed $ classes $ corpus $ report $ max_signals))
 
 (* ---- dot ---- *)
 

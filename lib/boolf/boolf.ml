@@ -289,12 +289,11 @@ let estimate_literals ~n ~on ~off = Cover.literals (minimize ~n ~on ~off)
    lists) — [minimize] is invariant under permutation and duplication of
    its inputs, so a hit returns exactly what the call would have computed.
 
-   Tables live in {!Pool.Dls} domain-local storage: each search worker
-   domain fills its own table, so there is no locking and no shared
+   Tables live in {!Pool.Dls} domain-local storage: each domain (say, a
+   serve worker) fills its own table, so there is no locking and no shared
    mutation, and because [minimize] is deterministic every domain converges
    to the same entries — a pool job stays pure up to
-   commutative-and-idempotent memoization, so pooled results are
-   deterministic. *)
+   commutative-and-idempotent memoization. *)
 module Memo = struct
   type entry = { cover : Cover.t; lits : int }
 

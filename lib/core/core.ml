@@ -180,11 +180,11 @@ let implement_reduced ?delays ?max_csc ?style ~name sg script =
   let reduced, applied = Search.apply_script sg script in
   implement_realized ?delays ?max_csc ?style ~name reduced applied
 
-let optimize ?pool ?delays ?max_csc ?style ?w ?size_frontier ?keep_conc
+let optimize ?delays ?max_csc ?style ?w ?size_frontier ?keep_conc
     ?perf_delays ?max_cycle ?area_mode ~name sg =
   Obs.span ~args:[ ("name", name) ] "core.optimize" @@ fun () ->
   let outcome =
-    Search.optimize ?pool ?w ?size_frontier ?keep_conc ?perf_delays ?max_cycle
+    Search.optimize ?w ?size_frontier ?keep_conc ?perf_delays ?max_cycle
       ?area_mode sg
   in
   let best = outcome.Search.best in
@@ -403,9 +403,8 @@ module Cli = struct
                       { Search.arm_w = w; arm_area = opts.area_mode })
                     weights
                 in
-                let run_portfolio pool =
-                  Search.portfolio ?pool ~size_frontier:opts.frontier
-                    ~keep_conc
+                let po =
+                  Search.portfolio ~size_frontier:opts.frontier ~keep_conc
                     ~on_improvement:(fun ~arm cfg ->
                       pf
                         "arm %d (w=%.2f, %s): cost %.1f, %d csc pairs, %d \
@@ -416,17 +415,6 @@ module Cli = struct
                         cfg.Search.cost cfg.Search.csc_pairs
                         (List.length cfg.Search.applied))
                     ~arms sg
-                in
-                (* No wider than the CPUs this process may run on: past
-                   them the arms' domains only time-slice (pinned to one
-                   CPU of a 2-vCPU host, the MMU portfolio took 143 ms at
-                   --jobs 2 against 109 ms at --jobs 1).  The bytes do not
-                   depend on it. *)
-                let jobs = min opts.jobs (Pool.default_jobs ()) in
-                let po =
-                  if jobs > 1 then
-                    Pool.with_pool ~jobs (fun p -> run_portfolio (Some p))
-                  else run_portfolio None
                 in
                 Array.iteri
                   (fun i ao ->

@@ -70,15 +70,12 @@ val implement_reduced :
   report
 
 (** [optimize ~name sg] — run the Fig. 9 beam search and implement the best
-    configuration found.  With [pool], candidate evaluation fans out across
-    the pool's domains with byte-identical results (see {!Search.optimize}).
-    With [perf_delays] and [max_cycle], the search is
+    configuration found.  With [perf_delays] and [max_cycle], the search is
     performance-constrained and the report's [feasible] field says whether
     the bound was met (see {!Search.optimize}).  [area_mode] selects the
     candidate pricing objective ([`Tree] literals, the default, or
     [`Shared] post-sharing netlist area — see {!Search.area_mode}). *)
 val optimize :
-  ?pool:Pool.t ->
   ?delays:(Stg.t -> Petri.trans -> int) ->
   ?max_csc:int ->
   ?style:Logic.style ->
@@ -132,8 +129,8 @@ module Cli : sig
     portfolio : float list;
         (** [--portfolio] weights in arm order; [[]] = single search *)
     jobs : int;
-        (** [--jobs]; never changes bytes.  {!reduce_text} opens no wider a
-            pool than {!Pool.default_jobs}. *)
+        (** [--jobs]; accepted and ignored: the search runs on the calling
+            domain. *)
   }
 
   val default_synth : synth_opts

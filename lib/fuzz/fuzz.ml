@@ -1,7 +1,7 @@
 (* Differential fuzzing of the full synthesis flow: generate -> print/parse
-   round-trip -> SG -> search under every evaluation mode, sequential and
-   pooled -> realize -> verify, with triage, structural shrinking and a
-   deterministic JSON report.  See fuzz.mli for the contract. *)
+   round-trip -> SG -> search under every evaluation mode -> realize ->
+   verify, with triage, structural shrinking and a deterministic JSON
+   report.  See fuzz.mli for the contract. *)
 
 type failure_kind =
   | Crash of { phase : string; exn_text : string }
@@ -46,7 +46,6 @@ type report = {
   r_seed : int;
   r_count : int;
   r_classes : Gen.cls list;
-  r_jobs : int;
   r_max_signals : int;
   r_cases : (Gen.cls * int) list;
   r_outcomes : (string * int) list;
@@ -163,13 +162,13 @@ let check_netlist sg =
               divergence "Circuit.conforms vs direct-semantics verdict";
             Some ())
 
-let run_case ?pool ?(record = false) case =
+let run_case ?(record = false) case =
   let phase = ref "generate" in
-  (* A fresh cover cache for the calling domain: the sequential arms (the
-     ones whose counters may be recorded) always run against the same
-     cache state, whatever earlier cases or pooled arms left behind. *)
+  (* A fresh cover cache: the searches whose counters may be recorded
+     always run against the same cache state, whatever earlier cases left
+     behind. *)
   Boolf.Memo.clear ();
-  let with_obs_seq f =
+  let with_recording f =
     if record then Obs.set_enabled true;
     Fun.protect ~finally:(fun () -> if record then Obs.set_enabled false) f
   in
@@ -198,38 +197,25 @@ let run_case ?pool ?(record = false) case =
                 Fail (Divergence "reparsed spec changes the SG signature")
               else begin
                 phase := "search";
-                let search ?pool mode =
-                  Search.optimize ?pool ~w:search_w
-                    ~size_frontier:search_frontier ~eval_mode:mode sg
+                let search mode =
+                  Search.optimize ~w:search_w ~size_frontier:search_frontier
+                    ~eval_mode:mode sg
                 in
                 let reference, best =
-                  with_obs_seq (fun () ->
+                  with_recording (fun () ->
                       let o_scratch = search `Scratch in
                       let reference = outcome_repr stg o_scratch in
                       if
                         not
                           (String.equal reference
                              (outcome_repr stg (search `Delta)))
-                      then divergence "delta/seq";
+                      then divergence "delta";
                       (reference, o_scratch.Search.best))
                 in
-                (match pool with
-                | None -> ()
-                | Some p ->
-                    List.iter
-                      (fun (name, mode) ->
-                        if
-                          not
-                            (String.equal reference
-                               (outcome_repr stg (search ~pool:p mode)))
-                        then divergence name)
-                      [
-                        ("scratch/pooled", `Scratch); ("delta/pooled", `Delta);
-                      ]);
                 phase := "portfolio";
-                (* Portfolio arm: every arm of a portfolio run — sequential
-                   or pooled — must be byte-identical to its standalone
-                   [Search.optimize] counterpart.  Arm 0 is the campaign's
+                (* Portfolio arm: every arm of a portfolio run must be
+                   byte-identical to its standalone [Search.optimize]
+                   counterpart.  Arm 0 is the campaign's
                    reference search; arm 1 costs one extra standalone
                    run. *)
                 let arms =
@@ -246,24 +232,17 @@ let run_case ?pool ?(record = false) case =
                          sg);
                   |]
                 in
-                let check_portfolio name ?pool () =
-                  let po =
-                    Search.portfolio ?pool ~size_frontier:search_frontier
-                      ~arms sg
-                  in
-                  Array.iteri
-                    (fun i ao ->
-                      if
-                        not
-                          (String.equal standalone.(i)
-                             (outcome_repr stg ao.Search.outcome))
-                      then divergence (Printf.sprintf "%s arm %d" name i))
-                    po.Search.arms
+                let po =
+                  Search.portfolio ~size_frontier:search_frontier ~arms sg
                 in
-                check_portfolio "portfolio/seq" ();
-                (match pool with
-                | None -> ()
-                | Some p -> check_portfolio "portfolio/pooled" ~pool:p ());
+                Array.iteri
+                  (fun i ao ->
+                    if
+                      not
+                        (String.equal standalone.(i)
+                           (outcome_repr stg ao.Search.outcome))
+                    then divergence (Printf.sprintf "portfolio arm %d" i))
+                  po.Search.arms;
                 phase := "netlist";
                 ignore (check_netlist sg : unit option);
                 phase := "realize";
@@ -287,7 +266,7 @@ let run_case ?pool ?(record = false) case =
     when String.length msg > 15 && String.sub msg 0 15 = "__divergence__ " ->
       Fail
         (Divergence
-           (Printf.sprintf "%s differs from scratch/seq"
+           (Printf.sprintf "%s differs from scratch"
               (String.sub msg 15 (String.length msg - 15))))
   | e ->
       Fail (Crash { phase = !phase; exn_text = Printexc.to_string e })
@@ -295,7 +274,7 @@ let run_case ?pool ?(record = false) case =
 (* Greedy structural minimization: descend into the first shrink candidate
    that reproduces the same failure tag, until none does or the attempt
    budget runs out.  Shrink runs never record counters. *)
-let shrink_to_min ?pool case kind =
+let shrink_to_min case kind =
   let tag = kind_tag kind in
   let budget = ref 120 in
   let exception Found of Gen.case * failure_kind in
@@ -306,7 +285,7 @@ let shrink_to_min ?pool case kind =
         Gen.shrink_case case (fun c ->
             if !budget > 0 then begin
               decr budget;
-              match run_case ?pool c with
+              match run_case c with
               | Fail k when String.equal (kind_tag k) tag ->
                   raise (Found (c, k))
               | _ -> ()
@@ -338,17 +317,13 @@ let repro_text ~cls ~seed ~kind ~orig case =
       Stg.Io.print stg;
     ]
 
-let run ?(jobs = 2) ?(classes = Gen.all_classes) ?(max_signals = 6) ?corpus
-    ~count ~seed () =
+let run ?(classes = Gen.all_classes) ?(max_signals = 6) ?corpus ~count ~seed
+    () =
   if classes = [] then invalid_arg "Fuzz.run: empty class list";
   if count < 0 then invalid_arg "Fuzz.run: negative count";
   let saved_enabled = Obs.enabled () in
   let counters_before = Obs.counters () in
-  let pool = Pool.create ~jobs in
-  Fun.protect ~finally:(fun () ->
-      Pool.shutdown pool;
-      Obs.set_enabled saved_enabled)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Obs.set_enabled saved_enabled) @@ fun () ->
   let n_classes = List.length classes in
   let cases = Hashtbl.create 4 and outcomes = Hashtbl.create 8 in
   let bump tbl key = Hashtbl.replace tbl key (1 + try Hashtbl.find tbl key with Not_found -> 0) in
@@ -359,12 +334,12 @@ let run ?(jobs = 2) ?(classes = Gen.all_classes) ?(max_signals = 6) ?corpus
     let case_seed = seed + i in
     let case = Gen.random_case ~max_signals ~cls case_seed in
     bump cases cls;
-    let outcome = run_case ~pool ~record:true case in
+    let outcome = run_case ~record:true case in
     bump outcomes (outcome_tag outcome);
     match outcome with
     | Pass | Unrealizable _ -> ()
     | Fail kind ->
-        let min_case, min_kind, steps = shrink_to_min ~pool case kind in
+        let min_case, min_kind, steps = shrink_to_min case kind in
         let repro =
           repro_text ~cls ~seed:case_seed ~kind:min_kind ~orig:case min_case
         in
@@ -397,7 +372,7 @@ let run ?(jobs = 2) ?(classes = Gen.all_classes) ?(max_signals = 6) ?corpus
   let counters_after = Obs.counters () in
   let counters =
     (* Delta against the pre-run snapshot: the engine reports only what
-       its own sequential work added, whatever the host process recorded
+       its own recorded searches added, whatever the host process recorded
        before. *)
     List.filter_map
       (fun (name, v) ->
@@ -411,7 +386,6 @@ let run ?(jobs = 2) ?(classes = Gen.all_classes) ?(max_signals = 6) ?corpus
     r_seed = seed;
     r_count = count;
     r_classes = classes;
-    r_jobs = jobs;
     r_max_signals = max_signals;
     r_cases =
       List.filter_map
@@ -460,7 +434,6 @@ let report_to_json r =
                ("w", Json.Float search_w);
                ("frontier", int search_frontier);
                ("max_signals", int r.r_max_signals);
-               ("jobs", int r.r_jobs);
              ] );
          ("cases", counts Gen.class_name r.r_cases);
          ("outcomes", counts Fun.id r.r_outcomes);
@@ -471,10 +444,8 @@ let report_to_json r =
 
 let report_summary r =
   let b = Buffer.create 256 in
-  Printf.bprintf b "fuzz: %d cases (seed %d, classes %s, jobs %d)\n" r.r_count
-    r.r_seed
-    (String.concat "," (List.map Gen.class_name r.r_classes))
-    r.r_jobs;
+  Printf.bprintf b "fuzz: %d cases (seed %d, classes %s)\n" r.r_count r.r_seed
+    (String.concat "," (List.map Gen.class_name r.r_classes));
   List.iter
     (fun (tag, n) -> Printf.bprintf b "  %-32s %d\n" tag n)
     r.r_outcomes;

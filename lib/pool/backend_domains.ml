@@ -8,7 +8,7 @@
 
    Memory model: everything the caller wrote before [Stream.start] is
    visible to workers via the broadcast under the pool mutex; see
-   [Stream] for how jobs publish their results. *)
+   [Stream] for jobs. *)
 
 type t = {
   mutable workers : int;  (** spawned domains; parallelism is workers+1 *)
@@ -89,33 +89,25 @@ let shutdown t =
   t.domains <- []
 
 (* Streaming work sessions: one long-lived draining task per worker.  The
-   caller submits jobs at any time and can help run them while waiting on
-   a predicate, so producers (submission) and consumers (workers) overlap
-   freely — the primitive behind the search's barrier-free level
-   scheduling.
+   caller submits jobs at any time; [finish] closes the queue, helps run
+   what is left and waits for every worker to leave the session.
 
-   Memory model: a job's plain writes happen-before its completion
-   broadcast under the session mutex; callers that additionally publish
-   per-job results through an [Atomic.t] flag get the standard
-   release/acquire pairing for [wait]'s predicate reads. *)
+   Memory model: a job sees everything the caller wrote before submitting
+   it (the queue's mutex orders the two); a job's own writes are visible
+   to the caller once [finish] returns (the workers' exits are published
+   under the pool mutex). *)
 module Stream = struct
   type session = {
     st : t;
     sm : Mutex.t;
-    cv : Condition.t;  (** signalled on submission and on job completion *)
+    cv : Condition.t;  (** signalled on submission and on close *)
     jobs_q : (unit -> unit) Queue.t;
-    mutable stolen : int;  (** jobs run by pool workers, not the caller *)
     mutable closed : bool;
   }
 
-  let run_one s job ~worker =
-    (* Jobs are expected to trap their own exceptions (the search wraps
-       each task); the backstop mirrors [worker_loop]'s. *)
-    (try job () with _ -> ());
-    Mutex.lock s.sm;
-    if worker then s.stolen <- s.stolen + 1;
-    Condition.broadcast s.cv;
-    Mutex.unlock s.sm
+  (* Jobs are expected to trap their own exceptions; the backstop mirrors
+     [worker_loop]'s. *)
+  let run_one job = try job () with _ -> ()
 
   let start t =
     let s =
@@ -124,7 +116,6 @@ module Stream = struct
         sm = Mutex.create ();
         cv = Condition.create ();
         jobs_q = Queue.create ();
-        stolen = 0;
         closed = false;
       }
     in
@@ -139,7 +130,7 @@ module Stream = struct
           match Queue.take_opt s.jobs_q with
           | Some job ->
               Mutex.unlock s.sm;
-              run_one s job ~worker:true
+              run_one job
           | None ->
               (* closed and drained *)
               Mutex.unlock s.sm;
@@ -175,30 +166,8 @@ module Stream = struct
         false
     | Some job ->
         Mutex.unlock s.sm;
-        run_one s job ~worker:false;
+        run_one job;
         true
-
-  let wait s ready =
-    let rec loop () =
-      if ready () then ()
-      else if help s then loop ()
-      else begin
-        Mutex.lock s.sm;
-        (* Re-check under the session mutex: a completion between the
-           [ready] read and the lock would otherwise be a lost wakeup. *)
-        if (not (ready ())) && Queue.is_empty s.jobs_q then
-          Condition.wait s.cv s.sm;
-        Mutex.unlock s.sm;
-        loop ()
-      end
-    in
-    loop ()
-
-  let stolen s =
-    Mutex.lock s.sm;
-    let v = s.stolen in
-    Mutex.unlock s.sm;
-    v
 
   let finish s =
     Mutex.lock s.sm;
@@ -216,45 +185,6 @@ module Stream = struct
       s.st.task <- None;
       Mutex.unlock s.st.m
     end
-end
-
-(* Shared memo table: a string-keyed map any domain may read or publish
-   into concurrently, striped over independent mutexes so that writers on
-   different stripes never contend.  First-writer-wins: [publish] on a key
-   that is already present is a no-op, so as long as every writer derives
-   the value deterministically from the key (the {!Smemo} contract), which
-   domain wins a race is unobservable. *)
-module Smemo = struct
-  type 'a t = {
-    locks : Mutex.t array;
-    tables : (string, 'a) Hashtbl.t array;
-    mask : int;
-  }
-
-  (* 64 stripes, a power of two so that a key's stripe is a mask away. *)
-  let create () =
-    {
-      locks = Array.init 64 (fun _ -> Mutex.create ());
-      tables = Array.init 64 (fun _ -> Hashtbl.create 64);
-      mask = 63;
-    }
-
-  let slot t key = Hashtbl.hash (key : string) land t.mask
-
-  let find t key =
-    let i = slot t key in
-    Mutex.lock t.locks.(i);
-    let r = Hashtbl.find_opt t.tables.(i) key in
-    Mutex.unlock t.locks.(i);
-    r
-
-  let publish t key v =
-    let i = slot t key in
-    Mutex.lock t.locks.(i);
-    let fresh = not (Hashtbl.mem t.tables.(i) key) in
-    if fresh then Hashtbl.add t.tables.(i) key v;
-    Mutex.unlock t.locks.(i);
-    fresh
 end
 
 (* Domain-local storage: each domain (the caller and every worker) gets its

@@ -17,8 +17,7 @@ let shutdown () = ()
 exception Stream_finished
 
 (* Streaming sessions on the sequential backend: a plain FIFO the caller
-   drains itself.  [wait]'s predicate must be satisfiable from already
-   submitted jobs, exactly as on the domains backend. *)
+   drains itself at [finish]. *)
 module Stream = struct
   type session = { q : (unit -> unit) Queue.t; mutable closed : bool }
 
@@ -28,40 +27,10 @@ module Stream = struct
     if s.closed then raise Stream_finished;
     Queue.add job s.q
 
-  let help s =
-    match Queue.take_opt s.q with
-    | None -> false
-    | Some job ->
-        (try job () with _ -> ());
-        true
-
-  let wait s ready =
-    let progress = ref true in
-    while (not (ready ())) && !progress do
-      progress := help s
-    done;
-    if not (ready ()) then
-      invalid_arg "Pool.Stream.wait: predicate needs jobs never submitted"
-
-  let stolen _ = 0
-
   let finish s =
     s.closed <- true;
-    while help s do () done
-end
-
-(* Shared memo table, sequential flavour: one plain hash table, no
-   striping needed — there is only ever one domain. *)
-module Smemo = struct
-  type 'a t = (string, 'a) Hashtbl.t
-
-  let create () = Hashtbl.create 256
-  let find t key = Hashtbl.find_opt t key
-
-  let publish t key v =
-    let fresh = not (Hashtbl.mem t key) in
-    if fresh then Hashtbl.add t key v;
-    fresh
+    Queue.iter (fun job -> try job () with _ -> ()) s.q;
+    Queue.clear s.q
 end
 
 (* "Domain-local" storage on the sequential backend: there is only one

@@ -118,18 +118,13 @@ let child_logic eval_mode parent ~delta sg' =
    counted exactly once: [candidates] at evaluation, then one of [deduped]
    (dedup key already seen), [rejected] (build or Def. 5.1 validation
    failure), [infeasible] (valid but over the performance bound), or
-   [accepted] (joined the frontier at merge). *)
+   [accepted] (priced and merged into the level). *)
 let c_candidates = Obs.Counter.make "search.candidates"
 let c_accepted = Obs.Counter.make "search.accepted"
 let c_rejected = Obs.Counter.make "search.rejected"
 let c_deduped = Obs.Counter.make "search.deduped"
 let c_infeasible = Obs.Counter.make "search.infeasible"
 let c_levels = Obs.Counter.make "search.levels"
-
-(* Candidate tasks executed by pool workers rather than the searching
-   domain (0 in sequential runs and on the sequential backend). *)
-let c_steal = Obs.Counter.make "search.steal"
-
 let c_tbl_hit = Obs.Counter.make "search.portfolio.table_hit"
 let c_tbl_miss = Obs.Counter.make "search.portfolio.table_miss"
 let c_arm_win = Obs.Counter.make "search.portfolio.arm_win"
@@ -144,32 +139,6 @@ type portfolio_outcome = {
   stats : portfolio_stats;
 }
 
-(* An entry of the cross-arm table: the logic evaluation of one candidate
-   SG, plus whether the caller has already counted a lookup of its key
-   (see [count_lookup] in [run]).  Workers only read [te_eval];
-   [te_counted] is read and written by the caller alone. *)
-type table_entry = { te_eval : Logic.eval; mutable te_counted : bool }
-
-(* Verdict on one candidate task.  [Cand] with [cfg = None] marks a
-   candidate that passed Def. 5.1 but failed the performance bound: its
-   dedup key ({!Sg.root_arc_key}) must still enter the arm's dedup table,
-   but it never joins the frontier.  [entry] is the candidate's cross-arm
-   table entry when the run shares a table.  [Failed] carries a pool
-   job's exception to the merge, which re-raises it in task order. *)
-type verdict =
-  | Dropped
-  | Cand of {
-      key : string;
-      cfg : config option;
-      entry : table_entry option;
-    }
-  | Failed of exn
-
-(* A started beam level of one arm: its task count, and how the merge gets
-   task [j]'s verdict — by evaluating the task there (sequential) or by
-   waiting for the pool job that evaluates it. *)
-type level = { tasks : int; verdict : int -> verdict }
-
 (* Per-arm search state.  [applied] holds each configuration's reduction
    script in REVERSE order during the search (cons instead of an O(n)
    append per step); the outcome puts it back in application order. *)
@@ -182,7 +151,6 @@ type arm_run = {
   mutable ar_explored : int;
   mutable ar_levels : int;
   mutable ar_fanout : int list;  (* reversed; reversed back at the end *)
-  mutable ar_level : level option;  (* started, not yet merged *)
 }
 
 (* Identity of a candidate SG for cross-arm sharing: its root-arc [key]
@@ -216,14 +184,25 @@ let share_key key sg =
           Buffer.add_int64_le b (Int64.of_int exc));
       Buffer.contents b
 
+(* [c] merged into the cost-sorted [frontier]: after every entry that
+   costs no more, then cut to [size] entries.  Merging a level's accepted
+   candidates one by one this way keeps exactly the first [size] of their
+   stable sort by cost, without holding the others until the level ends. *)
+let insert_frontier size c frontier =
+  let rec ins = function
+    | e :: rest when compare e.cost c.cost <= 0 -> e :: ins rest
+    | l -> c :: l
+  in
+  List.filteri (fun j _ -> j < size) (ins frontier)
+
 (* The beam search of Fig. 9 over K >= 1 [arms]: the one engine behind
    [optimize] (one arm) and [portfolio].  Each arm keeps its own dedup
    table, frontier and best; the arms take turns level by level,
-   round-robin, and every merge runs on the caller in task order, so each
-   arm's outcome is the one it reaches alone, with or without a pool.
-   With [share], the arms' logic evaluations go through one cross-arm
-   table.  Returns the outcomes in arm order and the table's totals. *)
-let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
+   round-robin, on the calling domain, so each arm's outcome is the one it
+   reaches alone.  With [share], the arms' logic evaluations go through
+   one cross-arm table.  Returns the outcomes in arm order and the table's
+   totals. *)
+let run ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
     ~keep_conc ~max_levels ~eval_mode arms sg0 =
   (* Performance constraint: when both [perf_delays] and [max_cycle] are
      given, a configuration only survives if the timed replay of its SG has
@@ -237,108 +216,75 @@ let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
         | Error _ -> false)
     | (Some _ | None), _ -> true
   in
-  (* One streaming session spans the whole search: workers go into
-     job-draining mode once and never re-park between levels. *)
-  let session =
-    match pool with
-    | Some p when Pool.jobs p > 1 -> Some (Pool.Stream.start p)
-    | Some _ | None -> None
-  in
-  let table = if share then Some (Pool.Smemo.create ()) else None in
+  let table = if share then Some (Hashtbl.create 256) else None in
+  let tbl_hits = ref 0 in
+  let tbl_misses = ref 0 in
   (* Logic evaluation of the candidate [sg'], through the table when there
      is one: a hit skips the evaluation outright, whichever arm paid for
      it; a miss computes it exactly as a run without the table would, then
-     publishes.  Sound because both eval modes produce identical
+     stores it.  Sound because both eval modes produce identical
      evaluations and the key determines the value (see [share_key]), so a
-     hit returns precisely what this arm would have computed.  A worker
-     that loses a publish race takes the winner's entry, so each key has
-     exactly one entry. *)
+     hit returns precisely what this arm would have computed.  Each lookup
+     is counted, in task order, so the totals are deterministic. *)
   let child_eval parent ~delta ~key sg' =
     match table with
-    | None -> (child_logic eval_mode parent ~delta sg', None)
-    | Some t ->
+    | None -> child_logic eval_mode parent ~delta sg'
+    | Some t -> (
         let key = share_key key sg' in
-        let e =
-          match Pool.Smemo.find t key with
-          | Some e -> e
-          | None -> (
-              let e =
-                {
-                  te_eval = child_logic eval_mode parent ~delta sg';
-                  te_counted = false;
-                }
-              in
-              if Pool.Smemo.publish t key e then e
-              else
-                match Pool.Smemo.find t key with
-                | Some winner -> winner
-                | None -> assert false (* entries are never removed *))
-        in
-        (e.te_eval, Some e)
+        match Hashtbl.find_opt t key with
+        | Some e ->
+            Obs.Counter.incr c_tbl_hit;
+            incr tbl_hits;
+            e
+        | None ->
+            let e = child_logic eval_mode parent ~delta sg' in
+            Hashtbl.add t key e;
+            Obs.Counter.incr c_tbl_miss;
+            incr tbl_misses;
+            e)
   in
-  (* The table's hit/miss accounting, kept on the caller at merge time so
-     that it does not depend on how the pool's domains interleave: every
-     merged candidate that the sequential path looks up (unseen by its
-     arm, valid, within the performance bound) counts once, as a hit iff
-     an earlier counted candidate had the same key, i.e. the same entry.
-     Sequentially this is exactly what the table saw; pooled, the
-     workers' lookups race (and also cover intra-level duplicates the
-     merge then drops), but the printed numbers stay the sequential ones.
-     The mark lives on the entry, so no key is hashed a second time on
-     the caller. *)
-  let tbl_hits = ref 0 in
-  let tbl_misses = ref 0 in
-  let count_lookup e =
-    if e.te_counted then begin
-      Obs.Counter.incr c_tbl_hit;
-      incr tbl_hits
-    end
-    else begin
-      e.te_counted <- true;
-      Obs.Counter.incr c_tbl_miss;
-      incr tbl_misses
-    end
-  in
-  (* Evaluate one candidate FwdRed(a, b) of [cfg] for [arm]: build, dedup
-     by the root arcs it keeps against [seen], validate (Def. 5.1), price.
-     Skipping validation for an already-seen candidate is sound because
-     the checks are a deterministic function of (source, candidate).  From
-     a deterministic root the key dedups exactly the candidates their
-     signatures would (see {!Sg.root_arc_key}); from any other it can only
-     keep apart candidates with equal signatures, never merge two that
-     differ. *)
-  let eval_task arm seen (cfg, a, b) =
+  (* Evaluate one candidate FwdRed(a, b) of [cfg] for arm [r]: build, dedup
+     by the root arcs it keeps against the arm's [seen] table, validate
+     (Def. 5.1), price.  Returns the priced configuration when it passes
+     and meets the performance bound.  Skipping validation for an
+     already-seen candidate is sound because the checks are a
+     deterministic function of (source, candidate).  From a deterministic
+     root the key dedups exactly the candidates their signatures would
+     (see {!Sg.root_arc_key}); from any other it can only keep apart
+     candidates with equal signatures, never merge two that differ.  A
+     valid candidate over the bound still enters [seen], but never the
+     frontier. *)
+  let eval_task r (cfg, a, b) =
     Obs.Counter.incr c_candidates;
     Obs.span "search.candidate" @@ fun () ->
     match Reduction.fwd_red_built cfg.sg ~a ~b with
     | Error _ ->
         Obs.Counter.incr c_rejected;
-        Dropped
+        None
     | Ok built -> (
         let key = Sg.root_arc_key built.Reduction.cand in
-        if Hashtbl.mem seen key then begin
+        if Hashtbl.mem r.ar_seen key then begin
           Obs.Counter.incr c_deduped;
-          Dropped
+          None
         end
         else
           match Reduction.validate ~source:cfg.sg built with
           | Ok sg' when keeps_protected keep_conc sg' ->
+              Hashtbl.replace r.ar_seen key ();
               if meets_perf sg' then
-                let logic, entry =
+                let logic =
                   child_eval cfg ~delta:built.Reduction.delta ~key sg'
                 in
-                let cfg' =
-                  price ~w:arm.arm_w ~area_mode:arm.arm_area logic sg'
-                    ((a, b) :: cfg.applied)
-                in
-                Cand { key; cfg = Some cfg'; entry }
+                Some
+                  (price ~w:r.ar_arm.arm_w ~area_mode:r.ar_arm.arm_area logic
+                     sg' ((a, b) :: cfg.applied))
               else begin
                 Obs.Counter.incr c_infeasible;
-                Cand { key; cfg = None; entry = None }
+                None
               end
           | Ok _ | Error _ ->
               Obs.Counter.incr c_rejected;
-              Dropped)
+              None)
   in
   let runs =
     Array.mapi
@@ -363,139 +309,51 @@ let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
           ar_explored = 1;
           ar_levels = 0;
           ar_fanout = [];
-          ar_level = None;
         })
       arms
   in
-  (* Start arm [r]'s next level, if it has one.  The tasks are enumerated
-     deterministically: frontier configurations in rank order, then
-     [oriented_candidates] order; the merge takes their verdicts in this
-     order, so pooled and sequential runs are byte-identical.
-
-     Sequentially each task is evaluated when the merge reaches it,
-     against the live [seen] table, so an intra-level duplicate skips
-     validation.  Pooled, every task is submitted now and dedups against a
-     level-start snapshot (the caller mutates [seen] while workers run);
-     the intra-level duplicates this lets through are dropped by the
-     merge, which gives them the same verdict. *)
-  let start_level r =
-    if r.ar_frontier <> [] && r.ar_levels < max_levels then begin
-      r.ar_levels <- r.ar_levels + 1;
-      Obs.Counter.incr c_levels;
-      let tasks =
-        List.concat_map
-          (fun cfg ->
-            (* Freeze the shared caches of a parent before its candidates
-               fan out across domains; workers then only read them. *)
-            if Option.is_some session then Sg.force_analyses cfg.sg;
-            List.map
-              (fun (a, b) -> (cfg, a, b))
-              (oriented_candidates ~keep_conc cfg.sg))
-          r.ar_frontier
-        |> Array.of_list
-      in
-      let n = Array.length tasks in
-      r.ar_fanout <- n :: r.ar_fanout;
-      let arm = r.ar_arm in
-      r.ar_level <-
-        Some
-          (match session with
-          | None ->
-              {
-                tasks = n;
-                verdict = (fun j -> eval_task arm r.ar_seen tasks.(j));
-              }
-          | Some s ->
-              (* Results are published by a plain slot write, then
-                 [Atomic.set] on the task's flag; merging task [j]
-                 overlaps the evaluation of later tasks. *)
-              let snapshot = Hashtbl.copy r.ar_seen in
-              let slots = Array.make n Dropped in
-              let flags = Array.init n (fun _ -> Atomic.make false) in
-              Array.iteri
-                (fun j t ->
-                  Pool.Stream.submit s (fun () ->
-                      slots.(j) <-
-                        (try eval_task arm snapshot t with e -> Failed e);
-                      Atomic.set flags.(j) true))
-                tasks;
-              {
-                tasks = n;
-                verdict =
-                  (fun j ->
-                    Pool.Stream.wait s (fun () -> Atomic.get flags.(j));
-                    slots.(j));
-              })
-    end
-  in
-  (* Merge one verdict into arm [i].  The improvement callback fires at
-     the best-update and the table lookup is counted here, so both
-     sequences are fixed by the deterministic merge order. *)
-  let merge_verdict i r merged = function
-    | Dropped -> ()
-    | Failed e -> raise e
-    | Cand { key; cfg; entry } ->
-        if not (Hashtbl.mem r.ar_seen key) then begin
-          Hashtbl.replace r.ar_seen key ();
-          match cfg with
-          | None -> ()
-          | Some cfg' ->
-              Option.iter count_lookup entry;
-              Obs.Counter.incr c_accepted;
-              r.ar_explored <- r.ar_explored + 1;
-              (match r.ar_best with
-              | Some b when cfg'.cost >= b.cost -> ()
-              | Some _ | None -> (
-                  r.ar_best <- Some cfg';
-                  match on_improvement with
-                  | Some f -> f ~arm:i cfg'
-                  | None -> ()));
-              merged := cfg' :: !merged
-        end
-        else
-          (* A pooled intra-level duplicate: the worker only saw the
-             level-start snapshot, so the merge is the first to notice.
-             Keeps the one-count-per-candidate invariant in line with
-             sequential runs. *)
-          Obs.Counter.incr c_deduped
-  in
-  let merge_level i r level =
-    Obs.span "search.level" @@ fun () ->
-    let merged = ref [] in
-    for j = 0 to level.tasks - 1 do
-      merge_verdict i r merged (level.verdict j)
-    done;
-    let sorted =
-      List.stable_sort
-        (fun c1 c2 -> compare c1.cost c2.cost)
-        (List.rev !merged)
+  (* One level of arm [i]: enumerate the tasks deterministically (frontier
+     configurations in rank order, then [oriented_candidates] order),
+     evaluate them in that order and merge each accepted one.  The
+     improvement callback fires at the best-update, so its sequence is
+     fixed by the task order. *)
+  let step i r =
+    r.ar_levels <- r.ar_levels + 1;
+    Obs.Counter.incr c_levels;
+    let tasks =
+      List.concat_map
+        (fun cfg ->
+          List.map
+            (fun (a, b) -> (cfg, a, b))
+            (oriented_candidates ~keep_conc cfg.sg))
+        r.ar_frontier
     in
-    r.ar_frontier <- List.filteri (fun j _ -> j < size_frontier) sorted
+    r.ar_fanout <- List.length tasks :: r.ar_fanout;
+    Obs.span "search.level" @@ fun () ->
+    let frontier = ref [] in
+    List.iter
+      (fun task ->
+        match eval_task r task with
+        | None -> ()
+        | Some cfg' ->
+            Obs.Counter.incr c_accepted;
+            r.ar_explored <- r.ar_explored + 1;
+            (match r.ar_best with
+            | Some b when cfg'.cost >= b.cost -> ()
+            | Some _ | None -> (
+                r.ar_best <- Some cfg';
+                match on_improvement with
+                | Some f -> f ~arm:i cfg'
+                | None -> ()));
+            frontier := insert_frontier size_frontier cfg' !frontier)
+      tasks;
+    r.ar_frontier <- !frontier
   in
-  (* Round-robin by level.  Pooled, every arm keeps one level in flight:
-     arm [k+1]'s level is on the workers while arm [k]'s merges, and an
-     arm's next level is submitted as soon as its last one is merged. *)
-  let drive () =
-    Array.iter start_level runs;
-    while Array.exists (fun r -> Option.is_some r.ar_level) runs do
-      Array.iteri
-        (fun i r ->
-          match r.ar_level with
-          | None -> ()
-          | Some level ->
-              r.ar_level <- None;
-              merge_level i r level;
-              start_level r)
-        runs
-    done
-  in
-  (match session with
-  | Some s ->
-      Fun.protect drive ~finally:(fun () ->
-          Pool.Stream.finish s;
-          let k = Pool.Stream.stolen s in
-          if k > 0 then Obs.Counter.add c_steal k)
-  | None -> drive ());
+  let live r = r.ar_frontier <> [] && r.ar_levels < max_levels in
+  (* Round-robin by level until no arm has a level left. *)
+  while Array.exists live runs do
+    Array.iteri (fun i r -> if live r then step i r) runs
+  done;
   let outcome r =
     let best, feasible =
       match r.ar_best with
@@ -514,26 +372,26 @@ let run ?pool ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
   ( Array.map outcome runs,
     { table_hits = !tbl_hits; table_misses = !tbl_misses } )
 
-let optimize ?pool ?(w = 0.5) ?(size_frontier = 4) ?(keep_conc = [])
+let optimize ?(w = 0.5) ?(size_frontier = 4) ?(keep_conc = [])
     ?(max_levels = max_int) ?perf_delays ?max_cycle ?(eval_mode = `Delta)
     ?(area_mode = `Tree) sg0 =
   Obs.span "search.optimize" @@ fun () ->
   let outcomes, _ =
-    run ?pool ?perf_delays ?max_cycle ~share:false ~size_frontier ~keep_conc
+    run ?perf_delays ?max_cycle ~share:false ~size_frontier ~keep_conc
       ~max_levels ~eval_mode
       [| { arm_w = w; arm_area = area_mode } |]
       sg0
   in
   outcomes.(0)
 
-let portfolio ?pool ?(size_frontier = 4) ?(keep_conc = [])
+let portfolio ?(size_frontier = 4) ?(keep_conc = [])
     ?(max_levels = max_int) ?perf_delays ?max_cycle ?(eval_mode = `Delta)
     ?on_improvement ~arms sg0 =
   if arms = [] then invalid_arg "Search.portfolio: empty arm list";
   Obs.span "search.portfolio" @@ fun () ->
   let arms = Array.of_list arms in
   let outcomes, stats =
-    run ?pool ?perf_delays ?max_cycle ?on_improvement ~share:true
+    run ?perf_delays ?max_cycle ?on_improvement ~share:true
       ~size_frontier ~keep_conc ~max_levels ~eval_mode arms sg0
   in
   (* Cross-arm yardstick: arms priced under different weights or area

@@ -8,9 +8,9 @@
     conflicts: [cost = w * logic + (1 - w) * 8 * csc_pairs], one
     conflicting state pair weighing as much as eight literals.
 
-    One engine runs every search: {!optimize} is a portfolio of one arm
-    without the cross-arm table, and {!portfolio} runs K arms over one
-    pool session with it. *)
+    One engine runs every search, on the calling domain: {!optimize} is a
+    portfolio of one arm without the cross-arm table, and {!portfolio}
+    runs K arms with it. *)
 
 type config = {
   sg : Sg.t;
@@ -37,8 +37,8 @@ type outcome = {
   explored : int;  (** number of distinct SGs evaluated *)
   levels : int;  (** depth of the search *)
   fanout : int list;
-      (** candidate reductions enumerated per level, in level order — the
-          work fanned out across pool workers (before dedup/validation) *)
+      (** candidate reductions enumerated per level, in level order (before
+          dedup/validation) *)
 }
 
 (** Pairs of labels whose concurrency must be preserved (the designer's
@@ -66,11 +66,11 @@ type eval_mode = [ `Scratch | `Delta ]
       hash-consed netlist ({!Netlist.shared_area}) plus the same
       conflict-pressure term in area units: a candidate whose signals
       share subcones is genuinely cheaper, matching what {!Techmap}
-      will pay after mapping.  Deterministic and pool-safe (a pure
-      function of the covers). *)
+      will pay after mapping.  Deterministic (a pure function of the
+      covers). *)
 type area_mode = [ `Tree | `Shared ]
 
-(** [optimize ?pool ?w ?size_frontier ?keep_conc ?max_levels sg] runs the
+(** [optimize ?w ?size_frontier ?keep_conc ?max_levels sg] runs the
     search.  [w] (default 0.5) trades logic complexity ([w -> 1]) against
     CSC conflicts ([w -> 0]).  [size_frontier] defaults to 4.
     [max_levels] (default unlimited) bounds the depth.
@@ -79,14 +79,8 @@ type area_mode = [ `Tree | `Shared ]
     ({!Sg.root_arc_key}): from a deterministic root that makes exactly
     the dedup decisions of their {!Sg.signature}s.
 
-    With [pool] (and an effective {!Pool.jobs} > 1), each level's candidate
-    evaluations — build, dedup, Def. 5.1 validation, cost — fan
-    out across the pool's domains against the shared immutable parent SGs
-    (whose caches are forced first; see {!Sg.force_analyses}).  Verdicts
-    are merged in the deterministic task-enumeration order (frontier rank,
-    then concurrent-pair order, then orientation), so the outcome is
-    byte-identical to a run without a pool.  [perf_delays] must be pure
-    when a pool is used: it is called from worker domains.
+    Each level's candidates are evaluated and merged in a deterministic
+    order: frontier rank, then concurrent-pair order, then orientation.
 
     When both [perf_delays] and [max_cycle] are given, configurations whose
     timed replay ({!Timing.analyze_sg}) exceeds the cycle bound are
@@ -94,7 +88,6 @@ type area_mode = [ `Tree | `Shared ]
     meets the bound, [best] falls back to the initial one and the outcome's
     [feasible] flag is [false]. *)
 val optimize :
-  ?pool:Pool.t ->
   ?w:float ->
   ?size_frontier:int ->
   ?keep_conc:keep ->
@@ -108,8 +101,8 @@ val optimize :
 
 (** {2 Portfolio search}
 
-    Several cost weightings explored concurrently over one pool session,
-    with cross-arm sharing.  See DESIGN.md, "Portfolio search". *)
+    Several cost weightings explored side by side, level by level, with
+    cross-arm sharing.  See DESIGN.md, "Portfolio search". *)
 
 (** One arm of a portfolio: a weight [W] plus an area model. *)
 type arm = { arm_w : float; arm_area : area_mode }
@@ -127,10 +120,9 @@ type arm_outcome = {
 
 (** Cross-arm table totals of one portfolio run (counted whether or not
     {!Obs} recording is on).  Each candidate an arm accepts (unseen by
-    that arm, valid, within the performance bound) is one table lookup,
-    counted in the deterministic merge order: a hit when an earlier
-    counted candidate had the same key, a miss otherwise.  The totals are
-    therefore the same sequential or pooled, at any job count. *)
+    that arm, valid, within the performance bound) is one table lookup, in
+    the deterministic task order: a hit when an earlier lookup had the
+    same key, a miss otherwise. *)
 type portfolio_stats = { table_hits : int; table_misses : int }
 
 type portfolio_outcome = {
@@ -142,24 +134,22 @@ type portfolio_outcome = {
 }
 
 (** [portfolio ~arms sg] runs one beam search per arm, all sharing one
-    {!Pool.Stream} session (with [pool]) and one cross-arm evaluation
-    table: a candidate SG evaluated by any arm is never logic-evaluated
-    again by another, keyed by the root arcs it keeps
-    ({!Sg.root_arc_key}) plus its lineage ghost sequence, so the cached
-    evaluation is exactly what every arm would have computed itself.
-    Each arm's [outcome] is byte-identical to its standalone {!optimize}
-    run with the same parameters, pooled or sequential.
+    cross-arm evaluation table: a candidate SG evaluated by any arm is
+    never logic-evaluated again by another, keyed by the root arcs it
+    keeps ({!Sg.root_arc_key}) plus its lineage ghost sequence, so the
+    cached evaluation is exactly what every arm would have computed
+    itself.  Each arm's [outcome] is byte-identical to its standalone
+    {!optimize} run with the same parameters.
 
-    [on_improvement] streams the anytime best-so-far: it fires on the
-    caller's thread, in a deterministic order (arms serviced round-robin,
-    each level merged in task order), once per strict per-arm
-    improvement, starting with each arm's initial configuration.
+    [on_improvement] streams the anytime best-so-far: it fires in a
+    deterministic order (arms serviced round-robin, each level merged in
+    task order), once per strict per-arm improvement, starting with each
+    arm's initial configuration.
 
     The per-arm search parameters ([size_frontier], [keep_conc],
     [max_levels], [perf_delays], [max_cycle], [eval_mode]) are shared by
     all arms. *)
 val portfolio :
-  ?pool:Pool.t ->
   ?size_frontier:int ->
   ?keep_conc:keep ->
   ?max_levels:int ->

@@ -1480,27 +1480,6 @@ let root_arc_key sg =
     sg.arc_root;
   Bytes.unsafe_to_string b
 
-(* Force every shared memoized analysis the reduction search reads on a
-   value that is about to be shared read-only across domains.  After this
-   returns, the queries the search performs on [sg] from pool workers
-   ([er], [iter_pred], [arc_label_instances], [is_output_persistent],
-   [concurrent], [csc_conflict_count], [enabled_labels]) are pure reads
-   of already-filled cache fields.  The per-state controlled-label memo
-   is intentionally not forced: the search never calls
-   [csc_conflicts]/[controlled_labels] on a shared value, and the
-   int-packed [csc_conflict_count] paths do not touch it.  Forcing
-   [enmask] also lets every candidate built from [sg] by
-   [filter_arcs_delta] inherit its enabled masks. *)
-let force_analyses sg =
-  ignore (enabled_arrays sg);
-  ignore (enmask sg);
-  ignore (pred sg);
-  ignore (er_table sg);
-  ignore (conc_rel sg);
-  ignore (arc_label_instances sg);
-  ignore (is_output_persistent sg);
-  ignore (csc_conflict_count sg)
-
 (* ------------------------------------------------------------------ *)
 (* Output *)
 

@@ -167,7 +167,10 @@ type delta = {
 
 (** {!filter_arcs} plus the {!delta} report — the incremental logic
     estimator ({!Logic.estimate_delta}) uses it to bound which signals'
-    ON/OFF sets may have changed. *)
+    ON/OFF sets may have changed.  When [sg]'s enabled-label bitmasks are
+    already computed (as by {!csc_conflict_count}, which the search runs
+    on every frontier graph), the new graph inherits them instead of
+    numbering its labels afresh. *)
 val filter_arcs_delta :
   t -> keep:(state -> Petri.trans -> state -> bool) -> t * state array * delta
 
@@ -310,17 +313,6 @@ val signature : t -> string
       per label.
     The reduction search dedups its candidates by this key. *)
 val root_arc_key : t -> string
-
-(** Force every memoized analysis the reduction search consults on a
-    shared value (enabled labels and their bitmasks, reverse index,
-    excitation regions, the concurrency relation, arc-label instances,
-    output persistency, CSC-conflict count), making subsequent
-    queries from concurrent readers pure cache reads.  Call this on an SG
-    before sharing it read-only across pool workers; see DESIGN.md,
-    "Parallel candidate evaluation".  Graphs that {!filter_arcs_delta}
-    then builds from it inherit its enabled-label bitmasks instead of
-    numbering their labels afresh. *)
-val force_analyses : t -> unit
 
 val pp : Format.formatter -> t -> unit
 

@@ -37,7 +37,6 @@ let () =
       ("bdd", Test_bdd.suite);
       ("crosscheck", Test_crosscheck.suite);
       ("techmap", Test_techmap.suite);
-      ("parallel", Test_parallel.suite);
       ("portfolio", Test_portfolio.suite);
       ("delta", Test_delta.suite);
       ("roundtrip", Test_roundtrip.suite);

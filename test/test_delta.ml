@@ -11,22 +11,8 @@
      ([Logic.estimate_delta]), as the reduction search does.
 
    The same contract lifted to whole searches: [Search.optimize] outcomes
-   must be byte-identical across the [`Scratch]/[`Delta] evaluation modes,
-   with and without a pool. *)
-
-let jobs =
-  match Sys.getenv_opt "ASYNC_REPRO_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> j
-      | _ -> 4)
-  | None -> 4
-
-let pool =
-  lazy
-    (let p = Pool.create ~jobs in
-     at_exit (fun () -> Pool.shutdown p);
-     p)
+   must be byte-identical across the [`Scratch]/[`Delta] evaluation
+   modes. *)
 
 (* Full textual rendering of a logic evaluation: any divergence — a set,
    a conflict count, a cover cube, a literal count, the total — breaks
@@ -75,13 +61,7 @@ let check_logic_paths name stg =
       try_one (b, a))
     (Sg.concurrent_pairs sg)
 
-let named_specs () =
-  [
-    ("fig1", Specs.fig1 ());
-    ("LR", Expansion.four_phase Specs.lr);
-    ("PAR", Expansion.four_phase Specs.par);
-    ("MMU", Expansion.four_phase Specs.mmu);
-  ]
+let named_specs = Test_search.named_specs
 
 let test_logic_named () =
   List.iter (fun (name, stg) -> check_logic_paths name stg) (named_specs ())
@@ -187,8 +167,9 @@ let test_support_random () =
 
 (* The CSC-conflict count and the enabled masks a candidate inherits from
    its parent.  A candidate built from a parent whose masks are cached (as
-   every search candidate is: the search forces its frontier's analyses)
-   reads its parent's label-bit numbering; one built from a fresh parent
+   every search candidate is: pricing counts the CSC conflicts of every
+   frontier graph, which fills its masks) reads its parent's label-bit
+   numbering; one built from a fresh parent
    numbers its own labels.  Every mode builds candidates the same way, so
    the search-outcome differentials cannot catch a bias here: along a warm
    and a cold lineage of equal graphs, two levels deep, check the count
@@ -197,11 +178,11 @@ let test_support_random () =
    masks. *)
 let check_csc_delta name stg =
   let depth_budget = ref 24 in
-  (* Invariant: [warm]'s analyses are forced before its candidates are
-     built (so they inherit its masks, like search candidates); [cold]'s
+  (* Invariant: [warm]'s CSC conflicts are counted before its candidates
+     are built (so they inherit its masks, like search candidates); [cold]'s
      candidates are built while nothing of it is cached. *)
   let rec go depth label (warm : Sg.t) (cold : Sg.t) =
-    Sg.force_analyses warm;
+    ignore (Sg.csc_conflict_count warm : int);
     let recs =
       if depth = 0 then []
       else
@@ -319,52 +300,41 @@ let modes = [ ("scratch", `Scratch); ("delta", `Delta) ]
 
 let check_search_modes name stg =
   let sg = Gen.sg_exn stg in
-  let p = Lazy.force pool in
-  let run ?pool mode =
-    Test_parallel.outcome_repr stg
-      (Search.optimize ?pool ~w:0.8 ~size_frontier:4 ~eval_mode:mode sg)
+  let run mode =
+    Fuzz.outcome_repr stg
+      (Search.optimize ~w:0.8 ~size_frontier:4 ~eval_mode:mode sg)
   in
   let reference = run `Scratch in
   List.iter
     (fun (mname, mode) ->
       Alcotest.(check string)
-        (Printf.sprintf "%s %s seq" name mname)
-        reference (run mode);
-      Alcotest.(check string)
-        (Printf.sprintf "%s %s pooled" name mname)
-        reference (run ~pool:p mode))
+        (Printf.sprintf "%s %s" name mname)
+        reference (run mode))
     modes
 
 let test_search_named () =
   List.iter (fun (name, stg) -> check_search_modes name stg) (named_specs ())
 
 let test_search_random () =
-  let p = Lazy.force pool in
   for seed = 0 to 99 do
     let stg = Gen.random_stg ~max_signals:6 seed in
     let sg = Gen.sg_exn stg in
-    let reference =
-      Test_parallel.outcome_repr stg
-        (Search.optimize ~size_frontier:3 ~eval_mode:`Scratch sg)
+    let run mode =
+      Fuzz.outcome_repr stg
+        (Search.optimize ~size_frontier:3 ~eval_mode:mode sg)
     in
+    let reference = run `Scratch in
     List.iter
       (fun (mname, mode) ->
         Alcotest.(check string)
-          (Printf.sprintf "seed %d %s seq" seed mname)
-          reference
-          (Test_parallel.outcome_repr stg
-             (Search.optimize ~size_frontier:3 ~eval_mode:mode sg));
-        Alcotest.(check string)
-          (Printf.sprintf "seed %d %s pooled" seed mname)
-          reference
-          (Test_parallel.outcome_repr stg
-             (Search.optimize ~pool:p ~size_frontier:3 ~eval_mode:mode sg)))
+          (Printf.sprintf "seed %d %s" seed mname)
+          reference (run mode))
       modes
   done
 
 (* A root with two same-label arcs out of one state: the search dedups
    by root arcs, which need not match the signature there; every mode
-   and the pool must still agree. *)
+   must still agree. *)
 let test_search_same_label_choice () =
   check_search_modes "same-label choice" (Test_search.same_label_choice ())
 

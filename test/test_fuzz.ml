@@ -5,18 +5,10 @@
      their shrinkers preserve all of it;
    - the differential contract at scale: hundreds of random specs from
      all three classes through the full [Fuzz.run_case] pipeline — every
-     evaluation mode, sequential and pooled, byte-identical — with zero
+     evaluation mode and portfolio arm byte-identical — with zero
      unclassified failures;
    - the campaign is reproducible: same seed, same report bytes;
    - the AMBA-AHB workload suite synthesizes to its golden numbers. *)
-
-let jobs =
-  match Sys.getenv_opt "ASYNC_REPRO_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> j
-      | _ -> 4)
-  | None -> 4
 
 let silent_sg stg =
   match Sg.of_stg ~warn:(fun _ -> ()) stg with
@@ -90,7 +82,7 @@ let outcome_total r =
   List.fold_left (fun acc (_, n) -> acc + n) 0 r.Fuzz.r_outcomes
 
 let campaign_zero_failures () =
-  let r = Fuzz.run ~jobs ~count:210 ~seed:7 () in
+  let r = Fuzz.run ~count:210 ~seed:7 () in
   List.iter
     (fun f ->
       Printf.printf "unexpected failure: %s %d: %s\n%s\n"
@@ -102,11 +94,11 @@ let campaign_zero_failures () =
   Alcotest.(check int)
     "every class drawn" 3
     (List.length (List.filter (fun (_, n) -> n > 0) r.Fuzz.r_cases));
-  (* The campaign records counters from the sequential arms. *)
+  (* The campaign records counters from the eval-mode searches. *)
   Alcotest.(check bool) "counters recorded" true (r.Fuzz.r_counters <> [])
 
 let campaign_deterministic () =
-  let run () = Fuzz.run ~jobs ~count:50 ~seed:11 () in
+  let run () = Fuzz.run ~count:50 ~seed:11 () in
   let a = Fuzz.report_to_json (run ()) and b = Fuzz.report_to_json (run ()) in
   Alcotest.(check string) "same seed, same report bytes" a b
 

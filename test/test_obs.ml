@@ -2,15 +2,53 @@
 
    The contract under test (DESIGN.md, "Observability"): recording spans
    and counters has ZERO behavioural impact — every flow result is
-   byte-identical with tracing enabled or disabled, sequentially and
-   under a pool — and the exported artifacts are structurally sound
+   byte-identical with tracing enabled or disabled, on the calling domain
+   and as concurrent jobs of a pool session (as [astg serve] runs its
+   computes) — and the exported artifacts are structurally sound
    (well-nested per domain, monotone timestamps, Perfetto-loadable JSON).
 
    Golden tests pin the summary table and the Chrome trace for one fixed
    sequential flow; regenerate the .expected files with
    ASYNC_REPRO_BLESS=1 after an intentional taxonomy change. *)
 
-let pool = Test_parallel.pool
+(* The pool the cross-domain tests run on: ASYNC_REPRO_JOBS wide, 4 by
+   default. *)
+let jobs =
+  match Sys.getenv_opt "ASYNC_REPRO_JOBS" with
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some j when j >= 1 -> j
+      | _ -> 4)
+  | None -> 4
+
+let pool =
+  lazy
+    (let p = Pool.create ~jobs in
+     at_exit (fun () -> Pool.shutdown p);
+     p)
+
+(* Run [f] on every element of [xs] as the jobs of one pool session;
+   [Pool.Stream.finish] returns once every job has run. *)
+let in_session f xs =
+  let s = Pool.Stream.start (Lazy.force pool) in
+  List.iter (fun x -> Pool.Stream.submit s (fun () -> f x)) xs;
+  Pool.Stream.finish s
+
+(* [List.map f xs] with every [f x] one job of a pool session, so the
+   calls run concurrently across the pool's domains.  Each job must build
+   its own graphs: an SG's analysis caches are not shared across
+   domains. *)
+let map_in_session f xs =
+  let out = Array.make (List.length xs) None in
+  in_session
+    (fun (i, x) ->
+      out.(i) <- Some (match f x with v -> Ok v | exception e -> Error e))
+    (List.mapi (fun i x -> (i, x)) xs);
+  Array.to_list out
+  |> List.map (function
+       | Some (Ok v) -> v
+       | Some (Error e) -> raise e
+       | None -> Alcotest.fail "a pool job did not run")
 
 (* Run [f] with recording forced on/off, restoring the previous state
    (the CI tier-1 job runs the whole suite under ASYNC_REPRO_TRACE=1, so
@@ -23,47 +61,50 @@ let with_enabled on f =
 (* ------------------------------------------------------------------ *)
 (* Differential: enabled vs disabled runs must be byte-identical.      *)
 
-let search_diff name ?pool sg repr =
-  let run () = Search.optimize ?pool ~w:0.8 ~size_frontier:4 sg in
-  let off = with_enabled false run in
-  let on = with_enabled true run in
-  Alcotest.(check string) (name ^ " on=off") (repr off) (repr on)
-
-(* Paper specs, at the bench's search parameters, sequential and pooled. *)
-let test_differential_named () =
-  let p = Lazy.force pool in
+(* [run map] runs a batch of flows through [map] and renders each result
+   as a (name, text) pair.  Recording off and on must render the same,
+   with the batch on the calling domain ([List.map], "seq") and spread
+   over a pool session ([map_in_session], "pool"). *)
+let check_on_off run =
   List.iter
-    (fun (name, stg) ->
-      let sg = Gen.sg_exn stg in
-      let repr = Test_parallel.outcome_repr stg in
-      search_diff (name ^ " seq") sg repr;
-      search_diff (name ^ " pool") ~pool:p sg repr)
-    (Test_parallel.named_specs ());
+    (fun (mode, map) ->
+      let off = with_enabled false (fun () -> run map) in
+      let on = with_enabled true (fun () -> run map) in
+      List.iter2
+        (fun (name, a) (_, b) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s on=off" name mode)
+            a b)
+        off on)
+    [ ("seq", List.map); ("pool", map_in_session) ]
+
+(* Paper specs, at the bench's search parameters. *)
+let test_differential_named () =
+  check_on_off (fun map ->
+      map
+        (fun (name, stg) ->
+          ( name,
+            Fuzz.outcome_repr stg
+              (Search.optimize ~w:0.8 ~size_frontier:4 (Gen.sg_exn stg)) ))
+        (Test_search.named_specs ()));
   Obs.reset ()
 
-(* Full end-to-end reports — pretty-printed rows, the rendered table and
-   the synthesized equations — through pooled Core.optimize. *)
+(* Full end-to-end reports — pretty-printed row, rendered table and
+   synthesized equations — through Core.optimize, each spec's flow one
+   pool job in the pooled half. *)
 let test_differential_report () =
-  let p = Lazy.force pool in
-  let specs =
-    List.map (fun (n, stg) -> (n, Gen.sg_exn stg)) (Test_parallel.named_specs ())
+  let render (r : Core.report) =
+    Core.render_table ~title:"obs-diff" [ r ]
+    ^ Format.asprintf "%a@.%s" Core.pp_report r r.Core.equations
   in
-  let render rs =
-    Core.render_table ~title:"obs-diff" rs
-    ^ String.concat "\n"
-        (List.map
-           (fun (r : Core.report) ->
-             Format.asprintf "%a@.%s" Core.pp_report r r.Core.equations)
-           rs)
-  in
-  let run () =
-    List.map
-      (fun (name, sg) -> Core.optimize ~pool:p ~w:0.8 ~size_frontier:4 ~name sg)
-      specs
-  in
-  let off = with_enabled false run in
-  let on = with_enabled true run in
-  Alcotest.(check string) "Core reports on=off" (render off) (render on);
+  check_on_off (fun map ->
+      map
+        (fun (name, stg) ->
+          ( name,
+            render
+              (Core.optimize ~w:0.8 ~size_frontier:4 ~name (Gen.sg_exn stg))
+          ))
+        (Test_search.named_specs ()));
   Obs.reset ()
 
 (* Every .g file shipped under examples/data (skipping any the SG
@@ -75,7 +116,7 @@ let test_differential_examples () =
       match Sg.of_stg stg with
       | Error _ -> ()
       | Ok sg ->
-          let repr = Test_parallel.outcome_repr stg in
+          let repr = Fuzz.outcome_repr stg in
           let run () = Search.optimize ~size_frontier:2 sg in
           let off = with_enabled false run in
           let on = with_enabled true run in
@@ -83,31 +124,26 @@ let test_differential_examples () =
     (Test_roundtrip.g_files ());
   Obs.reset ()
 
-(* 100 seeded random series-parallel STGs, sequential and pooled.
-   Periodic resets keep the span buffers bounded on tracing-enabled CI
+(* 100 seeded random series-parallel STGs, ten to a batch.  Resets
+   between batches keep the span buffers bounded on tracing-enabled CI
    runs (the per-domain event cap would otherwise engage and hide real
    events from the uploaded trace). *)
 let test_differential_random () =
-  let p = Lazy.force pool in
-  for seed = 0 to 99 do
-    let stg = Gen.random_stg ~max_signals:6 seed in
-    let sg = Gen.sg_exn stg in
-    let repr = Test_parallel.outcome_repr stg in
-    let seq () = Search.optimize ~size_frontier:2 sg in
-    let par () = Search.optimize ~pool:p ~size_frontier:2 sg in
-    let off = with_enabled false seq in
-    let on = with_enabled true seq in
-    Alcotest.(check string)
-      (Printf.sprintf "seed %d seq" seed)
-      (repr off) (repr on);
-    let poff = with_enabled false par in
-    let pon = with_enabled true par in
-    Alcotest.(check string)
-      (Printf.sprintf "seed %d pool" seed)
-      (repr poff) (repr pon);
-    if seed mod 10 = 9 then Obs.reset ()
-  done;
-  Obs.reset ()
+  for batch = 0 to 9 do
+    let specs =
+      List.init 10 (fun i ->
+          let seed = (10 * batch) + i in
+          (Printf.sprintf "seed %d" seed, Gen.random_stg ~max_signals:6 seed))
+    in
+    check_on_off (fun map ->
+        map
+          (fun (name, stg) ->
+            ( name,
+              Fuzz.outcome_repr stg
+                (Search.optimize ~size_frontier:2 (Gen.sg_exn stg)) ))
+          specs);
+    Obs.reset ()
+  done
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: structural soundness of the recorded/merged/exported spans. *)
@@ -144,13 +180,6 @@ let arb_forest =
       Printf.sprintf "forest of %d trees, %d spans" (List.length ts)
         (List.fold_left (fun a t -> a + tree_size t) 0 ts))
     QCheck.Gen.(list_size (int_bound 8) gen_tree)
-
-(* Run [f] on every element of [xs] as the jobs of one pool session;
-   [Pool.Stream.finish] returns once every job has run. *)
-let in_session f xs =
-  let s = Pool.Stream.start (Lazy.force pool) in
-  List.iter (fun x -> Pool.Stream.submit s (fun () -> f x)) xs;
-  Pool.Stream.finish s
 
 (* Execute a forest of span trees across the pool's domains and return
    the merged event stream. *)
@@ -307,9 +336,9 @@ let test_golden_trace () =
   check_golden "obs_trace.expected" trace
 
 (* No search.level span opens inside another on the same domain: a
-   level's span covers that level's merge, and merges run one after
-   another on the caller.  (A span opened when a level's tasks are
-   submitted would still pass [well_nested], since both arms' level spans
+   level's span covers that level's evaluation and merge, and the arms'
+   levels run one after another.  (A span left open across another arm's
+   level would still pass [well_nested], since both arms' level spans
    carry the same name.) *)
 let levels_disjoint evs =
   let depth = Hashtbl.create 4 in
@@ -324,15 +353,12 @@ let levels_disjoint evs =
     evs
 
 (* Acceptance: a traced full MMU flow (the biggest paper spec: search,
-   CSC, logic, techmap) exports a Chrome trace the validator accepts,
-   sequentially and pooled, and the trace reaches the CSC and mapping
-   layers.  So does a traced two-arm portfolio at --jobs 1 and 2, whose
-   level spans never nest, although at --jobs 2 both arms have a level
-   in flight on the pool. *)
+   CSC, logic, techmap) exports a Chrome trace the validator accepts, run
+   on the calling domain and as a pool job, and the trace reaches the CSC
+   and mapping layers.  So does a traced two-arm portfolio, whose level
+   spans never nest. *)
 let test_mmu_trace () =
   let stg = Expansion.four_phase Specs.mmu in
-  let sg = Gen.sg_exn stg in
-  let p = Lazy.force pool in
   let check_trace mode run spans =
     Obs.reset ();
     with_enabled true run;
@@ -353,27 +379,25 @@ let test_mmu_trace () =
       spans;
     Obs.reset ()
   in
-  List.iter
-    (fun (mode, pool) ->
-      check_trace mode
-        (fun () ->
-          ignore (Core.optimize ?pool ~name:"MMU" ~w:0.8 ~size_frontier:4 sg))
-        [ "csc.resolve"; "techmap.map" ])
-    [ ("seq", None); ("pool", Some p) ];
-  List.iter
-    (fun jobs ->
-      check_trace
-        (Printf.sprintf "portfolio --jobs %d" jobs)
-        (fun () ->
-          match
-            Core.Cli.reduce_text
-              { Core.Cli.default_reduce with portfolio = [ 0.3; 0.8 ]; jobs }
-              stg
-          with
-          | Ok _ -> ()
-          | Error msg -> Alcotest.fail msg)
-        [ "search.portfolio"; "search.level" ])
-    [ 1; 2 ]
+  let flow () =
+    ignore
+      (Core.optimize ~name:"MMU" ~w:0.8 ~size_frontier:4 (Gen.sg_exn stg)
+        : Core.report)
+  in
+  check_trace "seq" flow [ "csc.resolve"; "techmap.map" ];
+  check_trace "pool"
+    (fun () -> in_session flow [ () ])
+    [ "csc.resolve"; "techmap.map" ];
+  check_trace "portfolio"
+    (fun () ->
+      match
+        Core.Cli.reduce_text
+          { Core.Cli.default_reduce with portfolio = [ 0.3; 0.8 ] }
+          stg
+      with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg)
+    [ "search.portfolio"; "search.level" ]
 
 (* The validator parses the JSON document: text that is no trace, a
    trace cut off before its end and each break of stack discipline are

@@ -1,20 +1,19 @@
-(* Tests for the portfolio search (Search.portfolio) and its substrate:
-   the Stream_finished contract, the shared Smemo evaluation table — and
-   the cross-signal netlist sharing that the literal-chaining reorder of
+(* Tests for the portfolio search (Search.portfolio), its cross-arm
+   evaluation table, the pool's Stream_finished contract — and the
+   cross-signal netlist sharing that the literal-chaining reorder of
    Netlist.of_covers buys.
 
    The portfolio contract: every arm's outcome is byte-identical to its
-   standalone Search.optimize run with the same parameters — sequential
-   or pooled.  These tests hold it to that promise on the named paper
-   specs and a swarm of seeded random STGs, pin the deterministic
-   on_improvement stream, and check that `astg reduce --portfolio`
-   prints the same bytes at any job count. *)
+   standalone Search.optimize run with the same parameters.  These tests
+   hold it to that promise on the named paper specs and a swarm of seeded
+   random STGs, pin the deterministic on_improvement stream, and check
+   that `astg reduce --portfolio` prints the same bytes at any --jobs. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let pool = Test_parallel.pool
-let outcome_repr = Test_parallel.outcome_repr
-let named_specs = Test_parallel.named_specs
+let pool = Test_obs.pool
+let outcome_repr = Fuzz.outcome_repr
+let named_specs = Test_search.named_specs
 
 (* ---- Stream: typed close error ------------------------------------ *)
 
@@ -23,8 +22,8 @@ let test_stream_finished () =
   let s = Pool.Stream.start p in
   let r = Atomic.make 0 in
   Pool.Stream.submit s (fun () -> Atomic.set r 1);
-  Pool.Stream.wait s (fun () -> Atomic.get r = 1);
   Pool.Stream.finish s;
+  check "finish runs every submitted job" true (Atomic.get r = 1);
   check "submit after finish raises Stream_finished" true
     (match Pool.Stream.submit s (fun () -> ()) with
     | () -> false
@@ -32,10 +31,9 @@ let test_stream_finished () =
 
 (* ---- Core.Cli.reduce_text: --jobs never changes the bytes ---------- *)
 
-(* The whole `astg reduce --portfolio` output, the cross-arm table line
-   included, is the same at --jobs 2 as at --jobs 1: the table's hits
-   and misses are counted in the deterministic merge order, not in the
-   order the pool's domains happen to publish. *)
+(* --jobs is accepted and ignored: the whole `astg reduce --portfolio`
+   output, the cross-arm table line included, is the same at --jobs 2 as
+   at --jobs 1. *)
 let test_reduce_text_jobs () =
   let micropipeline =
     Stg.Io.parse_file
@@ -66,42 +64,25 @@ let test_reduce_text_jobs () =
       ("LR", Expansion.four_phase Specs.lr);
     ]
 
-(* A pool wider than the runtime's limit on live domains (128 on OCaml 5)
-   runs with the workers it could spawn, and the portfolio over it ends
-   as the pool-less one does.  [Core.Cli.reduce_text] caps its pool at the
-   usable CPUs, so the test opens the pool itself. *)
-let test_wide_pool () =
-  let stg = Expansion.four_phase Specs.lr in
-  let sg = Gen.sg_exn stg in
-  let arms =
-    [ { Search.arm_w = 0.3; arm_area = `Tree };
-      { Search.arm_w = 0.8; arm_area = `Tree } ]
-  in
-  let repr (po : Search.portfolio_outcome) =
-    Printf.sprintf "winner %d, %d hits, %d misses\n%s" po.Search.winner
-      po.Search.stats.Search.table_hits po.Search.stats.Search.table_misses
-      (String.concat "\n"
-         (Array.to_list
-            (Array.map
-               (fun ao -> outcome_repr stg ao.Search.outcome)
-               po.Search.arms)))
-  in
-  let run pool = repr (Search.portfolio ?pool ~size_frontier:4 ~arms sg) in
-  Alcotest.(check string) "LR portfolio 0.3,0.8: jobs 200 = jobs 1" (run None)
-    (Pool.with_pool ~jobs:200 (fun p -> run (Some p)))
+(* ---- the cross-arm table ------------------------------------------ *)
 
-(* ---- Smemo: first-writer-wins shared table ------------------------- *)
-
-let test_smemo () =
-  let t = Pool.Smemo.create () in
-  check "fresh publish inserts" true (Pool.Smemo.publish t "k" 1);
-  check "second publish loses" false (Pool.Smemo.publish t "k" 2);
-  Alcotest.(check (option int))
-    "first writer wins" (Some 1) (Pool.Smemo.find t "k");
-  Alcotest.(check (option int)) "absent key" None (Pool.Smemo.find t "nope");
-  check "another key inserts" true (Pool.Smemo.publish t "k2" 3);
-  Alcotest.(check (option int))
-    "keys are independent" (Some 3) (Pool.Smemo.find t "k2")
+(* Two identical arms walk the same lineage, and the second takes its
+   turn at each level after the first: every lookup of the first arm
+   misses and every lookup of the second hits.  One lookup per accepted
+   candidate, so the totals are each arm's explored count less its
+   initial configuration. *)
+let test_twin_arm_hits () =
+  let sg = Gen.sg_exn (Expansion.four_phase Specs.mmu) in
+  let arm = { Search.arm_w = 0.8; arm_area = `Tree } in
+  let po = Search.portfolio ~size_frontier:4 ~arms:[ arm; arm ] sg in
+  let explored i = po.Search.arms.(i).Search.outcome.Search.explored in
+  check "the arms explore" true (explored 0 > 1);
+  check_int "the twin explores what the first arm does" (explored 0)
+    (explored 1);
+  check_int "misses: the first arm's lookups" (explored 0 - 1)
+    po.Search.stats.Search.table_misses;
+  check_int "hits: the twin's lookups" (explored 1 - 1)
+    po.Search.stats.Search.table_hits
 
 (* ---- portfolio vs standalone --------------------------------------- *)
 
@@ -129,12 +110,10 @@ let check_arms name refs stg (po : Search.portfolio_outcome) =
         (outcome_repr stg po.Search.arms.(i).Search.outcome))
     refs
 
-(* Every arm byte-identical to its standalone run: named paper specs,
-   sequential and pooled.  The one-arm set compares the engine with the
-   cross-arm table against [Search.optimize], the same engine without
-   it. *)
+(* Every arm byte-identical to its standalone run: named paper specs.
+   The one-arm set compares the engine with the cross-arm table against
+   [Search.optimize], the same engine without it. *)
 let test_portfolio_named () =
-  let p = Lazy.force pool in
   List.iter
     (fun (name, stg) ->
       let sg = Gen.sg_exn stg in
@@ -142,16 +121,13 @@ let test_portfolio_named () =
         (fun (set, arms) ->
           let name = Printf.sprintf "%s %s" name set in
           let refs = standalone_reprs ~size_frontier:4 arms stg sg in
-          check_arms (name ^ " seq") refs stg
-            (Search.portfolio ~size_frontier:4 ~arms sg);
-          check_arms (name ^ " pooled") refs stg
-            (Search.portfolio ~pool:p ~size_frontier:4 ~arms sg))
+          check_arms name refs stg
+            (Search.portfolio ~size_frontier:4 ~arms sg))
         [ ("3 arms", arms3); ("1 arm", [ List.hd arms3 ]) ])
     (named_specs ())
 
 (* 100 seeded random STGs, two tree arms. *)
 let test_portfolio_random () =
-  let p = Lazy.force pool in
   let arms =
     [ { Search.arm_w = 0.8; arm_area = `Tree };
       { Search.arm_w = 0.5; arm_area = `Tree } ]
@@ -160,11 +136,8 @@ let test_portfolio_random () =
     let stg = Gen.random_stg ~max_signals:6 seed in
     let sg = Gen.sg_exn stg in
     let refs = standalone_reprs ~size_frontier:3 arms stg sg in
-    let name = Printf.sprintf "seed %d" seed in
-    check_arms (name ^ " seq") refs stg
-      (Search.portfolio ~size_frontier:3 ~arms sg);
-    check_arms (name ^ " pooled") refs stg
-      (Search.portfolio ~pool:p ~size_frontier:3 ~arms sg)
+    check_arms (Printf.sprintf "seed %d" seed) refs stg
+      (Search.portfolio ~size_frontier:3 ~arms sg)
   done
 
 (* Winner selection and the cross-arm table actually sharing work. *)
@@ -182,24 +155,18 @@ let test_winner_and_stats () =
     po.Search.arms;
   let st = po.Search.stats in
   check "cross-arm table shares evaluations" true (st.Search.table_hits > 0);
-  check "table sees misses too" true (st.Search.table_misses > 0);
-  let pooled =
-    Search.portfolio ~pool:(Lazy.force pool) ~size_frontier:4 ~arms:arms3 sg
-  in
-  check "pooled table stats = sequential table stats" true
-    (pooled.Search.stats = st)
+  check "table sees misses too" true (st.Search.table_misses > 0)
 
-(* The anytime stream: deterministic across runs and backends, strictly
-   improving per arm, first event per arm is its initial configuration. *)
+(* The anytime stream: deterministic across runs, strictly improving per
+   arm, first event per arm is its initial configuration. *)
 let test_on_improvement () =
-  let p = Lazy.force pool in
   let stg = Expansion.four_phase Specs.mmu in
   let sg = Gen.sg_exn stg in
-  let trace ?pool () =
+  let trace () =
     let buf = Buffer.create 256 in
     let last = Hashtbl.create 4 in
     ignore
-      (Search.portfolio ?pool ~size_frontier:4
+      (Search.portfolio ~size_frontier:4
          ~on_improvement:(fun ~arm cfg ->
            (match Hashtbl.find_opt last arm with
            | Some prev ->
@@ -214,10 +181,8 @@ let test_on_improvement () =
         : Search.portfolio_outcome);
     Buffer.contents buf
   in
-  let seq = trace () in
-  Alcotest.(check string) "pooled stream = sequential stream" seq
-    (trace ~pool:p ());
-  Alcotest.(check string) "repeat run = first run" seq (trace ~pool:p ())
+  let first = trace () in
+  Alcotest.(check string) "repeat run = first run" first (trace ())
 
 (* ---- netlist literal-chaining reorder ------------------------------ *)
 
@@ -247,13 +212,47 @@ let test_cross_signal_sharing () =
   check_int "input rails are pre-interned" (3 + 2)
     (Netlist.Builder.n_nodes b)
 
+(* ---- a pool past the domain limit ---------------------------------- *)
+
+(* A pool wider than the runtime's limit on live domains (128 on OCaml 5)
+   runs with the workers it could spawn.  Portfolio runs submitted as its
+   jobs, as [astg serve] submits its computes, print what they print on
+   the caller. *)
+let test_wide_pool () =
+  let specs = named_specs () in
+  let text stg =
+    Core.Cli.reduce_text
+      { Core.Cli.default_reduce with portfolio = [ 0.3; 0.8 ] }
+      stg
+  in
+  let got = Array.make (List.length specs) (Error "not run") in
+  let p = Pool.create ~jobs:200 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown p)
+    (fun () ->
+      let s = Pool.Stream.start p in
+      List.iteri
+        (fun i (_, stg) -> Pool.Stream.submit s (fun () -> got.(i) <- text stg))
+        specs;
+      Pool.Stream.finish s);
+  List.iteri
+    (fun i (name, stg) ->
+      match text stg with
+      | Error msg -> Alcotest.failf "%s: %s" name msg
+      | Ok want ->
+          Alcotest.(check (result string string))
+            (name ^ " portfolio 0.3,0.8: jobs 200 = jobs 1")
+            (Ok want) got.(i))
+    specs
+
 let suite =
   [
     Alcotest.test_case "Stream_finished on closed session" `Quick
       test_stream_finished;
     Alcotest.test_case "reduce_text --portfolio: jobs 2 = jobs 1" `Slow
       test_reduce_text_jobs;
-    Alcotest.test_case "Smemo first-writer-wins" `Quick test_smemo;
+    Alcotest.test_case "cross-arm table: a twin arm only hits" `Quick
+      test_twin_arm_hits;
     Alcotest.test_case "portfolio = standalone: named specs" `Slow
       test_portfolio_named;
     Alcotest.test_case "portfolio = standalone: 100 random specs" `Slow

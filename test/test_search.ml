@@ -7,6 +7,15 @@ let lr_sg () =
   let stg = Expansion.four_phase Specs.lr in
   (stg, Gen.sg_exn stg)
 
+(* The paper's specs, as the differential suites run them. *)
+let named_specs () =
+  [
+    ("fig1", Specs.fig1 ());
+    ("LR", Expansion.four_phase Specs.lr);
+    ("PAR", Expansion.four_phase Specs.par);
+    ("MMU", Expansion.four_phase Specs.mmu);
+  ]
+
 let test_evaluate () =
   let _, sg = lr_sg () in
   let c = Search.evaluate sg in
@@ -192,7 +201,7 @@ let test_key_exact () =
   in
   List.iter
     (fun (name, stg) -> ignore (exact ~replay:true name stg))
-    (Test_parallel.named_specs ());
+    (named_specs ());
   List.iter
     (fun (family, stg_of_seed) ->
       let total = ref 0 in
@@ -295,6 +304,97 @@ let test_max_cycle_constraint () =
     impossible.Search.feasible;
   check "satisfiable bound reported feasible" true tight.Search.feasible
 
+(* ---- invariant preservation ---- *)
+
+(* Independently replay every reduction the search accepted and re-check
+   the SG invariants from scratch on each intermediate graph.  A stale
+   analysis cache in the search (say, a label mask a candidate inherited
+   from its parent) could let an invalid reduction through — the fresh
+   recomputation here would catch it. *)
+
+let check_consistent stg sg =
+  let n_sigs = Stg.n_signals stg in
+  List.for_all
+    (fun s ->
+      let c = Sg.code sg s in
+      List.for_all
+        (fun (tr, s') ->
+          let c' = Sg.code sg s' in
+          match Stg.label stg tr with
+          | Stg.Dummy _ -> String.equal c c'
+          | Stg.Edge (sigid, dir) ->
+              let others_fixed = ref true in
+              for j = 0 to n_sigs - 1 do
+                if j <> sigid && c.[j] <> c'.[j] then others_fixed := false
+              done;
+              let dir_ok =
+                match dir with
+                | Stg.Plus -> c.[sigid] = '0' && c'.[sigid] = '1'
+                | Stg.Minus -> c.[sigid] = '1' && c'.[sigid] = '0'
+                | Stg.Toggle -> c.[sigid] <> c'.[sigid]
+              in
+              !others_fixed && dir_ok)
+        (Sg.fold_succ sg s [] (fun acc tr s' -> (tr, s') :: acc)))
+    (Sg.states sg)
+
+let conc_count sg = List.length (Sg.concurrent_pairs sg)
+
+let prop_invariants =
+  QCheck.Test.make ~count:40 ~name:"accepted reductions preserve invariants"
+    (Gen.arb_sp ~max_signals:6 ())
+    (fun sp ->
+      let stg = Gen.stg_of_sp sp in
+      let sg0 = Gen.sg_exn stg in
+      let o = Search.optimize ~size_frontier:3 sg0 in
+      (* The generator guarantees speed-independence by construction. *)
+      if not (Sg.is_speed_independent sg0) then
+        QCheck.Test.fail_report "generated source not speed-independent";
+      let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
+      let step_name (a, b) =
+        Printf.sprintf "FwdRed(%s,%s)" (Stg.label_name stg a)
+          (Stg.label_name stg b)
+      in
+      let rec replay sg = function
+        | [] -> sg
+        | ((a, b) as ab) :: rest -> (
+            match Reduction.fwd_red sg ~a ~b with
+            | Error r ->
+                fail "accepted %s rejected on replay: %s" (step_name ab)
+                  (Format.asprintf "%a" (Reduction.pp_invalid stg) r)
+            | Ok sg' ->
+                if not (Sg.is_deterministic sg') then
+                  fail "%s broke determinism" (step_name ab);
+                if not (Sg.is_commutative sg') then
+                  fail "%s broke commutativity" (step_name ab);
+                if not (Sg.is_output_persistent sg') then
+                  fail "%s broke output persistency" (step_name ab);
+                if not (check_consistent stg sg') then
+                  fail "%s broke code consistency" (step_name ab);
+                if Sg.deadlocks sg' <> [] then
+                  fail "%s introduced a deadlock" (step_name ab);
+                if conc_count sg' > conc_count sg then
+                  fail "%s increased concurrency" (step_name ab);
+                if Sg.n_states sg' > Sg.n_states sg then
+                  fail "%s grew the state space" (step_name ab);
+                replay sg' rest)
+      in
+      let final = replay sg0 o.Search.best.Search.applied in
+      (* The replayed SG must be exactly what the search reported. *)
+      if
+        not
+          (String.equal (Sg.signature final)
+             (Sg.signature o.Search.best.Search.sg))
+      then fail "replayed best differs from reported best";
+      let ev = Search.evaluate final in
+      if
+        ev.Search.cost <> o.Search.best.Search.cost
+        || ev.Search.logic_estimate <> o.Search.best.Search.logic_estimate
+        || ev.Search.csc_pairs <> o.Search.best.Search.csc_pairs
+      then fail "re-evaluated cost disagrees with reported cost";
+      if o.Search.best.Search.cost > o.Search.initial.Search.cost then
+        fail "unconstrained search returned a worse-than-initial best";
+      true)
+
 let suite =
   suite
   @ [
@@ -304,4 +404,5 @@ let suite =
         `Slow test_key_exact;
       Alcotest.test_case "dedup key on a same-label choice" `Quick
         test_key_nondeterministic;
+      QCheck_alcotest.to_alcotest prop_invariants;
     ]

@@ -624,8 +624,7 @@ let test_cli_unwritable () =
     [
       ("check --trace", [ "check"; "--trace"; bad; fig1 ], Some check_out);
       ( "fuzz --report",
-        [ "fuzz"; "--count"; "2"; "--jobs"; "1" ]
-        @ [ "--corpus"; dir; "--report"; bad ],
+        [ "fuzz"; "--count"; "2"; "--corpus"; dir; "--report"; bad ],
         None );
     ];
   Unix.rmdir dir
