@@ -47,8 +47,9 @@ let excited sg s sigid =
    ghost contributions — the (code, excited-mask) pairs of states pruned
    along the filter lineage, frozen at pruning time — into the same
    aggregates.  This keeps the don't-care universe stable along a
-   reduction lineage, which is what makes the per-signal [Sg.delta]
-   support bound exact (see DESIGN.md, "Per-signal support tracking").
+   reduction lineage, which is what makes a removal's per-signal support
+   bound ({!Sg.View.support}) exact (see DESIGN.md, "Per-signal support
+   tracking").
    Synthesis uses [ghosts = false]: final equations keep the paper's
    reachable-code semantics. *)
 
@@ -57,19 +58,6 @@ type extraction = {
   x_any : int array;  (** per code: OR of excited-signal masks *)
   x_all : int array;  (** per code: AND of excited-signal masks *)
 }
-
-(* One CSR pass: the excited-signal bitmask of every state. *)
-let excited_masks sg =
-  let stg = Sg.stg sg in
-  let nst = Sg.n_states sg in
-  let exc = Array.make nst 0 in
-  for s = 0 to nst - 1 do
-    Sg.iter_succ sg s (fun tr _ ->
-        match Stg.label stg tr with
-        | Stg.Edge (sid, _) -> exc.(s) <- exc.(s) lor (1 lsl sid)
-        | Stg.Dummy _ -> ())
-  done;
-  exc
 
 (* Per-domain scratch for the direct-address extraction path: tables grown
    on demand, the seen-map re-cleared entry by entry after each use.  One
@@ -90,7 +78,7 @@ let scratch_key =
 let extract ~ghosts sg =
   let nsig = Stg.n_signals (Sg.stg sg) in
   let nst = Sg.n_states sg in
-  let exc = excited_masks sg in
+  let exc = Sg.excited_masks sg in
   let ng = if ghosts then Sg.n_ghosts sg else 0 in
   let total = nst + ng in
   (* Direct addressing only pays when the code-space table is no bigger
@@ -359,72 +347,13 @@ let c_delta_recomputed = Obs.Counter.make "logic.delta.recomputed"
 let c_support_hit = Obs.Counter.make "logic.delta.support_hit"
 let c_support_miss = Obs.Counter.make "logic.delta.support_miss"
 
-(* The code universe of a derived SG's cost-side extraction is the
+(* Patch one support-hit signal's triple at the affected codes, the codes
+   of the rows a removal changed: the child's code universe is the
    parent's (surviving states keep their codes, pruned states stay as
-   ghosts), and only the changed rows' contributions lost bits — so a
-   support-hit signal's (ON, OFF, conflicts) triple differs from the
-   parent's at most at the {e affected codes}: the codes of the changed
-   rows.  [affected_aggregates] recomputes the child's (any, all)
-   excitation aggregates for those codes only — one pass over the packed
-   code array with a successor-row scan per member state, plus the ghost
-   list.  No hashing and no sort of the full universe. *)
-let affected_aggregates ~delta sg =
-  let stg = Sg.stg sg in
-  let rows = delta.Sg.rows_changed in
-  let nr = Array.length rows in
-  let tmp = Array.make nr 0 in
-  let nc = ref 0 in
-  for i = 0 to nr - 1 do
-    let c = Sg.code_bits sg rows.(i) in
-    let dup = ref false in
-    for j = 0 to !nc - 1 do
-      if tmp.(j) = c then dup := true
-    done;
-    if not !dup then begin
-      tmp.(!nc) <- c;
-      incr nc
-    end
-  done;
-  let nc = !nc in
-  let codes = Array.sub tmp 0 nc in
-  Array.sort Int.compare codes;
-  let idx c =
-    let lo = ref 0 and hi = ref (nc - 1) and r = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      if codes.(mid) = c then begin
-        r := mid;
-        lo := !hi + 1
-      end
-      else if codes.(mid) < c then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !r
-  in
-  let any = Array.make nc 0 and all = Array.make nc (-1) in
-  let fold j e =
-    any.(j) <- any.(j) lor e;
-    all.(j) <- all.(j) land e
-  in
-  for s = 0 to Sg.n_states sg - 1 do
-    let j = idx (Sg.code_bits sg s) in
-    if j >= 0 then begin
-      let e = ref 0 in
-      Sg.iter_succ sg s (fun tr _ ->
-          match Stg.label stg tr with
-          | Stg.Edge (sid, _) -> e := !e lor (1 lsl sid)
-          | Stg.Dummy _ -> ());
-      fold j !e
-    end
-  done;
-  Sg.iter_ghosts sg (fun c e ->
-      let j = idx c in
-      if j >= 0 then fold j e);
-  (codes, any, all)
-
-(* Patch one support-hit signal's triple at the affected codes.  Every
-   affected code is in the parent's universe (its row survived with its
-   code) and classified there as ON, OFF or conflicting; the lists being
+   ghosts) and only those rows' contributions lost bits, so the triple
+   can differ from the parent's only there.  Every affected code is in
+   the parent's universe and classified there as ON, OFF or
+   conflicting; the lists being
    sorted ascending lets one merge walk strip the affected codes while
    recording the old class, and another splice the new classes back in.
    Returns [None] when no affected code changed class for this signal —
@@ -489,63 +418,39 @@ let patch_sig ~codes ~any ~all ps =
     Some (splice 1 on, splice 0 off, !conflicts)
   end
 
-(* Incremental evaluation of an SG built by an arc filter from [parent]'s
-   SG ({!Sg.filter_arcs_delta} via {!Reduction.fwd_red_built}).
+(* Incremental evaluation of the child a removal view describes, from its
+   source's evaluation [parent], without building the child.
 
    Soundness of the blind reuse (see DESIGN.md, "Per-signal support
    tracking"): the cost-side extraction aggregates the multiset of
    (code, excited-mask) contributions of the live states AND the ghosts,
    and the child's multiset differs from the parent's exactly in the bits
-   the changed surviving rows lost — pruned states keep contributing their
-   frozen parent-side pair.  [delta.support] is the union of those lost
+   the changed surviving rows lost: pruned states keep contributing their
+   frozen parent-side pair.  The view's support is the union of those lost
    bits, so every signal outside it has bit-for-bit the parent's per-code
    (any, all) aggregates: its (ON, OFF, conflicts) triple and cover are
-   inherited without looking at [sg].  Support-hit signals are patched at
-   the affected codes only ([affected_aggregates]/[patch_sig]); a hit
-   whose classes all survive still inherits the parent's cover
+   inherited without looking further.  Support-hit signals are patched at
+   the changed codes only ({!Sg.View.changed_aggregates}, [patch_sig]); a
+   hit whose classes all survive still inherits the parent's cover
    ([Boolf.minimize] is a deterministic function of the triple), the rest
-   go through the memoized minimizer.  [support = -1] (more than 62
-   signals — no tracking) degrades to re-deriving every signal from a
-   full extraction. *)
-let estimate_delta ~parent ~delta sg =
-  let nsig = Stg.n_signals (Sg.stg sg) in
+   go through the memoized minimizer. *)
+let estimate_delta ~parent v =
+  let nsig = Stg.n_signals (Sg.stg (Sg.View.source v)) in
   let inherited = ref 0 and recomputed = ref 0 in
   let support_hit = ref 0 and support_miss = ref 0 in
-  let support = delta.Sg.support in
-  let in_support ps = support < 0 || (support lsr ps.ps_signal) land 1 = 1 in
+  let support = Sg.View.support v in
+  let in_support ps = (support lsr ps.ps_signal) land 1 = 1 in
   let result =
     if not (List.exists in_support parent.e_sigs) then begin
       (* No evaluated signal intersects the support: the whole evaluation
-         is the parent's, [sg] is never even scanned. *)
+         is the parent's, no aggregate is even computed. *)
       let k = List.length parent.e_sigs in
       inherited := k;
       support_miss := k;
       parent
     end
-    else if support < 0 then begin
-      (* No support tracking: re-derive every signal from scratch,
-         inheriting covers on triple equality. *)
-      let x = extract ~ghosts:true sg in
-      let sigs =
-        List.map
-          (fun ps ->
-            incr support_hit;
-            let ((on, off, conflicts) as sets) = sop_sets x ps.ps_signal in
-            if conflicts = ps.ps_conflicts && on = ps.ps_on && off = ps.ps_off
-            then begin
-              incr inherited;
-              ps
-            end
-            else begin
-              incr recomputed;
-              eval_signal ~memo:true ~nsig ps.ps_signal sets
-            end)
-          parent.e_sigs
-      in
-      eval_of_sigs ~penalty:parent.e_penalty sigs
-    end
     else begin
-      let codes, any, all = affected_aggregates ~delta sg in
+      let codes, any, all = Sg.View.changed_aggregates v in
       let sigs =
         List.map
           (fun ps ->

@@ -71,14 +71,14 @@ val estimate : ?conflict_penalty:int -> ?ghosts:bool -> Sg.t -> int
 
 (** {2 Incremental evaluation}
 
-    The reduction search costs thousands of derived SGs that differ from
-    their parent in a handful of arcs.  [evaluate] returns, besides the
-    total, the per-signal ON/OFF sets and minimized covers, so the cost of
-    a derived SG can be computed by {!estimate_delta} reusing every signal
-    whose sets provably did not change; repeated minimizations are served
-    from the {!Boolf.Memo} cover cache.  All three paths (scratch, memoized,
-    delta) produce identical totals and per-signal covers — see DESIGN.md,
-    "Incremental logic cost". *)
+    The reduction search costs thousands of candidate SGs that differ
+    from their parent in a handful of arcs.  [evaluate] returns, besides
+    the total, the per-signal ON/OFF sets and minimized covers, so the
+    cost of a candidate can be computed by {!estimate_delta} on its
+    parent, reusing every signal whose sets provably did not change;
+    repeated minimizations are served from the {!Boolf.Memo} cover cache.
+    All three paths (scratch, memoized, delta) produce identical totals
+    and per-signal covers — see DESIGN.md, "Incremental logic cost". *)
 
 (** Evaluation of one non-input signal: the complex-gate minimization input
     (ON/OFF sets as sorted code lists, conflicting-code count) and its
@@ -111,32 +111,31 @@ val evaluate : ?conflict_penalty:int -> ?memo:bool -> Sg.t -> eval
     as it reaches [bound]: the signals after that are not minimized. *)
 val evaluate_bounded : bound:int -> Sg.t -> int option
 
-(** [estimate_delta ~parent ~delta sg] — evaluate [sg], an SG
-    built from [parent]'s graph by an arc filter (as
-    {!Reduction.fwd_red_built} does), reusing [parent]'s per-signal
-    results wherever sound.  [delta.support] bounds the signals whose
-    cost-side aggregates can differ from the parent's (pruned states stay
-    in the extraction as ghosts, so the bound is exact — DESIGN.md,
-    "Per-signal support tracking"):
+(** [estimate_delta ~parent v] — evaluate the child that the removal
+    view [v] describes ({!Sg.View}), reusing [parent], the evaluation of
+    [v]'s source, wherever sound, without building the child.
+    {!Sg.View.support} bounds the signals whose cost-side aggregates can
+    differ from the parent's (pruned states stay in the extraction as
+    ghosts, so the bound is exact — DESIGN.md, "Per-signal support
+    tracking"):
 
-    - every evaluated signal outside the support is inherited blindly,
-      without looking at [sg] — when no evaluated signal is in the
-      support, [sg] is not even extracted;
-    - support-hit signals are re-derived by the one-sweep extraction; the
-      parent's {e cover} is still inherited when the (ON, OFF, conflicts)
-      triple is unchanged, otherwise the (memoized) minimizer runs;
-    - [delta.support = -1] (no tracking past 62 signals) re-derives every
-      signal.
+    - every evaluated signal outside the support is inherited blindly —
+      when no evaluated signal is in the support, nothing more is
+      computed;
+    - support-hit signals are patched at the changed codes
+      ({!Sg.View.changed_aggregates}); the parent's {e cover} is still
+      inherited when the (ON, OFF, conflicts) triple is unchanged,
+      otherwise the (memoized) minimizer runs.
 
-    Uses [parent]'s conflict penalty.  Equal to [evaluate sg] field by
-    field.
+    Uses [parent]'s conflict penalty.  Equal field by field to [evaluate]
+    of the built child.
 
     The [Obs] counters [logic.delta.inherited] and
     [logic.delta.recomputed] count the signals that reused the parent's
     cover and those that went through the (memoized) minimizer;
     [logic.delta.support_hit] and [logic.delta.support_miss] split the
     slots by support membership (misses are the blind inheritances). *)
-val estimate_delta : parent:eval -> delta:Sg.delta -> Sg.t -> eval
+val estimate_delta : parent:eval -> Sg.View.t -> eval
 
 (** {2 Gate-level area}
 

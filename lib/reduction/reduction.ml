@@ -42,24 +42,30 @@ let label_is_input stg = function
   | Stg.Edge (sigid, _) -> Stg.Signal.is_input (Stg.signal stg sigid)
   | Stg.Dummy _ -> false
 
-(* Transitions carrying label [a] as a dense bool table: the arc filters
-   below test membership once per arc, so a per-transition lookup beats a
-   label comparison. *)
-let trans_with_label stg a =
-  let tbl = Array.make (Petri.n_trans stg.Stg.net) false in
-  List.iter (fun tr -> tbl.(tr) <- true) (Stg.instances stg a);
-  tbl
+type built = { cand : Sg.t; old_of_new : Sg.state array }
 
-type built = { cand : Sg.t; old_of_new : Sg.state array; delta : Sg.delta }
+(* The arc filter behind every reduction: drop the arcs labelled [a] out
+   of [states], prune and renumber.  Transitions carrying [a] and the
+   states are dense bool tables: the filter tests membership once per
+   arc. *)
+let remove sg ~a states =
+  let removed = Array.make (Sg.n_states sg) false in
+  List.iter (fun s -> removed.(s) <- true) states;
+  let is_a = Array.make (Petri.n_trans (Sg.stg sg).Stg.net) false in
+  List.iter (fun tr -> is_a.(tr) <- true) (Stg.instances (Sg.stg sg) a);
+  let cand, old_of_new =
+    Sg.filter_arcs sg ~keep:(fun s tr _ -> not (removed.(s) && is_a.(tr)))
+  in
+  { cand; old_of_new }
 
 (* Def. 5.1 validity checks over an already-pruned candidate
    ({!Sg.filter_arcs} prunes unreachable states in one BFS): the
    reachable label set can only shrink under arc removal, so vanishing is
    the source's cached {!Sg.arc_label_instances} minus the reduced one,
    and a new deadlock is a reduced state with no successors whose source
-   state had some.  Kept separate from the build so the search can dedup
-   candidates by the root arcs they keep before paying for the checks. *)
-let validate ~source { cand = reduced; old_of_new; delta = _ } =
+   state had some.  The reference the removal view ([judge]) is tested
+   against. *)
+let validate ~source { cand = reduced; old_of_new } =
   (* Transitions still firing somewhere in the pruned graph: a plain sweep
      ([Petri.trans] is a dense int), no hashing. *)
   let seen_tr = Array.make (Petri.n_trans (Sg.stg source).Stg.net) false in
@@ -83,16 +89,29 @@ let validate ~source { cand = reduced; old_of_new; delta = _ } =
       | Some s -> Error (Deadlock_introduced s)
       | None -> (
           match Sg.first_persistency_violation reduced with
-          | None -> Ok reduced
-          | Some v ->
-              if Sg.is_output_persistent source then
-                Error (Persistency_broken v)
-              else
-                (* The source was not speed-independent; Prop. 6.1 does not
-                   apply, accept the reduction as-is. *)
-                Ok reduced))
+          | Some (s, lab, by) when Sg.is_output_persistent source ->
+              Error (Persistency_broken (old_of_new.(s), lab, by))
+          | Some _ | None ->
+              (* A violation in a child of a source that was not
+                 output-persistent is accepted as-is: Prop. 6.1 does not
+                 apply. *)
+              Ok reduced))
 
-let fwd_red_built sg ~a ~b =
+(* The same checks in the same order, on a removal view of [source]; the
+   persistency scan is skipped where its verdict would be ignored. *)
+let judge ~source v =
+  match Sg.View.vanished v with
+  | Some lab -> Error (Event_vanishes lab)
+  | None -> (
+      match Sg.View.deadlock v with
+      | Some s -> Error (Deadlock_introduced s)
+      | None when not (Sg.is_output_persistent source) -> Ok ()
+      | None -> (
+          match Sg.View.persistency_violation v with
+          | Some viol -> Error (Persistency_broken viol)
+          | None -> Ok ()))
+
+let fwd_red_states sg ~a ~b =
   let stg = Sg.stg sg in
   if label_is_input stg a then Error Input_event
   else
@@ -101,27 +120,18 @@ let fwd_red_built sg ~a ~b =
     List.iter (fun s -> in_erb.(s) <- true) erb;
     let inter = List.filter (fun s -> in_erb.(s)) era in
     if inter = [] then Error Not_concurrent
-    else begin
+    else
       let removed = back_reach sg ~within:era inter in
       (* [a]-arcs originate exactly in ER(a): dropping them from all of
-         ER(a) makes [a] vanish — reject before building anything. *)
+         ER(a) makes [a] vanish, whatever else the removal does. *)
       if List.compare_lengths removed era = 0 then Error (Event_vanishes a)
-      else begin
-        let removed_set = Array.make (Sg.n_states sg) false in
-        List.iter (fun s -> removed_set.(s) <- true) removed;
-        let is_a = trans_with_label stg a in
-        let cand, old_of_new, delta =
-          Sg.filter_arcs_delta sg ~keep:(fun s tr _ ->
-              not (removed_set.(s) && is_a.(tr)))
-        in
-        Ok { cand; old_of_new; delta }
-      end
-    end
+      else Ok removed
+
+let fwd_red_built sg ~a ~b =
+  Result.map (remove sg ~a) (fwd_red_states sg ~a ~b)
 
 let fwd_red sg ~a ~b =
-  match fwd_red_built sg ~a ~b with
-  | Error e -> Error e
-  | Ok cand -> validate ~source:sg cand
+  Result.bind (fwd_red_built sg ~a ~b) (validate ~source:sg)
 
 (* The more general single-state reduction of [3]: remove the arcs of one
    event from ONE state only, provided the event remains enabled elsewhere.
@@ -131,13 +141,7 @@ let remove_arc sg ~state ~a =
   if label_is_input stg a then Error Input_event
   else if not (List.mem a (Sg.enabled_labels sg state)) then
     Error Not_concurrent
-  else begin
-    let is_a = trans_with_label stg a in
-    let cand, old_of_new, delta =
-      Sg.filter_arcs_delta sg ~keep:(fun s tr _ -> not (s = state && is_a.(tr)))
-    in
-    validate ~source:sg { cand; old_of_new; delta }
-  end
+  else validate ~source:sg (remove sg ~a [ state ])
 
 let creates_arc sg ~a ~b =
   let era = Sg.er sg a in

@@ -7,16 +7,21 @@
     removed, unreachable states are pruned, and the result is checked
     against the validity conditions of Definition 5.1. *)
 
+(** Why a reduction is invalid.  Every state in a reason is numbered in
+    the source SG. *)
 type invalid_reason =
   | Not_concurrent  (** [ER(a) ∩ ER(b)] is empty *)
   | Input_event  (** [a] is an input — inputs may never be delayed *)
   | Event_vanishes of Stg.label  (** some event's ER became empty *)
   | Deadlock_introduced of Sg.state
-      (** a surviving state lost all outgoing arcs *)
+      (** a state of the source SG that the reduced SG keeps, with all its
+          outgoing arcs removed *)
   | Persistency_broken of (Sg.state * Stg.label * Stg.label)
-      (** output-persistency violated in the reduced SG (state, disabled
-          event, disabling event) — the original SG was not
-          speed-independent, so Proposition 6.1 does not apply *)
+      (** output-persistency violated in the reduced SG although the
+          source SG is output-persistent (Proposition 6.1): a state of the
+          source SG, the disabled event, the disabling event.  A reduction
+          of a source that is not output-persistent is accepted with its
+          violations. *)
 
 val pp_invalid : Stg.t -> Format.formatter -> invalid_reason -> unit
 
@@ -25,23 +30,34 @@ val pp_invalid : Stg.t -> Format.formatter -> invalid_reason -> unit
     reduction is invalid.  The input SG is not modified. *)
 val fwd_red : Sg.t -> a:Stg.label -> b:Stg.label -> (Sg.t, invalid_reason) result
 
-(** A built-but-unvalidated candidate: the pruned SG, its new→old state
-    map, and the {!Sg.delta} report of what the arc filter changed — the
-    incremental logic estimator ({!Logic.estimate_delta}) uses [delta] to
-    bound which signals must be re-derived. *)
-type built = { cand : Sg.t; old_of_new : Sg.state array; delta : Sg.delta }
+(** FwdRed's removal set: the states of [ER(a)] from which
+    [ER(a) ∩ ER(b)] is reachable inside [ER(a)], whose [a]-arcs the
+    reduction drops.  Fails with [Input_event], [Not_concurrent], or
+    [Event_vanishes a] when the set is all of [ER(a)]. *)
+val fwd_red_states :
+  Sg.t -> a:Stg.label -> b:Stg.label -> (Sg.state list, invalid_reason) result
 
-(** The build half of {!fwd_red}: remove the arcs and prune, but skip the
-    Def. 5.1 validity checks; {!validate} completes the pipeline.  The
-    search uses the split to discard duplicate candidates (equal
-    {!Sg.root_arc_key}) before paying for validation. *)
+(** A built-but-unvalidated candidate: the pruned SG and its new→old
+    state map. *)
+type built = { cand : Sg.t; old_of_new : Sg.state array }
+
+(** [remove sg ~a states] — the arc filter behind every reduction: drop
+    the arcs labelled [a] out of [states], prune the states no longer
+    reachable and renumber ({!Sg.filter_arcs}).  No validity check. *)
+val remove : Sg.t -> a:Stg.label -> Sg.state list -> built
+
+(** The build half of {!fwd_red}: {!fwd_red_states}, then {!remove}. *)
 val fwd_red_built :
   Sg.t -> a:Stg.label -> b:Stg.label -> (built, invalid_reason) result
 
-(** The checks half of {!fwd_red}: event vanishing, introduced deadlocks
-    and output-persistency of a candidate built by {!fwd_red_built} from
-    [source]. *)
+(** The Def. 5.1 checks on a built candidate, in order: event vanishing,
+    introduced deadlocks, output-persistency of a candidate built from
+    [source].  The reference for {!judge}. *)
 val validate : source:Sg.t -> built -> (Sg.t, invalid_reason) result
+
+(** {!validate} on a removal view of [source] ({!Sg.View.make} [source]):
+    the same verdict, without building the candidate. *)
+val judge : source:Sg.t -> Sg.View.t -> (unit, invalid_reason) result
 
 (** The more general reduction of the paper's Sec. 6 note (backward
     reduction, ref. [3]): remove the arcs of event [a] leaving one single
@@ -56,7 +72,7 @@ val remove_arc :
     ([targets ⊆ result]).  Exposed for testing. *)
 val back_reach : Sg.t -> within:Sg.state list -> Sg.state list -> Sg.state list
 
-(** [ordered_after sg ~a ~b] — in every path of the reduced SG, is some
+(** [creates_arc sg ~a ~b] — in every path of the reduced SG, is some
     [b]-labelled arc a necessary predecessor of every [a]-labelled arc?
     (Diagnostic used to interpret a reduction as the STG-level causal arc
     [b -> a].) *)

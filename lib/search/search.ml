@@ -24,8 +24,7 @@ type area_mode = [ `Tree | `Shared ]
 (* Post-sharing area of an evaluation's covers, plus the same
    conflict-pressure term the literal estimate folds in, converted to
    area units (one 2-input gate per penalty point). *)
-let shared_estimate (logic : Logic.eval) sg =
-  let nsig = Stg.n_signals (Sg.stg sg) in
+let shared_estimate ~nsig (logic : Logic.eval) =
   let covers =
     List.map
       (fun ps -> (ps.Logic.ps_signal, ps.Logic.ps_cover))
@@ -41,21 +40,25 @@ let shared_estimate (logic : Logic.eval) sg =
 (* The cost of one CSC-conflicting state pair, in literals. *)
 let csc_weight = 8.0
 
-(* Price an already-computed logic evaluation: the cost function of Sec. 7
-   over the logic estimate and the CSC-conflict count.  [`Tree] estimates
+(* The cost function of Sec. 7 over an already-computed logic evaluation
+   and CSC-conflict count: [(logic_estimate, cost)].  [`Tree] estimates
    logic by [Logic.total] (literals, each signal an independent tree);
    [`Shared] prices the post-sharing netlist area instead, so a candidate
    whose covers share subcones is cheaper than one whose covers do not. *)
-let price ~w ~area_mode logic sg applied =
+let cost_of ~w ~area_mode ~nsig ~csc_pairs logic =
   let logic_estimate =
     match area_mode with
     | `Tree -> Logic.total logic
-    | `Shared -> shared_estimate logic sg
+    | `Shared -> shared_estimate ~nsig logic
   in
-  let csc_pairs = Sg.csc_conflict_count sg in
-  let cost =
+  ( logic_estimate,
     (w *. float_of_int logic_estimate)
-    +. ((1.0 -. w) *. csc_weight *. float_of_int csc_pairs)
+    +. ((1.0 -. w) *. csc_weight *. float_of_int csc_pairs) )
+
+let price ~w ~area_mode logic sg applied =
+  let csc_pairs = Sg.csc_conflict_count sg in
+  let logic_estimate, cost =
+    cost_of ~w ~area_mode ~nsig:(Stg.n_signals (Sg.stg sg)) ~csc_pairs logic
   in
   { sg; applied; cost; logic_estimate; csc_pairs; logic }
 
@@ -72,9 +75,10 @@ let is_input stg lab =
 
 (* A reduction of one pair can indirectly destroy the concurrency of a
    protected pair; enforce Keep_Conc on the result, not just on the pair
-   being reduced. *)
+   being reduced.  The result is only built when there is a pair to
+   check. *)
 let keeps_protected keep_conc sg' =
-  List.for_all (fun (x, y) -> Sg.concurrent sg' x y) keep_conc
+  List.for_all (fun (x, y) -> Sg.concurrent (Lazy.force sg') x y) keep_conc
 
 (* The oriented candidate reductions FwdRed(a, b) of one SG, in the
    deterministic enumeration order every consumer relies on: concurrent
@@ -98,21 +102,10 @@ let neighbours ~keep_conc cfg =
   List.fold_left
     (fun acc (a, b) ->
       match Reduction.fwd_red cfg.sg ~a ~b with
-      | Ok sg' when keeps_protected keep_conc sg' -> (sg', (a, b)) :: acc
+      | Ok sg' when keeps_protected keep_conc (Lazy.from_val sg') ->
+          (sg', (a, b)) :: acc
       | Ok _ | Error _ -> acc)
     [] (oriented_candidates ~keep_conc cfg.sg)
-
-(* Logic evaluation of the child [sg'] that a reduction built from
-   [parent] (with arc-filter report [delta]), by [eval_mode].  Both modes
-   produce identical evaluations (same totals, same per-signal covers),
-   differing only in work: [`Scratch] re-derives and re-minimizes
-   everything, [`Delta] inherits from the parent the signals the
-   reduction provably left unchanged ({!Logic.estimate_delta}) and serves
-   the rest from the {!Boolf.Memo} cover cache. *)
-let child_logic eval_mode parent ~delta sg' =
-  match eval_mode with
-  | `Scratch -> Logic.evaluate ~memo:false sg'
-  | `Delta -> Logic.estimate_delta ~parent:parent.logic ~delta sg'
 
 (* Phase counters (see DESIGN.md, "Observability").  Every candidate task is
    counted exactly once: [candidates] at evaluation, then one of [deduped]
@@ -139,6 +132,12 @@ type portfolio_outcome = {
   stats : portfolio_stats;
 }
 
+(* An accepted candidate, priced but not yet built: forcing [p_cfg]
+   builds its SG, once.  The search forces only the candidates that
+   survive their level's frontier, the arms' bests and the ones an
+   improvement callback is shown. *)
+type pending = { p_cost : float; p_cfg : config Lazy.t }
+
 (* Per-arm search state.  [applied] holds each configuration's reduction
    script in REVERSE order during the search (cons instead of an O(n)
    append per step); the outcome puts it back in application order. *)
@@ -147,42 +146,11 @@ type arm_run = {
   ar_seen : (string, unit) Hashtbl.t;
   ar_initial : config;
   mutable ar_frontier : config list;
-  mutable ar_best : config option;
+  mutable ar_best : pending option;
   mutable ar_explored : int;
   mutable ar_levels : int;
   mutable ar_fanout : int list;  (* reversed; reversed back at the end *)
 }
-
-(* Identity of a candidate SG for cross-arm sharing: its root-arc [key]
-   ({!Sg.root_arc_key}) plus the ghost (code, excitation-mask) sequence in
-   storage order.  Two SGs with equal keys have equal logic evaluations:
-   the root arcs fix the graph, hence its live per-code excitation
-   aggregates, and the ghost pairs fix the pruned-state contributions.
-   Ghosts are lineage-dependent (frozen at pruning time), which is why the
-   root arcs alone are NOT a sound key: two arms can reach the same live
-   graph along different reduction paths with different ghost sets.
-
-   The ghost sequence is deliberately NOT canonicalized (sorted): the
-   evaluation depends only on the ghost multiset, so a sequence key is
-   finer than necessary and can miss a hit when two commuting reduction
-   paths pile up the same ghosts in different orders — but reductions
-   are deterministic, so arms walking the same lineage produce
-   byte-equal sequences, which is where virtually all cross-arm overlap
-   lives, and sorting would cost a sort of hundreds of pairs per accepted
-   candidate. *)
-let share_key key sg =
-  match Sg.n_ghosts sg with
-  | 0 -> key
-  | n ->
-      (* Raw little-endian words: the key is an equality token, not a
-         rendering. *)
-      let b = Buffer.create (String.length key + 1 + (16 * n)) in
-      Buffer.add_string b key;
-      Buffer.add_char b '\x00';
-      Sg.iter_ghosts sg (fun code exc ->
-          Buffer.add_int64_le b (Int64.of_int code);
-          Buffer.add_int64_le b (Int64.of_int exc));
-      Buffer.contents b
 
 (* [c] merged into the cost-sorted [frontier]: after every entry that
    costs no more, then cut to [size] entries.  Merging a level's accepted
@@ -190,7 +158,7 @@ let share_key key sg =
    stable sort by cost, without holding the others until the level ends. *)
 let insert_frontier size c frontier =
   let rec ins = function
-    | e :: rest when compare e.cost c.cost <= 0 -> e :: ins rest
+    | e :: rest when compare e.p_cost c.p_cost <= 0 -> e :: ins rest
     | l -> c :: l
   in
   List.filteri (fun j _ -> j < size) (ins frontier)
@@ -204,87 +172,168 @@ let insert_frontier size c frontier =
    totals. *)
 let run ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
     ~keep_conc ~max_levels ~eval_mode arms sg0 =
+  let nsig = Stg.n_signals (Sg.stg sg0) in
   (* Performance constraint: when both [perf_delays] and [max_cycle] are
      given, a configuration only survives if the timed replay of its SG has
      a critical cycle within the bound (reduction can only lengthen the
-     cycle, so pruning early is sound for the frontier heuristic). *)
+     cycle, so pruning early is sound for the frontier heuristic).  Only
+     then is a candidate built to be judged. *)
   let meets_perf sg =
     match (perf_delays, max_cycle) with
     | Some delays, Some bound -> (
-        match Timing.analyze_sg ~delays sg with
+        match Timing.analyze_sg ~delays (Lazy.force sg) with
         | Ok r -> r.Timing.period <= bound
         | Error _ -> false)
     | (Some _ | None), _ -> true
   in
+  (* The cross-arm table, keyed by a candidate's root-arc key
+     ({!Sg.root_arc_key}) and its ghost fingerprint.  Two candidates with
+     equal keys and equal ghost (code, excitation-mask) sequences have
+     equal logic evaluations: the root arcs fix the graph, hence its live
+     per-code excitation aggregates, and the ghost pairs fix the
+     pruned-state contributions.  Ghosts are lineage-dependent (frozen at
+     pruning time), which is why the root arcs alone are NOT a sound key:
+     two arms can reach the same live graph along different reduction
+     paths with different ghost sets.  A fingerprint match is confirmed
+     by comparing the two sequences, so every hit is exact.
+
+     The sequence is deliberately NOT canonicalized (sorted): the
+     evaluation depends only on the ghost multiset, so a sequence key is
+     finer than necessary and can miss a hit when two commuting reduction
+     paths pile up the same ghosts in different orders; but reductions
+     are deterministic, so arms walking the same lineage produce equal
+     sequences, which is where virtually all cross-arm overlap lives. *)
   let table = if share then Some (Hashtbl.create 256) else None in
   let tbl_hits = ref 0 in
   let tbl_misses = ref 0 in
-  (* Logic evaluation of the candidate [sg'], through the table when there
-     is one: a hit skips the evaluation outright, whichever arm paid for
-     it; a miss computes it exactly as a run without the table would, then
-     stores it.  Sound because both eval modes produce identical
-     evaluations and the key determines the value (see [share_key]), so a
-     hit returns precisely what this arm would have computed.  Each lookup
-     is counted, in task order, so the totals are deterministic. *)
-  let child_eval parent ~delta ~key sg' =
+  (* Logic evaluation of a candidate, through the table when there is
+     one: a hit skips the evaluation outright, whichever arm paid for it;
+     a miss computes it exactly as a run without the table would, then
+     stores it.  Sound because every path computes identical evaluations
+     and the key determines the value, so a hit returns precisely what
+     this arm would have computed.  Each lookup is counted, in task
+     order, so the totals are deterministic. *)
+  let child_eval ~key ghosts compute =
     match table with
-    | None -> child_logic eval_mode parent ~delta sg'
+    | None -> compute ()
     | Some t -> (
-        let key = share_key key sg' in
-        match Hashtbl.find_opt t key with
-        | Some e ->
+        let g = ghosts () in
+        let k = (key, Sg.ghosts_fingerprint g) in
+        match
+          List.find_opt
+            (fun (g', _) -> Sg.ghosts_equal g g')
+            (Hashtbl.find_all t k)
+        with
+        | Some (_, e) ->
             Obs.Counter.incr c_tbl_hit;
             incr tbl_hits;
             e
         | None ->
-            let e = child_logic eval_mode parent ~delta sg' in
-            Hashtbl.add t key e;
+            let e = compute () in
+            Hashtbl.add t k (g, e);
             Obs.Counter.incr c_tbl_miss;
             incr tbl_misses;
             e)
   in
-  (* Evaluate one candidate FwdRed(a, b) of [cfg] for arm [r]: build, dedup
-     by the root arcs it keeps against the arm's [seen] table, validate
-     (Def. 5.1), price.  Returns the priced configuration when it passes
-     and meets the performance bound.  Skipping validation for an
+  (* Evaluate one candidate FwdRed(a, b) of [cfg] for arm [r]: dedup by
+     the root arcs it keeps against the arm's [seen] table, validate
+     (Def. 5.1), price.  Returns the priced candidate when it passes and
+     meets the performance bound.  Skipping validation for an
      already-seen candidate is sound because the checks are a
      deterministic function of (source, candidate).  From a deterministic
      root the key dedups exactly the candidates their signatures would
      (see {!Sg.root_arc_key}); from any other it can only keep apart
      candidates with equal signatures, never merge two that differ.  A
      valid candidate over the bound still enters [seen], but never the
-     frontier. *)
+     frontier.
+
+     In [`Delta] mode every step runs on a removal view of [cfg]'s SG
+     ({!Sg.View}) and the candidate is built only when it is forced
+     (Keep_Conc, a performance bound, or a place in the search);
+     [`Scratch] builds every candidate and evaluates it from scratch, as
+     do graphs with no view (past 62 signals), with the memoized
+     minimizer in [`Delta] mode. *)
   let eval_task r (cfg, a, b) =
     Obs.Counter.incr c_candidates;
     Obs.span "search.candidate" @@ fun () ->
-    match Reduction.fwd_red_built cfg.sg ~a ~b with
-    | Error _ ->
-        Obs.Counter.incr c_rejected;
-        None
-    | Ok built -> (
-        let key = Sg.root_arc_key built.Reduction.cand in
-        if Hashtbl.mem r.ar_seen key then begin
-          Obs.Counter.incr c_deduped;
+    let reject () =
+      Obs.Counter.incr c_rejected;
+      None
+    in
+    let unseen key =
+      if Hashtbl.mem r.ar_seen key then begin
+        Obs.Counter.incr c_deduped;
+        false
+      end
+      else true
+    in
+    let accept ~key sg' ~ghosts ~logic ~csc_pairs =
+      if not (keeps_protected keep_conc sg') then reject ()
+      else begin
+        Hashtbl.replace r.ar_seen key ();
+        if meets_perf sg' then begin
+          let logic = child_eval ~key ghosts logic in
+          let csc_pairs = csc_pairs () in
+          let applied = (a, b) :: cfg.applied in
+          let logic_estimate, cost =
+            cost_of ~w:r.ar_arm.arm_w ~area_mode:r.ar_arm.arm_area ~nsig
+              ~csc_pairs logic
+          in
+          Some
+            {
+              p_cost = cost;
+              p_cfg =
+                lazy
+                  {
+                    sg = Lazy.force sg';
+                    applied;
+                    cost;
+                    logic_estimate;
+                    csc_pairs;
+                    logic;
+                  };
+            }
+        end
+        else begin
+          Obs.Counter.incr c_infeasible;
           None
         end
-        else
-          match Reduction.validate ~source:cfg.sg built with
-          | Ok sg' when keeps_protected keep_conc sg' ->
-              Hashtbl.replace r.ar_seen key ();
-              if meets_perf sg' then
-                let logic =
-                  child_eval cfg ~delta:built.Reduction.delta ~key sg'
-                in
-                Some
-                  (price ~w:r.ar_arm.arm_w ~area_mode:r.ar_arm.arm_area logic
-                     sg' ((a, b) :: cfg.applied))
-              else begin
-                Obs.Counter.incr c_infeasible;
-                None
-              end
-          | Ok _ | Error _ ->
-              Obs.Counter.incr c_rejected;
-              None)
+      end
+    in
+    match Reduction.fwd_red_states cfg.sg ~a ~b with
+    | Error _ -> reject ()
+    | Ok states -> (
+        let view =
+          match eval_mode with
+          | `Delta -> Sg.View.make cfg.sg ~a states
+          | `Scratch -> None
+        in
+        match view with
+        | Some v -> (
+            let key = Sg.View.root_arc_key v in
+            if not (unseen key) then None
+            else
+              match Reduction.judge ~source:cfg.sg v with
+              | Error _ -> reject ()
+              | Ok () ->
+                  accept ~key
+                    (lazy (Reduction.remove cfg.sg ~a states).Reduction.cand)
+                    ~ghosts:(fun () -> Sg.View.ghosts v)
+                    ~logic:(fun () -> Logic.estimate_delta ~parent:cfg.logic v)
+                    ~csc_pairs:(fun () -> Sg.View.csc_conflict_count v))
+        | None -> (
+            let built = Reduction.remove cfg.sg ~a states in
+            let key = Sg.root_arc_key built.Reduction.cand in
+            if not (unseen key) then None
+            else
+              match Reduction.validate ~source:cfg.sg built with
+              | Error _ -> reject ()
+              | Ok sg' ->
+                  accept ~key (Lazy.from_val sg')
+                    ~ghosts:(fun () -> Sg.ghosts sg')
+                    ~logic:(fun () ->
+                      Logic.evaluate ~memo:(eval_mode <> `Scratch) sg')
+                    ~csc_pairs:(fun () -> Sg.csc_conflict_count sg')))
   in
   let runs =
     Array.mapi
@@ -296,9 +345,13 @@ let run ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
         in
         let seen = Hashtbl.create 64 in
         Hashtbl.replace seen (Sg.root_arc_key sg0) ();
-        let best = if meets_perf sg0 then Some initial else None in
+        let best =
+          if meets_perf (Lazy.from_val sg0) then
+            Some { p_cost = initial.cost; p_cfg = Lazy.from_val initial }
+          else None
+        in
         (match (on_improvement, best) with
-        | Some f, Some b -> f ~arm:i b
+        | Some f, Some _ -> f ~arm:i initial
         | _ -> ());
         {
           ar_arm = arm;
@@ -314,9 +367,10 @@ let run ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
   in
   (* One level of arm [i]: enumerate the tasks deterministically (frontier
      configurations in rank order, then [oriented_candidates] order),
-     evaluate them in that order and merge each accepted one.  The
-     improvement callback fires at the best-update, so its sequence is
-     fixed by the task order. *)
+     evaluate them in that order and merge each accepted one; then build
+     the frontier's survivors, the next level's parents.  The improvement
+     callback fires at the best-update, so its sequence is fixed by the
+     task order. *)
   let step i r =
     r.ar_levels <- r.ar_levels + 1;
     Obs.Counter.incr c_levels;
@@ -335,19 +389,19 @@ let run ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
       (fun task ->
         match eval_task r task with
         | None -> ()
-        | Some cfg' ->
+        | Some p ->
             Obs.Counter.incr c_accepted;
             r.ar_explored <- r.ar_explored + 1;
             (match r.ar_best with
-            | Some b when cfg'.cost >= b.cost -> ()
+            | Some b when p.p_cost >= b.p_cost -> ()
             | Some _ | None -> (
-                r.ar_best <- Some cfg';
+                r.ar_best <- Some p;
                 match on_improvement with
-                | Some f -> f ~arm:i cfg'
+                | Some f -> f ~arm:i (Lazy.force p.p_cfg)
                 | None -> ()));
-            frontier := insert_frontier size_frontier cfg' !frontier)
+            frontier := insert_frontier size_frontier p !frontier)
       tasks;
-    r.ar_frontier <- !frontier
+    r.ar_frontier <- List.map (fun p -> Lazy.force p.p_cfg) !frontier
   in
   let live r = r.ar_frontier <> [] && r.ar_levels < max_levels in
   (* Round-robin by level until no arm has a level left. *)
@@ -357,7 +411,9 @@ let run ?perf_delays ?max_cycle ?on_improvement ~share ~size_frontier
   let outcome r =
     let best, feasible =
       match r.ar_best with
-      | Some b -> ({ b with applied = List.rev b.applied }, true)
+      | Some b ->
+          let b = Lazy.force b.p_cfg in
+          ({ b with applied = List.rev b.applied }, true)
       | None -> (r.ar_initial, false)
     in
     {

@@ -45,16 +45,24 @@ type outcome = {
     [Keep_Conc] input).  Pairs are unordered. *)
 type keep = (Stg.label * Stg.label) list
 
-(** How candidate configurations are logic-costed.  Both modes produce
-    byte-identical outcomes (same totals, covers, frontier and script);
-    they differ only in work per candidate:
+(** How candidate configurations are judged and logic-costed.  Both
+    modes produce byte-identical outcomes (same totals, covers, frontier
+    and script); they differ only in work per candidate:
 
-    - [`Scratch] — full re-derivation and unmemoized minimization (the
-      reference);
-    - [`Delta] (default) — {!Logic.estimate_delta}: per-signal results
-      inherited from the parent configuration wherever the reduction
-      provably left them unchanged, the rest served from the
-      {!Boolf.Memo} cover cache. *)
+    - [`Scratch] — every candidate is built ({!Reduction.fwd_red_built}),
+      validated on the built graph and evaluated by full re-derivation
+      and unmemoized minimization (the reference);
+    - [`Delta] (default) — every candidate is judged on a removal view of
+      its parent ({!Sg.View}: dedup key, Def. 5.1 verdict, CSC count) and
+      costed by {!Logic.estimate_delta}: per-signal results inherited
+      from the parent configuration wherever the reduction provably left
+      them unchanged, the rest served from the {!Boolf.Memo} cover
+      cache.  A candidate is built only when the search keeps it: it
+      survives its level's frontier, ends as an arm's best, or is shown to
+      [on_improvement]; and, to be judged, when Keep_Conc pairs or a
+      performance bound are given.  Graphs with no view (past 62 signals)
+      are built, validated and evaluated with the memoized minimizer.  The counter [sg.filter_arcs.calls] counts the built
+      candidates. *)
 type eval_mode = [ `Scratch | `Delta ]
 
 (** How a candidate's logic complexity enters the cost function:
@@ -122,7 +130,7 @@ type arm_outcome = {
     {!Obs} recording is on).  Each candidate an arm accepts (unseen by
     that arm, valid, within the performance bound) is one table lookup, in
     the deterministic task order: a hit when an earlier lookup had the
-    same key, a miss otherwise. *)
+    same root-arc key and ghost sequence, a miss otherwise. *)
 type portfolio_stats = { table_hits : int; table_misses : int }
 
 type portfolio_outcome = {
@@ -136,9 +144,10 @@ type portfolio_outcome = {
 (** [portfolio ~arms sg] runs one beam search per arm, all sharing one
     cross-arm evaluation table: a candidate SG evaluated by any arm is
     never logic-evaluated again by another, keyed by the root arcs it
-    keeps ({!Sg.root_arc_key}) plus its lineage ghost sequence, so the
-    cached evaluation is exactly what every arm would have computed
-    itself.  Each arm's [outcome] is byte-identical to its standalone
+    keeps ({!Sg.root_arc_key}) and the fingerprint of its lineage ghost
+    sequence ({!Sg.ghosts_fingerprint}), a match confirmed by comparing
+    the sequences, so the cached evaluation is exactly what every arm
+    would have computed itself.  Each arm's [outcome] is byte-identical to its standalone
     {!optimize} run with the same parameters.
 
     [on_improvement] streams the anytime best-so-far: it fires in a

@@ -24,9 +24,9 @@ type conc_rel = {
    graph gets one bit: [em_state.(s)] is the enabled set of state [s],
    [em_ctl] the controlled (output/internal) labels, [em_tr.(tr)] the bit
    index of transition [tr]'s label (only meaningful for transitions that
-   appear on some arc).  A graph derived by [filter_arcs_delta] may keep
-   its source's numbering, bits of labels it lost included: readers only
-   test membership, equality and popcount, which no numbering changes.
+   appear on some arc).  A graph derived by [filter_arcs] may keep its
+   source's numbering, bits of labels it lost included: readers only test
+   membership, equality and popcount, which no numbering changes.
    Only available when the graph has at most [bits_per_word - 1]
    distinct labels; callers fall back to the plain label-array scans
    otherwise. *)
@@ -47,6 +47,20 @@ type cache = {
   mutable c_arc_labels : (Stg.label * Petri.trans list) list option;
   mutable c_csc_count : int option;
   mutable c_persistent : bool option;
+  mutable c_excited : int array option;
+      (** per state, the bitmask of signals with an enabled edge (only
+          built when codes fit one word) *)
+  mutable c_by_code : by_code option;
+}
+
+(* The states and ghosts of a graph grouped by packed code (codes in one
+   word): group [j] has code [bc_codes.(j)] (ascending) and items
+   [bc_items.(bc_start.(j) .. bc_start.(j + 1) - 1)], an item [i >= 0]
+   being state [i] and [i < 0] ghost [-1 - i]. *)
+and by_code = {
+  bc_codes : int array;
+  bc_start : int array;
+  bc_items : int array;
 }
 
 let fresh_cache () =
@@ -60,6 +74,8 @@ let fresh_cache () =
     c_arc_labels = None;
     c_csc_count = None;
     c_persistent = None;
+    c_excited = None;
+    c_by_code = None;
   }
 
 type t = {
@@ -75,7 +91,7 @@ type t = {
   arc_root : int array;
       (** index of each arc in the root of the filter lineage: the graph
           that {!Builder.build} or {!derive} made, which a chain of
-          [filter_arcs_delta] calls led here *)
+          [filter_arcs] calls led here *)
   initial : state;
   unconstrained : int list;
   g_codes : int array;
@@ -84,6 +100,7 @@ type t = {
           by a pruning filter; only collected when [nsig <= 62]) *)
   g_excs : int array;
       (** excited-signal masks of the ghosts, parallel to [g_codes] *)
+  g_fp : int;  (** fingerprint of the ghost sequence ({!ghost_mix}) *)
   cache : cache;
 }
 
@@ -158,6 +175,49 @@ let iter_ghosts sg f =
   for i = 0 to Array.length sg.g_codes - 1 do
     f sg.g_codes.(i) sg.g_excs.(i)
   done
+
+(* The fingerprint of a ghost sequence: a fold of [ghost_mix] over its
+   (code, excited-mask) pairs from [ghost_fp0], so a graph's fingerprint
+   extends its source's with the pairs it pruned. *)
+let ghost_fp0 = 0x1bf29ce484222325
+
+let ghost_mix fp code exc =
+  let fnv = 0x100000001b3 in
+  ((((fp lxor code) * fnv) lxor exc) * fnv) land max_int
+
+(* A ghost sequence: the pairs of [gh_codes]/[gh_excs] (shared with the
+   graph they came from, never copied), then [gh_extra]'s flat
+   (code, excited-mask) pairs. *)
+type ghosts = {
+  gh_codes : int array;
+  gh_excs : int array;
+  gh_extra : int array;
+  gh_fp : int;
+}
+
+let ghosts sg =
+  {
+    gh_codes = sg.g_codes;
+    gh_excs = sg.g_excs;
+    gh_extra = [||];
+    gh_fp = sg.g_fp;
+  }
+
+let ghosts_fingerprint g = g.gh_fp
+
+let ghosts_equal g1 g2 =
+  let words g = (2 * Array.length g.gh_codes) + Array.length g.gh_extra in
+  (* word [j] of a sequence: pair [j / 2]'s code at even [j], its mask at
+     odd [j] *)
+  let word g j =
+    let nb = Array.length g.gh_codes in
+    if j < 2 * nb then
+      if j land 1 = 0 then g.gh_codes.(j / 2) else g.gh_excs.(j / 2)
+    else g.gh_extra.(j - (2 * nb))
+  in
+  let n = words g1 in
+  let rec go j = j = n || (word g1 j = word g2 j && go (j + 1)) in
+  g1.gh_fp = g2.gh_fp && n = words g2 && go 0
 
 (* ------------------------------------------------------------------ *)
 (* Reverse arcs *)
@@ -396,6 +456,7 @@ module Builder = struct
       unconstrained;
       g_codes = [||];
       g_excs = [||];
+      g_fp = ghost_fp0;
       cache = fresh_cache ();
     }
 end
@@ -549,13 +610,6 @@ let of_stg ?budget ?initial_values ?warn stg =
       | Error _ -> ());
       r)
 
-type delta = { rows_changed : state array; pruned : int; support : int }
-
-(* Rebuild keeping only the arcs [keep] accepts, pruning states no longer
-   reachable from the initial state and renumbering in BFS order.  This is
-   the hot path of the reduction search (one call per candidate): [keep]
-   runs once per arc, codes and markings are copied row-wise, arcs go
-   straight into the new CSR arrays — no per-state allocation. *)
 let label_is_controlled stg lab =
   (* outputs and internal signals must be persistent everywhere *)
   match lab with
@@ -615,9 +669,33 @@ let enmask sg =
       sg.cache.c_enmask <- Some e;
       e
 
-let filter_arcs_delta sg ~keep =
-  (* Counter only — this runs once per search candidate, so even a span's
-     closure allocation is unwelcome on the disabled fast path. *)
+(* Per state, the bitmask of signals with an enabled edge, built once per
+   graph: ghost freezing, the logic extraction and every removal view of
+   the graph read it. *)
+let excited_masks sg =
+  match sg.cache.c_excited with
+  | Some e -> e
+  | None ->
+      let e = Array.make sg.n 0 in
+      for s = 0 to sg.n - 1 do
+        for k = sg.off.(s) to sg.off.(s + 1) - 1 do
+          match Stg.label sg.stg sg.arc_tr.(k) with
+          | Stg.Edge (sid, _) -> e.(s) <- e.(s) lor (1 lsl sid)
+          | Stg.Dummy _ -> ()
+        done
+      done;
+      sg.cache.c_excited <- Some e;
+      e
+
+(* Rebuild keeping only the arcs [keep] accepts, pruning states no longer
+   reachable from the initial state and renumbering in BFS order: [keep]
+   runs once per arc, codes and markings are copied row-wise, arcs go
+   straight into the new CSR arrays, no per-state allocation.  The search
+   judges its candidates on a {!View} of the parent and builds here only
+   the ones it keeps. *)
+let filter_arcs sg ~keep =
+  (* Counter only: a span's closure allocation is unwelcome on the
+     disabled fast path. *)
   Obs.Counter.incr c_filter_arcs;
   let n_old = sg.n in
   let m_old = n_arcs sg in
@@ -649,95 +727,56 @@ let filter_arcs_delta sg ~keep =
   done;
   let n = !count in
   let old_of_new = if n = n_old then old_of_new else Array.sub old_of_new 0 n in
-  let noff = Array.make (n + 1) 0 in
-  (* Codes are copied verbatim below, so a surviving state differs from its
-     source state exactly when its successor row lost an arc.  While
-     counting kept arcs we also fold each row's excited-signal masks over
-     all vs kept arcs: the union over changed rows of the lost bits is the
-     delta's signal [support] — under the frozen-ghost extraction
-     semantics, the only signals whose per-code ON/OFF aggregates can
-     differ from the source graph's (DESIGN.md, "Per-signal support
-     tracking").  Tracking is gated on codes fitting one word; past 62
-     signals the sentinel [-1] tells consumers to recompute everything.
-     When the source's [enmask] is cached, the same pass ORs its label bits
+  (* When the source's [enmask] is cached, the row pass ORs its label bits
      over the kept arcs: the child's enabled masks in the source's bit
      numbering, so the child never builds its own label table. *)
-  let track = sg.nsig <= 62 in
   let parent_em =
     match sg.cache.c_enmask with
     | Some (Some em) -> Some em
     | Some None | None -> None
   in
   let em_state = if Option.is_some parent_em then Array.make n 0 else [||] in
-  let support = ref 0 in
-  let changed = ref [] and n_changed = ref 0 in
-  for s_new = n - 1 downto 0 do
+  let noff = Array.make (n + 1) 0 in
+  for s_new = 0 to n - 1 do
     let s = old_of_new.(s_new) in
-    let c = ref 0 in
-    let exc_all = ref 0 and exc_kept = ref 0 and lab_kept = ref 0 in
+    let c = ref 0 and lab_kept = ref 0 in
     for k = sg.off.(s) to sg.off.(s + 1) - 1 do
-      let kept_k = Bytes.get kept k = '\001' in
-      if kept_k then begin
+      if Bytes.get kept k = '\001' then begin
         incr c;
         match parent_em with
         | Some em -> lab_kept := !lab_kept lor (1 lsl em.em_tr.(sg.arc_tr.(k)))
         | None -> ()
-      end;
-      if track then
-        match Stg.label sg.stg sg.arc_tr.(k) with
-        | Stg.Edge (sid, _) ->
-            let bit = 1 lsl sid in
-            exc_all := !exc_all lor bit;
-            if kept_k then exc_kept := !exc_kept lor bit
-        | Stg.Dummy _ -> ()
+      end
     done;
     noff.(s_new + 1) <- !c;
-    if Option.is_some parent_em then em_state.(s_new) <- !lab_kept;
-    if !c < sg.off.(s + 1) - sg.off.(s) then begin
-      changed := s_new :: !changed;
-      incr n_changed;
-      support := !support lor (!exc_all land lnot !exc_kept)
-    end
+    if Option.is_some parent_em then em_state.(s_new) <- !lab_kept
   done;
-  let pruned = n_old - n in
-  let delta =
-    {
-      rows_changed =
-        (let a = Array.make !n_changed 0 in
-         List.iteri (fun i s -> a.(i) <- s) !changed;
-         a);
-      pruned;
-      support = (if track then !support else -1);
-    }
-  in
   (* Freeze the pruned states' source-side contributions as ghosts: their
      codes and excited-signal masks keep participating in the cost-side
-     logic extraction, which is what makes blind inheritance outside
-     [support] exact (the don't-care universe never shrinks along a
-     lineage).  Synthesis-side extraction ignores ghosts. *)
-  let g_codes, g_excs =
-    if (not track) || pruned = 0 then (sg.g_codes, sg.g_excs)
+     logic extraction, which is what makes the search's blind inheritance
+     outside a candidate's support exact (the don't-care universe never
+     shrinks along a lineage).  Synthesis-side extraction ignores ghosts.
+     Only collected when codes fit one word. *)
+  let pruned = n_old - n in
+  let g_codes, g_excs, g_fp =
+    if sg.nsig > 62 || pruned = 0 then (sg.g_codes, sg.g_excs, sg.g_fp)
     else begin
       let np = Array.length sg.g_codes in
       let gc = Array.make (np + pruned) 0 and ge = Array.make (np + pruned) 0 in
       Array.blit sg.g_codes 0 gc 0 np;
       Array.blit sg.g_excs 0 ge 0 np;
-      let i = ref np in
+      let exc = excited_masks sg in
+      let i = ref np and fp = ref sg.g_fp in
       for s = 0 to n_old - 1 do
         if remap.(s) = -1 then begin
-          let exc = ref 0 in
-          for k = sg.off.(s) to sg.off.(s + 1) - 1 do
-            match Stg.label sg.stg sg.arc_tr.(k) with
-            | Stg.Edge (sid, _) -> exc := !exc lor (1 lsl sid)
-            | Stg.Dummy _ -> ()
-          done;
-          (* [track] implies wps = 1, so codes.(s) is the packed code. *)
+          (* codes fit one word, so codes.(s) is the packed code *)
           gc.(!i) <- sg.codes.(s);
-          ge.(!i) <- !exc;
+          ge.(!i) <- exc.(s);
+          fp := ghost_mix !fp sg.codes.(s) exc.(s);
           incr i
         end
       done;
-      (gc, ge)
+      (gc, ge, !fp)
     end
   in
   for i = 1 to n do
@@ -779,14 +818,10 @@ let filter_arcs_delta sg ~keep =
       initial = 0;
       g_codes;
       g_excs;
+      g_fp;
       cache;
     },
-    old_of_new,
-    delta )
-
-let filter_arcs sg ~keep =
-  let sg', old_of_new, _ = filter_arcs_delta sg ~keep in
-  (sg', old_of_new)
+    old_of_new )
 
 (* General arc rewiring over the same state space: materialize the given
    rows into a temporary CSR sharing the codes/markings, then let
@@ -1101,48 +1136,51 @@ type csc_scratch = { mutable cs_head : int array; mutable cs_next : int array }
 let csc_scratch_key =
   Pool.Dls.new_key (fun () -> { cs_head = [||]; cs_next = [||] })
 
-(* Codes in at most 16 bits: bucket the states by packed code in the
-   direct-address [cs_head] table and count, inside each bucket, the pairs
-   whose controlled enabled masks differ.  A bucket is counted when its
-   first state is met, and its head is reset there, which also restores
-   the table for the next call. *)
-let direct_csc_count sg em =
+(* Codes in at most 16 bits: bucket the states [order.(0 .. count - 1)]
+   by packed code in the direct-address [cs_head] table and count, inside
+   each bucket, the pairs whose controlled enabled masks
+   ([masks.(s) land ctl]) differ.  A bucket is counted when its first
+   state is met, and its head is reset there, which also restores the
+   table for the next call. *)
+let direct_csc_count sg ~order ~count ~masks ~ctl =
   let sc = Pool.Dls.get csc_scratch_key in
   if Array.length sc.cs_head < 1 lsl sg.nsig then
     sc.cs_head <- Array.make (1 lsl sg.nsig) (-1);
   if Array.length sc.cs_next < sg.n then sc.cs_next <- Array.make sg.n 0;
   let head = sc.cs_head and next = sc.cs_next in
-  for s = sg.n - 1 downto 0 do
+  for i = count - 1 downto 0 do
+    let s = order.(i) in
     let c = sg.codes.(s) in
     next.(s) <- head.(c);
     head.(c) <- s
   done;
-  let count = ref 0 in
-  for s = 0 to sg.n - 1 do
+  let pairs = ref 0 in
+  for i = 0 to count - 1 do
+    let s = order.(i) in
     let c = sg.codes.(s) in
     if head.(c) >= 0 then begin
       head.(c) <- -1;
       let a = ref s in
       while !a >= 0 do
-        let ma = em.em_state.(!a) land em.em_ctl in
+        let ma = masks.(!a) land ctl in
         let b = ref next.(!a) in
         while !b >= 0 do
-          if em.em_state.(!b) land em.em_ctl <> ma then incr count;
+          if masks.(!b) land ctl <> ma then incr pairs;
           b := next.(!b)
         done;
         a := next.(!a)
       done
     end
   done;
-  !count
+  !pairs
 
-(* The general count: equal codes are grouped by sorting.  When everything
-   fits (the packed code in [62 - log2 n] bits, controlled sets in 62
-   bits) the sort keys are [code << log2n | s] — built straight from the
-   packed word, no per-state loop — and the conflict test compares
-   bitmasks. *)
-let sorted_csc_count sg em =
-  let nsig = sg.nsig in
+(* The general count over the states [order.(0 .. count - 1)]: equal
+   codes are grouped by sorting, and a pair conflicts when its controlled
+   enabled sets differ, compared as [ctl]'s injective int packing when
+   given, else as [labels]' sorted lists.  When everything fits (the
+   packed code in [62 - log2 n] bits, [ctl] given) the sort keys are
+   [code << log2n | s], built straight from the packed word. *)
+let sorted_csc_count sg ~order ~count ~ctl ~labels =
   let log2n =
     let k = ref 0 in
     while 1 lsl !k < sg.n do
@@ -1150,64 +1188,45 @@ let sorted_csc_count sg em =
     done;
     !k
   in
-  let count = ref 0 in
-  if nsig + log2n <= 62 && (em <> None || 3 * nsig <= 62) then begin
-    let keys = Array.init sg.n (fun s -> (sg.codes.(s) lsl log2n) lor s) in
-    Array.sort (fun (a : int) b -> compare a b) keys;
-    let mask =
-      (* Only set equality matters, so any injective packing of the
-         controlled enabled set works: the precomputed label bitmasks
-         when available, the per-signal packing otherwise. *)
-      match em with
-      | Some em -> fun s -> em.em_state.(s) land em.em_ctl
-      | None ->
-          let masks = Array.make sg.n (-1) in
-          fun s ->
-            if masks.(s) >= 0 then masks.(s)
-            else begin
-              let m = controlled_mask sg s in
-              masks.(s) <- m;
-              m
-            end
-    in
-    let lim = (1 lsl log2n) - 1 in
+  let pairs = ref 0 in
+  (* Sorted [items], grouped by [same], counting the differing pairs of
+     each group under [differ]. *)
+  let count_groups items same differ =
     let i = ref 0 in
-    while !i < sg.n do
-      let c0 = keys.(!i) lsr log2n in
+    while !i < count do
       let j = ref (!i + 1) in
-      while !j < sg.n && keys.(!j) lsr log2n = c0 do
+      while !j < count && same items.(!i) items.(!j) do
         incr j
       done;
-      if !j - !i > 1 then
-        for a = !i to !j - 2 do
-          for b = a + 1 to !j - 1 do
-            if mask (keys.(a) land lim) <> mask (keys.(b) land lim) then
-              incr count
-          done
-        done;
-      i := !j
-    done
-  end
-  else begin
-    let idx = Array.init sg.n Fun.id in
-    Array.sort (fun s1 s2 -> compare_codes sg s1 s2) idx;
-    let i = ref 0 in
-    while !i < sg.n do
-      let j = ref (!i + 1) in
-      while !j < sg.n && compare_codes sg idx.(!i) idx.(!j) = 0 do
-        incr j
+      for x = !i to !j - 2 do
+        for y = x + 1 to !j - 1 do
+          if differ items.(x) items.(y) then incr pairs
+        done
       done;
-      if !j - !i > 1 then
-        for a = !i to !j - 2 do
-          for b = a + 1 to !j - 1 do
-            if controlled_labels sg idx.(a) <> controlled_labels sg idx.(b)
-            then incr count
-          done
-        done;
       i := !j
     done
-  end;
-  !count
+  in
+  (match ctl with
+  | Some ctl when sg.nsig + log2n <= 62 ->
+      let keys =
+        Array.init count (fun i ->
+            let s = order.(i) in
+            (sg.codes.(s) lsl log2n) lor s)
+      in
+      Array.sort Int.compare keys;
+      let lim = (1 lsl log2n) - 1 in
+      count_groups keys
+        (fun k1 k2 -> k1 lsr log2n = k2 lsr log2n)
+        (fun k1 k2 -> ctl (k1 land lim) <> ctl (k2 land lim))
+  | _ ->
+      let st = Array.sub order 0 count in
+      Array.sort (compare_codes sg) st;
+      count_groups st
+        (fun s1 s2 -> compare_codes sg s1 s2 = 0)
+        (match ctl with
+        | Some ctl -> fun s1 s2 -> ctl s1 <> ctl s2
+        | None -> fun s1 s2 -> labels s1 <> labels s2));
+  !pairs
 
 (* Same count as [List.length (csc_conflicts sg)] — this is in the search
    cost function's inner loop, once per candidate. *)
@@ -1215,10 +1234,29 @@ let csc_conflict_count sg =
   match sg.cache.c_csc_count with
   | Some c -> c
   | None ->
+      let order = Array.init sg.n Fun.id in
       let c =
         match enmask sg with
-        | Some em when sg.nsig <= 16 -> direct_csc_count sg em
-        | em -> sorted_csc_count sg em
+        | Some em when sg.nsig <= 16 ->
+            direct_csc_count sg ~order ~count:sg.n ~masks:em.em_state
+              ~ctl:em.em_ctl
+        | em ->
+            (* Only set equality matters, so any injective packing of the
+               controlled enabled set works: the label bitmasks when
+               available, the per-signal packing when it fits. *)
+            let ctl =
+              match em with
+              | Some em -> Some (fun s -> em.em_state.(s) land em.em_ctl)
+              | None when 3 * sg.nsig <= 62 ->
+                  let masks = Array.make sg.n (-1) in
+                  Some
+                    (fun s ->
+                      if masks.(s) < 0 then masks.(s) <- controlled_mask sg s;
+                      masks.(s))
+              | None -> None
+            in
+            sorted_csc_count sg ~order ~count:sg.n ~ctl
+              ~labels:(controlled_labels sg)
       in
       sg.cache.c_csc_count <- Some c;
       c
@@ -1372,6 +1410,443 @@ let deadlocks sg =
     if out_degree sg s = 0 then acc := s :: !acc
   done;
   !acc
+
+(* ------------------------------------------------------------------ *)
+(* Removal views *)
+
+let by_code sg =
+  match sg.cache.c_by_code with
+  | Some b -> b
+  | None ->
+      let code i = if i >= 0 then sg.codes.(i) else sg.g_codes.(-1 - i) in
+      let total = sg.n + Array.length sg.g_codes in
+      let items =
+        Array.init total (fun j -> if j < sg.n then j else sg.n - 1 - j)
+      in
+      Array.stable_sort (fun x y -> Int.compare (code x) (code y)) items;
+      let codes = ref [] and starts = ref [] in
+      Array.iteri
+        (fun j i ->
+          if j = 0 || code i <> code items.(j - 1) then begin
+            codes := code i :: !codes;
+            starts := j :: !starts
+          end)
+        items;
+      let b =
+        {
+          bc_codes = Array.of_list (List.rev !codes);
+          bc_start = Array.of_list (List.rev (total :: !starts));
+          bc_items = items;
+        }
+      in
+      sg.cache.c_by_code <- Some b;
+      b
+
+(* Per-domain scratch of the current view, over the source's state ids:
+   [vs_mark.(s) = vs_gen] when [s]'s [a]-arcs go, [vs_seen.(s) = vs_gen]
+   when [s] is still reached, [vs_lost.(s) = vs_gen] when it is reached
+   and lost an arc, [vs_masks.(s)] a reached state's enabled labels after
+   the removal (with label masks only), [vs_atr.(tr) = vs_gen] when
+   transition [tr] carries [a] (without label masks only), [vs_order]
+   the reached states in BFS order, [vs_key] the root-arc bitset (zero
+   past its first [vs_key_len] bytes).  Stamping with a fresh generation
+   per view clears every mark for free. *)
+type view_scratch = {
+  mutable vs_gen : int;
+  mutable vs_mark : int array;
+  mutable vs_seen : int array;
+  mutable vs_lost : int array;
+  mutable vs_masks : int array;
+  mutable vs_atr : int array;
+  mutable vs_order : int array;
+  mutable vs_key : Bytes.t;
+  mutable vs_key_len : int;
+}
+
+let view_scratch_key =
+  Pool.Dls.new_key (fun () ->
+      {
+        vs_gen = 0;
+        vs_mark = [||];
+        vs_seen = [||];
+        vs_lost = [||];
+        vs_masks = [||];
+        vs_atr = [||];
+        vs_order = [||];
+        vs_key = Bytes.empty;
+        vs_key_len = 0;
+      })
+
+module View = struct
+  type sg = t
+
+  type t = {
+    v_sg : sg;
+    v_em : enmask option;  (** the source's label masks, if it has them *)
+    v_a : Stg.label;
+    v_tr : int array;
+    v_aid : int;
+        (** the transitions [tr] carrying [a] are those with
+            [v_tr.(tr) = v_aid]: label bits with masks, [vs_atr] stamps
+            without *)
+    v_states : state list;
+    v_sc : view_scratch;
+    v_gen : int;
+    v_n : int;  (** reached states *)
+    v_union : int;  (** labels of the kept arcs, with masks *)
+  }
+
+  let live v =
+    if v.v_sc.vs_gen <> v.v_gen then
+      invalid_arg "Sg.View: the view was overwritten by a later one"
+
+  let removed v s = v.v_sc.vs_mark.(s) = v.v_gen
+
+  (* The kept arc [k] of a source state [s]: [rm] is [removed v s]. *)
+  let kept v rm k = not (rm && v.v_tr.(v.v_sg.arc_tr.(k)) = v.v_aid)
+
+  (* Rows that lost an arc: reached states of the removal set with an
+     [a]-arc.  Every other reached state keeps its row and its labels. *)
+  let changed v s = v.v_sc.vs_lost.(s) = v.v_gen
+
+  (* A reached state's enabled-label mask after the removal (with label
+     masks only). *)
+  let mask v s = v.v_sc.vs_masks.(s)
+
+  let make sg ~a states =
+    if sg.nsig > 62 then None
+    else begin
+      let em = enmask sg in
+      let sc = Pool.Dls.get view_scratch_key in
+      if Array.length sc.vs_seen < sg.n then begin
+        sc.vs_mark <- Array.make sg.n (-1);
+        sc.vs_seen <- Array.make sg.n (-1);
+        sc.vs_lost <- Array.make sg.n (-1);
+        sc.vs_masks <- Array.make sg.n 0;
+        sc.vs_order <- Array.make sg.n 0
+      end;
+      sc.vs_gen <- sc.vs_gen + 1;
+      let gen = sc.vs_gen in
+      let mark = sc.vs_mark and seen = sc.vs_seen and lost = sc.vs_lost in
+      let masks = sc.vs_masks and order = sc.vs_order in
+      List.iter (fun s -> mark.(s) <- gen) states;
+      (* With label masks, [a] is a label bit, found on the first removed
+         row that has an [a]-arc; without, its transitions are stamped. *)
+      let tr_id, aid =
+        match em with
+        | Some em ->
+            let abit = ref (-1) in
+            List.iter
+              (fun s ->
+                if !abit < 0 then
+                  for k = sg.off.(s) to sg.off.(s + 1) - 1 do
+                    if Stg.label sg.stg sg.arc_tr.(k) = a then
+                      abit := em.em_tr.(sg.arc_tr.(k))
+                  done)
+              states;
+            (em.em_tr, !abit)
+        | None ->
+            let labels = sg.stg.Stg.labels in
+            if Array.length sc.vs_atr < Array.length labels then
+              sc.vs_atr <- Array.make (Array.length labels) (-1);
+            Array.iteri (fun tr lab -> if lab = a then sc.vs_atr.(tr) <- gen)
+              labels;
+            (sc.vs_atr, gen)
+      in
+      let amask = if em = None || aid < 0 then 0 else 1 lsl aid in
+      (* BFS over the kept arcs in [filter_arcs]'s order, so [vs_order]
+         lists the child's states by their new ids; each kept arc sets its
+         root index in the key. *)
+      Bytes.fill sc.vs_key 0 sc.vs_key_len '\000';
+      seen.(sg.initial) <- gen;
+      order.(0) <- sg.initial;
+      let count = ref 1 and head = ref 0 in
+      let top = ref (-1) and union = ref 0 in
+      while !head < !count do
+        let s = order.(!head) in
+        incr head;
+        let rm = mark.(s) = gen in
+        for k = sg.off.(s) to sg.off.(s + 1) - 1 do
+          if rm && tr_id.(sg.arc_tr.(k)) = aid then lost.(s) <- gen
+          else begin
+            let r = sg.arc_root.(k) in
+            if r > !top then top := r;
+            let i = r lsr 3 in
+            let len = Bytes.length sc.vs_key in
+            if i >= len then begin
+              let key = Bytes.make (max (2 * len) (i + 1)) '\000' in
+              Bytes.blit sc.vs_key 0 key 0 len;
+              sc.vs_key <- key
+            end;
+            let key = sc.vs_key in
+            Bytes.unsafe_set key i
+              (Char.unsafe_chr
+                 (Char.code (Bytes.unsafe_get key i) lor (1 lsl (r land 7))));
+            let d = sg.arc_dst.(k) in
+            if seen.(d) <> gen then begin
+              seen.(d) <- gen;
+              order.(!count) <- d;
+              incr count
+            end
+          end
+        done;
+        match em with
+        | Some em ->
+            let m = em.em_state.(s) in
+            let m = if lost.(s) = gen then m land lnot amask else m in
+            masks.(s) <- m;
+            union := !union lor m
+        | None -> ()
+      done;
+      sc.vs_key_len <- (!top + 8) lsr 3;
+      Some
+        {
+          v_sg = sg;
+          v_em = em;
+          v_a = a;
+          v_tr = tr_id;
+          v_aid = aid;
+          v_states = states;
+          v_sc = sc;
+          v_gen = gen;
+          v_n = !count;
+          v_union = !union;
+        }
+    end
+
+  let source v = v.v_sg
+
+  let n_states v =
+    live v;
+    v.v_n
+
+  let root_arc_key v =
+    live v;
+    Bytes.sub_string v.v_sc.vs_key 0 v.v_sc.vs_key_len
+
+  (* Labels only leave with their last arc, so with masks a vanished label
+     is a bit of the source's union missing from the view's; without, a
+     label none of whose transitions is on a kept arc.  Reported in
+     {!arc_label_instances} order, as [Reduction.validate] does. *)
+  let vanished v =
+    live v;
+    let sg = v.v_sg in
+    let first_gone gone =
+      List.find_map
+        (fun (lab, trs) -> if gone trs then Some lab else None)
+        (arc_label_instances sg)
+    in
+    match v.v_em with
+    | Some em ->
+        let lost = Array.fold_left ( lor ) 0 em.em_state land lnot v.v_union in
+        if lost = 0 then None
+        else
+          first_gone (fun trs ->
+              match List.find_opt (fun tr -> em.em_tr.(tr) >= 0) trs with
+              | Some tr -> lost land (1 lsl em.em_tr.(tr)) <> 0
+              | None -> false)
+    | None ->
+        let fired = Array.make (Array.length sg.stg.Stg.labels) false in
+        for i = 0 to v.v_n - 1 do
+          let s = v.v_sc.vs_order.(i) in
+          let rm = removed v s in
+          for k = sg.off.(s) to sg.off.(s + 1) - 1 do
+            if kept v rm k then fired.(sg.arc_tr.(k)) <- true
+          done
+        done;
+        first_gone (fun trs -> not (List.exists (fun tr -> fired.(tr)) trs))
+
+  (* A state that lost all its arcs lost some: a changed row whose arcs
+     all carried [a].  Only when one did is the first one looked for in
+     the child's order. *)
+  let deadlock v =
+    live v;
+    let sg = v.v_sg in
+    let dead s =
+      let rec none k =
+        k = sg.off.(s + 1) || ((not (kept v true k)) && none (k + 1))
+      in
+      changed v s && none sg.off.(s)
+    in
+    if not (List.exists dead v.v_states) then None
+    else
+      let order = v.v_sc.vs_order in
+      let rec first i = if dead order.(i) then order.(i) else first (i + 1) in
+      Some (first 0)
+
+  (* [first_persistency_violation] on the view, states in the child's
+     order: per kept arc [s -by-> d], the first label of [s]'s row, with
+     [a] dropped from the rows that lost it, that is not enabled after
+     [by] where the pair qualifies.  With label masks, a mask test per arc
+     finds the arcs worth that scan.  When [sg] is output-persistent, an
+     arc can only violate where its target lost [a] (elsewhere both ends
+     keep their labels, or only its source lost one, which removes
+     violations), so those arcs are tested first and the ordered scan
+     runs only when one of them violates. *)
+  let persistency_violation v =
+    live v;
+    let sg = v.v_sg and order = v.v_sc.vs_order in
+    let rows = enabled_arrays sg in
+    let enabled s lab = not (lab = v.v_a && changed v s) in
+    let violation s tr d =
+      let worth =
+        match v.v_em with
+        | Some em ->
+            let byb = 1 lsl em.em_tr.(tr) in
+            let missing = mask v s land lnot (mask v d) land lnot byb in
+            missing <> 0
+            && (em.em_ctl land byb <> 0 || missing land em.em_ctl <> 0)
+        | None -> true
+      in
+      if not worth then None
+      else
+        let by = Stg.label sg.stg tr in
+        Array.find_opt
+          (fun lab ->
+            enabled s lab && lab <> by
+            && (not (enabled d lab && Array.mem lab rows.(d)))
+            && (label_is_controlled sg.stg lab
+               || label_is_controlled sg.stg by))
+          rows.(s)
+        |> Option.map (fun lab -> (s, lab, by))
+    in
+    let into_changed d =
+      changed v d
+      && begin
+           let hit = ref false in
+           iter_pred sg d (fun tr p ->
+               if
+                 v.v_sc.vs_seen.(p) = v.v_gen
+                 && (not (removed v p && v.v_tr.(tr) = v.v_aid))
+                 && violation p tr d <> None
+               then hit := true);
+           !hit
+         end
+    in
+    if is_output_persistent sg && not (List.exists into_changed v.v_states) then
+      None
+    else
+      let exception Found of (state * Stg.label * Stg.label) in
+      try
+        for i = 0 to v.v_n - 1 do
+          let s = order.(i) in
+          let rm = removed v s in
+          for k = sg.off.(s) to sg.off.(s + 1) - 1 do
+            if kept v rm k then
+              match violation s sg.arc_tr.(k) sg.arc_dst.(k) with
+              | Some f -> raise (Found f)
+              | None -> ()
+          done
+        done;
+        None
+      with Found f -> Some f
+
+  (* The built graph's count on the reached states, with each changed
+     row's controlled set less [a]. *)
+  let csc_conflict_count v =
+    live v;
+    let sg = v.v_sg and order = v.v_sc.vs_order in
+    match v.v_em with
+    | Some em when sg.nsig <= 16 ->
+        direct_csc_count sg ~order ~count:v.v_n ~masks:v.v_sc.vs_masks
+          ~ctl:em.em_ctl
+    | em ->
+        sorted_csc_count sg ~order ~count:v.v_n
+          ~ctl:(Option.map (fun em s -> mask v s land em.em_ctl) em)
+          ~labels:(fun s ->
+            let l = controlled_labels sg s in
+            if changed v s then List.filter (fun lab -> lab <> v.v_a) l else l)
+
+  let ghosts v =
+    live v;
+    let sg = v.v_sg and seen = v.v_sc.vs_seen in
+    let exc = excited_masks sg in
+    let extra = Array.make (2 * (sg.n - v.v_n)) 0 in
+    let j = ref 0 and fp = ref sg.g_fp in
+    for s = 0 to sg.n - 1 do
+      if seen.(s) <> v.v_gen then begin
+        extra.(!j) <- sg.codes.(s);
+        extra.(!j + 1) <- exc.(s);
+        j := !j + 2;
+        fp := ghost_mix !fp sg.codes.(s) exc.(s)
+      end
+    done;
+    {
+      gh_codes = sg.g_codes;
+      gh_excs = sg.g_excs;
+      gh_extra = extra;
+      gh_fp = !fp;
+    }
+
+  (* The excited-signal mask of a changed row's kept arcs. *)
+  let kept_excited v s =
+    let sg = v.v_sg in
+    let e = ref 0 in
+    for k = sg.off.(s) to sg.off.(s + 1) - 1 do
+      if kept v true k then
+        match Stg.label sg.stg sg.arc_tr.(k) with
+        | Stg.Edge (sid, _) -> e := !e lor (1 lsl sid)
+        | Stg.Dummy _ -> ()
+    done;
+    !e
+
+  let support v =
+    live v;
+    let exc = excited_masks v.v_sg in
+    List.fold_left
+      (fun acc s ->
+        if changed v s then acc lor (exc.(s) land lnot (kept_excited v s))
+        else acc)
+      0 v.v_states
+
+  let changed_aggregates v =
+    live v;
+    let sg = v.v_sg in
+    let exc = excited_masks sg and bc = by_code sg in
+    (* The distinct codes of the changed rows, ascending: insertion into a
+       short sorted prefix. *)
+    let codes = Array.make (List.length v.v_states) 0 and nc = ref 0 in
+    List.iter
+      (fun s ->
+        if changed v s then begin
+          let c = sg.codes.(s) and j = ref 0 in
+          while !j < !nc && codes.(!j) < c do
+            incr j
+          done;
+          if !j = !nc || codes.(!j) <> c then begin
+            Array.blit codes !j codes (!j + 1) (!nc - !j);
+            codes.(!j) <- c;
+            incr nc
+          end
+        end)
+      v.v_states;
+    let codes = Array.sub codes 0 !nc in
+    let any = Array.make !nc 0 and all = Array.make !nc (-1) in
+    Array.iteri
+      (fun j c ->
+        (* [c] is a code of [sg]: the last group with a code <= [c] is
+           its group *)
+        let lo = ref 0 and hi = ref (Array.length bc.bc_codes - 1) in
+        while !lo < !hi do
+          let mid = (!lo + !hi + 1) / 2 in
+          if bc.bc_codes.(mid) <= c then lo := mid else hi := mid - 1
+        done;
+        (* Reached states contribute their masks after the removal;
+           pruned ones, like the source's ghosts, their frozen
+           source-side masks. *)
+        for k = bc.bc_start.(!lo) to bc.bc_start.(!lo + 1) - 1 do
+          let i = bc.bc_items.(k) in
+          let e =
+            if i < 0 then sg.g_excs.(-1 - i)
+            else if changed v i then kept_excited v i
+            else exc.(i)
+          in
+          any.(j) <- any.(j) lor e;
+          all.(j) <- all.(j) land e
+        done)
+      codes;
+    (codes, any, all)
+end
 
 (* ------------------------------------------------------------------ *)
 (* Signature *)

@@ -78,18 +78,22 @@ val code_bits : t -> state -> int
     display format used in the paper's Fig. 1. *)
 val code_display : t -> state -> string
 
+(** Per state, the bitmask of signals with an enabled edge (bit [i] =
+    signal [i]); computed once per graph and shared: treat it as
+    read-only.  Only meaningful when the STG has at most 62 signals. *)
+val excited_masks : t -> int array
+
 (** {2 Ghost contributions}
 
-    Graphs produced by a pruning {!filter_arcs}/{!filter_arcs_delta} carry
-    the pruned states' (code, excited-signal mask) pairs along as
-    {e ghosts}, frozen at pruning time and accumulated over the whole
-    filter lineage.  The cost-side logic extraction
-    ({!Logic.evaluate}/{!Logic.estimate}) folds them into its per-code
-    aggregates, which keeps the don't-care universe stable along a lineage
-    and makes the {!delta} [support] bound exact; final synthesis
-    ({!Logic.synthesize}) ignores them.  Ghosts are only collected when the
-    STG has at most 62 signals (one packed word per code); both are empty
-    on freshly generated graphs. *)
+    Graphs produced by a pruning {!filter_arcs} carry the pruned states'
+    (code, excited-signal mask) pairs along as {e ghosts}, frozen at
+    pruning time and accumulated over the whole filter lineage.  The
+    cost-side logic extraction ({!Logic.evaluate}/{!Logic.estimate}) folds
+    them into its per-code aggregates, which keeps the don't-care universe
+    stable along a lineage and makes a removal's {!View.support} bound
+    exact; final synthesis ({!Logic.synthesize}) ignores them.  Ghosts are
+    only collected when the STG has at most 62 signals (one packed word
+    per code); there are none on freshly generated graphs. *)
 
 val n_ghosts : t -> int
 
@@ -97,6 +101,21 @@ val n_ghosts : t -> int
     [code] is the packed state code (as {!code_bits}), [exc] the bitmask of
     signals that were excited in the pruned state. *)
 val iter_ghosts : t -> (int -> int -> unit) -> unit
+
+(** A ghost sequence as an equality token: a graph's own ({!ghosts}) or
+    the one a removal would leave ({!View.ghosts}).  It shares the
+    graph's ghost arrays instead of copying them. *)
+type ghosts
+
+val ghosts : t -> ghosts
+
+(** A hash of the sequence, folded pair by pair, so a child's extends its
+    source's with the pairs it pruned: equal sequences have equal
+    fingerprints. *)
+val ghosts_fingerprint : ghosts -> int
+
+(** Equal (code, mask) sequences, pair by pair in order. *)
+val ghosts_equal : ghosts -> ghosts -> bool
 
 (** {2 Arcs} *)
 
@@ -143,36 +162,14 @@ val succ_by_label : t -> state -> Stg.label -> state list
     which [keep source tr target] holds, prunes states unreachable from
     the initial state and renumbers (BFS order).  Returns the new graph
     with the new→old state map (index = new id).  [keep] is called once
-    per arc.  The hot path of concurrency reduction: codes and markings
-    are copied row-wise, arcs go straight into the CSR arrays. *)
+    per arc.  Codes and markings are copied row-wise, arcs go straight
+    into the CSR arrays.  When [sg]'s enabled-label bitmasks are already
+    computed, the new graph inherits them instead of numbering its labels
+    afresh.  The counter [sg.filter_arcs.calls] counts the graphs built
+    here: the reduction search judges its candidates on a {!View} and
+    builds only those it keeps. *)
 val filter_arcs :
   t -> keep:(state -> Petri.trans -> state -> bool) -> t * state array
-
-(** What an arc filter changed, from the surviving states' point of view.
-    Codes are copied verbatim by {!filter_arcs}, so a surviving state can
-    only differ from its source state in its successor row. *)
-type delta = {
-  rows_changed : state array;
-      (** new ids (ascending) of surviving states whose successor row lost
-          at least one arc *)
-  pruned : int;  (** number of source states that did not survive *)
-  support : int;
-      (** union, over the changed rows, of the excited-signal bits the row
-          lost (bit [i] = signal [i]).  Because pruned states stay in the
-          cost-side extraction as ghosts, a signal outside this mask has
-          exactly the source graph's per-code ON/OFF aggregates — the
-          incremental estimator inherits it blindly.  [-1] when the STG
-          has more than 62 signals (no tracking; recompute everything). *)
-}
-
-(** {!filter_arcs} plus the {!delta} report — the incremental logic
-    estimator ({!Logic.estimate_delta}) uses it to bound which signals'
-    ON/OFF sets may have changed.  When [sg]'s enabled-label bitmasks are
-    already computed (as by {!csc_conflict_count}, which the search runs
-    on every frontier graph), the new graph inherits them instead of
-    numbering its labels afresh. *)
-val filter_arcs_delta :
-  t -> keep:(state -> Petri.trans -> state -> bool) -> t * state array * delta
 
 (** [derive sg ~arcs] rebuilds the graph over the same states, codes and
     markings with the successor rows given by [arcs] (targets in [sg]'s
@@ -297,9 +294,9 @@ val signature : t -> string
 (** {2 Root arcs}
 
     A graph built by {!of_stg}, {!Builder} or {!derive} is the {e root} of
-    a filter lineage: every graph that a chain of {!filter_arcs} /
-    {!filter_arcs_delta} calls derives from it carries, for each of its
-    arcs, that arc's index in the root. *)
+    a filter lineage: every graph that a chain of {!filter_arcs} calls
+    derives from it carries, for each of its arcs, that arc's index in the
+    root. *)
 
 (** [root_arc_key sg] — the set of root arcs [sg] keeps, as a bitset over
     the root's arc indices packed into a string (one bit per index, up to
@@ -313,6 +310,72 @@ val signature : t -> string
       per label.
     The reduction search dedups its candidates by this key. *)
 val root_arc_key : t -> string
+
+(** {2 Removal views}
+
+    The graph a reduction would leave, judged on its source without
+    building it: [sg] less every arc labelled [a] out of a set of states
+    (FwdRed's back-reached set, or one state), with the states no longer
+    reachable pruned as {!filter_arcs} would prune them.  The view lives
+    in per-domain scratch over [sg]'s state ids and reads [sg]'s
+    enabled-label bitmasks when it has them, so it copies nothing:
+    {!View.make} finds the
+    reachable states and the root arcs they keep; the other queries
+    answer, in [sg]'s state numbering, what the built child
+    ([filter_arcs sg ~keep:(fun s tr _ -> not (s in states && tr
+    carries a))]) would answer.  A view is valid until the next
+    {!View.make} on the same domain (queries on an overwritten view
+    raise [Invalid_argument]); nothing derived from it holds on to the
+    scratch. *)
+module View : sig
+  type sg := t
+  type t
+
+  (** [None] when [sg] has more than 62 signals (no packed codes): build
+      the child instead.  Past 62 distinct labels [sg] has no label
+      masks, and the queries compare label lists instead. *)
+  val make : sg -> a:Stg.label -> state list -> t option
+
+  val source : t -> sg
+
+  (** The child's {!n_states}. *)
+  val n_states : t -> int
+
+  (** The child's {!root_arc_key}. *)
+  val root_arc_key : t -> string
+
+  (** The first label of {!arc_label_instances}[ sg] on no arc of the
+      child, if any. *)
+  val vanished : t -> Stg.label option
+
+  (** The first child state, in the child's numbering order, that lost
+      all its arcs (it had some in [sg]); a state of [sg]. *)
+  val deadlock : t -> state option
+
+  (** The child's {!first_persistency_violation}, its state given as
+      the state of [sg] it is. *)
+  val persistency_violation : t -> (state * Stg.label * Stg.label) option
+
+  (** The child's {!csc_conflict_count}. *)
+  val csc_conflict_count : t -> int
+
+  (** The child's ghost sequence: [sg]'s followed by the pruned states'
+      (code, excited-mask) pairs, in ascending state order.  The pruned
+      pairs are copied out of the scratch. *)
+  val ghosts : t -> ghosts
+
+  (** Union over the rows that lost arcs of the excited-signal bits they
+      lost.  Because pruned states stay in the cost-side extraction as
+      ghosts, a signal outside it has exactly [sg]'s per-code ON/OFF
+      aggregates in the child. *)
+  val support : t -> int
+
+  (** [(codes, any, all)]: the distinct codes of the rows that lost arcs,
+      ascending, and for each the OR and AND of the excited-signal masks
+      of the child's states and ghosts with that code — the only codes
+      whose cost-side aggregates can differ from [sg]'s. *)
+  val changed_aggregates : t -> int array * int array * int array
+end
 
 val pp : Format.formatter -> t -> unit
 

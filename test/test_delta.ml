@@ -7,8 +7,8 @@
    - from scratch ([Logic.evaluate ~memo:false], the reference, equal to
      [Logic.estimate]);
    - through the cross-candidate cover cache ([~memo:true], {!Boolf.Memo});
-   - incrementally from the parent configuration
-     ([Logic.estimate_delta]), as the reduction search does.
+   - incrementally from the parent configuration, on a removal view of
+     the parent ([Logic.estimate_delta]), as the reduction search does.
 
    The same contract lifted to whole searches: [Search.optimize] outcomes
    must be byte-identical across the [`Scratch]/[`Delta] evaluation
@@ -29,7 +29,17 @@ let eval_repr stg (e : Logic.eval) =
   Printf.sprintf "total=%d penalty=%d\n%s" e.Logic.e_total e.Logic.e_penalty
     (String.concat "\n" (List.map sig_repr e.Logic.e_sigs))
 
-(* Every built reduction candidate of [sg] (validated or not — the delta
+(* The removal view of FwdRed(a, b) on [sg] with the removed states, or
+   [None] when the reduction fails before any removal. *)
+let fwd_red_view sg ~a ~b =
+  match Reduction.fwd_red_states sg ~a ~b with
+  | Error _ -> None
+  | Ok states -> (
+      match Sg.View.make sg ~a states with
+      | Some v -> Some (v, states)
+      | None -> Alcotest.fail "no removal view of a graph within 62 signals")
+
+(* Every reduction candidate of [sg] (validated or not — the delta
    estimator only depends on the graph), costed all three ways. *)
 let check_logic_paths name stg =
   let sg = Gen.sg_exn stg in
@@ -37,16 +47,14 @@ let check_logic_paths name stg =
   Alcotest.(check int)
     (name ^ " evaluate = estimate") (Logic.estimate sg) (Logic.total parent);
   let try_one (a, b) =
-    match Reduction.fwd_red_built sg ~a ~b with
-    | Error _ -> ()
-    | Ok built ->
-        let sg' = built.Reduction.cand in
+    match fwd_red_view sg ~a ~b with
+    | None -> ()
+    | Some (v, states) ->
+        let delta = Logic.estimate_delta ~parent v in
+        let sg' = (Reduction.remove sg ~a states).Reduction.cand in
         let r = eval_repr stg in
         let scratch = Logic.evaluate ~memo:false sg' in
         let memo = Logic.evaluate ~memo:true sg' in
-        let delta =
-          Logic.estimate_delta ~parent ~delta:built.Reduction.delta sg'
-        in
         let step =
           Printf.sprintf "%s FwdRed(%s,%s)" name (Stg.label_name stg a)
             (Stg.label_name stg b)
@@ -105,9 +113,10 @@ let test_logic_random () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Support tracking: [delta.support] really bounds the changing signals. *)
+(* Support tracking: [Sg.View.support] really bounds the changing
+   signals. *)
 
-(* For every built candidate, any signal OUTSIDE the reported support must
+(* For every candidate, any signal OUTSIDE the view's support must
    have a (ON, OFF, conflicts) triple identical to the parent's under the
    cost-side (ghost) extraction — the soundness condition that lets
    [Logic.estimate_delta] inherit those signals blindly (DESIGN.md,
@@ -123,26 +132,29 @@ let check_support_bound name stg =
   in
   let parent_triples = triples parent in
   let try_one (a, b) =
-    match Reduction.fwd_red_built sg ~a ~b with
-    | Error _ -> ()
-    | Ok built ->
-        let d = built.Reduction.delta in
+    match fwd_red_view sg ~a ~b with
+    | None -> ()
+    | Some (v, states) ->
+        let support = Sg.View.support v in
         let step =
           Printf.sprintf "%s FwdRed(%s,%s)" name (Stg.label_name stg a)
             (Stg.label_name stg b)
         in
-        Alcotest.(check bool)
-          (step ^ ": support tracked") true (d.Sg.support >= 0);
-        if d.Sg.pruned > 0 then
+        Alcotest.(check bool) (step ^ ": support tracked") true (support >= 0);
+        let codes, _, _ = Sg.View.changed_aggregates v in
+        if Sg.View.n_states v < Sg.n_states sg then
           Alcotest.(check bool)
             (step ^ ": pruning changes a surviving row")
             true
-            (Array.length d.Sg.rows_changed > 0);
-        let child = Logic.evaluate ~memo:false built.Reduction.cand in
+            (Array.length codes > 0);
+        let child =
+          Logic.evaluate ~memo:false
+            (Reduction.remove sg ~a states).Reduction.cand
+        in
         List.iter2
           (fun (s, pt) (s', ct) ->
             Alcotest.(check int) (step ^ ": signal order") s s';
-            if d.Sg.support land (1 lsl s) = 0 then
+            if support land (1 lsl s) = 0 then
               Alcotest.(check bool)
                 (Printf.sprintf "%s: signal %d outside support unchanged" step
                    s)
@@ -233,24 +245,39 @@ let test_csc_delta_random () =
       (Gen.random_stg ~max_signals:6 seed)
   done
 
-(* The ring a+ a- b+ b- of two outputs, whose code 00 enables a+ in one
-   state and b+ in another, beside an independent ring of [k] outputs (as
-   [two_rings] in test_sg.ml): 2 + k signals, 4 + 2k labels and one
-   conflicting pair per state of the wide ring, 2k in all. *)
-let conflict_beside_ring k =
-  let edges d = List.init k (fun i -> Printf.sprintf "x%d%s" i d) in
-  let seq = edges "+" @ edges "-" in
-  let ring =
-    List.map2 (fun a b -> a ^ " " ^ b) seq (List.tl seq @ [ List.hd seq ])
+(* The cycle [small] of events over [inputs] and [outputs] beside an
+   independent ring of [k] outputs (as [two_rings] in test_sg.ml). *)
+let beside_ring ?(inputs = "") ~outputs small k =
+  let cycle evs =
+    List.map2 (fun a b -> a ^ " " ^ b) evs (List.tl evs @ [ List.hd evs ])
   in
+  let edges d = List.init k (fun i -> Printf.sprintf "x%d%s" i d) in
   let names = String.concat " " (List.init k (Printf.sprintf "x%d")) in
-  let marking = Printf.sprintf ".marking { <b-,a+> <x%d-,x0+> }" (k - 1) in
+  let marking =
+    Printf.sprintf ".marking { <%s,%s> <x%d-,x0+> }"
+      (List.nth small (List.length small - 1))
+      (List.hd small) (k - 1)
+  in
   Stg.Io.parse
     (String.concat "\n"
-       ([ ".outputs a b " ^ names; ".graph" ]
-       @ [ "a+ a-"; "a- b+"; "b+ b-"; "b- a+" ]
-       @ ring
+       ([ ".inputs " ^ inputs; ".outputs " ^ outputs ^ " " ^ names ]
+       @ [ ".graph" ]
+       @ cycle small
+       @ cycle (edges "+" @ edges "-")
        @ [ marking; ".end"; "" ]))
+
+(* The ring a+ a- b+ b- of two outputs, whose code 00 enables a+ in one
+   state and b+ in another, beside a ring of [k] outputs: 2 + k signals,
+   4 + 2k labels and one conflicting pair per state of the wide ring, 2k
+   in all. *)
+let conflict_beside_ring k =
+  beside_ring ~outputs:"a b" [ "a+"; "a-"; "b+"; "b-" ] k
+
+(* The same with input [i] for [b]: code 00 enables output a+ in one
+   state and only the input i+ in the other, so removing a+ from the
+   first state's row resolves its conflict. *)
+let input_conflict_beside_ring k =
+  beside_ring ~inputs:"i" ~outputs:"a" [ "a+"; "a-"; "i+"; "i-" ] k
 
 (* The count's fallbacks off the direct path, each with conflicts to
    count: codes wider than 16 bits (the sort path, with label masks) and
@@ -338,6 +365,347 @@ let test_search_random () =
 let test_search_same_label_choice () =
   check_search_modes "same-label choice" (Test_search.same_label_choice ())
 
+(* ------------------------------------------------------------------ *)
+(* The search's decisions, pinned: the [counters:] block of [astg reduce
+   --metrics], plain and as a two-arm portfolio, on the paper's specs
+   and the shipped specs the benchmark reduces.  Each run is a fresh
+   process, so every count is deterministic: candidates, dedups,
+   rejections, table hits, memo traffic and inherited signals.  Bless an
+   intended change with ASYNC_REPRO_BLESS=1. *)
+let test_reduce_counters_golden () =
+  let printed name stg =
+    let file = Filename.temp_file ("astg_" ^ name) ".g" in
+    Out_channel.with_open_bin file (fun oc ->
+        Out_channel.output_string oc (Stg.Io.print stg));
+    (name, file, true)
+  in
+  let shipped f = (f, Filename.concat (examples_dir ()) f, false) in
+  let specs =
+    [
+      printed "LR" (Expansion.four_phase Specs.lr);
+      printed "PAR" (Expansion.four_phase Specs.par);
+      printed "MMU" (Expansion.four_phase Specs.mmu);
+      shipped "micropipeline.g";
+      shipped "ahb_master.g";
+      shipped "ahb_arbiter.g";
+    ]
+  in
+  let counters out =
+    let rec skip = function
+      | [] -> []
+      | l :: rest -> if l = "counters:" then take rest else skip rest
+    and take = function
+      | [] | "spans:" :: _ -> []
+      | l :: rest -> l :: take rest
+    in
+    skip (String.split_on_char '\n' out)
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, file, temp) ->
+      List.iter
+        (fun flags ->
+          let args = ([ "reduce"; "--metrics" ] @ flags) @ [ file ] in
+          match Test_serve.run_cli args with
+          | 0, out, _ ->
+              Printf.bprintf b "== reduce %s%s\n" name
+                (String.concat "" (List.map (( ^ ) " ") flags));
+              List.iter (Printf.bprintf b "%s\n") (counters out)
+          | rc, _, err ->
+              Alcotest.failf "astg reduce %s exited %d: %s" name rc err)
+        [ []; [ "--portfolio"; "0.3,0.8" ] ];
+      if temp then Sys.remove file)
+    specs;
+  Test_obs.check_golden "reduce_counters.expected" (Buffer.contents b)
+
+(* ------------------------------------------------------------------ *)
+(* The removal view against the built child.  On every candidate, the
+   view of [sg] less [a]'s arcs out of [states] must give what the child
+   built by the arc filter gives: verdict, and each check behind it on
+   its own, root-arc key, state count, CSC count, ghost sequence, support
+   and changed-code aggregates, the last two recomputed here from the
+   child alone. *)
+
+let exc_mask sg s =
+  Sg.fold_succ sg s 0 (fun m tr _ ->
+      match Stg.label (Sg.stg sg) tr with
+      | Stg.Edge (sid, _) -> m lor (1 lsl sid)
+      | Stg.Dummy _ -> m)
+
+(* Support and changed-code aggregates from scratch: the rows whose
+   out-degree fell, the excited bits they lost, and per code of those
+   rows the OR and AND of the masks of the child's states and ghosts. *)
+let built_changes sg (b : Reduction.built) =
+  let child = b.Reduction.cand in
+  let changed = ref [] in
+  Array.iteri
+    (fun s_new s ->
+      if Sg.out_degree child s_new < Sg.out_degree sg s then
+        changed := (s_new, s) :: !changed)
+    b.Reduction.old_of_new;
+  let support =
+    List.fold_left
+      (fun acc (s_new, s) ->
+        acc lor (exc_mask sg s land lnot (exc_mask child s_new)))
+      0 !changed
+  in
+  let codes =
+    List.sort_uniq compare
+      (List.map (fun (s_new, _) -> Sg.code_bits child s_new) !changed)
+    |> Array.of_list
+  in
+  let any = Array.map (fun _ -> 0) codes in
+  let all = Array.map (fun _ -> -1) codes in
+  let fold c e =
+    Array.iteri
+      (fun j c' ->
+        if c = c' then begin
+          any.(j) <- any.(j) lor e;
+          all.(j) <- all.(j) land e
+        end)
+      codes
+  in
+  for s = 0 to Sg.n_states child - 1 do
+    fold (Sg.code_bits child s) (exc_mask child s)
+  done;
+  Sg.iter_ghosts child fold;
+  (support, (codes, any, all))
+
+let verdict_name = function
+  | Ok _ -> "valid"
+  | Error Reduction.Not_concurrent -> "not concurrent"
+  | Error Reduction.Input_event -> "input event"
+  | Error (Reduction.Event_vanishes _) -> "event vanishes"
+  | Error (Reduction.Deadlock_introduced _) -> "deadlock introduced"
+  | Error (Reduction.Persistency_broken _) -> "persistency broken"
+
+(* Compare the view of one removal with its built child; returns the
+   verdict's name. *)
+let check_view step sg ~a states =
+  let v =
+    match Sg.View.make sg ~a states with
+    | Some v -> v
+    | None -> Alcotest.failf "%s: no view" step
+  in
+  let verdict = Reduction.judge ~source:sg v in
+  let built = Reduction.remove sg ~a states in
+  let reference = Reduction.validate ~source:sg built in
+  let show = function
+    | Ok _ -> "valid"
+    | Error r -> Format.asprintf "%a" (Reduction.pp_invalid (Sg.stg sg)) r
+  in
+  let child = built.Reduction.cand in
+  let old_of_new = built.Reduction.old_of_new in
+  let eq what pp x y =
+    if x <> y then
+      Alcotest.failf "%s: view %s %s, built %s" step what (pp x) (pp y)
+  in
+  eq "verdict" Fun.id (show verdict) (show reference);
+  let opt pp = function None -> "none" | Some x -> pp x in
+  let lab = Stg.label_name (Sg.stg sg) in
+  let fired = Array.make (Petri.n_trans (Sg.stg sg).Stg.net) false in
+  Sg.iter_arcs child (fun _ tr _ -> fired.(tr) <- true);
+  let vanished =
+    List.find_map
+      (fun (l, trs) ->
+        if List.exists (fun tr -> fired.(tr)) trs then None else Some l)
+      (Sg.arc_label_instances sg)
+  in
+  eq "vanished" (opt lab) (Sg.View.vanished v) vanished;
+  let deadlock =
+    List.find_opt
+      (fun s_new ->
+        Sg.out_degree child s_new = 0
+        && Sg.out_degree sg old_of_new.(s_new) > 0)
+      (Sg.states child)
+    |> Option.map (fun s_new -> old_of_new.(s_new))
+  in
+  eq "deadlock" (opt string_of_int) (Sg.View.deadlock v) deadlock;
+  eq "persistency violation"
+    (opt (fun (s, l, by) -> Printf.sprintf "%d %s %s" s (lab l) (lab by)))
+    (Sg.View.persistency_violation v)
+    (Option.map
+       (fun (s, l, by) -> (old_of_new.(s), l, by))
+       (Sg.first_persistency_violation child));
+  eq "root-arc key" String.escaped (Sg.View.root_arc_key v)
+    (Sg.root_arc_key child);
+  eq "states" string_of_int (Sg.View.n_states v) (Sg.n_states child);
+  eq "csc count" string_of_int (Sg.View.csc_conflict_count v)
+    (Sg.csc_conflict_count child);
+  if not (Sg.ghosts_equal (Sg.View.ghosts v) (Sg.ghosts child)) then
+    Alcotest.failf "%s: view ghosts differ from the child's" step;
+  let support, aggregates = built_changes sg built in
+  eq "support" string_of_int (Sg.View.support v) support;
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let agg (c, x, y) =
+    Printf.sprintf "codes %s any %s all %s" (ints c) (ints x) (ints y)
+  in
+  eq "changed aggregates" Fun.id
+    (agg (Sg.View.changed_aggregates v))
+    (agg aggregates);
+  verdict_name (Result.map ignore reference)
+
+(* Every FwdRed candidate of every configuration a search at the
+   defaults takes as a parent (replayed by
+   [Test_search.search_candidates], deduped by root-arc key as the search
+   does), and [remove_arc] on every (state, non-input label) of the root,
+   or with [all_arcs] of every such configuration, where each label's
+   arcs also go from its whole ER at once (it vanishes, and the states it
+   alone left deadlock); tallies the verdicts into [tally]. *)
+let check_views_of ?(all_arcs = false) tally name sg0 =
+  let _, _, _, configs =
+    Test_search.search_candidates ~key:Sg.root_arc_key sg0
+  in
+  let count v =
+    Hashtbl.replace tally v
+      (1 + Option.value ~default:0 (Hashtbl.find_opt tally v))
+  in
+  List.iteri
+    (fun i sg ->
+      let stg = Sg.stg sg in
+      let lab = Stg.label_name stg in
+      List.iter
+        (fun (x, y) ->
+          List.iter
+            (fun (a, b) ->
+              match Reduction.fwd_red_states sg ~a ~b with
+              | Error _ -> ()
+              | Ok states ->
+                  count
+                    (check_view
+                       (Printf.sprintf "%s config %d FwdRed(%s,%s)" name i
+                          (lab a) (lab b))
+                       sg ~a states))
+            [ (x, y); (y, x) ])
+        (Sg.concurrent_pairs sg);
+      if all_arcs then
+        List.iter
+          (fun (a, _) ->
+            count
+              (check_view
+                 (Printf.sprintf "%s config %d ER(%s)" name i (lab a))
+                 sg ~a (Sg.er sg a)))
+          (Sg.arc_label_instances sg);
+      if all_arcs || sg == sg0 then
+      for s = 0 to Sg.n_states sg - 1 do
+        List.iter
+          (fun a ->
+            let input =
+              match a with
+              | Stg.Edge (sid, _) -> Stg.Signal.is_input (Stg.signal stg sid)
+              | Stg.Dummy _ -> false
+            in
+            if not input then
+              count
+                (check_view
+                   (Printf.sprintf "%s config %d remove_arc(%d,%s)" name i s
+                      (lab a))
+                   sg ~a [ s ]))
+          (Sg.enabled_labels sg s)
+      done)
+    configs
+
+(* A fork of two outputs with one event on one branch and two on the
+   other: removing single arcs breaks it every way Def. 5.1 knows. *)
+let fork_spec () =
+  Stg.Io.parse
+    (String.concat "\n"
+       [ ".outputs a b c"; ".graph"; "c+ a+ b+"; "a+ a-"; "a- c-"; "b+ c-";
+         "c- b-"; "b- c+"; ".marking { <b-,c+> }"; ".end"; "" ])
+
+(* A free choice between two branches, each waiting on its own instance
+   of [a+]: removing [a+] from its ER leaves two dead states, and the
+   view must name the first in the child's order. *)
+let choice_spec () =
+  Stg.Io.parse
+    (String.concat "\n"
+       [ ".outputs a x y"; ".graph"; "p0 x+ y+"; "x+ a+/1"; "y+ a+/2";
+         "a+/1 x-"; "a+/2 y-"; "x- a-/1"; "y- a-/2"; "a-/1 p0"; "a-/2 p0";
+         ".marking { p0 }"; ".end"; "" ])
+
+(* [l] outputs rising one after another, then [f] outputs rising
+   concurrently, the chain falling, then the [f] falling concurrently:
+   2(l + f) labels over few states, and valid reductions among the [f]. *)
+let chain_and_fork l f =
+  let names p k = List.init k (Printf.sprintf "%s%d" p) in
+  let z = names "z" l and fs = names "f" f in
+  let edges d = List.map (fun x -> x ^ d) in
+  let chain xs =
+    List.map2 (Printf.sprintf "%s %s")
+      (List.filteri (fun i _ -> i < l - 1) xs)
+      (List.tl xs)
+  in
+  let half d back =
+    (* the chain's [d] edges in sequence, fanning out to the [f] ones,
+       which all lead to [back] *)
+    let zs = edges d z and ffs = edges d fs in
+    chain zs
+    @ [ String.concat " " (List.nth zs (l - 1) :: ffs) ]
+    @ List.map (fun x -> x ^ " " ^ back) ffs
+  in
+  let marking =
+    String.concat " " (List.map (fun x -> "<" ^ x ^ "-,z0+>") fs)
+  in
+  Stg.Io.parse
+    (String.concat "\n"
+       ([ ".outputs " ^ String.concat " " (z @ fs); ".graph" ]
+       @ half "+" "z0-" @ half "-" "z0+"
+       @ [ ".marking { " ^ marking ^ " }"; ".end"; "" ]))
+
+let test_view_named () =
+  let tally = Hashtbl.create 8 in
+  List.iter
+    (fun (name, stg) ->
+      check_views_of ~all_arcs:true tally name (Gen.sg_exn stg))
+    (named_specs () @ [ ("choice", choice_spec ()) ]);
+  let fork = Hashtbl.create 8 in
+  check_views_of ~all_arcs:true fork "fork" (Gen.sg_exn (fork_spec ()));
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) ("fork spec: some " ^ v) true (Hashtbl.mem fork v))
+    [ "valid"; "event vanishes"; "deadlock introduced"; "persistency broken" ];
+  (* The wide fallbacks: 18 signals take the view's sorted CSC count; the
+     32-signal rings (64 labels), one with conflicts that removals
+     resolve, and a chain whose reductions are valid (66 labels) have no
+     label masks, so every query compares label lists.  The search agrees
+     across eval modes on all four. *)
+  List.iter
+    (fun (name, stg, labels) ->
+      let sg = Gen.sg_exn stg in
+      Alcotest.(check int)
+        (name ^ ": labels") labels
+        (List.length (Sg.arc_label_instances sg));
+      check_views_of ~all_arcs:true tally name sg;
+      check_search_modes name stg)
+    [
+      ("18-signal ring beside a conflict", conflict_beside_ring 16, 36);
+      ("32-signal ring beside a conflict", conflict_beside_ring 30, 64);
+      ( "32-signal ring beside an input conflict",
+        input_conflict_beside_ring 30,
+        64 );
+      ("33-signal chain and fork", chain_and_fork 30 3, 66);
+    ]
+
+let test_view_random () =
+  let tally = Hashtbl.create 8 in
+  List.iter
+    (fun (family, stg_of_seed) ->
+      for seed = 0 to 299 do
+        check_views_of tally (Printf.sprintf "%s seed %d" family seed)
+          (Gen.sg_exn (stg_of_seed seed))
+      done)
+    [
+      ("sp", fun seed -> Gen.random_stg seed);
+      ("fc", fun seed -> Gen.random_fc_stg seed);
+      ("ac", Gen.random_ac_stg);
+    ];
+  List.iter
+    (fun v ->
+      Alcotest.(check bool)
+        ("generated specs: some " ^ v)
+        true (Hashtbl.mem tally v))
+    [ "valid"; "event vanishes"; "deadlock introduced"; "persistency broken" ]
+
 let suite =
   [
     Alcotest.test_case "logic paths agree: named specs" `Quick
@@ -364,4 +732,10 @@ let suite =
       test_csc_fallbacks;
     Alcotest.test_case "search modes agree: same-label choice" `Quick
       test_search_same_label_choice;
+    Alcotest.test_case "reduce counters golden" `Quick
+      test_reduce_counters_golden;
+    Alcotest.test_case "removal view = built child: named specs" `Quick
+      test_view_named;
+    Alcotest.test_case "removal view = built child: 900 generated specs" `Slow
+      test_view_random;
   ]

@@ -115,19 +115,21 @@ let is_input stg = function
   | Stg.Dummy _ -> false
 
 (* A replay of [Search.optimize] at its defaults (w = 0.5, frontier 4)
-   from public steps, deduplicating by signature: every candidate SG the
-   search builds with its signature, the root first, plus the replay's
-   explored count and best cost. *)
-let search_candidates sg0 =
+   from public steps, deduplicating by [key] (the signature unless
+   given): every candidate SG the search builds with its key, the root
+   first, the replay's explored count and best cost, and the
+   configurations each level takes as parents, level by level. *)
+let search_candidates ?(key = Sg.signature) sg0 =
   let w = 0.5 and size_frontier = 4 in
   let cost sg = (Search.evaluate ~w ~memo:true sg).Search.cost in
   let seen = Hashtbl.create 64 in
-  let sig0 = Sg.signature sg0 in
-  Hashtbl.replace seen sig0 ();
-  let built = ref [ (sg0, sig0) ] and explored = ref 1 in
-  let best = ref (cost sg0) in
+  let key0 = key sg0 in
+  Hashtbl.replace seen key0 ();
+  let built = ref [ (sg0, key0) ] and explored = ref 1 in
+  let best = ref (cost sg0) and parents = ref [] in
   let rec level frontier =
     if frontier <> [] then begin
+      parents := List.rev_append frontier !parents;
       let merged = ref [] in
       List.iter
         (fun sg ->
@@ -141,13 +143,13 @@ let search_candidates sg0 =
                  match Reduction.fwd_red_built sg ~a ~b with
                  | Error _ -> ()
                  | Ok cand -> (
-                     let signature = Sg.signature cand.Reduction.cand in
-                     built := (cand.Reduction.cand, signature) :: !built;
-                     if not (Hashtbl.mem seen signature) then
+                     let k = key cand.Reduction.cand in
+                     built := (cand.Reduction.cand, k) :: !built;
+                     if not (Hashtbl.mem seen k) then
                        match Reduction.validate ~source:sg cand with
                        | Error _ -> ()
                        | Ok sg' ->
-                           Hashtbl.replace seen signature ();
+                           Hashtbl.replace seen k ();
                            incr explored;
                            let c = cost sg' in
                            if c < !best then best := c;
@@ -160,14 +162,14 @@ let search_candidates sg0 =
     end
   in
   level [ sg0 ];
-  (List.rev !built, !explored, !best)
+  (List.rev !built, !explored, !best, List.rev !parents)
 
 (* Over the candidates of one search: equal root-arc keys imply equal
    signatures, and with [exact] the converse too.  With [replay], also
    check that the replay explores what [Search.optimize] does.  Returns
    the number of candidates. *)
 let check_keys ~exact ~replay name sg0 =
-  let cands, explored, best = search_candidates sg0 in
+  let cands, explored, best, _ = search_candidates sg0 in
   if replay then begin
     let o = Search.optimize sg0 in
     check_int (name ^ ": the replay explores what the search does")
