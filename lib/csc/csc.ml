@@ -206,6 +206,42 @@ let is_controlled stg = function
   | Stg.Edge (i, _) -> not (Stg.Signal.is_input (Stg.signal stg i))
   | Stg.Dummy _ -> false
 
+(* One int per distinct edge: 0 for a free edge, [1 + t] for one that
+   holds back all of [post(t)] ([After t], or [On_arc p] when [post(t) =
+   {p}]), [1 + nt + p] for one that holds back [p] alone, a strict part of
+   its producer's postset. *)
+let edge_id net e =
+  if e.producer < 0 then 0
+  else if
+    Array.length e.held = 1 && Array.length net.Petri.post.(e.producer) > 1
+  then 1 + Petri.n_trans net + e.held.(0)
+  else 1 + e.producer
+
+(* The keys of an edge pair ([c+]'s, [c-]'s): the ordered one tells it
+   from its mirror, the unordered one does not. *)
+let pair_keys net (ep, em) =
+  let k = 1 + Petri.n_trans net + Petri.n_places net in
+  let a = edge_id net ep and b = edge_id net em in
+  ((a * k) + b, (min a b * k) + max a b)
+
+(* What the candidates of a level share.  Two candidates that insert the
+   same two edges build the same child but for the inserted places'
+   names; two that insert them in swapped roles build isomorphic children
+   (swap [c+] with [c-] and [q+] with [q-], complement [c]).  Either way
+   the children agree on consistency, the state budget, the conflict
+   count and speed-independence: one [judgement] per unordered edge pair.
+   Only equal edges agree on the logic total (a mirror's cover of [c] is
+   the complement's): one [score] per ordered pair. *)
+type judgement = {
+  conflicts : int;  (** as {!count} counts them, up to the parent's *)
+  mutable si : bool option;  (** known once one candidate is reached *)
+}
+
+type score = {
+  mutable total : int;
+  mutable exact : bool;  (** [total] is the logic total, else a lower bound *)
+}
+
 (* Scratch space for one parent, reused by every candidate of a level:
    the direct-address index over [8 × parent states] keys, cleared entry
    by entry after each candidate, and the explored child — its keys, CSR
@@ -213,7 +249,8 @@ let is_controlled stg = function
    numbers the parent's distinct codes and [lbit] maps each parent
    transition to its controlled label's bit (0 for other labels); the
    count needs both, so it runs only on a [packed] parent: at most 62
-   signals and [max_labels] controlled labels. *)
+   signals and [max_labels] controlled labels.  [judged] and [scores]
+   hold the verdicts of the children explored and counted on it. *)
 type level = {
   sg : Sg.t;
   budget : int;
@@ -235,6 +272,9 @@ type level = {
   mutable n : int;  (** explored child states *)
   mutable m : int;  (** explored child arcs *)
   mutable v0 : int;  (** initial value of the new signal *)
+  judged : (int, judgement option) Hashtbl.t;
+      (** by unordered edge pair; [None]: the child has no SG *)
+  scores : (int, score) Hashtbl.t;  (** by ordered edge pair *)
 }
 
 let level ?(budget = Sg.default_budget) sg =
@@ -293,6 +333,8 @@ let level ?(budget = Sg.default_budget) sg =
     n = 0;
     m = 0;
     v0 = -1;
+    judged = Hashtbl.create 64;
+    scores = Hashtbl.create 64;
   }
 
 let grow a used len =
@@ -329,16 +371,21 @@ let push lv tr j =
   lv.arc_dst.(m) <- j;
   lv.m <- m + 1
 
-(* Explore one candidate's child into [lv]: keys, rows, masks and [v0].
+(* The edges [c+] and [c-] insert. *)
+let edges net ~set ~reset =
+  (edge net set ~other:reset, edge net reset ~other:set)
+
+(* Explore the child that inserts [ep] as [c+] and [em] as [c-] into
+   [lv]: keys, rows, masks and [v0].  It reads nothing of the sites but
+   these two edges.
    @raise Fallback, Over_budget or Conflict (the new signal's edge whose
    inferred initial value contradicts the first). *)
-let explore lv ~set ~reset =
+let explore lv (ep, em) =
   if not lv.constrained then raise Fallback;
   let sg = lv.sg in
   let net = (Sg.stg sg).Stg.net in
   let t_plus = Petri.n_trans net in
   let t_minus = t_plus + 1 in
-  let ep = edge net set ~other:reset and em = edge net reset ~other:set in
   let mark e f =
     Array.iter
       (fun p ->
@@ -490,8 +537,8 @@ let build lv ~set ~reset ~name =
           m.(q) <- 1
         end
   in
-  let hold_plus = hold (edge net set ~other:reset) t_plus 1
-  and hold_minus = hold (edge net reset ~other:set) (t_plus + 1) 2 in
+  let ep, em = edges net ~set ~reset in
+  let hold_plus = hold ep t_plus 1 and hold_minus = hold em (t_plus + 1) 2 in
   let b = Sg.Builder.create ~expect:lv.n stg' in
   let qs = Array.make (np' - np) 0 in
   for i = 0 to lv.n - 1 do
@@ -521,7 +568,7 @@ let build lv ~set ~reset ~name =
 let product ?budget sg ~set ~reset ~name =
   validate (Sg.stg sg) ~set ~reset ~name;
   let lv = level ?budget sg in
-  match explore lv ~set ~reset with
+  match explore lv (edges (Sg.stg sg).Stg.net ~set ~reset) with
   | () -> Some (Ok (build lv ~set ~reset ~name))
   | exception Fallback -> None
   | exception Over_budget -> Some (Error (Sg.Unbounded lv.budget))
@@ -538,7 +585,7 @@ let product_conflicts ?budget sg ~set ~reset =
   let lv = level ?budget sg in
   if not lv.packed then None
   else
-    match explore lv ~set ~reset with
+    match explore lv (edges (Sg.stg sg).Stg.net ~set ~reset) with
     | () -> Some (count lv ~limit:max_int)
     | exception (Fallback | Over_budget | Conflict _) -> None
 
@@ -553,7 +600,6 @@ exception Out_of_work
 let c_resolve = Obs.Counter.make "csc.resolve.calls"
 let c_insertions = Obs.Counter.make "csc.insertions.tried"
 let c_inserted = Obs.Counter.make "csc.signals.inserted"
-let c_invalid_site = Obs.Counter.make "csc.reject.invalid_site"
 let c_sg_error = Obs.Counter.make "csc.reject.sg_error"
 let c_not_si = Obs.Counter.make "csc.reject.not_si"
 let c_more_conflicts = Obs.Counter.make "csc.reject.more_conflicts"
@@ -563,116 +609,175 @@ let c_unexamined = Obs.Counter.make "csc.unexamined"
 let c_scored = Obs.Counter.make "csc.scored"
 let c_product = Obs.Counter.make "csc.child.product"
 let c_fallback = Obs.Counter.make "csc.child.fallback"
+let c_shared = Obs.Counter.make "csc.child.shared"
 let c_input_separated = Obs.Counter.make "csc.fail.input_separated"
 
 let reject counter =
   Obs.Counter.incr counter;
   None
 
-(* A candidate's child as far as the search has looked at it. *)
-type child =
-  | Unbuilt  (** explored and counted on the parent only *)
-  | Built of Sg.t  (** built because the count needed it; SI unchecked *)
-  | Ranked of { sg : Sg.t; mutable total : int; mutable exact : bool }
-      (** speed-independent; its logic total is [total] when [exact], at
-          least [total] otherwise *)
+type candidate = {
+  set : site;
+  reset : site;
+  judgement : judgement;
+  score : score;
+  mutable sg : Sg.t option;  (** its child, once built *)
+  mutable state : state;
+}
+
+and state =
+  | Unreached  (** judged on the parent only *)
+  | Ranked  (** speed-independent; [score] ranks it *)
   | Gone  (** not speed-independent, or handed to the search *)
 
-type candidate = { c : int; set : site; reset : site; mutable child : child }
-
 (* Judge one candidate insertion on the parent ([lv]), cheapest check
-   first: its conflict count [c] may not exceed the parent's, and the last
-   signal ([final]) must leave none.  Plateau steps (an equal count) are
-   kept: a signal can trade the current conflict for a new one that a
-   further signal resolves.  A passing candidate is kept unbuilt unless the
-   count needed its child: a fallback, or a parent too wide to count on. *)
+   first: its conflict count may not exceed the parent's [conflicts], and
+   the last signal ([final]) must leave none.  Plateau steps (an equal
+   count) are kept: a signal can trade the current conflict for a new one
+   that a further signal resolves.  A child explored by product on a
+   [packed] parent is judged by the first candidate of its unordered edge
+   pair, which the later ones share ([csc.child.shared]), and is kept
+   unbuilt.  A fallback child, or one of a parent too wide to count on,
+   is built for its count and keeps verdicts of its own. *)
 let judge (lv : level) ~final conflicts ~set ~reset ~name =
-  let stg = Sg.stg lv.sg in
-  match validate stg ~set ~reset ~name with
-  | exception Invalid_argument _ -> reject c_invalid_site
-  | () -> (
-      let pass c child =
-        if c > conflicts then reject c_more_conflicts
-        else if final && c > 0 then reject c_not_final
-        else Some { c; set; reset; child }
-      in
-      let built sg' = pass (Sg.csc_conflict_count sg') (Built sg') in
-      match explore lv ~set ~reset with
+  let net = (Sg.stg lv.sg).Stg.net in
+  let es = edges net ~set ~reset in
+  let ordered, unordered = pair_keys net es in
+  let pass ?sg judgement score =
+    if judgement.conflicts > conflicts then reject c_more_conflicts
+    else if final && judgement.conflicts > 0 then reject c_not_final
+    else Some { set; reset; judgement; score = score (); sg; state = Unreached }
+  in
+  let built sg =
+    pass ~sg
+      { conflicts = Sg.csc_conflict_count sg; si = None }
+      (fun () -> { total = 0; exact = false })
+  in
+  let shared = function
+    | None -> reject c_sg_error
+    | Some judgement ->
+        pass judgement (fun () ->
+            match Hashtbl.find_opt lv.scores ordered with
+            | Some score -> score
+            | None ->
+                let score = { total = 0; exact = false } in
+                Hashtbl.add lv.scores ordered score;
+                score)
+  in
+  match Hashtbl.find_opt lv.judged unordered with
+  | Some verdict ->
+      Obs.Counter.incr c_shared;
+      shared verdict
+  | None -> (
+      match explore lv es with
       | () ->
           Obs.Counter.incr c_product;
-          if lv.packed then pass (count lv ~limit:conflicts) Unbuilt
+          if lv.packed then begin
+            let verdict =
+              Some { conflicts = count lv ~limit:conflicts; si = None }
+            in
+            Hashtbl.add lv.judged unordered verdict;
+            shared verdict
+          end
           else built (build lv ~set ~reset ~name)
       | exception (Over_budget | Conflict _) ->
           Obs.Counter.incr c_product;
+          if lv.packed then Hashtbl.add lv.judged unordered None;
           reject c_sg_error
       | exception Fallback -> (
           Obs.Counter.incr c_fallback;
           match
-            Sg.of_stg ~budget:lv.budget (insert_signal stg ~set ~reset ~name)
+            Sg.of_stg ~budget:lv.budget
+              (insert_signal (Sg.stg lv.sg) ~set ~reset ~name)
           with
           | Error _ -> reject c_sg_error
-          | Ok sg' -> built sg'))
+          | Ok sg -> built sg))
 
-(* Build and SI-check a candidate the walk reaches, once. *)
+(* The candidate's child, built on first use: re-explored into the level
+   scratch, then built. *)
+let child (lv : level) ~name cand =
+  match cand.sg with
+  | Some sg -> sg
+  | None ->
+      let { set; reset; _ } = cand in
+      explore lv (edges (Sg.stg lv.sg).Stg.net ~set ~reset);
+      let sg = build lv ~set ~reset ~name in
+      cand.sg <- Some sg;
+      sg
+
+(* SI-check a candidate the walk reaches, once per judgement: the child
+   is built for it only when no candidate sharing the judgement was
+   reached before. *)
 let reach lv ~name cand =
-  let check sg =
-    if Sg.is_speed_independent sg then begin
-      Obs.Counter.incr c_accepted;
-      cand.child <- Ranked { sg; total = 0; exact = false }
-    end
-    else begin
-      Obs.Counter.incr c_not_si;
-      cand.child <- Gone
-    end
-  in
-  match cand.child with
-  | Unbuilt ->
-      explore lv ~set:cand.set ~reset:cand.reset;
-      check (build lv ~set:cand.set ~reset:cand.reset ~name)
-  | Built sg -> check sg
-  | Ranked _ | Gone -> ()
+  match cand.state with
+  | Unreached ->
+      let si =
+        match cand.judgement.si with
+        | Some si -> si
+        | None ->
+            let si = Sg.is_speed_independent (child lv ~name cand) in
+            cand.judgement.si <- Some si;
+            si
+      in
+      if si then begin
+        Obs.Counter.incr c_accepted;
+        cand.state <- Ranked
+      end
+      else begin
+        Obs.Counter.incr c_not_si;
+        cand.state <- Gone;
+        cand.sg <- None
+      end
+  | Ranked | Gone -> ()
 
 (* The best candidate not yet handed out, by (conflicts, literals) with
-   ties in list order; [None] when none is left.  [cands] is sorted by [c],
-   stably, so list order holds within a count.  Only the smallest count
-   with a candidate left is reached and scored, each candidate against the
-   best total found before it: a later candidate must be strictly cheaper
-   to win.  A score cut off by {!Logic.evaluate_bounded} leaves a lower
-   bound, and the candidate is scored again when a later call's bound is
-   above it. *)
+   ties in list order; [None] when none is left.  [cands] is sorted by
+   conflicts, stably, so list order holds within a count.  Only the
+   smallest count with a candidate left is reached and scored, each
+   candidate against the best total found before it: a later candidate
+   must be strictly cheaper to win.  A score cut off by
+   {!Logic.evaluate_bounded} leaves a lower bound, and the candidate is
+   scored again when a later call's bound is above it.  Candidates that
+   share a score share what any of them learnt. *)
 let next lv ~name cands =
   let n = Array.length cands in
+  let conflicts i = cands.(i).judgement.conflicts in
   let rec group first =
     if first >= n then None
     else begin
       let stop = ref first in
-      while !stop < n && cands.(!stop).c = cands.(first).c do
+      while !stop < n && conflicts !stop = conflicts first do
         incr stop
       done;
       let best = ref None and bound = ref max_int in
       for i = first to !stop - 1 do
         let cand = cands.(i) in
         reach lv ~name cand;
-        match cand.child with
-        | Ranked r when r.total < !bound ->
+        let r = cand.score in
+        match cand.state with
+        | Ranked when r.total < !bound ->
             if not r.exact then begin
               Obs.Counter.incr c_scored;
-              match Logic.evaluate_bounded ~bound:!bound r.sg with
+              match
+                Logic.evaluate_bounded ~bound:!bound (child lv ~name cand)
+              with
               | Some t ->
                   r.total <- t;
                   r.exact <- true
               | None -> r.total <- !bound
             end;
             if r.exact then begin
-              best := Some (cand, r.sg);
+              best := Some cand;
               bound := r.total
             end
-        | Unbuilt | Built _ | Ranked _ | Gone -> ()
+        | Unreached | Ranked | Gone -> ()
       done;
       match !best with
       | None -> group !stop
-      | Some (cand, sg) ->
-          cand.child <- Gone;
+      | Some cand ->
+          let sg = child lv ~name cand in
+          cand.state <- Gone;
+          cand.sg <- None;
           Some (sg, cand.set, cand.reset)
     end
   in
@@ -681,9 +786,7 @@ let next lv ~name cands =
 let unexamined cands =
   Array.fold_left
     (fun k cand ->
-      match cand.child with
-      | Unbuilt | Built _ -> k + 1
-      | Ranked _ | Gone -> k)
+      match cand.state with Unreached -> k + 1 | Ranked | Gone -> k)
     0 cands
 
 (* Backtracking descends into the best few candidates only. *)
@@ -771,7 +874,10 @@ let resolve ?(max_signals = 6) ?budget ?(work = 20_000) sg0 =
         all_sites;
       let cands =
         Array.of_list
-          (List.stable_sort (fun a b -> Int.compare a.c b.c) !passed)
+          (List.stable_sort
+             (fun a b ->
+               Int.compare a.judgement.conflicts b.judgement.conflicts)
+             !passed)
       in
       let rec try_best k =
         if k = n_best then Error "no valid insertion found"

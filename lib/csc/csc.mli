@@ -22,9 +22,11 @@
     The solver searches (set site, reset site) pairs greedily with
     backtracking until CSC holds or the signal budget is exhausted.  Each
     candidate is explored and its conflicts counted on its parent's state
-    graph; only a candidate the search reaches has its STG and state graph
-    built ({!product}), never by re-exploring the refined net.  Conflicts
-    that only input events separate are refused before the search. *)
+    graph, once for all the candidates that insert the same two edges in
+    either order; only a candidate the search reaches has its STG and
+    state graph built ({!product}), never by re-exploring the refined net.
+    Conflicts that only input events separate are refused before the
+    search. *)
 
 (** An insertion site. *)
 type site =
@@ -123,13 +125,31 @@ type resolution = {
     backtracking exhausts the smaller ones.  The result is the one an eager
     ranking of every passing candidate gives.
 
+    Each distinct child is explored, counted, SI-checked and scored at
+    most once per level.  A child depends only on the two edges inserted,
+    each read off its site as the producer that marks its place and the
+    places that place holds back: [After t] and [On_arc p] with [post(t) =
+    {p}] insert the same edge.  Candidates that insert the same two edges
+    build the same child but for the inserted places' names.  A candidate
+    and its mirror, which swaps the two edges, build isomorphic children:
+    swap [c+] with [c-] and their places, and complement [c].  So the
+    first candidate of an unordered edge pair is explored and counted on
+    a parent that can be counted on, and later ones take its count and,
+    once one of them is reached, its SI verdict; the logic total, which a
+    mirror does not keep (its cover of [c] is the complement), is shared
+    only by ordered edge pair.  A candidate's child is built when its SI
+    verdict or score is first needed, or when the search takes it.
+    Fallback children, and those of a parent too wide to count on, are
+    judged each on its own.
+
     Every tried candidate ([csc.insertions.tried]) lands in exactly one
-    decision counter: [csc.reject.invalid_site], [.sg_error],
-    [.more_conflicts] or [.not_final] when it is judged; [csc.reject.not_si]
-    or [csc.accepted] when the search reaches it; [csc.unexamined] when it
-    passes but is never reached.  [csc.scored] counts the calls of
-    {!Logic.evaluate_bounded}, and [csc.child.product] / [.fallback] how
-    each candidate was explored.
+    decision counter: [csc.reject.sg_error], [.more_conflicts] or
+    [.not_final] when it is judged; [csc.reject.not_si] or [csc.accepted]
+    when the search reaches it; [csc.unexamined] when it passes but is
+    never reached.  [csc.scored] counts the calls of
+    {!Logic.evaluate_bounded}, and [csc.child.product] / [.fallback] /
+    [.shared] how each candidate was judged: by exploring its child, by
+    [Sg.of_stg] on the refined STG, or from an earlier candidate.
 
     Before the search, [Error] when {!input_separated} finds a conflict
     pair joined by input events only; the message gives the pair's code.

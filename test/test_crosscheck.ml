@@ -14,20 +14,6 @@
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let examples_dir () =
-  match Sys.getenv_opt "ASYNC_REPRO_EXAMPLES" with
-  | Some d -> d
-  | None ->
-      (* dune runs tests from _build/default/test; walk up to the root. *)
-      let rec up dir n =
-        let cand = Filename.concat dir "examples/data" in
-        if Sys.file_exists cand && Sys.is_directory cand then cand
-        else if n = 0 || Filename.dirname dir = dir then
-          Alcotest.fail "examples/data not found (set ASYNC_REPRO_EXAMPLES)"
-        else up (Filename.dirname dir) (n - 1)
-      in
-      up (Sys.getcwd ()) 8
-
 (* Distinct markings among the SG's states, as sorted lists of token
    vectors. *)
 let sg_markings sg =
@@ -70,7 +56,7 @@ let crosscheck_stg name stg =
         (sg_markings sg = explicit)
 
 let test_examples () =
-  let dir = examples_dir () in
+  let dir = Test_roundtrip.examples_dir () in
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".g")

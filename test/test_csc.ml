@@ -579,7 +579,6 @@ let prop_resolve_reference_random =
 let decision_counters =
   [
     "csc.insertions.tried";
-    "csc.reject.invalid_site";
     "csc.reject.sg_error";
     "csc.reject.not_si";
     "csc.reject.more_conflicts";
@@ -589,6 +588,7 @@ let decision_counters =
     "csc.scored";
     "csc.child.product";
     "csc.child.fallback";
+    "csc.child.shared";
     "csc.fail.input_separated";
   ]
 
@@ -615,7 +615,6 @@ let partitioned deltas =
       (fun acc name -> acc + v name)
       0
       [
-        "csc.reject.invalid_site";
         "csc.reject.sg_error";
         "csc.reject.not_si";
         "csc.reject.more_conflicts";
@@ -630,23 +629,25 @@ let check_counters want got =
     (fun name (want, got) -> check_int name want got)
     decision_counters (List.combine want got)
 
-(* Every candidate of PAR's resolution is derived by product.  The search
-   reaches 28 of the 212 that pass the count — those with the smallest
-   count at each of its four levels, since every level's first pick
-   succeeds — and scores each once. *)
+(* Every candidate of PAR's resolution is judged by product: 442 explore
+   their child, the other 1,318 share the judgement of an earlier one
+   with the same edge pair.  The search reaches 28 of the 212 that pass
+   the count — those with the smallest count at each of its four levels,
+   since every level's first pick succeeds — and scores 14 of them: the
+   other 14 insert the same edges as one scored before. *)
 let test_decision_counters () =
   let sg = Gen.sg_exn (Expansion.four_phase Specs.par) in
   check_counters
-    [ 1760; 0; 980; 0; 568; 0; 28; 184; 28; 1760; 0; 0 ]
+    [ 1760; 980; 0; 568; 0; 28; 184; 14; 442; 0; 1318; 0 ]
     (counter_deltas sg)
 
 (* LR at two signals: most candidates for the second signal leave a
    conflict and are rejected as not final; 8 of the 20 that pass are
-   reached. *)
+   reached, and 4 scored. *)
 let test_decision_counters_lr () =
   let sg = Gen.sg_exn (Expansion.four_phase Specs.lr) in
   check_counters
-    [ 228; 0; 96; 0; 28; 84; 8; 12; 8; 228; 0; 0 ]
+    [ 228; 96; 0; 28; 84; 8; 12; 4; 49; 0; 179; 0 ]
     (counter_deltas ~max_signals:2 sg)
 
 (* fig1's conflict is separated only by input events: resolve fails
@@ -685,6 +686,24 @@ let test_mmu_golden () =
   with
   | Ok out -> Test_obs.check_golden "synth_mmu.expected" out
   | Error msg -> Alcotest.fail msg
+
+(* Synth's decisions, pinned like reduce's: the [counters:] block of
+   [astg synth --metrics] on the paper's specs and the shipped ones —
+   candidates tried, judged by product or shared, rejected by reason,
+   reached, scored, and the logic and netlist work after CSC. *)
+let test_synth_counters_golden () =
+  let shipped f = (f, `File (data f)) in
+  Test_obs.check_counters_golden "synth_counters.expected" ~command:"synth"
+    ~flag_sets:[ [] ]
+    [
+      ("LR", `Printed (Expansion.four_phase Specs.lr));
+      ("PAR", `Printed (Expansion.four_phase Specs.par));
+      ("MMU", `Printed (Expansion.four_phase Specs.mmu));
+      shipped "micropipeline.g";
+      shipped "ahb_master.g";
+      shipped "ahb_arbiter.g";
+      shipped "fig1.g";
+    ]
 
 (* [astg synth --emit verilog fig1.g], byte for byte: the one output that
    names the input-separated conflict. *)
@@ -807,6 +826,118 @@ let test_input_separated_children () =
     Gen.all_classes;
   check "some roots are input-separated" true (!roots > 1)
 
+(* ------------------------------------------------------------------ *)
+(* What [resolve] judges once per edge pair *)
+
+(* The edge [site] inserts, [other] being the pair's other site, as the
+   product reads it: the transition that marks its place and the places
+   that place holds back — none for a free edge, on the arc out of the
+   other site's [After] transition. *)
+let inserted_edge stg site ~other =
+  let net = stg.Stg.net in
+  match (site, other) with
+  | Csc.After t, _ -> (t, Array.to_list net.Petri.post.(t))
+  | Csc.On_arc p, Csc.After t when net.Petri.producers.(p).(0) = t -> (-1, [])
+  | Csc.On_arc p, (Csc.After _ | Csc.On_arc _) ->
+      (net.Petri.producers.(p).(0), [ p ])
+
+(* [Ok (mirrors, equal)] when, over every first-level pair of [stg]:
+   - a pair and its mirror agree on [product_conflicts], on the
+     [product] outcome (graph, error or fallback) and, for graphs, on
+     the conflict count and speed-independence;
+   - a pair that inserts the same two edges as an earlier one gets the
+     same outcome and, for graphs, identical states, codes, markings and
+     arcs and an equal logic total.
+   [mirrors] and [equal] count the graphs compared each way. *)
+let judged_once_agrees stg =
+  let sg = Gen.sg_exn stg in
+  let show (set, reset) =
+    Format.asprintf "set %a reset %a" (Csc.pp_site stg) set (Csc.pp_site stg)
+      reset
+  in
+  let child (set, reset) = Csc.product sg ~set ~reset ~name:"z" in
+  let outcome = function
+    | None -> "fallback"
+    | Some (Ok _) -> "graph"
+    | Some (Error _) -> "error"
+  in
+  let total sg = Logic.total (Logic.evaluate sg) in
+  let pairs = ref [] in
+  iter_children stg (fun set reset -> pairs := (set, reset) :: !pairs);
+  let first = Hashtbl.create 64 in
+  let mirrors = ref 0 and equal = ref 0 in
+  let check_pair ((set, reset) as pair) =
+    let key =
+      (inserted_edge stg set ~other:reset, inserted_edge stg reset ~other:set)
+    in
+    let mirror_differs =
+      compare set reset < 0
+      &&
+      let a = child pair and b = child (reset, set) in
+      Csc.product_conflicts sg ~set ~reset
+      <> Csc.product_conflicts sg ~set:reset ~reset:set
+      || outcome a <> outcome b
+      ||
+      match (a, b) with
+      | Some (Ok a), Some (Ok b) ->
+          incr mirrors;
+          Sg.csc_conflict_count a <> Sg.csc_conflict_count b
+          || Sg.is_speed_independent a <> Sg.is_speed_independent b
+      | _ -> false
+    in
+    if mirror_differs then Some ("mirror differs: " ^ show pair)
+    else
+      match Hashtbl.find_opt first key with
+      | None ->
+          Hashtbl.add first key pair;
+          None
+      | Some earlier ->
+          let a = child earlier and b = child pair in
+          let differs =
+            outcome a <> outcome b
+            ||
+            match (a, b) with
+            | Some (Ok a), Some (Ok b) ->
+                incr equal;
+                (not (same_sg a b)) || total a <> total b
+            | _ -> false
+          in
+          if differs then
+            Some
+              (Printf.sprintf "equal edges differ: %s, %s" (show earlier)
+                 (show pair))
+          else None
+  in
+  match List.find_map check_pair (List.rev !pairs) with
+  | Some what -> Error what
+  | None -> Ok (!mirrors, !equal)
+
+let test_judged_once_named () =
+  List.iter
+    (fun (name, stg) ->
+      match judged_once_agrees stg with
+      | Error what -> Alcotest.failf "%s: %s" name what
+      | Ok (mirrors, equal) ->
+          check (name ^ ": mirror graphs compared") true (mirrors > 0);
+          check (name ^ ": equal-edge graphs compared") true (equal > 0))
+    [
+      ("LR", Expansion.four_phase Specs.lr);
+      ("PAR", Expansion.four_phase Specs.par);
+      ("MMU", Expansion.four_phase Specs.mmu);
+      ("micropipeline", Stg.Io.parse_file (data "micropipeline.g"));
+      ("ahb_arbiter", Stg.Io.parse_file (data "ahb_arbiter.g"));
+      ("ahb_master", Stg.Io.parse_file (data "ahb_master.g"));
+    ]
+
+let prop_judged_once_random =
+  QCheck.Test.make ~name:"mirrored and equal edges agree on random specs"
+    ~count:50 QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let stg = Expansion.four_phase (Gen.random_spec seed) in
+      match judged_once_agrees stg with
+      | Ok _ -> true
+      | Error what -> QCheck.Test.fail_report what)
+
 let suite =
   suite
   @ [
@@ -838,4 +969,9 @@ let suite =
         test_packed_si_first_level;
       QCheck_alcotest.to_alcotest prop_product_random;
       Alcotest.test_case "product fallbacks" `Quick test_product_fallbacks;
+      Alcotest.test_case "synth counters golden" `Quick
+        test_synth_counters_golden;
+      Alcotest.test_case "mirrored and equal edges agree, first level" `Quick
+        test_judged_once_named;
+      QCheck_alcotest.to_alcotest prop_judged_once_random;
     ]

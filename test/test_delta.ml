@@ -75,21 +75,8 @@ let test_logic_named () =
   List.iter (fun (name, stg) -> check_logic_paths name stg) (named_specs ())
 
 (* Same over every shipped .g example with a valid SG. *)
-let examples_dir () =
-  match Sys.getenv_opt "ASYNC_REPRO_EXAMPLES" with
-  | Some d -> d
-  | None ->
-      let rec up dir n =
-        let cand = Filename.concat dir "examples/data" in
-        if Sys.file_exists cand && Sys.is_directory cand then cand
-        else if n = 0 || Filename.dirname dir = dir then
-          Alcotest.fail "examples/data not found (set ASYNC_REPRO_EXAMPLES)"
-        else up (Filename.dirname dir) (n - 1)
-      in
-      up (Sys.getcwd ()) 8
-
 let test_logic_examples () =
-  let dir = examples_dir () in
+  let dir = Test_roundtrip.examples_dir () in
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".g")
@@ -368,55 +355,22 @@ let test_search_same_label_choice () =
 (* ------------------------------------------------------------------ *)
 (* The search's decisions, pinned: the [counters:] block of [astg reduce
    --metrics], plain and as a two-arm portfolio, on the paper's specs
-   and the shipped specs the benchmark reduces.  Each run is a fresh
-   process, so every count is deterministic: candidates, dedups,
-   rejections, table hits, memo traffic and inherited signals.  Bless an
-   intended change with ASYNC_REPRO_BLESS=1. *)
+   and the shipped specs the benchmark reduces: candidates, dedups,
+   rejections, table hits, memo traffic and inherited signals. *)
 let test_reduce_counters_golden () =
-  let printed name stg =
-    let file = Filename.temp_file ("astg_" ^ name) ".g" in
-    Out_channel.with_open_bin file (fun oc ->
-        Out_channel.output_string oc (Stg.Io.print stg));
-    (name, file, true)
+  let shipped f =
+    (f, `File (Filename.concat (Test_roundtrip.examples_dir ()) f))
   in
-  let shipped f = (f, Filename.concat (examples_dir ()) f, false) in
-  let specs =
+  Test_obs.check_counters_golden "reduce_counters.expected" ~command:"reduce"
+    ~flag_sets:[ []; [ "--portfolio"; "0.3,0.8" ] ]
     [
-      printed "LR" (Expansion.four_phase Specs.lr);
-      printed "PAR" (Expansion.four_phase Specs.par);
-      printed "MMU" (Expansion.four_phase Specs.mmu);
+      ("LR", `Printed (Expansion.four_phase Specs.lr));
+      ("PAR", `Printed (Expansion.four_phase Specs.par));
+      ("MMU", `Printed (Expansion.four_phase Specs.mmu));
       shipped "micropipeline.g";
       shipped "ahb_master.g";
       shipped "ahb_arbiter.g";
     ]
-  in
-  let counters out =
-    let rec skip = function
-      | [] -> []
-      | l :: rest -> if l = "counters:" then take rest else skip rest
-    and take = function
-      | [] | "spans:" :: _ -> []
-      | l :: rest -> l :: take rest
-    in
-    skip (String.split_on_char '\n' out)
-  in
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (name, file, temp) ->
-      List.iter
-        (fun flags ->
-          let args = ([ "reduce"; "--metrics" ] @ flags) @ [ file ] in
-          match Test_serve.run_cli args with
-          | 0, out, _ ->
-              Printf.bprintf b "== reduce %s%s\n" name
-                (String.concat "" (List.map (( ^ ) " ") flags));
-              List.iter (Printf.bprintf b "%s\n") (counters out)
-          | rc, _, err ->
-              Alcotest.failf "astg reduce %s exited %d: %s" name rc err)
-        [ []; [ "--portfolio"; "0.3,0.8" ] ];
-      if temp then Sys.remove file)
-    specs;
-  Test_obs.check_golden "reduce_counters.expected" (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
 (* The removal view against the built child.  On every candidate, the

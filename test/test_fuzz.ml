@@ -114,7 +114,7 @@ let run_case_passes () =
 
 (* ---- the AMBA-AHB workload suite ---------------------------------- *)
 
-let data f = "../../../examples/data/" ^ f
+let data f = Filename.concat (Test_roundtrip.examples_dir ()) f
 
 let ahb_arbiter_golden () =
   let stg = Stg.Io.parse_file (data "ahb_arbiter.g") in

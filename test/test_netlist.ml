@@ -148,7 +148,8 @@ let test_shared_le_tree_examples () =
     [ ("lr", Specs.lr); ("par", Specs.par); ("mmu", Specs.mmu) ];
   (* AHB arbiter keeps CSC conflicts: the netlist is still well-defined
      logic, and sharing still never loses to the tree sum. *)
-  let stg = Stg.Io.parse_file "../../../examples/data/ahb_arbiter.g" in
+  let stg = Stg.Io.parse_file
+      (Filename.concat (Test_roundtrip.examples_dir ()) "ahb_arbiter.g") in
   match Sg.of_stg ~warn:(fun _ -> ()) stg with
   | Error e -> Alcotest.fail (Format.asprintf "SG: %a" Sg.pp_error e)
   | Ok sg ->

@@ -292,6 +292,50 @@ let check_golden name actual =
       close_in ic;
       Alcotest.(check string) name expected actual
 
+(* A command's decisions, pinned: the [counters:] block of [astg
+   <command> --metrics <flags> <spec>] for every spec and flag set,
+   against the golden [expected].  Each run is a fresh process, so every
+   count is deterministic.  A spec is a shipped file ([`File path]) or
+   an STG printed to a temporary one ([`Printed stg]).  Bless an
+   intended change with ASYNC_REPRO_BLESS=1. *)
+let check_counters_golden expected ~command ~flag_sets specs =
+  let counters out =
+    let rec skip = function
+      | [] -> []
+      | l :: rest -> if l = "counters:" then take rest else skip rest
+    and take = function
+      | [] | "spans:" :: _ -> []
+      | l :: rest -> l :: take rest
+    in
+    skip (String.split_on_char '\n' out)
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, spec) ->
+      let file =
+        match spec with
+        | `File path -> path
+        | `Printed stg ->
+            let file = Filename.temp_file ("astg_" ^ name) ".g" in
+            Out_channel.with_open_bin file (fun oc ->
+                Out_channel.output_string oc (Stg.Io.print stg));
+            file
+      in
+      List.iter
+        (fun flags ->
+          let args = ([ command; "--metrics" ] @ flags) @ [ file ] in
+          match Test_serve.run_cli args with
+          | 0, out, _ ->
+              Printf.bprintf b "== %s %s%s\n" command name
+                (String.concat "" (List.map (( ^ ) " ") flags));
+              List.iter (Printf.bprintf b "%s\n") (counters out)
+          | rc, _, err ->
+              Alcotest.failf "astg %s %s exited %d: %s" command name rc err)
+        flag_sets;
+      match spec with `Printed _ -> Sys.remove file | `File _ -> ())
+    specs;
+  check_golden expected (Buffer.contents b)
+
 (* Blank the total_ms column of the summary's span table (counts and
    counters are deterministic for a fixed sequential flow; wall time is
    not). *)

@@ -37,7 +37,7 @@ let test_stream_finished () =
 let test_reduce_text_jobs () =
   let micropipeline =
     Stg.Io.parse_file
-      (Filename.concat (Test_delta.examples_dir ()) "micropipeline.g")
+      (Filename.concat (Test_roundtrip.examples_dir ()) "micropipeline.g")
   in
   List.iter
     (fun (name, stg) ->

@@ -19,26 +19,7 @@
    differential runs against that external server instead of an
    in-process one; every other test manages its own server. *)
 
-let examples_dir () =
-  match Sys.getenv_opt "ASYNC_REPRO_EXAMPLES" with
-  | Some d -> d
-  | None ->
-      let rec up dir n =
-        let cand = Filename.concat dir "examples/data" in
-        if Sys.file_exists cand && Sys.is_directory cand then cand
-        else if n = 0 || Filename.dirname dir = dir then
-          Alcotest.fail "examples/data not found (set ASYNC_REPRO_EXAMPLES)"
-        else up (Filename.dirname dir) (n - 1)
-      in
-      up (Sys.getcwd ()) 8
-
-let g_files () =
-  let dir = examples_dir () in
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".g")
-  |> List.sort compare
-  |> List.map (fun f -> (f, Filename.concat dir f))
-
+let examples_dir = Test_roundtrip.examples_dir
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let tmpdir prefix =
@@ -169,7 +150,7 @@ let test_differential_examples () =
           (name ^ " reduce payload = CLI stdout")
           cli_out (ok_output resp)
       else check_failed_like_cli (name ^ " reduce") resp cli_err)
-    (g_files ())
+    (Test_roundtrip.g_files ())
 
 let test_differential_options () =
   let path = Filename.concat (examples_dir ()) "fig1.g" in

@@ -229,7 +229,8 @@ let test_parser_toggle_roundtrip () =
   check "toggle2 roundtrips" true (roundtrip_ok (Specs.Corpus.find "toggle2"))
 
 let test_parse_file () =
-  let stg = Stg.Io.parse_file "../../../examples/data/fig1.g" in
+  let stg = Stg.Io.parse_file
+      (Filename.concat (Test_roundtrip.examples_dir ()) "fig1.g") in
   check_int "fig1 from disk" 4 (Petri.n_trans stg.Stg.net)
 
 let test_dot_choice () =
