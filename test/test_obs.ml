@@ -295,9 +295,11 @@ let check_golden name actual =
 (* A command's decisions, pinned: the [counters:] block of [astg
    <command> --metrics <flags> <spec>] for every spec and flag set,
    against the golden [expected].  Each run is a fresh process, so every
-   count is deterministic.  A spec is a shipped file ([`File path]) or
-   an STG printed to a temporary one ([`Printed stg]).  Bless an
-   intended change with ASYNC_REPRO_BLESS=1. *)
+   count is deterministic; it runs with ASYNC_REPRO_TRACE=0 whatever the
+   suite runs with, since recording from program start would also count
+   the parse before [--metrics].  A spec is a shipped file ([`File
+   path]) or an STG printed to a temporary one ([`Printed stg]).  Bless
+   an intended change with ASYNC_REPRO_BLESS=1. *)
 let check_counters_golden expected ~command ~flag_sets specs =
   let counters out =
     let rec skip = function
@@ -324,7 +326,7 @@ let check_counters_golden expected ~command ~flag_sets specs =
       List.iter
         (fun flags ->
           let args = ([ command; "--metrics" ] @ flags) @ [ file ] in
-          match Test_serve.run_cli args with
+          match Test_serve.run_cli ~env:[ "ASYNC_REPRO_TRACE=0" ] args with
           | 0, out, _ ->
               Printf.bprintf b "== %s %s%s\n" command name
                 (String.concat "" (List.map (( ^ ) " ") flags));

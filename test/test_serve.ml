@@ -110,10 +110,16 @@ let astg_bin () =
       if Sys.file_exists cand then cand
       else Alcotest.fail "astg binary not found (set ASTG_BIN)"
 
-let run_cli args =
+(* [astg args] in a fresh process: exit code, stdout and stderr.  [env]
+   sets variables of its environment ([NAME=value], through env(1)). *)
+let run_cli ?(env = []) args =
   let out = Filename.temp_file "astg_out" ".txt" in
   let err = Filename.temp_file "astg_err" ".txt" in
-  let cmd = Filename.quote_command (astg_bin ()) args ~stdout:out ~stderr:err in
+  let prog, args =
+    if env = [] then (astg_bin (), args)
+    else ("env", env @ (astg_bin () :: args))
+  in
+  let cmd = Filename.quote_command prog args ~stdout:out ~stderr:err in
   let rc = Sys.command cmd in
   let o = read_file out and e = read_file err in
   Sys.remove out;
