@@ -80,7 +80,6 @@ let neg man f = ite man f fls tru
 let conj man f g = ite man f g fls
 let disj man f g = ite man f tru g
 let xor man f g = ite man f (neg man g) g
-let imp man f g = ite man f g tru
 
 let rec restrict man f v b =
   match f with

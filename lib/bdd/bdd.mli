@@ -1,7 +1,8 @@
 (** Reduced ordered binary decision diagrams with hash-consing — the
-    symbolic engine petrify is built on.  Used here for symbolic
-    reachability of safe Petri nets (see {!Symbolic}) and as an independent
-    oracle for the two-level minimizer's correctness.
+    symbolic engine petrify is built on.  A test oracle: no program path
+    calls it.  {!Symbolic} runs on it as the third engine of
+    [test_crosscheck], and [test_bdd] checks the two-level minimizer
+    against it.
 
     All operations go through an explicit manager; node identifiers are
     only meaningful relative to their manager.  Variables are dense
@@ -29,7 +30,6 @@ val neg : man -> t -> t
 val conj : man -> t -> t -> t
 val disj : man -> t -> t -> t
 val xor : man -> t -> t -> t
-val imp : man -> t -> t -> t
 
 (** if-then-else. *)
 val ite : man -> t -> t -> t -> t

@@ -1,3 +1,5 @@
+let max_vars = 62
+
 module Cube = struct
   type t = { care : int; value : int }
 
@@ -9,12 +11,14 @@ module Cube = struct
     { care; value }
 
   let of_minterm ~n m =
-    if n > 62 then invalid_arg "Boolf: more than 62 variables";
+    if n > max_vars then
+      invalid_arg (Printf.sprintf "Boolf: more than %d variables" max_vars);
     { care = (1 lsl n) - 1; value = m }
 
   let of_string s =
     let n = String.length s in
-    if n > 62 then invalid_arg "Boolf: more than 62 variables";
+    if n > max_vars then
+      invalid_arg (Printf.sprintf "Boolf: more than %d variables" max_vars);
     let care = ref 0 and value = ref 0 in
     String.iteri
       (fun i c ->
@@ -265,7 +269,9 @@ let prime_cover ~n ~on ~mem ~covers_off =
   drop_redundant [] chosen
 
 let minimize ~n ~on ~off =
-  if n > 62 then invalid_arg "Boolf.minimize: more than 62 variables";
+  if n > max_vars then
+    invalid_arg
+      (Printf.sprintf "Boolf.minimize: more than %d variables" max_vars);
   let off_arr = Array.of_list off in
   let in_range m = m >= 0 && m < 1 lsl n in
   if n <= 16 && Array.for_all in_range off_arr && List.for_all in_range on

@@ -5,6 +5,12 @@
     sum of cubes.  Minterms are represented as integers (bit [i] = value of
     variable [i]). *)
 
+(** [62]: the most variables a cube or {!minimize} takes, so that every
+    minterm over [n] variables is below [1 lsl n], a positive [int].  Logic
+    synthesis spends one variable per signal: past [max_vars] signals
+    nothing after the state graph can run. *)
+val max_vars : int
+
 module Cube : sig
   (** A cube: [care] is the mask of bound variables, [value] their
       polarities ([value] is always a subset of [care]). *)

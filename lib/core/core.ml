@@ -200,8 +200,8 @@ let optimize ?delays ?max_csc ?style ?w ?size_frontier ?keep_conc
       | None -> None);
   }
 
-let sg_exn ?budget stg =
-  match Sg.of_stg ?budget stg with
+let sg_exn stg =
+  match Sg.of_stg stg with
   | Ok sg -> sg
   | Error e ->
       failwith (Format.asprintf "SG generation failed: %a" Sg.pp_error e)
@@ -287,8 +287,19 @@ module Cli = struct
                 pairs)));
     Buffer.contents b
 
+  (* Logic synthesis spends one Boolf variable per signal, so [synth] and
+     [reduce] (whose search prices logic) stop here past that limit;
+     [check] builds only the state graph and runs on. *)
+  let within_logic_limit stg =
+    let n = Stg.n_signals stg in
+    if n <= Boolf.max_vars then Ok ()
+    else
+      Error
+        (Printf.sprintf "%d signals: logic synthesis handles at most %d" n
+           Boolf.max_vars)
+
   let synth_text opts stg =
-    match sg_or_fail stg with
+    match Result.bind (within_logic_limit stg) (fun () -> sg_or_fail stg) with
     | Error msg -> Error msg
     | Ok sg ->
         let b = Buffer.create 1024 in
@@ -348,7 +359,10 @@ module Cli = struct
       | None -> Ok ()
 
   let reduce_text opts stg =
-    match Result.bind (check_reduce_opts opts) (fun () -> sg_or_fail stg) with
+    match
+      Result.bind (within_logic_limit stg) (fun () ->
+          Result.bind (check_reduce_opts opts) (fun () -> sg_or_fail stg))
+    with
     | Error msg -> Error msg
     | Ok sg -> (
         match

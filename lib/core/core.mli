@@ -98,7 +98,7 @@ val optimize :
 val metrics_summary : unit -> string option
 
 (** Convenience: SG of an STG or raise [Failure] with the error rendered. *)
-val sg_exn : ?budget:int -> Stg.t -> Sg.t
+val sg_exn : Stg.t -> Sg.t
 
 (** Label by name, e.g. ["li-"], in the given STG.
     @raise Not_found when no transition carries it. *)
@@ -146,16 +146,18 @@ module Cli : sig
   val portfolio_weights : string -> float list option
 
   (** [astg check] output (SG failures render as ["consistent: no"],
-      matching the CLI's exit-0 behaviour). *)
+      matching the CLI's exit-0 behaviour).  Unlike {!synth_text} and
+      {!reduce_text} it runs past {!Boolf.max_vars} signals. *)
   val check_text : Stg.t -> string
 
-  (** [astg synth] output, or [Error msg] where the CLI would fail. *)
+  (** [astg synth] output, or [Error msg] where the CLI would fail: past
+      {!Boolf.max_vars} signals, or an SG failure. *)
   val synth_text : synth_opts -> Stg.t -> (string, string) result
 
   (** [astg reduce] output (improvement stream, summaries, winner, and
       with [print_stg] the realized STG), or [Error msg] where the CLI
-      would fail: a NaN [w] or one outside [[0, 1]], the same for a
-      [portfolio] weight, [frontier < 1], an unknown [keeps] event, or an
-      SG failure. *)
+      would fail: past {!Boolf.max_vars} signals, a NaN [w] or one
+      outside [[0, 1]], the same for a [portfolio] weight,
+      [frontier < 1], an unknown [keeps] event, or an SG failure. *)
   val reduce_text : reduce_opts -> Stg.t -> (string, string) result
 end

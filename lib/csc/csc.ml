@@ -253,7 +253,6 @@ type score = {
    hold the verdicts of the children explored and counted on it. *)
 type level = {
   sg : Sg.t;
-  budget : int;
   constrained : bool;
   packed : bool;
   lbit : int array;
@@ -277,7 +276,7 @@ type level = {
   scores : (int, score) Hashtbl.t;  (** by ordered edge pair *)
 }
 
-let level ?(budget = Sg.default_budget) sg =
+let level sg =
   let stg = Sg.stg sg in
   let n = Sg.n_states sg and nt = Petri.n_trans stg.Stg.net in
   let labels = Hashtbl.create 16 in
@@ -316,7 +315,6 @@ let level ?(budget = Sg.default_budget) sg =
   let cap = (2 * n) + 1 in
   {
     sg;
-    budget;
     constrained = all_constrained sg;
     packed;
     lbit;
@@ -357,7 +355,7 @@ let target lv key =
     lv.keys.(j) <- key;
     lv.index.(key) <- j;
     lv.n <- j + 1;
-    if j + 1 > lv.budget then raise Over_budget;
+    if j + 1 > Sg.default_budget then raise Over_budget;
     j
   end
 
@@ -565,13 +563,13 @@ let build lv ~set ~reset ~name =
   in
   Sg.Builder.build b ~code ~initial:0
 
-let product ?budget sg ~set ~reset ~name =
+let product sg ~set ~reset ~name =
   validate (Sg.stg sg) ~set ~reset ~name;
-  let lv = level ?budget sg in
+  let lv = level sg in
   match explore lv (edges (Sg.stg sg).Stg.net ~set ~reset) with
   | () -> Some (Ok (build lv ~set ~reset ~name))
   | exception Fallback -> None
-  | exception Over_budget -> Some (Error (Sg.Unbounded lv.budget))
+  | exception Over_budget -> Some (Error (Sg.Unbounded Sg.default_budget))
   | exception Conflict dir ->
       let via = name ^ if dir = Stg.Plus then "+" else "-" in
       Some
@@ -580,9 +578,9 @@ let product ?budget sg ~set ~reset ~name =
               (Printf.sprintf "signal %s: conflicting initial value via %s"
                  name via)))
 
-let product_conflicts ?budget sg ~set ~reset =
+let product_conflicts sg ~set ~reset =
   check_pair (Sg.stg sg) ~set ~reset;
-  let lv = level ?budget sg in
+  let lv = level sg in
   if not lv.packed then None
   else
     match explore lv (edges (Sg.stg sg).Stg.net ~set ~reset) with
@@ -686,10 +684,7 @@ let judge (lv : level) ~final conflicts ~set ~reset ~name =
           reject c_sg_error
       | exception Fallback -> (
           Obs.Counter.incr c_fallback;
-          match
-            Sg.of_stg ~budget:lv.budget
-              (insert_signal (Sg.stg lv.sg) ~set ~reset ~name)
-          with
+          match Sg.of_stg (insert_signal (Sg.stg lv.sg) ~set ~reset ~name) with
           | Error _ -> reject c_sg_error
           | Ok sg -> built sg))
 
@@ -835,7 +830,7 @@ let input_separated sg =
       fwd.(b) = a || bwd.(b) = a)
     (Sg.csc_conflicts sg)
 
-let resolve ?(max_signals = 6) ?budget ?(work = 20_000) sg0 =
+let resolve ?(max_signals = 6) ?(work = 20_000) sg0 =
   Obs.Counter.incr c_resolve;
   Obs.span "csc.resolve" @@ fun () ->
   (* [work] bounds the total number of candidate insertions evaluated.  It
@@ -856,7 +851,7 @@ let resolve ?(max_signals = 6) ?budget ?(work = 20_000) sg0 =
       let pairs = ns * (ns - 1) in
       if !work_left < pairs then raise Out_of_work;
       work_left := !work_left - pairs;
-      let lv = level ?budget sg in
+      let lv = level sg in
       let passed = ref [] in
       List.iter
         (fun set ->

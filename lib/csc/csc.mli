@@ -58,13 +58,13 @@ val insert_signal : Stg.t -> set:site -> reset:site -> name:string -> Stg.t
     built: its STG by {!insert_signal}, its markings from the parent's with
     the held tokens moved into the inserted places.  States are explored
     in {!Sg.of_stg}'s order and initial values inferred as it does, so the
-    result is structurally identical to [Sg.of_stg ?budget (insert_signal
-    ...)]: state numbering, initial state, codes, markings, arc rows and
+    result is structurally identical to [Sg.of_stg (insert_signal ...)]:
+    state numbering, initial state, codes, markings, arc rows and
     unconstrained signals.  An [Error] is returned wherever [Sg.of_stg]
     returns one; an inconsistent new signal stops the exploration at its
     first contradicting edge (reported as [Inconsistent], where [Sg.of_stg]
     would report [Unbounded] if the full exploration also exceeded
-    [budget]).
+    {!Sg.default_budget} states).
 
     Precondition: [sg] is the full state graph of its own STG, as
     [Sg.of_stg] (or [product]) built it — a reduced SG is not.
@@ -75,7 +75,6 @@ val insert_signal : Stg.t -> set:site -> reset:site -> name:string -> Stg.t
     unconstrained by +/− edges (so [Sg.of_stg]'s warning is kept).
     @raise Invalid_argument as {!insert_signal} does. *)
 val product :
-  ?budget:int ->
   Sg.t ->
   set:site ->
   reset:site ->
@@ -91,8 +90,7 @@ val product :
     labels (the child is then built and counted by [Sg]).
     @raise Invalid_argument on coinciding sites or a site that delays an
     input. *)
-val product_conflicts :
-  ?budget:int -> Sg.t -> set:site -> reset:site -> int option
+val product_conflicts : Sg.t -> set:site -> reset:site -> int option
 
 (** [input_separated sg] — the first pair of {!Sg.csc_conflicts} joined,
     in either direction, by a path of input events only; [None] when no
@@ -169,7 +167,6 @@ type resolution = {
     backing STG (realize reduced SGs first). *)
 val resolve :
   ?max_signals:int ->
-  ?budget:int ->
   ?work:int ->
   Sg.t ->
   (resolution, string) result

@@ -414,10 +414,6 @@ let shrink_fc { fc_branches; fc_tail } yield =
         body)
     fc_branches
 
-let arb_fc ?(max_signals = 4) () =
-  QCheck.make ~print:fc_to_string ~shrink:shrink_fc (fun st ->
-      random_fc st ~max_signals)
-
 (* ------------------------------------------------------------------ *)
 (* Random asymmetric-choice STGs: arbiter cells.
 
@@ -525,8 +521,6 @@ let shrink_ac clients yield =
       if body > 0 then
         yield (List.mapi (fun j b -> if j = i then body - 1 else b) clients))
     clients
-
-let arb_ac () = QCheck.make ~print:ac_to_string ~shrink:shrink_ac random_ac
 
 (* ------------------------------------------------------------------ *)
 (* Unified fuzz cases: one shrinkable value per generator class, so a

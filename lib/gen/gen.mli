@@ -79,7 +79,6 @@ val random_fc : Random.State.t -> max_signals:int -> fc
 val random_fc_stg : ?max_signals:int -> int -> Stg.t
 
 val shrink_fc : fc -> (fc -> unit) -> unit
-val arb_fc : ?max_signals:int -> unit -> fc QCheck.arbitrary
 
 (** {2 Asymmetric-choice family} *)
 
@@ -100,7 +99,6 @@ val random_ac : Random.State.t -> ac
 val random_ac_stg : int -> Stg.t
 
 val shrink_ac : ac -> (ac -> unit) -> unit
-val arb_ac : unit -> ac QCheck.arbitrary
 
 (** {2 Unified fuzz cases} *)
 

@@ -142,13 +142,6 @@ module Marking = struct
             :: !marked)
       m;
     Format.fprintf ppf "{%s}" (String.concat "," (List.rev !marked))
-
-  let marked_places m =
-    let acc = ref [] in
-    for p = Array.length m - 1 downto 0 do
-      if m.(p) > 0 then acc := p :: !acc
-    done;
-    !acc
 end
 
 exception State_budget_exceeded of int
@@ -242,49 +235,6 @@ let deadlock_free ?budget net =
   let live m = enabled_all net m <> [] in
   List.for_all live (reachable ?budget net)
 
-(* Strong connectivity of the (place+transition) graph, ignoring nodes with
-   no arcs at all.  Nodes: 0..n_places-1 are places, n_places.. are
-   transitions. *)
-let strongly_connected net =
-  let n = net.n_places + net.n_trans in
-  let succ = Array.make n [] and pred = Array.make n [] in
-  for t = 0 to net.n_trans - 1 do
-    let tn = net.n_places + t in
-    Array.iter
-      (fun p ->
-        succ.(p) <- tn :: succ.(p);
-        pred.(tn) <- p :: pred.(tn))
-      net.pre.(t);
-    Array.iter
-      (fun p ->
-        succ.(tn) <- p :: succ.(tn);
-        pred.(p) <- tn :: pred.(p))
-      net.post.(t)
-  done;
-  let active = Array.init n (fun i -> succ.(i) <> [] || pred.(i) <> []) in
-  let reach_from adj start =
-    let seen = Array.make n false in
-    let rec dfs v =
-      if not seen.(v) then begin
-        seen.(v) <- true;
-        List.iter dfs adj.(v)
-      end
-    in
-    dfs start;
-    seen
-  in
-  let rec first_active i =
-    if i >= n then None else if active.(i) then Some i else first_active (i + 1)
-  in
-  match first_active 0 with
-  | None -> true
-  | Some start ->
-      let fwd = reach_from succ start and bwd = reach_from pred start in
-      let rec check i =
-        i >= n || ((not active.(i)) || (fwd.(i) && bwd.(i))) && check (i + 1)
-      in
-      check 0
-
 let pp ppf net =
   Format.fprintf ppf "@[<v>net: %d places, %d transitions@," net.n_places
     net.n_trans;
@@ -299,86 +249,3 @@ let pp ppf net =
   Format.fprintf ppf "  m0 = %a@]"
     (Marking.pp ~names:net.place_names)
     net.initial
-
-(* ------------------------------------------------------------------ *)
-(* P-invariants by the Farkas algorithm: start from the identity matrix
-   paired with the incidence matrix; for each transition (column), combine
-   rows to cancel it, keeping non-negative combinations only. *)
-
-let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
-
-let normalize row =
-  let g = Array.fold_left (fun acc x -> gcd_int acc (abs x)) 0 row in
-  if g > 1 then Array.map (fun x -> x / g) row else row
-
-(* Farkas elimination: non-negative integer row vectors y over [n_items]
-   with, for every constraint c, sum_i y_i * coeff i c = 0. *)
-let farkas ~n_items ~n_constraints ~coeff =
-  let rows =
-    ref (List.init n_items (fun i -> Array.init n_items (fun j -> if j = i then 1 else 0)))
-  in
-  let value y c =
-    let acc = ref 0 in
-    Array.iteri (fun i w -> if w <> 0 then acc := !acc + (w * coeff i c)) y;
-    !acc
-  in
-  let max_rows = 4096 in
-  (try
-     for c = 0 to n_constraints - 1 do
-       let zero, nonzero = List.partition (fun y -> value y c = 0) !rows in
-       let pos = List.filter (fun y -> value y c > 0) nonzero in
-       let neg = List.filter (fun y -> value y c < 0) nonzero in
-       let combos =
-         List.concat_map
-           (fun y1 ->
-             List.map
-               (fun y2 ->
-                 let a = abs (value y2 c) and b = abs (value y1 c) in
-                 normalize
-                   (Array.init n_items (fun i -> (a * y1.(i)) + (b * y2.(i)))))
-               neg)
-           pos
-       in
-       rows := zero @ combos;
-       if List.length !rows > max_rows then raise Exit
-     done
-   with Exit -> rows := []);
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (fun y ->
-      if Array.for_all (( = ) 0) y then None
-      else
-        let key = String.concat "," (Array.to_list (Array.map string_of_int y)) in
-        if Hashtbl.mem seen key then None
-        else begin
-          Hashtbl.replace seen key ();
-          Some y
-        end)
-    !rows
-
-let incidence net t p =
-  let count arr =
-    Array.fold_left (fun acc x -> if x = p then acc + 1 else acc) 0 arr
-  in
-  count net.post.(t) - count net.pre.(t)
-
-let p_invariants net =
-  farkas ~n_items:net.n_places ~n_constraints:net.n_trans
-    ~coeff:(fun p t -> incidence net t p)
-
-let t_invariants net =
-  farkas ~n_items:net.n_trans ~n_constraints:net.n_places
-    ~coeff:(fun t p -> incidence net t p)
-
-let invariant_value _net y m =
-  let acc = ref 0 in
-  Array.iteri (fun p w -> acc := !acc + (w * m.(p))) y;
-  !acc
-
-let covered_by_invariants net =
-  let invs = p_invariants net in
-  let rec covered p =
-    p >= net.n_places
-    || List.exists (fun y -> y.(p) > 0) invs && covered (p + 1)
-  in
-  covered 0

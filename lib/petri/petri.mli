@@ -78,11 +78,17 @@ exception State_budget_exceeded of int
 
 (** [reachable ?budget net] — all reachable markings in BFS order from the
     initial marking.  [budget] defaults to [200_000].
+
+    A test oracle, like {!is_safe} and {!deadlock_free}: no program path
+    calls it.  [test_crosscheck] checks the distinct markings of
+    [Sg.of_stg]'s states, and the symbolic engine's set, against it;
+    [test_bdd] counts against it.
     @raise State_budget_exceeded when more markings are found. *)
 val reachable : ?budget:int -> t -> marking list
 
 (** [is_safe ?budget net] — no reachable marking puts more than one token in
-    a place. *)
+    a place.  A test oracle: [test_fuzz] checks with it that every
+    generator class, shrunk or not, yields safe nets. *)
 val is_safe : ?budget:int -> t -> bool
 
 (** A marked graph: every place has exactly one producer and one consumer. *)
@@ -99,13 +105,9 @@ val is_free_choice : t -> bool
 val is_asymmetric_choice : t -> bool
 
 (** [deadlock_free ?budget net] — every reachable marking enables some
-    transition. *)
+    transition.  A test oracle: [test_fuzz] checks with it that every
+    generator class, shrunk or not, yields live nets. *)
 val deadlock_free : ?budget:int -> t -> bool
-
-(** Structural check: some transition is reachable from every transition by
-    alternating arcs (the net graph is strongly connected, ignoring isolated
-    nodes).  Useful as a sanity check on cyclic controller specs. *)
-val strongly_connected : t -> bool
 
 (** Pretty-print the net structure (places, transitions, arcs, marking). *)
 val pp : Format.formatter -> t -> unit
@@ -117,33 +119,5 @@ module Marking : sig
   val hash : t -> int
   val compare : t -> t -> int
   val pp : names:string array -> Format.formatter -> t -> unit
-
-  (** Places holding at least one token, sorted. *)
-  val marked_places : t -> place list
 end
 
-(** {2 Structural analysis}
-
-    P-(semi)invariants: integer row vectors [y >= 0] with
-    [y * C = 0] for the incidence matrix [C]; the weighted token count
-    [y * m] is constant over all reachable markings.  Handshake-expanded
-    STGs carry one invariant per channel (the request/acknowledge/reset
-    cycle) — a structural consistency certificate. *)
-
-(** A basis of non-negative P-invariants (Farkas-style elimination;
-    exponential in the worst case, fine for controller-sized nets).  Each
-    invariant maps place -> non-negative weight. *)
-val p_invariants : t -> int array list
-
-(** [invariant_value net y m] — the conserved quantity [y * m]. *)
-val invariant_value : t -> int array -> marking -> int
-
-(** T-(semi)invariants: non-negative transition multisets whose firing
-    returns the net to the same marking — the cyclic behaviours.  For the
-    handshake controllers here, the basic T-invariant fires every
-    transition of one operating cycle once. *)
-val t_invariants : t -> int array list
-
-(** Every place is covered by some invariant: implies structural
-    boundedness. *)
-val covered_by_invariants : t -> bool

@@ -1,37 +1,27 @@
 (* Sequential fallback backend (OCaml < 5, no domains).
 
-   Same interface as the domains backend; a streaming session is a plain
-   FIFO that the caller drains itself. *)
+   Same interface as the domains backend: the pool is a plain FIFO that
+   the caller drains itself at [shutdown]. *)
 
-type t = unit
+type t = { q : (unit -> unit) Queue.t; mutable closed : bool }
 
 let backend = "sequential"
 let default_jobs () = 1
-let create ~jobs:_ = ()
+let create ~jobs:_ = { q = Queue.create (); closed = false }
 
 (* Effective parallelism — always 1 here, whatever was requested; callers
-   use this to decide whether fan-out bookkeeping is worth doing. *)
-let jobs () = 1
-let shutdown () = ()
+   use this to decide whether submitting is worth doing. *)
+let jobs _ = 1
 
-exception Stream_finished
+let submit t job =
+  if t.closed then invalid_arg "Pool.submit: the pool is shut down";
+  Queue.add job t.q
 
-(* Streaming sessions on the sequential backend: a plain FIFO the caller
-   drains itself at [finish]. *)
-module Stream = struct
-  type session = { q : (unit -> unit) Queue.t; mutable closed : bool }
-
-  let start _ = { q = Queue.create (); closed = false }
-
-  let submit s job =
-    if s.closed then raise Stream_finished;
-    Queue.add job s.q
-
-  let finish s =
-    s.closed <- true;
-    Queue.iter (fun job -> try job () with _ -> ()) s.q;
-    Queue.clear s.q
-end
+let shutdown t =
+  t.closed <- true;
+  while not (Queue.is_empty t.q) do
+    try (Queue.pop t.q) () with _ -> ()
+  done
 
 (* "Domain-local" storage on the sequential backend: there is only one
    domain, so a lazily created single instance has the same semantics. *)

@@ -1,11 +1,12 @@
-(** A small fixed-size work pool for streaming fan-out: the worker
-    domains behind [astg serve].
+(** A small fixed-size work pool: the worker domains behind [astg serve].
 
-    On OCaml >= 5 the backend spawns [jobs - 1] worker {!Domain}s that park
-    until a {!Stream} session starts; the calling domain helps run the
-    session's jobs when it finishes the session.  On OCaml 4.x a
-    sequential backend with the identical interface is selected at build
-    time (see [lib/pool/dune]), so callers never need a version test.
+    On OCaml >= 5 the backend spawns [jobs - 1] worker {!Domain}s that
+    run submitted jobs from one FIFO queue as they arrive; the calling
+    domain helps run what is still queued when it shuts the pool down.
+    On OCaml 4.x a sequential backend with the identical interface is
+    selected at build time (see [lib/pool/dune]): it queues the jobs and
+    runs them on the caller at {!shutdown}, so callers never need a
+    version test.
 
     Jobs publish their own results, and sharing mutable state across jobs
     is the caller's problem: the supported way to give pool jobs a memo
@@ -24,46 +25,26 @@ val default_jobs : unit -> int
 (** [create ~jobs] spawns up to [jobs - 1] worker domains (the caller
     counts as one).  Past the runtime's limit on live domains it stops
     spawning and runs with the workers it got.  The sequential backend
-    accepts any [jobs] and runs everything in the caller. *)
+    accepts any [jobs] and spawns nothing. *)
 val create : jobs:int -> t
 
 (** Effective parallelism: the workers plus the caller (always [1] on the
     sequential backend). *)
 val jobs : t -> int
 
-(** Stop and join the worker domains.  The pool must not be used
-    afterwards. *)
+(** Enqueue a job.  Jobs must trap their own exceptions and publish
+    their results themselves; a job that escapes with an exception is
+    swallowed by the backstop and its results are simply absent.  A job
+    sees everything the caller wrote before submitting it.
+    @raise Invalid_argument after {!shutdown}: a producer that outlives
+    its pool is a bug that must fail loudly, not enqueue into the void. *)
+val submit : t -> (unit -> unit) -> unit
+
+(** Close the queue, run every job still queued (the caller helps), and
+    join the worker domains.  Once it returns, every submitted job has
+    finished and its writes are visible to the caller.  The pool takes no
+    job afterwards. *)
 val shutdown : t -> unit
-
-(** Raised by {!Stream.submit} on a session that {!Stream.finish} has
-    already closed — a session producer that outlives its session is a
-    bug that must fail loudly, not enqueue into the void. *)
-exception Stream_finished
-
-(** Streaming work sessions.  A session turns every pool worker into a
-    long-lived consumer of one FIFO job queue: the caller {!Stream.submit}s
-    thunks at any time, and the workers run them as they arrive.
-
-    Protocol: {!Stream.start} occupies the pool — no second session may
-    run until {!Stream.finish}.  Jobs must trap their own exceptions and
-    publish their results themselves; a job that escapes with an
-    exception is swallowed by the backstop and its results are simply
-    absent. *)
-module Stream : sig
-  type session
-
-  (** Open a session and put every worker into job-draining mode. *)
-  val start : t -> session
-
-  (** Enqueue a job.  Wakes a parked worker.
-      @raise Stream_finished after {!finish}. *)
-  val submit : session -> (unit -> unit) -> unit
-
-  (** Close the session, run the jobs still queued (the caller helps),
-      return once every submitted job has finished, and release the pool
-      for the next session. *)
-  val finish : session -> unit
-end
 
 (** Domain-local storage with a sequential fallback: on the domains backend
     this is [Domain.DLS] (one instance per domain, created on first

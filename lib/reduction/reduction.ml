@@ -143,28 +143,6 @@ let remove_arc sg ~state ~a =
     Error Not_concurrent
   else validate ~source:sg (remove sg ~a [ state ])
 
-let creates_arc sg ~a ~b =
-  let era = Sg.er sg a in
-  let in_era = Array.make (Sg.n_states sg) false in
-  List.iter (fun s -> in_era.(s) <- true) era;
-  (* minimal in ER: no predecessor inside the ER *)
-  let minimal s =
-    let inside = ref false in
-    Sg.iter_pred sg s (fun _ sp -> if in_era.(sp) then inside := true);
-    not !inside
-  in
-  let minimals = List.filter minimal era in
-  minimals <> []
-  && List.for_all
-       (fun s ->
-         Sg.in_degree sg s > 0
-         &&
-         let all_b = ref true in
-         Sg.iter_pred sg s (fun tr _ ->
-             if Stg.label (Sg.stg sg) tr <> b then all_b := false);
-         !all_b)
-       minimals
-
 (* Which of two labels can fire first from the initial state: explore until
    an arc with either label is taken. *)
 let first_fired sg ~a ~b =

@@ -72,12 +72,6 @@ val remove_arc :
     ([targets ⊆ result]).  Exposed for testing. *)
 val back_reach : Sg.t -> within:Sg.state list -> Sg.state list -> Sg.state list
 
-(** [creates_arc sg ~a ~b] — in every path of the reduced SG, is some
-    [b]-labelled arc a necessary predecessor of every [a]-labelled arc?
-    (Diagnostic used to interpret a reduction as the STG-level causal arc
-    [b -> a].) *)
-val creates_arc : Sg.t -> a:Stg.label -> b:Stg.label -> bool
-
 (** The paper's step 5: generate an STG for a reduced SG.
 
     [realize ~applied reduced] adds, for every reduction [(a, b)] in

@@ -83,8 +83,7 @@ let keeps_protected keep_conc sg' =
 (* The oriented candidate reductions FwdRed(a, b) of one SG, in the
    deterministic enumeration order every consumer relies on: concurrent
    pairs in [Sg.concurrent_pairs] order, orientation (a, b) before (b, a);
-   inputs (never delayable) and Keep_Conc-protected pairs excluded.
-   Shared by [neighbours] and the beam search so the two cannot drift. *)
+   inputs (never delayable) and Keep_Conc-protected pairs excluded. *)
 let oriented_candidates ~keep_conc sg =
   let stg = Sg.stg sg in
   List.concat_map
@@ -94,18 +93,6 @@ let oriented_candidates ~keep_conc sg =
         (if is_input stg a then [] else [ (a, b) ])
         @ if is_input stg b then [] else [ (b, a) ])
     (Sg.concurrent_pairs sg)
-
-(* Candidate reductions from one SG, newest first: FwdRed(a, b) for every
-   oriented candidate that passes Def. 5.1 and keeps the protected pairs
-   concurrent. *)
-let neighbours ~keep_conc cfg =
-  List.fold_left
-    (fun acc (a, b) ->
-      match Reduction.fwd_red cfg.sg ~a ~b with
-      | Ok sg' when keeps_protected keep_conc (Lazy.from_val sg') ->
-          (sg', (a, b)) :: acc
-      | Ok _ | Error _ -> acc)
-    [] (oriented_candidates ~keep_conc cfg.sg)
 
 (* Phase counters (see DESIGN.md, "Observability").  Every candidate task is
    counted exactly once: [candidates] at evaluation, then one of [deduped]
@@ -487,28 +474,3 @@ let apply_script sg script =
   in
   let sg, done_ = List.fold_left step (sg, []) script in
   (sg, List.rev done_)
-
-let reduce_fully ?(w = 0.5) ?(keep_conc = []) sg0 =
-  (* As in the beam search, [applied] is accumulated in reverse during the
-     descent and reversed once at the end. *)
-  let rec loop cfg =
-    match neighbours ~keep_conc cfg with
-    | [] -> cfg
-    | next ->
-        let best =
-          List.fold_left
-            (fun acc (sg', step) ->
-              let c =
-                { (evaluate ~w ~memo:true sg') with
-                  applied = step :: cfg.applied
-                }
-              in
-              match acc with
-              | None -> Some c
-              | Some b -> if c.cost < b.cost then Some c else acc)
-            None next
-        in
-        (match best with None -> cfg | Some b -> loop b)
-  in
-  let final = loop { (evaluate ~w ~memo:true sg0) with applied = [] } in
-  { final with applied = List.rev final.applied }

@@ -49,9 +49,10 @@ type keep = (Stg.label * Stg.label) list
     modes produce byte-identical outcomes (same totals, covers, frontier
     and script); they differ only in work per candidate:
 
-    - [`Scratch] — every candidate is built ({!Reduction.fwd_red_built}),
-      validated on the built graph and evaluated by full re-derivation
-      and unmemoized minimization (the reference);
+    - [`Scratch] — every candidate is built ({!Reduction.fwd_red_states},
+      then {!Reduction.remove}), validated on the built graph
+      ({!Reduction.validate}) and evaluated by full re-derivation and
+      unmemoized minimization (the reference);
     - [`Delta] (default) — every candidate is judged on a removal view of
       its parent ({!Sg.View}: dedup key, Def. 5.1 verdict, CSC count) and
       costed by {!Logic.estimate_delta}: per-signal results inherited
@@ -180,8 +181,3 @@ val evaluate : ?w:float -> ?memo:bool -> ?area_mode:area_mode -> Sg.t -> config
     to reproduce specific rows of the paper's tables. *)
 val apply_script :
   Sg.t -> (Stg.label * Stg.label) list -> Sg.t * (Stg.label * Stg.label) list
-
-(** [reduce_fully sg ~keep_conc] applies reductions greedily (cheapest
-    first) until no valid reduction remains — the paper's "full reduction"
-    end point. *)
-val reduce_fully : ?w:float -> ?keep_conc:keep -> Sg.t -> config

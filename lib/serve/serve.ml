@@ -6,12 +6,13 @@
    connection (which also answers its client's cache hits and errors
    while that client has nothing else pending), one dispatcher thread,
    an optional deadline watchdog — all ordinary Threads on the main
-   domain — plus the pool's worker domains executing compute jobs
-   through a long-lived Pool.Stream session.  All scheduler state is
-   guarded by one mutex [t.mu]; per-connection writes are serialized by
-   a per-connection mutex so response lines never interleave.  Lock
-   order: [t.mu] may be held while taking a connection's write mutex,
-   never the reverse. *)
+   domain — plus the pool's worker domains executing the compute jobs
+   the dispatcher submits (with no worker domain, the dispatcher
+   computes inline).  The pool lives as long as the server.  All
+   scheduler state is guarded by one mutex [t.mu]; per-connection writes
+   are serialized by a per-connection mutex so response lines never
+   interleave.  Lock order: [t.mu] may be held while taking a
+   connection's write mutex, never the reverse. *)
 
 (* ------------------------------------------------------------------ *)
 
@@ -487,7 +488,6 @@ module Server = struct
     cache : Cache.t;
     memo : Cache.t;  (* spec bytes -> canonical spec text, memory only *)
     pool : Pool.t;
-    session : Pool.Stream.session option;  (* None: compute inline *)
     lsock : Unix.file_descr;
     a_addr : addr;
     inflight : (string, flight) Hashtbl.t;
@@ -750,11 +750,9 @@ module Server = struct
                   t.inflight_n <- t.inflight_n + 1;
                   Obs.Gauge.set g_inflight t.inflight_n;
                   Mutex.unlock t.mu;
-                  (match t.session with
-                  | Some s -> (
-                      try Pool.Stream.submit s (fun () -> run_flight t fl)
-                      with Pool.Stream_finished -> run_flight t fl)
-                  | None -> run_flight t fl);
+                  if Pool.jobs t.pool > 1 then
+                    Pool.submit t.pool (fun () -> run_flight t fl)
+                  else run_flight t fl;
                   Mutex.lock t.mu;
                   loop ()
             end
@@ -1029,13 +1027,10 @@ module Server = struct
           in
           (s, `Tcp port)
     in
-    let pool = Pool.create ~jobs:(workers + 1) in
     (* the dispatcher thread never helps: when pool domains exist they
-       drain submitted jobs autonomously, otherwise (sequential
-       backend, or workers = 0) the dispatcher computes inline *)
-    let session =
-      if Pool.jobs pool > 1 then Some (Pool.Stream.start pool) else None
-    in
+       run submitted jobs autonomously, otherwise (sequential backend,
+       or workers = 0) the dispatcher computes inline *)
+    let pool = Pool.create ~jobs:(workers + 1) in
     let cache = Cache.create ~mem_entries ?dir:cache_dir () in
     let memo = Cache.create ~mem_entries () in
     let t =
@@ -1047,7 +1042,6 @@ module Server = struct
         cache;
         memo;
         pool;
-        session;
         lsock;
         a_addr;
         inflight = Hashtbl.create 16;
@@ -1099,7 +1093,6 @@ module Server = struct
       t.threads <- [];
       Mutex.unlock t.mu;
       List.iter (fun th -> try Thread.join th with _ -> ()) threads;
-      (match t.session with Some s -> Pool.Stream.finish s | None -> ());
       Pool.shutdown t.pool;
       Mutex.lock t.mu;
       t.stopped <- true;

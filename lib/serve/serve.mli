@@ -11,12 +11,11 @@
     Scheduling is fair FIFO-per-client over {!Pool}: each connection
     owns a FIFO queue, a dispatcher services queues round-robin with at
     most one request of a given client in flight (so responses arrive in
-    request order per client), and compute runs on a long-lived
-    {!Pool.Stream} session across the pool's domains, bounded by
-    [max_inflight].  A connection with nothing queued or in flight has
-    its cache hits and request errors answered on arrival by its own
-    reader thread; that keeps the order too, since only a connection's
-    reader queues for it.  Only [metrics] and the [busy] and
+    request order per client), and compute runs as jobs of the server's
+    pool across its domains, bounded by [max_inflight].  A connection
+    with nothing queued or in flight has its cache hits and request
+    errors answered on arrival by its own reader thread; that keeps the
+    order too, since only a connection's reader queues for it.  Only [metrics] and the [busy] and
     [oversized] errors may overtake a client's earlier requests.
     Identical in-flight requests are coalesced (single-flight): the key
     is computed at most once and every waiter receives the same payload

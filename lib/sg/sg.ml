@@ -254,10 +254,6 @@ let pred sg =
       sg.cache.c_pred <- Some p;
       p
 
-let in_degree sg s =
-  let p_off, _, _ = pred sg in
-  p_off.(s + 1) - p_off.(s)
-
 let iter_pred sg s f =
   let p_off, p_tr, p_src = pred sg in
   for k = p_off.(s) to p_off.(s + 1) - 1 do
@@ -1308,37 +1304,6 @@ let arc_label_instances sg =
       in
       sg.cache.c_arc_labels <- Some l;
       l
-
-let er_components sg lab =
-  let members = er sg lab in
-  let in_er = Array.make sg.n false in
-  List.iter (fun s -> in_er.(s) <- true) members;
-  let comp = Array.make sg.n (-1) in
-  let next_comp = ref 0 in
-  let bfs start =
-    let c = !next_comp in
-    incr next_comp;
-    let queue = Queue.create () in
-    comp.(start) <- c;
-    Queue.add start queue;
-    while not (Queue.is_empty queue) do
-      let s = Queue.pop queue in
-      let visit s' =
-        if in_er.(s') && comp.(s') = -1 then begin
-          comp.(s') <- c;
-          Queue.add s' queue
-        end
-      in
-      iter_succ sg s (fun _ s' -> visit s');
-      iter_pred sg s (fun _ s' -> visit s')
-    done
-  in
-  List.iter (fun s -> if comp.(s) = -1 then bfs s) members;
-  let buckets = Array.make !next_comp [] in
-  List.iter
-    (fun s -> buckets.(comp.(s)) <- s :: buckets.(comp.(s)))
-    (List.rev members);
-  Array.to_list (Array.map List.rev buckets)
 
 (* The full label-level concurrency relation in a single sweep over states
    (Def. 2.1): for every state and every unordered pair of its outgoing

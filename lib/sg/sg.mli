@@ -141,12 +141,10 @@ val exists_succ : t -> state -> (Petri.trans -> state -> bool) -> bool
     sources in id order, arcs of one source in arc order. *)
 val iter_arcs : t -> (state -> Petri.trans -> state -> unit) -> unit
 
-(** Reverse-arc queries, derived from the forward arcs on first use and
+(** [iter_pred sg s f] — [f tr source] for every incoming arc of [s].
+    The reverse arcs are derived from the forward arcs on first use and
     cached: the reduction search builds and discards many SGs that are
     never walked backwards. *)
-val in_degree : t -> state -> int
-
-(** [iter_pred sg s f] — [f tr source] for every incoming arc of [s]. *)
 val iter_pred : t -> state -> (Petri.trans -> state -> unit) -> unit
 
 (** Labels on outgoing arcs of a state (deduplicated, in first-seen order). *)
@@ -260,10 +258,6 @@ val has_csc : t -> bool
 
 (** All states in which some transition labelled [lab] is enabled. *)
 val er : t -> Stg.label -> state list
-
-(** Connected components of the ER under SG arcs (each component is one
-    excitation region in the paper's maximal-connected-set sense). *)
-val er_components : t -> Stg.label -> state list list
 
 (** Distinct labels on arcs, each with all the STG transitions carrying the
     label ({!Stg.instances}); cached.  Since every state of a [t] is

@@ -7,8 +7,10 @@
     the least fixpoint of the image under all transitions, computed
     entirely on BDDs.
 
-    Used as a cross-check for the explicit engines ({!Petri.reachable},
-    {!Sg.of_stg}) and as the scalable path for larger nets. *)
+    A test oracle: no program path calls it.  It is the third engine of
+    [test_crosscheck], which checks the markings of the two explicit
+    engines ({!Petri.reachable}, {!Sg.of_stg}) and their deadlock
+    verdict against it. *)
 
 type result = {
   reachable_count : int;  (** number of reachable markings *)

@@ -171,11 +171,6 @@ let analyze ?(horizon = 200_000) ~delays stg =
             }
       | Error msg -> Error msg)
 
-let render_cycle stg result =
-  result.cycle_events
-  |> List.map (fun t -> Stg.trans_display stg t)
-  |> String.concat " -> "
-
 (* ------------------------------------------------------------------ *)
 (* Exact maximum cycle ratio for marked graphs.                        *)
 
@@ -256,19 +251,6 @@ let mcr ~delays stg =
           Ok (p / g, q / g)
     end
   end
-
-let analyze_interval ~delays stg =
-  let low t = fst (delays t) and high t = snd (delays t) in
-  let check t =
-    if low t < 0 || low t > high t then
-      invalid_arg "Timing.analyze_interval: bad interval"
-  in
-  for t = 0 to Petri.n_trans stg.Stg.net - 1 do
-    check t
-  done;
-  match (analyze ~delays:low stg, analyze ~delays:high stg) with
-  | Ok best, Ok worst -> Ok (best.period, worst.period)
-  | Error e, _ | _, Error e -> Error e
 
 (* ------------------------------------------------------------------ *)
 (* Timed replay of a state graph.                                      *)

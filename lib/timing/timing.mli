@@ -38,37 +38,23 @@ val par_delays : Stg.t -> Petri.trans -> int
 val analyze :
   ?horizon:int -> delays:(Petri.trans -> int) -> Stg.t -> (result, string) Result.t
 
-(** Critical cycle rendered as ["a+ -> b- -> ..."] for reports. *)
-val render_cycle : Stg.t -> result -> string
-
 (** {2 Exact analysis for marked graphs}
 
     For a marked-graph STG the critical cycle length is the maximum cycle
     ratio over all directed cycles [C] of the net:
     [sum of delays on C / sum of initial tokens on C].
     Computed exactly (binary search with Bellman-Ford positive-cycle
-    detection, then rational recovery); cross-checks {!analyze}. *)
+    detection, then rational recovery).
+
+    A test oracle: no program path calls it.  [test_timing] checks
+    {!analyze}'s period against it on marked graphs (the buffer, LR, a
+    pipelined ring and random fork-joins). *)
 
 (** [mcr ~delays stg] — the maximum cycle ratio as a reduced fraction
     [(numerator, denominator)].  Errors: the net is not a marked graph, or
     it has no token-carrying cycle. *)
 val mcr :
   delays:(Petri.trans -> int) -> Stg.t -> (int * int, string) Result.t
-
-(** {2 Interval delays}
-
-    Myers-style bounded delays [(min, max)] per transition (the paper's
-    Table 2 baseline used such intervals, taking averages).  For marked
-    graphs the cycle time is monotone in every delay, so the extreme cases
-    are exact: the best case uses every minimum, the worst case every
-    maximum. *)
-
-(** [(best, worst)] critical cycle lengths under an interval delay model.
-    Propagates the error of either simulation. *)
-val analyze_interval :
-  delays:(Petri.trans -> int * int) ->
-  Stg.t ->
-  (int * int, string) Result.t
 
 (** {2 Timed analysis directly on state graphs}
 

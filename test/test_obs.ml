@@ -3,16 +3,15 @@
    The contract under test (DESIGN.md, "Observability"): recording spans
    and counters has ZERO behavioural impact — every flow result is
    byte-identical with tracing enabled or disabled, on the calling domain
-   and as concurrent jobs of a pool session (as [astg serve] runs its
-   computes) — and the exported artifacts are structurally sound
+   and as concurrent jobs of a pool (as [astg serve] runs its computes) — and the exported artifacts are structurally sound
    (well-nested per domain, monotone timestamps, Perfetto-loadable JSON).
 
    Golden tests pin the summary table and the Chrome trace for one fixed
    sequential flow; regenerate the .expected files with
    ASYNC_REPRO_BLESS=1 after an intentional taxonomy change. *)
 
-(* The pool the cross-domain tests run on: ASYNC_REPRO_JOBS wide, 4 by
-   default. *)
+(* The width of the pools the cross-domain tests run on: ASYNC_REPRO_JOBS,
+   4 by default. *)
 let jobs =
   match Sys.getenv_opt "ASYNC_REPRO_JOBS" with
   | Some s -> (
@@ -21,26 +20,19 @@ let jobs =
       | _ -> 4)
   | None -> 4
 
-let pool =
-  lazy
-    (let p = Pool.create ~jobs in
-     at_exit (fun () -> Pool.shutdown p);
-     p)
+(* Run [f] on every element of [xs] as the jobs of a pool opened for the
+   batch; [Pool.shutdown] returns once every job has run. *)
+let in_pool f xs =
+  let p = Pool.create ~jobs in
+  List.iter (fun x -> Pool.submit p (fun () -> f x)) xs;
+  Pool.shutdown p
 
-(* Run [f] on every element of [xs] as the jobs of one pool session;
-   [Pool.Stream.finish] returns once every job has run. *)
-let in_session f xs =
-  let s = Pool.Stream.start (Lazy.force pool) in
-  List.iter (fun x -> Pool.Stream.submit s (fun () -> f x)) xs;
-  Pool.Stream.finish s
-
-(* [List.map f xs] with every [f x] one job of a pool session, so the
-   calls run concurrently across the pool's domains.  Each job must build
-   its own graphs: an SG's analysis caches are not shared across
-   domains. *)
-let map_in_session f xs =
+(* [List.map f xs] with every [f x] one job of a pool, so the calls run
+   concurrently across the pool's domains.  Each job must build its own
+   graphs: an SG's analysis caches are not shared across domains. *)
+let map_in_pool f xs =
   let out = Array.make (List.length xs) None in
-  in_session
+  in_pool
     (fun (i, x) ->
       out.(i) <- Some (match f x with v -> Ok v | exception e -> Error e))
     (List.mapi (fun i x -> (i, x)) xs);
@@ -64,7 +56,7 @@ let with_enabled on f =
 (* [run map] runs a batch of flows through [map] and renders each result
    as a (name, text) pair.  Recording off and on must render the same,
    with the batch on the calling domain ([List.map], "seq") and spread
-   over a pool session ([map_in_session], "pool"). *)
+   over a pool ([map_in_pool], "pool"). *)
 let check_on_off run =
   List.iter
     (fun (mode, map) ->
@@ -76,7 +68,7 @@ let check_on_off run =
             (Printf.sprintf "%s %s on=off" name mode)
             a b)
         off on)
-    [ ("seq", List.map); ("pool", map_in_session) ]
+    [ ("seq", List.map); ("pool", map_in_pool) ]
 
 (* Paper specs, at the bench's search parameters. *)
 let test_differential_named () =
@@ -186,7 +178,7 @@ let arb_forest =
 let record_forest forest =
   with_enabled true (fun () ->
       Obs.reset ();
-      in_session exec_tree forest);
+      in_pool exec_tree forest);
   let evs = Obs.events () in
   Obs.reset ();
   evs
@@ -226,7 +218,7 @@ let prop_chrome_validates =
     ~count:50 arb_forest (fun forest ->
       with_enabled true (fun () ->
           Obs.reset ();
-          in_session exec_tree forest);
+          in_pool exec_tree forest);
       let r = Obs.Chrome.validate (Obs.chrome_trace ()) in
       Obs.reset ();
       r = Ok ())
@@ -241,7 +233,7 @@ let prop_counter_totals =
       let a = Obs.Counter.make "test.obs.add" in
       with_enabled true (fun () ->
           Obs.reset ();
-          in_session
+          in_pool
             (fun n ->
               for _ = 1 to n do
                 Obs.Counter.incr c
@@ -432,7 +424,7 @@ let test_mmu_trace () =
   in
   check_trace "seq" flow [ "csc.resolve"; "techmap.map" ];
   check_trace "pool"
-    (fun () -> in_session flow [ () ])
+    (fun () -> in_pool flow [ () ])
     [ "csc.resolve"; "techmap.map" ];
   check_trace "portfolio"
     (fun () ->

@@ -61,8 +61,7 @@ let test_classes () =
   check "marked graph" true (Petri.is_marked_graph net);
   check "free choice" true (Petri.is_free_choice net);
   check "safe" true (Petri.is_safe net);
-  check "deadlock free" true (Petri.deadlock_free net);
-  check "strongly connected" true (Petri.strongly_connected net)
+  check "deadlock free" true (Petri.deadlock_free net)
 
 let test_choice_net () =
   (* p marked feeding two transitions: free choice, not a marked graph. *)
@@ -123,9 +122,7 @@ let test_marking_module () =
   let m1 = [| 0; 1; 2 |] and m2 = [| 0; 1; 2 |] and m3 = [| 1; 1; 2 |] in
   check "equal" true (Petri.Marking.equal m1 m2);
   check "not equal" false (Petri.Marking.equal m1 m3);
-  check "hash equal" true (Petri.Marking.hash m1 = Petri.Marking.hash m2);
-  Alcotest.(check (list int)) "marked places" [ 1; 2 ]
-    (Petri.Marking.marked_places m1)
+  check "hash equal" true (Petri.Marking.hash m1 = Petri.Marking.hash m2)
 
 (* Property: in any marked-graph ring, the total token count is invariant
    under firing. *)
@@ -178,134 +175,3 @@ let suite =
     QCheck_alcotest.to_alcotest prop_reachable_closed;
   ]
 
-(* ---- P-invariants ---- *)
-
-let test_invariants_ring () =
-  let stg = Gen.ring ~inputs:0 3 in
-  let net = stg.Stg.net in
-  let invs = Petri.p_invariants net in
-  check "at least one invariant" true (invs <> []);
-  check "ring is covered" true (Petri.covered_by_invariants net);
-  (* The whole ring is a single invariant of weight 1 everywhere. *)
-  check "uniform invariant present" true
-    (List.exists (fun y -> Array.for_all (( = ) 1) y) invs)
-
-let test_invariants_conserved () =
-  let stg = Gen.fork_join 3 in
-  let net = stg.Stg.net in
-  let invs = Petri.p_invariants net in
-  check "invariants exist" true (invs <> []);
-  let m0 = Petri.initial_marking net in
-  let ok =
-    List.for_all
-      (fun m ->
-        List.for_all
-          (fun y ->
-            Petri.invariant_value net y m = Petri.invariant_value net y m0)
-          invs)
-      (Petri.reachable net)
-  in
-  check "conserved over all reachable markings" true ok
-
-let test_invariants_unbounded () =
-  (* The token generator from test_budget is not covered by invariants. *)
-  let b = Petri.Builder.create () in
-  let t = Petri.Builder.add_trans b ~name:"gen" in
-  let src = Petri.Builder.add_place b ~name:"src" ~tokens:1 in
-  let sink = Petri.Builder.add_place b ~name:"sink" ~tokens:0 in
-  Petri.Builder.arc_pt b src t;
-  Petri.Builder.arc_tp b t src;
-  Petri.Builder.arc_tp b t sink;
-  let net = Petri.Builder.build b in
-  check "not covered" false (Petri.covered_by_invariants net)
-
-let prop_invariants_conserved_rings =
-  QCheck.Test.make ~name:"invariant value conserved under random firing"
-    ~count:25
-    QCheck.(pair (int_range 1 5) (int_range 0 50))
-    (fun (n, steps) ->
-      let stg = Gen.ring ~inputs:0 n in
-      let net = stg.Stg.net in
-      let invs = Petri.p_invariants net in
-      let m0 = Petri.initial_marking net in
-      let rec run m k =
-        if k = 0 then true
-        else
-          match Petri.enabled_all net m with
-          | [] -> false
-          | t :: _ ->
-              let m' = Petri.fire net m t in
-              List.for_all
-                (fun y ->
-                  Petri.invariant_value net y m'
-                  = Petri.invariant_value net y m0)
-                invs
-              && run m' (k - 1)
-      in
-      run m0 steps)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "invariants of a ring" `Quick test_invariants_ring;
-      Alcotest.test_case "invariants conserved" `Quick test_invariants_conserved;
-      Alcotest.test_case "unbounded net not covered" `Quick
-        test_invariants_unbounded;
-      QCheck_alcotest.to_alcotest prop_invariants_conserved_rings;
-    ]
-
-(* ---- T-invariants ---- *)
-
-let test_t_invariants_ring () =
-  let stg = Gen.ring ~inputs:0 3 in
-  let net = stg.Stg.net in
-  let tinvs = Petri.t_invariants net in
-  check "ring has the full-cycle T-invariant" true
-    (List.exists (fun y -> Array.for_all (( = ) 1) y) tinvs)
-
-let test_t_invariant_firing () =
-  (* Firing a T-invariant returns to the initial marking: check on the
-     buffer controller (every transition once per cycle). *)
-  let stg = Specs.Corpus.find "buffer" in
-  let net = stg.Stg.net in
-  match Petri.t_invariants net with
-  | [] -> Alcotest.fail "expected a T-invariant"
-  | y :: _ ->
-      let m0 = Petri.initial_marking net in
-      (* Fire transitions greedily until every count in y is used up. *)
-      let remaining = Array.copy y in
-      let rec run m steps =
-        if steps = 0 then m
-        else
-          match
-            List.find_opt
-              (fun t -> remaining.(t) > 0)
-              (Petri.enabled_all net m)
-          with
-          | None -> m
-          | Some t ->
-              remaining.(t) <- remaining.(t) - 1;
-              run (Petri.fire net m t) (steps - 1)
-      in
-      let m_end = run m0 (Array.fold_left ( + ) 0 y) in
-      check "back to the initial marking" true (Petri.Marking.equal m0 m_end)
-
-let test_t_invariants_acyclic () =
-  (* The halting net has no repetitive behaviour. *)
-  let b = Petri.Builder.create () in
-  let t = Petri.Builder.add_trans b ~name:"t" in
-  let p = Petri.Builder.add_place b ~name:"p" ~tokens:1 in
-  let q = Petri.Builder.add_place b ~name:"q" ~tokens:0 in
-  Petri.Builder.arc_pt b p t;
-  Petri.Builder.arc_tp b t q;
-  check "no T-invariants" true (Petri.t_invariants (Petri.Builder.build b) = [])
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "T-invariants of a ring" `Quick test_t_invariants_ring;
-      Alcotest.test_case "T-invariant firing closes" `Quick
-        test_t_invariant_firing;
-      Alcotest.test_case "acyclic net has none" `Quick
-        test_t_invariants_acyclic;
-    ]

@@ -1,5 +1,5 @@
 (* Tests for the portfolio search (Search.portfolio), its cross-arm
-   evaluation table, the pool's Stream_finished contract — and the
+   evaluation table, the pool's shutdown contract — and the
    cross-signal netlist sharing that the literal-chaining reorder of
    Netlist.of_covers buys.
 
@@ -11,23 +11,26 @@
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let pool = Test_obs.pool
 let outcome_repr = Fuzz.outcome_repr
 let named_specs = Test_search.named_specs
 
-(* ---- Stream: typed close error ------------------------------------ *)
+(* ---- Pool: shutdown runs every job, then refuses more -------------- *)
 
-let test_stream_finished () =
-  let p = Lazy.force pool in
-  let s = Pool.Stream.start p in
-  let r = Atomic.make 0 in
-  Pool.Stream.submit s (fun () -> Atomic.set r 1);
-  Pool.Stream.finish s;
-  check "finish runs every submitted job" true (Atomic.get r = 1);
-  check "submit after finish raises Stream_finished" true
-    (match Pool.Stream.submit s (fun () -> ()) with
+let test_pool_shutdown () =
+  let p = Pool.create ~jobs:Test_obs.jobs in
+  let ran = Atomic.make 0 in
+  for i = 1 to 16 do
+    Pool.submit p (fun () ->
+        Atomic.incr ran;
+        if i = 1 then failwith "a job that raises")
+  done;
+  Pool.shutdown p;
+  check_int "shutdown runs every submitted job, past one that raises" 16
+    (Atomic.get ran);
+  check "submit after shutdown raises" true
+    (match Pool.submit p ignore with
     | () -> false
-    | exception Pool.Stream_finished -> true)
+    | exception Invalid_argument _ -> true)
 
 (* ---- Core.Cli.reduce_text: --jobs never changes the bytes ---------- *)
 
@@ -227,14 +230,10 @@ let test_wide_pool () =
   in
   let got = Array.make (List.length specs) (Error "not run") in
   let p = Pool.create ~jobs:200 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      let s = Pool.Stream.start p in
-      List.iteri
-        (fun i (_, stg) -> Pool.Stream.submit s (fun () -> got.(i) <- text stg))
-        specs;
-      Pool.Stream.finish s);
+  List.iteri
+    (fun i (_, stg) -> Pool.submit p (fun () -> got.(i) <- text stg))
+    specs;
+  Pool.shutdown p;
   List.iteri
     (fun i (name, stg) ->
       match text stg with
@@ -247,8 +246,8 @@ let test_wide_pool () =
 
 let suite =
   [
-    Alcotest.test_case "Stream_finished on closed session" `Quick
-      test_stream_finished;
+    Alcotest.test_case "pool shutdown runs every job" `Quick
+      test_pool_shutdown;
     Alcotest.test_case "reduce_text --portfolio: jobs 2 = jobs 1" `Slow
       test_reduce_text_jobs;
     Alcotest.test_case "cross-arm table: a twin arm only hits" `Quick

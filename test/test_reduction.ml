@@ -101,17 +101,6 @@ b- p2
       (* If the reduction went through, a+ must still exist. *)
       check "a+ survives" true (Sg.er reduced a <> [])
 
-let test_creates_arc () =
-  let stg, sg = fig1 () in
-  match
-    Reduction.fwd_red sg ~a:(Core.lab stg "Ack-") ~b:(Core.lab stg "Req+")
-  with
-  | Ok reduced ->
-      check "simple case: arc Req+ -> Ack-" true
-        (Reduction.creates_arc reduced ~a:(Core.lab stg "Ack-")
-           ~b:(Core.lab stg "Req+"))
-  | Error _ -> Alcotest.fail "reduction should be valid"
-
 let test_realize_fig1 () =
   let stg, sg = fig1 () in
   let a = Core.lab stg "Ack-" and b = Core.lab stg "Req+" in
@@ -196,7 +185,6 @@ let suite =
     Alcotest.test_case "back_reach" `Quick test_back_reach;
     Alcotest.test_case "fig8 backward sweep" `Quick test_fig8_sweep;
     Alcotest.test_case "event vanishes" `Quick test_event_vanishes;
-    Alcotest.test_case "creates STG arc" `Quick test_creates_arc;
     Alcotest.test_case "realize fig1" `Quick test_realize_fig1;
     Alcotest.test_case "realize LR scripts" `Quick test_realize_lr_scripts;
     Alcotest.test_case "apply_script skips invalid" `Quick

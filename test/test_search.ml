@@ -67,23 +67,32 @@ let test_apply_script_order () =
   check_int "both applied" 2 (List.length applied);
   check "fewer states" true (Sg.n_states reduced < Sg.n_states sg)
 
-let test_reduce_fully () =
-  let _, sg = lr_sg () in
-  let c = Search.reduce_fully sg in
-  (* Termination with no applicable reduction left. *)
-  check "nothing reducible remains" true
-    (let stg = Sg.stg sg in
-     let pairs = Sg.concurrent_pairs c.Search.sg in
-     List.for_all
-       (fun (a, b) ->
-         let input lab =
-           match lab with
-           | Stg.Edge (s, _) -> Stg.Signal.is_input (Stg.signal stg s)
-           | Stg.Dummy _ -> false
-         in
-         (input a || Result.is_error (Reduction.fwd_red c.Search.sg ~a ~b))
-         && (input b || Result.is_error (Reduction.fwd_red c.Search.sg ~a:b ~b:a)))
-       pairs)
+(* Logic synthesis spends one variable per signal: past
+   [Boolf.max_vars] signals synth and reduce (whose search prices logic)
+   end in a typed error that names the limit, exit 124 at the CLI,
+   before anything past the state graph runs. *)
+let test_past_signal_limit () =
+  Test_serve.with_ring_past_limit @@ fun stg path ->
+  let error = Error Test_serve.past_limit_error in
+  Alcotest.(check (result string string)) "synth_text" error
+    (Core.Cli.synth_text Core.Cli.default_synth stg);
+  Alcotest.(check (result string string)) "reduce_text" error
+    (Core.Cli.reduce_text Core.Cli.default_reduce stg);
+  List.iter
+    (fun args ->
+      let name = String.concat " " args in
+      let rc, out, err = Test_serve.run_cli (args @ [ path ]) in
+      check_int (name ^ " exits 124") 124 rc;
+      Alcotest.(check string) (name ^ " stdout") "" out;
+      Alcotest.(check string) (name ^ " stderr")
+        ("astg: " ^ Test_serve.past_limit_error ^ "\n")
+        err)
+    [
+      [ "synth" ];
+      [ "synth"; "--emit"; "verilog" ];
+      [ "reduce" ];
+      [ "reduce"; "--portfolio"; "0.3,0.8"; "--stg" ];
+    ]
 
 let test_wider_frontier_explores_more () =
   let _, sg = lr_sg () in
@@ -266,7 +275,8 @@ let suite =
     Alcotest.test_case "keep_conc enforced" `Quick test_keep_conc_enforced;
     Alcotest.test_case "max levels" `Quick test_max_levels;
     Alcotest.test_case "apply script" `Quick test_apply_script_order;
-    Alcotest.test_case "reduce fully" `Quick test_reduce_fully;
+    Alcotest.test_case "past 62 signals: synth and reduce exit 124" `Quick
+      test_past_signal_limit;
     Alcotest.test_case "wider frontier" `Quick test_wider_frontier_explores_more;
     QCheck_alcotest.to_alcotest prop_search_monotone_cost_levels;
   ]

@@ -126,6 +126,25 @@ let run_cli ?(env = []) args =
   Sys.remove err;
   (rc, o, e)
 
+(* ---- past the logic layer's signal limit ---- *)
+
+(* [f stg path] on the 63-signal sequential ring with one input (126
+   states), one signal past [Boolf.max_vars], printed to a temporary .g
+   file.  The spec is built here, not shipped under examples/data:
+   test_crosscheck's BDD engine stops at 62 places. *)
+let with_ring_past_limit f =
+  let stg = Gen.ring ~inputs:1 63 in
+  let path = Filename.temp_file "ring63" ".g" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (Stg.Io.print stg));
+      f stg path)
+
+(* What synth and reduce answer on that ring, at the CLI and in serve. *)
+let past_limit_error = "63 signals: logic synthesis handles at most 62"
+
 (* ---- differential: serve vs the CLI, every example spec ---- *)
 
 (* The CI smoke exports ASTG_SERVE_SOCKET to aim this differential at a
@@ -783,6 +802,41 @@ let test_fifo_under_timeouts () =
       | None -> ())
     failures
 
+(* ---- past the signal limit: serve answers as the CLI ---- *)
+
+(* On the 63-signal ring, check's payload is the CLI's stdout, and synth
+   and reduce are typed "failed" with the CLI's message.  Aimed at the
+   external server too when ASTG_SERVE_SOCKET is set. *)
+let test_past_signal_limit () =
+  with_ring_past_limit @@ fun _ path ->
+  let spec = read_file path in
+  differential_target @@ fun addr ->
+  with_client addr @@ fun c ->
+  let rc, cli_out, _ = run_cli [ "check"; path ] in
+  Alcotest.(check int) "cli check rc" 0 rc;
+  Alcotest.(check string) "check payload = CLI stdout" cli_out
+    (ok_output (send ~id:"chk" ~op:"check" c spec));
+  List.iter
+    (fun (op, args, options) ->
+      let name = String.concat " " (op :: args) in
+      let rc, _, cli_err = run_cli ((op :: args) @ [ path ]) in
+      Alcotest.(check int) (name ^ " cli rc") 124 rc;
+      let resp = send ?options ~id:name ~op c spec in
+      check_failed_like_cli name resp cli_err;
+      Alcotest.(check string) (name ^ " message") past_limit_error
+        (get_str (member "message" (member "error" resp))))
+    Serve.Json.
+      [
+        ("synth", [], None);
+        ( "synth",
+          [ "--emit"; "verilog" ],
+          Some (Obj [ ("emit", Str "verilog") ]) );
+        ("reduce", [], None);
+        ( "reduce",
+          [ "--portfolio"; "0.3,0.8" ],
+          Some (Obj [ ("portfolio", Str "0.3,0.8") ]) );
+      ]
+
 let suite =
   [
     Alcotest.test_case "differential: serve = CLI on every example" `Quick
@@ -820,4 +874,6 @@ let suite =
       `Quick test_fifo_under_timeouts;
     Alcotest.test_case "memo: each compute starts from an empty table"
       `Quick test_memo_per_compute;
+    Alcotest.test_case "past 62 signals: check runs, synth and reduce fail"
+      `Quick test_past_signal_limit;
   ]
