@@ -284,6 +284,20 @@ let check_golden name actual =
       close_in ic;
       Alcotest.(check string) name expected actual
 
+(* [f file] on a spec's file: a shipped file ([`File path]) or an STG
+   printed to a temporary one ([`Printed stg]), removed afterwards. *)
+let with_spec_file name spec f =
+  match spec with
+  | `File path -> f path
+  | `Printed stg ->
+      let file = Filename.temp_file ("astg_" ^ name) ".g" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          Out_channel.with_open_bin file (fun oc ->
+              Out_channel.output_string oc (Stg.Io.print stg));
+          f file)
+
 (* A command's decisions, pinned: the [counters:] block of [astg
    <command> --metrics <flags> <spec>] for every spec and flag set,
    against the golden [expected].  Each run is a fresh process, so every
@@ -306,15 +320,7 @@ let check_counters_golden expected ~command ~flag_sets specs =
   let b = Buffer.create 4096 in
   List.iter
     (fun (name, spec) ->
-      let file =
-        match spec with
-        | `File path -> path
-        | `Printed stg ->
-            let file = Filename.temp_file ("astg_" ^ name) ".g" in
-            Out_channel.with_open_bin file (fun oc ->
-                Out_channel.output_string oc (Stg.Io.print stg));
-            file
-      in
+      with_spec_file name spec @@ fun file ->
       List.iter
         (fun flags ->
           let args = ([ command; "--metrics" ] @ flags) @ [ file ] in
@@ -325,8 +331,7 @@ let check_counters_golden expected ~command ~flag_sets specs =
               List.iter (Printf.bprintf b "%s\n") (counters out)
           | rc, _, err ->
               Alcotest.failf "astg %s %s exited %d: %s" command name rc err)
-        flag_sets;
-      match spec with `Printed _ -> Sys.remove file | `File _ -> ())
+        flag_sets)
     specs;
   check_golden expected (Buffer.contents b)
 
