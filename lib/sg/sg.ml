@@ -470,32 +470,39 @@ let c_filter_arcs = Obs.Counter.make "sg.filter_arcs.calls"
    are distinct SG states. *)
 let default_budget = 200_000
 
+(* The exploration's state table, keyed by (marking, parities).  The hash
+   must fold every place and every signal: the polymorphic hash reads only
+   a bounded prefix of an array, so states that differ late in a long (or
+   token-accumulating) place vector all collided and turned the
+   exploration quadratic (a fuzzer find).  The fold multiplies by 31, so
+   its low bits, which pick the bucket, depend on few sums of the counts
+   (chains of 36-39 on a 10-way fork/join); one [Hashtbl.hash] of the
+   fold mixes them (chains of at most 9). *)
+module State_tbl = Hashtbl.Make (struct
+  type t = Petri.marking * Bytes.t
+
+  let equal (m, par) (m', par') =
+    Petri.Marking.equal m m' && Bytes.equal par par'
+
+  let hash (m, par) =
+    let h = ref (Petri.Marking.hash m) in
+    for i = 0 to Bytes.length par - 1 do
+      h := (!h * 31) + Char.code (Bytes.unsafe_get par i)
+    done;
+    Hashtbl.hash !h
+end)
+
 let of_stg_impl ?(budget = default_budget) ?(initial_values = [])
     ?(warn = default_warn) stg =
   let net = stg.Stg.net in
   let nsig = Stg.n_signals stg in
-  let b = Builder.create ~expect:1024 stg in
-  let index = Hashtbl.create 1024 in
-  (* String keys: the polymorphic hash only traverses a bounded number of
-     list/tuple nodes, so markings that differ late in a long (or
-     token-accumulating) place vector would all collide and turn the
-     exploration quadratic; a string is hashed in full. *)
-  let key m par =
-    let buf = Buffer.create (4 * (Array.length m + 1)) in
-    Array.iter
-      (fun v ->
-        Buffer.add_string buf (string_of_int v);
-        Buffer.add_char buf ',')
-      m;
-    Buffer.add_bytes buf par;
-    Buffer.contents buf
-  in
-  let parities = ref (Array.make 1024 Bytes.empty) in
+  let b = Builder.create ~expect:16 stg in
+  let index = State_tbl.create 16 in
+  let parities = ref (Array.make 16 Bytes.empty) in
   let intern m par =
-    let k = key m par in
-    match Hashtbl.find_opt index k with
-    | Some i -> (i, false)
-    | None ->
+    match State_tbl.find index (m, par) with
+    | i -> i
+    | exception Not_found ->
         let i = Builder.add_state b m in
         if i = Array.length !parities then begin
           let grown = Array.make (2 * i) Bytes.empty in
@@ -503,34 +510,40 @@ let of_stg_impl ?(budget = default_budget) ?(initial_values = [])
           parities := grown
         end;
         !parities.(i) <- par;
-        Hashtbl.replace index k i;
-        (i, true)
+        State_tbl.add index (m, par) i;
+        i
   in
-  let start = Petri.initial_marking net in
-  let par0 = Bytes.make nsig '\000' in
-  let s0, _ = intern start par0 in
-  let queue = Queue.create () in
-  Queue.add (s0, start, par0) queue;
+  let pre = net.Petri.pre and post = net.Petri.post in
+  let rec enabled m ps k =
+    k = Array.length ps || (m.(ps.(k)) > 0 && enabled m ps (k + 1))
+  in
+  let s0 = intern (Petri.initial_marking net) (Bytes.make nsig '\000') in
+  (* States are numbered in discovery order, so expanding them in number
+     order is a breadth-first search. *)
+  let s = ref s0 in
   (try
-     while not (Queue.is_empty queue) do
-       let s, m, par = Queue.pop queue in
-       let expand tr =
-         let m' = Petri.fire net m tr in
-         let par' =
-           match Stg.label stg tr with
-           | Stg.Edge (sigid, _) ->
-               let p = Bytes.copy par in
-               Bytes.set p sigid
-                 (if Bytes.get par sigid = '\000' then '\001' else '\000');
-               p
-           | Stg.Dummy _ -> par
-         in
-         let s', fresh = intern m' par' in
-         if Builder.n_states b > budget then raise Exit;
-         Builder.add_arc b s tr s';
-         if fresh then Queue.add (s', m', par') queue
-       in
-       List.iter expand (Petri.enabled_all net m)
+     while !s < Builder.n_states b do
+       let m = b.Builder.b_marks.(!s) and par = !parities.(!s) in
+       for tr = 0 to Petri.n_trans net - 1 do
+         if enabled m pre.(tr) 0 then begin
+           let m' = Array.copy m in
+           Array.iter (fun p -> m'.(p) <- m'.(p) - 1) pre.(tr);
+           Array.iter (fun p -> m'.(p) <- m'.(p) + 1) post.(tr);
+           let par' =
+             match Stg.label stg tr with
+             | Stg.Edge (sigid, _) ->
+                 let p = Bytes.copy par in
+                 Bytes.set p sigid
+                   (if Bytes.get par sigid = '\000' then '\001' else '\000');
+                 p
+             | Stg.Dummy _ -> par
+           in
+           let s' = intern m' par' in
+           if Builder.n_states b > budget then raise Exit;
+           Builder.add_arc b !s tr s'
+         end
+       done;
+       incr s
      done
    with Exit -> ());
   if Builder.n_states b > budget then Error (Unbounded budget)
