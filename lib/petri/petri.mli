@@ -112,10 +112,16 @@ val deadlock_free : ?budget:int -> t -> bool
 (** Pretty-print the net structure (places, transitions, arcs, marking). *)
 val pp : Format.formatter -> t -> unit
 
+(** Markings as hash-table keys: {!reachable}'s table and
+    [Sg.of_stg]'s state table, which folds each state's signal parities
+    into [hash]. *)
 module Marking : sig
   type t = marking
 
   val equal : t -> t -> bool
+
+  (** Folds every place, so markings that differ only in a late place
+      still hash apart. *)
   val hash : t -> int
   val compare : t -> t -> int
   val pp : names:string array -> Format.formatter -> t -> unit

@@ -472,12 +472,12 @@ let default_budget = 200_000
 
 (* The exploration's state table, keyed by (marking, parities).  The hash
    must fold every place and every signal: the polymorphic hash reads only
-   a bounded prefix of an array, so states that differ late in a long (or
+   a bounded prefix of a marking, so states that differ late in a long (or
    token-accumulating) place vector all collided and turned the
    exploration quadratic (a fuzzer find).  The fold multiplies by 31, so
    its low bits, which pick the bucket, depend on few sums of the counts
-   (chains of 36-39 on a 10-way fork/join); one [Hashtbl.hash] of the
-   fold mixes them (chains of at most 9). *)
+   (chains of 36-39 on 7- and 10-way fork/joins); one [Hashtbl.hash] of
+   the fold mixes them (chains of at most 9). *)
 module State_tbl = Hashtbl.Make (struct
   type t = Petri.marking * Bytes.t
 

@@ -103,44 +103,39 @@ let prop_random_nets =
           = List.sort_uniq compare (List.map Array.to_list explicit))
 
 (* [Sg.of_stg] against [Petri.reachable] alone, on nets without toggles
-   (each marking carries one parity): the same distinct markings, and
-   [states] of each. *)
-let sg_agrees_with_reachable name stg ~states =
-  let explicit = Petri.reachable stg.Stg.net in
-  check_int (name ^ ": reachable markings") states (List.length explicit);
-  match Sg.of_stg stg with
-  | Error e -> Alcotest.failf "%s: %a" name Sg.pp_error e
-  | Ok sg ->
-      check_int (name ^ ": SG states") states (Sg.n_states sg);
-      check
-        (name ^ ": SG marking set = explicit marking set")
-        true
-        (sg_markings sg
-        = List.sort_uniq compare (List.map Array.to_list explicit))
-
-(* 3^7 + 3 states: far past the explorer's initial table sizes, so its
-   state table, parity array and builder grow several times. *)
-let test_wide_fork () =
-  sg_agrees_with_reachable "fork_join 7" (Gen.fork_join 7) ~states:2190
-
-(* 300 tokens shuttled between two places by two dummies: 301 states
-   whose counts run past one byte.  The symbolic engine cannot take it:
-   it encodes safe nets only. *)
-let test_counts_past_255 () =
-  let stg =
+   (each marking carries one parity): the same distinct markings, and as
+   many SG states as markings.  A 7-way fork/join (3^7 + 3 states) runs
+   far past the explorer's initial table sizes, so its state table,
+   parity array and builder grow several times; 300 tokens shuttled
+   between two places by two dummies (301 states) give counts past one
+   byte, which the symbolic engine cannot take: it encodes safe nets
+   only. *)
+let test_of_stg_vs_reachable () =
+  let shuttle =
     Stg.Io.parse
       ".model shuttle\n.dummy d u\n.graph\np d\nd q\nq u\nu p\n\
        .marking { p=300 }\n.end\n"
   in
-  sg_agrees_with_reachable "shuttle" stg ~states:301
+  List.iter
+    (fun (name, stg, states) ->
+      let explicit = Petri.reachable stg.Stg.net in
+      check_int (name ^ ": reachable markings") states (List.length explicit);
+      match Sg.of_stg stg with
+      | Error e -> Alcotest.failf "%s: %a" name Sg.pp_error e
+      | Ok sg ->
+          check_int (name ^ ": SG states") states (Sg.n_states sg);
+          check
+            (name ^ ": SG marking set = explicit marking set")
+            true
+            (sg_markings sg
+            = List.sort_uniq compare (List.map Array.to_list explicit)))
+    [ ("fork_join 7", Gen.fork_join 7, 2190); ("shuttle", shuttle, 301) ]
 
 let suite =
   [
     Alcotest.test_case "shipped examples" `Quick test_examples;
     Alcotest.test_case "named specs" `Quick test_named_specs;
     QCheck_alcotest.to_alcotest prop_random_nets;
-    Alcotest.test_case "of_stg = reachable: 7-way fork/join" `Quick
-      test_wide_fork;
-    Alcotest.test_case "of_stg = reachable: counts past 255" `Quick
-      test_counts_past_255;
+    Alcotest.test_case "of_stg = reachable: wide fork, counts past 255"
+      `Quick test_of_stg_vs_reachable;
   ]
