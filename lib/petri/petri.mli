@@ -120,8 +120,8 @@ module Marking : sig
 
   val equal : t -> t -> bool
 
-  (** Folds every place, so markings that differ only in a late place
-      still hash apart. *)
+  (** Folds every place: markings that differ only in a late place do not
+      all collide, as they do under the polymorphic hash. *)
   val hash : t -> int
   val compare : t -> t -> int
   val pp : names:string array -> Format.formatter -> t -> unit
