@@ -1,5 +1,13 @@
 let max_vars = 62
 
+(* Set bits of a non-negative int below [2^62]: per-field sums, bytes
+   last (the product's top byte holds their total). *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
+  (x * 0x0101010101010101) lsr 56
+
 module Cube = struct
   type t = { care : int; value : int }
 
@@ -43,10 +51,6 @@ module Cube = struct
   let compare c1 c2 =
     let c = Int.compare c1.care c2.care in
     if c <> 0 then c else Int.compare c1.value c2.value
-
-  let popcount x =
-    let rec loop x acc = if x = 0 then acc else loop (x lsr 1) (acc + (x land 1)) in
-    loop x 0
 
   let literals c = popcount c.care
 
@@ -99,29 +103,52 @@ module Cover = struct
     | cover -> String.concat " + " (List.map (Cube.render ~names) cover)
 end
 
-(* Does [cube] cover a minterm of [off_arr]?  One scan of the array. *)
-let scan_off off_arr cube =
-  let rec go i =
-    i < Array.length off_arr && (Cube.covers cube off_arr.(i) || go (i + 1))
-  in
-  go 0
+(* Strictly ascending from index [i - 1] on: sorted, no minterm twice.
+   The loops below are top-level functions of all they read: a local
+   [let rec] closes over its free variables and allocates per call. *)
+let rec ascending_from (a : int array) i =
+  i >= Array.length a || (a.(i - 1) < a.(i) && ascending_from a (i + 1))
+
+(* [a] itself when strictly ascending (callers' arrays are never
+   mutated), else a sorted, deduplicated copy. *)
+let canonical a =
+  if ascending_from a 1 then a
+  else begin
+    let a = Array.copy a in
+    Array.sort Int.compare a;
+    let k = ref 0 in
+    Array.iteri
+      (fun i m ->
+        if i = 0 || m <> a.(!k - 1) then begin
+          a.(!k) <- m;
+          incr k
+        end)
+      a;
+    Array.sub a 0 !k
+  end
+
+(* Does the cube [(care, value)] cover a minterm of [off] from index [i]
+   on?  One scan. *)
+let rec scan_off off care value i =
+  i < Array.length off
+  && (off.(i) land care = value || scan_off off care value (i + 1))
+
+(* Is [value lor sub'] in OFF for some sub-mask [sub'] of [free] at most
+   [sub], counting down? *)
+let rec probe_off off_mem value free sub =
+  off_mem (value lor sub)
+  || (sub <> 0 && probe_off off_mem value free ((sub - 1) land free))
 
 (* The general OFF test, for more than 16 variables: when the cube has few
    free variables, enumerate its minterms and probe the hashed OFF set
    (2^free probes); otherwise scan the OFF array.  Always the cheaper of
    the two. *)
-let covers_some_off ~n ~off_arr ~off_mem cube =
-  let free_mask = ((1 lsl n) - 1) land lnot cube.Cube.care in
-  let free_bits = Cube.popcount free_mask in
-  if free_bits < 62 && 1 lsl free_bits <= Array.length off_arr then begin
-    (* enumerate sub-masks of free_mask, including 0 *)
-    let rec loop sub =
-      off_mem (cube.Cube.value lor sub)
-      || (sub <> 0 && loop ((sub - 1) land free_mask))
-    in
-    loop free_mask
-  end
-  else scan_off off_arr cube
+let covers_some_off ~n ~off ~off_mem care value =
+  let free_mask = ((1 lsl n) - 1) land lnot care in
+  let free_bits = popcount free_mask in
+  if free_bits < 62 && 1 lsl free_bits <= Array.length off then
+    probe_off off_mem value free_mask free_mask
+  else scan_off off care value 0
 
 (* The OFF test for at most 16 variables, over the OFF set held as 32-bit
    words: minterm [m] is bit [m land 31] of word [m lsr 5], so one word
@@ -140,22 +167,19 @@ let low_masks =
       done;
       !m)
 
-let covers_off_words ~n ~words ~off_arr cube =
-  let free_hi = (((1 lsl n) - 1) lsr 5) land lnot (cube.Cube.care lsr 5) in
-  if 1 lsl Cube.popcount free_hi > Array.length off_arr then
-    scan_off off_arr cube
-  else begin
-    let lo =
-      low_masks.(((cube.Cube.care land 31) lsl 5) lor (cube.Cube.value land 31))
-    in
-    let base = cube.Cube.value lsr 5 in
-    (* enumerate sub-masks of free_hi, including 0 *)
-    let rec loop sub =
-      words.(base lor sub) land lo <> 0
-      || (sub <> 0 && loop ((sub - 1) land free_hi))
-    in
-    loop free_hi
-  end
+(* Does some word [base lor sub'], [sub'] a sub-mask of [free] at most
+   [sub], meet [lo]? *)
+let rec probe_words words base lo free sub =
+  words.(base lor sub) land lo <> 0
+  || (sub <> 0 && probe_words words base lo free ((sub - 1) land free))
+
+let covers_off_words ~n ~words ~off care value =
+  let free_hi = (((1 lsl n) - 1) lsr 5) land lnot (care lsr 5) in
+  if 1 lsl popcount free_hi > Array.length off then scan_off off care value 0
+  else
+    probe_words words (value lsr 5)
+      low_masks.(((care land 31) lsl 5) lor (value land 31))
+      free_hi free_hi
 
 (* Per-domain OFF words (see [covers_off_words]), grown on demand and all
    zeros between calls: a call sets the words of its OFF minterms and
@@ -164,124 +188,190 @@ type off_words = { mutable words : int array }
 
 let off_words_key = Pool.Dls.new_key (fun () -> { words = [||] })
 
-(* [f ~mem ~covers_off] with OFF membership and the cube test over the
-   domain's OFF words. *)
-let with_off_words ~n off_arr f =
-  let sc = Pool.Dls.get off_words_key in
-  let size = 1 lsl max 0 (n - 5) in
-  if Array.length sc.words < size then sc.words <- Array.make size 0;
-  let words = sc.words in
+let check_disjoint ~mem on =
   Array.iter
-    (fun o -> words.(o lsr 5) <- words.(o lsr 5) lor (1 lsl (o land 31)))
-    off_arr;
-  let clear () = Array.iter (fun o -> words.(o lsr 5) <- 0) off_arr in
-  match
-    f
-      ~mem:(fun m -> words.(m lsr 5) land (1 lsl (m land 31)) <> 0)
-      ~covers_off:(covers_off_words ~n ~words ~off_arr)
-  with
-  | r ->
-      clear ();
-      r
-  | exception e ->
-      clear ();
-      raise e
+    (fun m ->
+      if mem m then
+        invalid_arg
+          (Printf.sprintf "Boolf.minimize: minterm %d in both ON and OFF" m))
+    on
 
-(* Expand minterm [m] to a prime implicant w.r.t. the OFF-set: greedily drop
-   literals (lowest variable first) while no OFF minterm becomes covered. *)
-let expand_against_off ~n ~covers_off m =
-  let cube = ref (Cube.of_minterm ~n m) in
-  for v = 0 to n - 1 do
-    let candidate = Cube.free !cube v in
-    if not (covers_off candidate) then cube := candidate
-  done;
-  !cube
+(* Coverage bitsets hold [wbits] ON minterms per word, so that
+   [popcount] sees non-negative words below [2^62]. *)
+let wbits = 62
 
-(* The minimizer behind both OFF representations: [mem] tests OFF
-   membership, [covers_off] whether a cube covers some OFF minterm. *)
-let prime_cover ~n ~on ~mem ~covers_off =
-  (match List.find_opt mem on with
-  | Some m ->
-      invalid_arg
-        (Printf.sprintf "Boolf.minimize: minterm %d in both ON and OFF" m)
-  | None -> ());
-  let on = List.sort_uniq Int.compare on in
-  let primes = List.map (expand_against_off ~n ~covers_off) on in
-  let primes = List.sort_uniq Cube.compare primes in
-  (* Greedy set cover of ON minterms, over flag arrays: the sets are small
-     and this runs in the search's cost function, so no per-round hash
-     tables.  Ties on (gain, -literals) keep the first candidate in
-     [primes] order, as before. *)
-  let on_arr = Array.of_list on in
-  let covered = Array.make (Array.length on_arr) false in
-  let uncovered = ref (Array.length on_arr) in
-  let prime_arr = Array.of_list primes in
-  let used = Array.make (Array.length prime_arr) false in
-  let chosen = ref [] in
-  while !uncovered > 0 do
-    let best = ref None in
-    Array.iteri
-      (fun i c ->
-        if not used.(i) then begin
-          let g = ref 0 in
-          Array.iteri
-            (fun j m -> if (not covered.(j)) && Cube.covers c m then incr g)
-            on_arr;
-          let key = (!g, -Cube.literals c) in
-          match !best with
-          | Some (bk, _, _) when bk >= key -> ()
-          | Some _ | None -> if !g > 0 then best := Some (key, i, c)
-        end)
-      prime_arr;
-    match !best with
-    | None ->
-        (* Cannot happen: every ON minterm has its own prime. *)
-        assert (!uncovered = 0)
-    | Some (_, i, cube) ->
-        used.(i) <- true;
-        chosen := cube :: !chosen;
-        Array.iteri
-          (fun j m ->
-            if (not covered.(j)) && Cube.covers cube m then begin
-              covered.(j) <- true;
-              decr uncovered
-            end)
-          on_arr
+(* The cover of the strictly ascending [on], given [covers_off care
+   value], whether a cube covers some OFF minterm.
+
+   Each ON minterm is expanded to a prime: literals are dropped greedily,
+   lowest variable first, while no OFF minterm becomes covered.  The
+   distinct primes are kept in [Cube.compare] order (care, then value).
+   A greedy set cover then picks, round by round, the prime covering the
+   most uncovered ON minterms, fewer literals on equal gain, the first in
+   prime order on a full tie.  Greedy cover can leave a cube whose ON
+   minterms the cubes chosen after it cover between them: an
+   irredundancy pass in prime order drops every chosen cube whose ON
+   minterms the rest of the current cover (kept cubes before it, every
+   chosen cube after it) covers.
+
+   Both passes run on per-prime coverage bitsets of the ON set: bit [j]
+   of prime [p]'s row is set when [p] covers [on.(j)], so a gain is a
+   popcount of the row against the uncovered words, and redundancy a
+   bitset inclusion. *)
+let prime_cover ~n ~on ~covers_off =
+  let k = Array.length on in
+  (* Distinct primes, ascending by (care, value): [np] of them in
+     [pc]/[pv], each new one inserted in place. *)
+  let pc = Array.make k 0 and pv = Array.make k 0 in
+  let np = ref 0 in
+  let full = (1 lsl n) - 1 in
+  for j = 0 to k - 1 do
+    let care = ref full and value = ref on.(j) in
+    for v = 0 to n - 1 do
+      let bit = 1 lsl v in
+      let c = !care land lnot bit and x = !value land lnot bit in
+      if not (covers_off c x) then begin
+        care := c;
+        value := x
+      end
+    done;
+    let care = !care and value = !value in
+    let lo = ref 0 and hi = ref !np in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if pc.(mid) < care || (pc.(mid) = care && pv.(mid) < value) then
+        lo := mid + 1
+      else hi := mid
+    done;
+    let i = !lo in
+    if not (i < !np && pc.(i) = care && pv.(i) = value) then begin
+      Array.blit pc i pc (i + 1) (!np - i);
+      Array.blit pv i pv (i + 1) (!np - i);
+      pc.(i) <- care;
+      pv.(i) <- value;
+      incr np
+    end
   done;
-  (* Irredundancy: greedy set cover can leave a cube whose ON minterms are
-     all covered by cubes chosen later (their overlap, not their gain).
-     Scan in canonical cube order and drop any cube every ON minterm of
-     which is covered by the rest of the (current) cover. *)
-  let chosen = List.sort Cube.compare !chosen in
-  let rec drop_redundant kept = function
-    | [] -> List.rev kept
-    | c :: rest ->
-        let others m =
-          List.exists (fun c' -> Cube.covers c' m) kept
-          || List.exists (fun c' -> Cube.covers c' m) rest
-        in
-        let redundant =
-          Array.for_all (fun m -> (not (Cube.covers c m)) || others m) on_arr
-        in
-        if redundant then drop_redundant kept rest
-        else drop_redundant (c :: kept) rest
-  in
-  drop_redundant [] chosen
+  let np = !np in
+  let w = (k + wbits - 1) / wbits in
+  let cov = Array.make (np * w) 0 in
+  for p = 0 to np - 1 do
+    let care = pc.(p) and value = pv.(p) in
+    for x = 0 to w - 1 do
+      let word = ref 0 in
+      for b = 0 to min wbits (k - (x * wbits)) - 1 do
+        if on.((x * wbits) + b) land care = value then
+          word := !word lor (1 lsl b)
+      done;
+      cov.((p * w) + x) <- !word
+    done
+  done;
+  (* Greedy cover over the uncovered words [unc]. *)
+  let unc = Array.make w 0 in
+  for x = 0 to w - 1 do
+    unc.(x) <- (1 lsl min wbits (k - (x * wbits))) - 1
+  done;
+  let used = Bytes.make np '\000' in
+  let remaining = ref k in
+  while !remaining > 0 do
+    let best = ref (-1) and best_gain = ref 0 and best_lits = ref 0 in
+    for p = 0 to np - 1 do
+      if Bytes.unsafe_get used p = '\000' then begin
+        let g = ref 0 in
+        for x = 0 to w - 1 do
+          g := !g + popcount (cov.((p * w) + x) land unc.(x))
+        done;
+        if !g > 0 then begin
+          let l = popcount pc.(p) in
+          if !best < 0 || !g > !best_gain || (!g = !best_gain && l < !best_lits)
+          then begin
+            best := p;
+            best_gain := !g;
+            best_lits := l
+          end
+        end
+      end
+    done;
+    (* Every ON minterm has its own prime, so some prime gains. *)
+    assert (!best >= 0);
+    let p = !best in
+    Bytes.unsafe_set used p '\001';
+    remaining := !remaining - !best_gain;
+    for x = 0 to w - 1 do
+      unc.(x) <- unc.(x) land lnot cov.((p * w) + x)
+    done
+  done;
+  (* Irredundancy, in prime order: [after] row [p] is the union of the
+     chosen rows after [p], [kept] the union of the rows kept so far. *)
+  let after = Array.make (np * w) 0 in
+  let acc = Array.make w 0 in
+  for p = np - 1 downto 0 do
+    for x = 0 to w - 1 do
+      after.((p * w) + x) <- acc.(x);
+      if Bytes.unsafe_get used p = '\001' then
+        acc.(x) <- acc.(x) lor cov.((p * w) + x)
+    done
+  done;
+  let kept = Array.make w 0 in
+  for p = 0 to np - 1 do
+    if Bytes.unsafe_get used p = '\001' then begin
+      let redundant = ref true in
+      for x = 0 to w - 1 do
+        let i = (p * w) + x in
+        if cov.(i) land lnot (kept.(x) lor after.(i)) <> 0 then
+          redundant := false
+      done;
+      if !redundant then Bytes.unsafe_set used p '\000'
+      else
+        for x = 0 to w - 1 do
+          kept.(x) <- kept.(x) lor cov.((p * w) + x)
+        done
+    end
+  done;
+  let cover = ref [] in
+  for p = np - 1 downto 0 do
+    if Bytes.unsafe_get used p = '\001' then
+      cover := { Cube.care = pc.(p); value = pv.(p) } :: !cover
+  done;
+  !cover
 
 let minimize ~n ~on ~off =
   if n > max_vars then
     invalid_arg
       (Printf.sprintf "Boolf.minimize: more than %d variables" max_vars);
-  let off_arr = Array.of_list off in
+  let on = canonical on in
   let in_range m = m >= 0 && m < 1 lsl n in
-  if n <= 16 && Array.for_all in_range off_arr && List.for_all in_range on
-  then with_off_words ~n off_arr (prime_cover ~n ~on)
-  else
-    let tbl = Hashtbl.create (2 * max 1 (Array.length off_arr)) in
-    Array.iter (fun m -> Hashtbl.replace tbl m ()) off_arr;
+  if n <= 16 && Array.for_all in_range off && Array.for_all in_range on
+  then begin
+    let sc = Pool.Dls.get off_words_key in
+    let size = 1 lsl max 0 (n - 5) in
+    if Array.length sc.words < size then sc.words <- Array.make size 0;
+    let words = sc.words in
+    Array.iter
+      (fun o -> words.(o lsr 5) <- words.(o lsr 5) lor (1 lsl (o land 31)))
+      off;
+    let clear () = Array.iter (fun o -> words.(o lsr 5) <- 0) off in
+    match
+      check_disjoint on ~mem:(fun m ->
+          words.(m lsr 5) land (1 lsl (m land 31)) <> 0);
+      prime_cover ~n ~on ~covers_off:(fun care value ->
+          covers_off_words ~n ~words ~off care value)
+    with
+    | cover ->
+        clear ();
+        cover
+    | exception e ->
+        clear ();
+        raise e
+  end
+  else begin
+    let tbl = Hashtbl.create (2 * max 1 (Array.length off)) in
+    Array.iter (fun m -> Hashtbl.replace tbl m ()) off;
     let off_mem m = Hashtbl.mem tbl m in
-    prime_cover ~n ~on ~mem:off_mem
-      ~covers_off:(covers_some_off ~n ~off_arr ~off_mem)
+    check_disjoint on ~mem:off_mem;
+    prime_cover ~n ~on ~covers_off:(fun care value ->
+        covers_some_off ~n ~off ~off_mem care value)
+  end
 
 let estimate_literals ~n ~on ~off = Cover.literals (minimize ~n ~on ~off)
 
@@ -291,9 +381,11 @@ let estimate_literals ~n ~on ~off = Cover.literals (minimize ~n ~on ~off)
    The reduction search minimizes the same (n, ON, OFF) subproblem many
    times: sibling candidates leave most signals' sets untouched, and the
    set/reset networks of a generalized C-element share codes.  The cache
-   key is the canonical form of the inputs (sorted, deduplicated minterm
-   lists) — [minimize] is invariant under permutation and duplication of
+   key is the canonical form of the inputs (strictly ascending minterm
+   arrays) — [minimize] is invariant under permutation and duplication of
    its inputs, so a hit returns exactly what the call would have computed.
+   [Logic] passes its sets canonical already and never mutates them, so
+   a key shares the caller's arrays.
 
    Tables live in {!Pool.Dls} domain-local storage: each domain (say, a
    serve worker) fills its own table, so there is no locking and no shared
@@ -306,30 +398,33 @@ module Memo = struct
   let c_hits = Obs.Counter.make "boolf.memo.hits"
   let c_misses = Obs.Counter.make "boolf.memo.misses"
 
-  (* The polymorphic hash reads only the first few cells of each list, so
+  let rec equal_from (a : int array) (b : int array) i =
+    i = Array.length a || (a.(i) = b.(i) && equal_from a b (i + 1))
+
+  let ints_equal a b = Array.length a = Array.length b && equal_from a b 0
+
+  (* The polymorphic hash reads only the first few cells of an array, so
      keys sharing a prefix of minterms would share a bucket: fold them all. *)
   module Tbl = Hashtbl.Make (struct
-    type t = int * int list * int list
+    type t = int * int array * int array
 
     let equal (n1, on1, off1) (n2, on2, off2) =
-      n1 = n2 && List.equal Int.equal on1 on2 && List.equal Int.equal off1 off2
+      Int.equal n1 n2 && ints_equal on1 on2 && ints_equal off1 off2
 
     let hash (n, on, off) =
       let mix h m = (h lxor m) * 0x100000001b3 in
-      let h = List.fold_left mix (mix n (List.length on)) on in
-      Hashtbl.hash (List.fold_left mix h off)
+      let h = ref (mix n (Array.length on)) in
+      for i = 0 to Array.length on - 1 do
+        h := mix !h on.(i)
+      done;
+      for i = 0 to Array.length off - 1 do
+        h := mix !h off.(i)
+      done;
+      Hashtbl.hash !h
   end)
 
   let tables : entry Tbl.t Pool.Dls.key =
     Pool.Dls.new_key (fun () -> Tbl.create 1024)
-
-  (* [Logic] passes its ON/OFF lists strictly ascending already: check
-     that in one walk and sort only the lists that are not. *)
-  let rec ascending = function
-    | a :: (b :: _ as rest) -> a < b && ascending rest
-    | [] | [ _ ] -> true
-
-  let canonical l = if ascending l then l else List.sort_uniq Int.compare l
 
   let lookup ~n ~on ~off =
     let on = canonical on and off = canonical off in

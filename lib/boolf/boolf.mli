@@ -77,27 +77,37 @@ end
 (** [minimize ~n ~on ~off] returns a cover that covers every minterm of [on],
     no minterm of [off], and treats everything else as don't-care.
     Heuristic two-level minimization: each ON-minterm is expanded to a prime
-    against the OFF-set (greedy literal removal), then a greedy irredundant
-    pass keeps a small subset.  Deterministic.
+    against the OFF-set (greedy literal removal, lowest variable first),
+    then a greedy set cover (most uncovered ON minterms, then fewest
+    literals, then the first prime in {!Cube.compare} order) and an
+    irredundancy pass in that order keep a small subset.  Deterministic,
+    and invariant under permutation and duplication of either array:
+    [on] is read sorted and deduplicated (copied first when it is not
+    strictly ascending; neither array is ever written).
     @raise Invalid_argument if [on] and [off] intersect or [n > 62]. *)
-val minimize : n:int -> on:int list -> off:int list -> Cover.t
+val minimize : n:int -> on:int array -> off:int array -> Cover.t
 
 (** Total literals of [minimize] — the logic-complexity estimate used by the
     optimizer's cost function. *)
-val estimate_literals : n:int -> on:int list -> off:int list -> int
+val estimate_literals : n:int -> on:int array -> off:int array -> int
 
 (** Memoized {!minimize}: results are cached under the canonical form of
-    [(n, on, off)] (sorted, deduplicated minterm lists), so permuted-but-
-    equal inputs return structurally equal covers without recomputation.
-    The tables are domain-local ({!Pool.Dls}) — safe inside pool workers
-    with no locking, and deterministic because [minimize] is.  Lookups
-    count in the [Obs] counters [boolf.memo.hits] and [boolf.memo.misses]. *)
+    [(n, on, off)], strictly ascending minterm arrays, so permuted or
+    duplicated inputs hit the entry the sorted ones made and return
+    structurally equal covers without recomputation.  The key hashes every
+    minterm of both arrays.  Strictly ascending arrays are kept as the key
+    as they are, not copied: the caller must not mutate them afterwards
+    ([Logic]'s sets are never mutated once built); other arrays are keyed
+    by a sorted copy.  The tables are domain-local ({!Pool.Dls}) — safe
+    inside pool workers with no locking, and deterministic because
+    [minimize] is.  Lookups count in the [Obs] counters [boolf.memo.hits]
+    and [boolf.memo.misses]. *)
 module Memo : sig
   (** Same result as {!Boolf.minimize} (memoized). *)
-  val minimize : n:int -> on:int list -> off:int list -> Cover.t
+  val minimize : n:int -> on:int array -> off:int array -> Cover.t
 
   (** Same result as {!Boolf.estimate_literals} (memoized). *)
-  val literals : n:int -> on:int list -> off:int list -> int
+  val literals : n:int -> on:int array -> off:int array -> int
 
   (** Drop the calling domain's table (worker tables are unaffected). *)
   val clear : unit -> unit

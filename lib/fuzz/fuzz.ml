@@ -77,7 +77,7 @@ let outcome_repr stg (o : Search.outcome) =
       (Sg.n_states c.Search.sg) (script c)
   in
   let sig_repr (ps : Logic.per_sig) =
-    let ints l = String.concat "," (List.map string_of_int l) in
+    let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
     Printf.sprintf "%s: on=[%s] off=[%s] conflicts=%d lits=%d cover=%s"
       names.(ps.Logic.ps_signal) (ints ps.Logic.ps_on) (ints ps.Logic.ps_off)
       ps.Logic.ps_conflicts ps.Logic.ps_literals

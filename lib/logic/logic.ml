@@ -156,22 +156,43 @@ let extract ~ghosts sg =
     }
   end
 
-(* ON/OFF sets (and conflict count) of one signal from an extraction.
-   Lists come out ascending because [x_codes] is. *)
-let sop_sets x sigid =
-  let on = ref [] and off = ref [] and conflicts = ref 0 in
-  for i = Array.length x.x_codes - 1 downto 0 do
-    let m = x.x_codes.(i) in
-    let v = (m lsr sigid) land 1 in
-    let any = (x.x_any.(i) lsr sigid) land 1 in
-    let all = (x.x_all.(i) lsr sigid) land 1 in
-    let has1 = if v = 1 then all = 0 else any = 1 in
-    let has0 = if v = 1 then any = 1 else all = 0 in
-    if has0 && has1 then incr conflicts
-    else if has1 then on := m :: !on
-    else off := m :: !off
+(* Complex-gate class of code [m] for signal [k], from the code's (any,
+   all) excitation aggregates: 1 = ON (some state leaves [k] at 1 and
+   none at 0), 0 = OFF, 2 = conflicting (both next values occur). *)
+let sop_class k m any all =
+  let v = (m lsr k) land 1 in
+  let anyk = (any lsr k) land 1 and allk = (all lsr k) land 1 in
+  let has1 = if v = 1 then allk = 0 else anyk = 1 in
+  let has0 = if v = 1 then anyk = 1 else allk = 0 in
+  if has0 && has1 then 2 else if has1 then 1 else 0
+
+(* The codes [keep i] selects, as an array in [x_codes]'s order: one pass
+   to size it, one to fill it. *)
+let codes_where x keep =
+  let count = ref 0 in
+  for i = 0 to Array.length x.x_codes - 1 do
+    if keep i then incr count
   done;
-  (!on, !off, !conflicts)
+  let a = Array.make !count 0 and j = ref 0 in
+  for i = 0 to Array.length x.x_codes - 1 do
+    if keep i then begin
+      a.(!j) <- x.x_codes.(i);
+      incr j
+    end
+  done;
+  a
+
+(* ON/OFF sets (and conflict count) of one signal from an extraction.
+   The arrays come out strictly ascending because [x_codes] is. *)
+let sop_sets x sigid =
+  let cls i = sop_class sigid x.x_codes.(i) x.x_any.(i) x.x_all.(i) in
+  let conflicts = ref 0 in
+  for i = 0 to Array.length x.x_codes - 1 do
+    if cls i = 2 then incr conflicts
+  done;
+  ( codes_where x (fun i -> cls i = 1),
+    codes_where x (fun i -> cls i = 0),
+    !conflicts )
 
 (* Set/reset networks for the generalized C-element:
    S: ON over ER(a+), OFF over stable-0 states and ER(a-);
@@ -179,31 +200,35 @@ let sop_sets x sigid =
    Conflicting codes (same code, both excited-to-rise and stable-0, etc.)
    are dropped from both and counted. *)
 let gc_sets_x x sigid =
-  let s_on = ref [] and s_off = ref [] in
-  let r_on = ref [] and r_off = ref [] in
+  (* Per code, the regions it is in: bit 0 = ER(a+), 1 = ER(a-),
+     2 = stable-0, 3 = stable-1. *)
+  let regions i =
+    let v = (x.x_codes.(i) lsr sigid) land 1 in
+    let excited = (x.x_any.(i) lsr sigid) land 1 = 1 in
+    let stable = (x.x_all.(i) lsr sigid) land 1 = 0 in
+    let bit b cond = if cond then 1 lsl b else 0 in
+    bit v excited lor bit (2 + v) stable
+  in
+  (* A code is conflicting when it requires contradictory behaviour of
+     either network: ER(a+) with stable-0 or ER(a-) for S, ER(a-) with
+     stable-1 or ER(a+) for R. *)
+  let conflict r =
+    (r land 1 <> 0 && r land 6 <> 0) || (r land 2 <> 0 && r land 9 <> 0)
+  in
+  let where f =
+    codes_where x (fun i ->
+        let r = regions i in
+        (not (conflict r)) && f r)
+  in
   let conflicts = ref 0 in
-  for i = Array.length x.x_codes - 1 downto 0 do
-    let m = x.x_codes.(i) in
-    let v = (m lsr sigid) land 1 in
-    let any = (x.x_any.(i) lsr sigid) land 1 in
-    let all = (x.x_all.(i) lsr sigid) land 1 in
-    let er_plus = v = 0 && any = 1 in
-    let er_minus = v = 1 && any = 1 in
-    let st0 = v = 0 && all = 0 in
-    let st1 = v = 1 && all = 0 in
-    (* A code is conflicting when it requires contradictory behaviour of
-       either network. *)
-    let s_conflict = er_plus && (st0 || er_minus) in
-    let r_conflict = er_minus && (st1 || er_plus) in
-    if s_conflict || r_conflict then incr conflicts
-    else begin
-      if er_plus then s_on := m :: !s_on
-      else if st0 || er_minus then s_off := m :: !s_off;
-      if er_minus then r_on := m :: !r_on
-      else if st1 || er_plus then r_off := m :: !r_off
-    end
+  for i = 0 to Array.length x.x_codes - 1 do
+    if conflict (regions i) then incr conflicts
   done;
-  (!s_on, !s_off, !r_on, !r_off, !conflicts)
+  ( where (fun r -> r land 1 <> 0),
+    where (fun r -> r land 1 = 0 && r land 6 <> 0),
+    where (fun r -> r land 2 <> 0),
+    where (fun r -> r land 2 = 0 && r land 9 <> 0),
+    !conflicts )
 
 (* A single positive literal of another signal: the cube's positively
    bound variables are [care land value], so no per-variable scan. *)
@@ -219,7 +244,7 @@ let synthesize_signal_sop x sg sigid =
   let nsig = Stg.n_signals (Sg.stg sg) in
   let on, off, conflict_codes = sop_sets x sigid in
   let cover = Boolf.minimize ~n:nsig ~on ~off in
-  let is_constant = on = [] || off = [] in
+  let is_constant = Array.length on = 0 || Array.length off = 0 in
   {
     signal = sigid;
     driver = Sop cover;
@@ -238,7 +263,7 @@ let synthesize_signal_gc x sg sigid =
     driver = Gc { set; reset };
     conflict_codes;
     is_wire = false;
-    is_constant = s_on = [] && r_on = [];
+    is_constant = Array.length s_on = 0 && Array.length r_on = 0;
   }
 
 let non_input_signals sg =
@@ -274,8 +299,8 @@ let synthesize ?(style = `Complex_gate) sg =
 
 type per_sig = {
   ps_signal : int;
-  ps_on : int list;
-  ps_off : int list;
+  ps_on : int array;
+  ps_off : int array;
   ps_conflicts : int;
   ps_cover : Boolf.Cover.t;
   ps_literals : int;
@@ -347,75 +372,84 @@ let c_delta_recomputed = Obs.Counter.make "logic.delta.recomputed"
 let c_support_hit = Obs.Counter.make "logic.delta.support_hit"
 let c_support_miss = Obs.Counter.make "logic.delta.support_miss"
 
+(* Is [m] in the strictly ascending [a]?  Binary search. *)
+let mem_sorted (a : int array) m =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < m then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length a && a.(!lo) = m
+
+(* [a] with the affected [codes] stripped and those whose new class
+   [cls j] is [which] merged back in: one merge walk into an array of the
+   exact length [len]. *)
+let splice ~codes ~cls ~(which : int) ~len a =
+  let r = Array.make len 0 in
+  let i = ref 0 and j = ref 0 and t = ref 0 in
+  let la = Array.length a and nc = Array.length codes in
+  while !i < la || !j < nc do
+    if !j < nc && (!i >= la || codes.(!j) <= a.(!i)) then begin
+      if !i < la && a.(!i) = codes.(!j) then incr i;
+      if cls !j = which then begin
+        r.(!t) <- codes.(!j);
+        incr t
+      end;
+      incr j
+    end
+    else begin
+      r.(!t) <- a.(!i);
+      incr i;
+      incr t
+    end
+  done;
+  r
+
 (* Patch one support-hit signal's triple at the affected codes, the codes
    of the rows a removal changed: the child's code universe is the
    parent's (surviving states keep their codes, pruned states stay as
    ghosts) and only those rows' contributions lost bits, so the triple
    can differ from the parent's only there.  Every affected code is in
-   the parent's universe and classified there as ON, OFF or
-   conflicting; the lists being
-   sorted ascending lets one merge walk strip the affected codes while
-   recording the old class, and another splice the new classes back in.
-   Returns [None] when no affected code changed class for this signal —
-   the triple is bit-for-bit the parent's. *)
+   the parent's universe and classified there as ON, OFF or conflicting:
+   a binary search in the parent's sorted arrays finds its old class.  A
+   set that gains or loses an affected code is rebuilt by one merge
+   walk; a set that does not is the parent's array, shared (no array is
+   ever mutated once built).  Returns [None] when no affected code
+   changed class for this signal — the triple is bit-for-bit the
+   parent's. *)
 let patch_sig ~codes ~any ~all ps =
   let k = ps.ps_signal in
-  let nc = Array.length codes in
-  (* New class per affected code: 0 = OFF, 1 = ON, 2 = conflict. *)
-  let cls = Array.make nc 0 in
-  for j = 0 to nc - 1 do
-    let c = codes.(j) in
-    let v = (c lsr k) land 1 in
-    let anyk = (any.(j) lsr k) land 1 in
-    let allk = (all.(j) lsr k) land 1 in
-    let has1 = if v = 1 then allk = 0 else anyk = 1 in
-    let has0 = if v = 1 then anyk = 1 else allk = 0 in
-    cls.(j) <- (if has0 && has1 then 2 else if has1 then 1 else 0)
-  done;
-  (* Affected codes absent from both parent lists were conflicting. *)
-  let old_cls = Array.make nc 2 in
-  let strip which lst =
-    let rec go j lst acc =
-      match lst with
-      | [] -> List.rev acc
-      | m :: tl ->
-          let j = ref j in
-          while !j < nc && codes.(!j) < m do
-            incr j
-          done;
-          if !j < nc && codes.(!j) = m then begin
-            old_cls.(!j) <- which;
-            go !j tl acc
-          end
-          else go !j tl (m :: acc)
+  let cls j = sop_class k codes.(j) any.(j) all.(j) in
+  let on_old = ref 0 and on_new = ref 0 in
+  let off_old = ref 0 and off_new = ref 0 in
+  let on_moved = ref false and off_moved = ref false in
+  let conflicts = ref ps.ps_conflicts in
+  for j = 0 to Array.length codes - 1 do
+    let c = codes.(j) and now = cls j in
+    let was =
+      if mem_sorted ps.ps_on c then 1
+      else if mem_sorted ps.ps_off c then 0
+      else 2
     in
-    go 0 lst []
-  in
-  let on = strip 1 ps.ps_on in
-  let off = strip 0 ps.ps_off in
-  let changed = ref false in
-  for j = 0 to nc - 1 do
-    if cls.(j) <> old_cls.(j) then changed := true
+    if (was = 1) <> (now = 1) then on_moved := true;
+    if (was = 0) <> (now = 0) then off_moved := true;
+    if was = 2 then decr conflicts;
+    if now = 2 then incr conflicts;
+    if was = 1 then incr on_old;
+    if now = 1 then incr on_new;
+    if was = 0 then incr off_old;
+    if now = 0 then incr off_new
   done;
-  if not !changed then None
+  if not (!on_moved || !off_moved) then None
   else begin
-    let splice which lst =
-      let rec go j lst acc =
-        if j >= nc then List.rev_append acc lst
-        else if cls.(j) <> which then go (j + 1) lst acc
-        else
-          match lst with
-          | m :: tl when m < codes.(j) -> go j tl (m :: acc)
-          | _ -> go (j + 1) lst (codes.(j) :: acc)
-      in
-      go 0 lst []
+    let rebuild moved which a old now =
+      if not moved then a
+      else splice ~codes ~cls ~which ~len:(Array.length a - old + now) a
     in
-    let conflicts = ref ps.ps_conflicts in
-    for j = 0 to nc - 1 do
-      if old_cls.(j) = 2 then decr conflicts;
-      if cls.(j) = 2 then incr conflicts
-    done;
-    Some (splice 1 on, splice 0 off, !conflicts)
+    Some
+      ( rebuild !on_moved 1 ps.ps_on !on_old !on_new,
+        rebuild !off_moved 0 ps.ps_off !off_old !off_new,
+        !conflicts )
   end
 
 (* Incremental evaluation of the child a removal view describes, from its

@@ -81,12 +81,14 @@ val estimate : ?conflict_penalty:int -> ?ghosts:bool -> Sg.t -> int
     and per-signal covers — see DESIGN.md, "Incremental logic cost". *)
 
 (** Evaluation of one non-input signal: the complex-gate minimization input
-    (ON/OFF sets as sorted code lists, conflicting-code count) and its
-    result. *)
+    (ON/OFF sets, conflicting-code count) and its result.  The sets are
+    strictly ascending code arrays, never mutated once built: a child's
+    evaluation shares every array its patch leaves unchanged with its
+    parent's, and {!Boolf.Memo} keys share them too. *)
 type per_sig = {
   ps_signal : int;
-  ps_on : int list;
-  ps_off : int list;
+  ps_on : int array;
+  ps_off : int array;
   ps_conflicts : int;
   ps_cover : Boolf.Cover.t;
   ps_literals : int;

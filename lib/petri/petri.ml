@@ -126,7 +126,14 @@ let fire net m t =
 module Marking = struct
   type t = marking
 
-  let equal = ( = )
+  (* A length check and an int loop, not the polymorphic compare; the
+     loop is a function of all it reads, so a probe allocates nothing. *)
+  let rec equal_from (m : t) (m' : t) i =
+    i = Array.length m || (m.(i) = m'.(i) && equal_from m m' (i + 1))
+
+  let equal (m : t) (m' : t) =
+    Array.length m = Array.length m' && equal_from m m' 0
+
   let compare = compare
 
   let hash (m : t) =
@@ -146,11 +153,13 @@ end
 
 exception State_budget_exceeded of int
 
+(* [Marking.hash] mixed once more, as [Sg]'s state table does: the low
+   bits the table buckets by depend on few sums of the token counts. *)
 module Mtbl = Hashtbl.Make (struct
   type t = marking
 
   let equal = Marking.equal
-  let hash = Marking.hash
+  let hash m = Hashtbl.hash (Marking.hash m)
 end)
 
 let reachable ?(budget = 200_000) net =

@@ -114,10 +114,13 @@ val pp : Format.formatter -> t -> unit
 
 (** Markings as hash-table keys: {!reachable}'s table and
     [Sg.of_stg]'s state table, which folds each state's signal parities
-    into [hash]. *)
+    into [hash].  Both tables mix [hash] once more with [Hashtbl.hash]
+    before bucketing by its low bits. *)
 module Marking : sig
   type t = marking
 
+  (** Same length and same count in every place: an int loop, not the
+      polymorphic compare. *)
   val equal : t -> t -> bool
 
   (** Folds every place: markings that differ only in a late place do not

@@ -15,26 +15,63 @@ let pp_invalid stg ppf = function
       Format.fprintf ppf "persistency of %s broken by %s at state %d"
         (Stg.label_name stg lab) (Stg.label_name stg by) s
 
-let back_reach sg ~within targets =
+(* Per-domain scratch of the backward search, over state ids:
+   [rs_inside.(s) = rs_gen] for the states it may enter,
+   [rs_reached.(s) = rs_gen] for those it reached, [rs_stack] the
+   reached states still to expand.  Stamping with a fresh generation per
+   search clears every mark for free, as {!Sg.View.make}'s scratch does. *)
+type reach_scratch = {
+  mutable rs_gen : int;
+  mutable rs_inside : int array;
+  mutable rs_reached : int array;
+  mutable rs_stack : int array;
+}
+
+let reach_key =
+  Pool.Dls.new_key (fun () ->
+      { rs_gen = 0; rs_inside = [||]; rs_reached = [||]; rs_stack = [||] })
+
+(* A fresh generation of the domain's scratch for a search on [sg]. *)
+let reach_scratch sg =
+  let sc = Pool.Dls.get reach_key in
   let n = Sg.n_states sg in
-  let inside = Array.make n false in
-  List.iter (fun s -> inside.(s) <- true) within;
-  let reached = Array.make n false in
-  let queue = Queue.create () in
+  if Array.length sc.rs_inside < n then begin
+    sc.rs_inside <- Array.make n (-1);
+    sc.rs_reached <- Array.make n (-1);
+    sc.rs_stack <- Array.make n 0
+  end;
+  sc.rs_gen <- sc.rs_gen + 1;
+  sc
+
+(* Reach backwards, inside the stamped states, from the states [seed]
+   visits; returns how many states were reached. *)
+let reach_back sg sc ~seed =
+  let gen = sc.rs_gen in
+  let inside = sc.rs_inside and reached = sc.rs_reached in
+  let stack = sc.rs_stack and top = ref 0 and count = ref 0 in
   let visit s =
-    if inside.(s) && not reached.(s) then begin
-      reached.(s) <- true;
-      Queue.add s queue
+    if inside.(s) = gen && reached.(s) <> gen then begin
+      reached.(s) <- gen;
+      stack.(!top) <- s;
+      incr top;
+      incr count
     end
   in
-  List.iter visit targets;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    Sg.iter_pred sg s (fun _ s' -> visit s')
+  seed visit;
+  let pred _ s = visit s in
+  while !top > 0 do
+    decr top;
+    Sg.iter_pred sg stack.(!top) pred
   done;
+  !count
+
+let back_reach sg ~within targets =
+  let sc = reach_scratch sg in
+  List.iter (fun s -> sc.rs_inside.(s) <- sc.rs_gen) within;
+  ignore (reach_back sg sc ~seed:(fun visit -> List.iter visit targets));
   let acc = ref [] in
-  for s = n - 1 downto 0 do
-    if reached.(s) then acc := s :: !acc
+  for s = Sg.n_states sg - 1 downto 0 do
+    if sc.rs_reached.(s) = sc.rs_gen then acc := s :: !acc
   done;
   !acc
 
@@ -111,21 +148,39 @@ let judge ~source v =
           | Some viol -> Error (Persistency_broken viol)
           | None -> Ok ()))
 
+(* ER lists are ascending (Sg.er), so ER(a) ∩ ER(b) is one merge walk
+   and the removal set, ER(a) filtered by the reached stamps, stays
+   ascending. *)
 let fwd_red_states sg ~a ~b =
   let stg = Sg.stg sg in
   if label_is_input stg a then Error Input_event
   else
     let era = Sg.er sg a and erb = Sg.er sg b in
-    let in_erb = Array.make (Sg.n_states sg) false in
-    List.iter (fun s -> in_erb.(s) <- true) erb;
-    let inter = List.filter (fun s -> in_erb.(s)) era in
-    if inter = [] then Error Not_concurrent
-    else
-      let removed = back_reach sg ~within:era inter in
-      (* [a]-arcs originate exactly in ER(a): dropping them from all of
-         ER(a) makes [a] vanish, whatever else the removal does. *)
-      if List.compare_lengths removed era = 0 then Error (Event_vanishes a)
-      else Ok removed
+    let sc = reach_scratch sg in
+    List.iter (fun s -> sc.rs_inside.(s) <- sc.rs_gen) era;
+    let seed visit =
+      let rec inter (la : Sg.state list) lb =
+        match (la, lb) with
+        | x :: ta, y :: tb ->
+            if x < y then inter ta lb
+            else if y < x then inter la tb
+            else begin
+              visit x;
+              inter ta tb
+            end
+        | [], _ | _, [] -> ()
+      in
+      inter era erb
+    in
+    match reach_back sg sc ~seed with
+    | 0 -> Error Not_concurrent
+    | reached when reached = List.length era ->
+        (* [a]-arcs originate exactly in ER(a): dropping them from all of
+           ER(a) makes [a] vanish, whatever else the removal does. *)
+        Error (Event_vanishes a)
+    | _ ->
+        let gen = sc.rs_gen and stamps = sc.rs_reached in
+        Ok (List.filter (fun s -> stamps.(s) = gen) era)
 
 let fwd_red_built sg ~a ~b =
   Result.map (remove sg ~a) (fwd_red_states sg ~a ~b)

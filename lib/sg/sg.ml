@@ -1392,31 +1392,81 @@ let deadlocks sg =
 (* ------------------------------------------------------------------ *)
 (* Removal views *)
 
+(* States and ghosts grouped by code with stable LSD counting-sort passes
+   over the code's digits.  A digit has at most 16 bits and no more than
+   it takes to count the items, so a pass touches about as many buckets
+   as there are items.  Items of one code keep their order (states, then
+   ghosts); [View.changed_aggregates] only ORs and ANDs within a group
+   anyway. *)
 let by_code sg =
   match sg.cache.c_by_code with
   | Some b -> b
   | None ->
-      let code i = if i >= 0 then sg.codes.(i) else sg.g_codes.(-1 - i) in
       let total = sg.n + Array.length sg.g_codes in
       let items =
         Array.init total (fun j -> if j < sg.n then j else sg.n - 1 - j)
       in
-      Array.stable_sort (fun x y -> Int.compare (code x) (code y)) items;
-      let codes = ref [] and starts = ref [] in
-      Array.iteri
-        (fun j i ->
-          if j = 0 || code i <> code items.(j - 1) then begin
-            codes := code i :: !codes;
-            starts := j :: !starts
-          end)
-        items;
-      let b =
-        {
-          bc_codes = Array.of_list (List.rev !codes);
-          bc_start = Array.of_list (List.rev (total :: !starts));
-          bc_items = items;
-        }
+      let keys =
+        Array.init total (fun j ->
+            if j < sg.n then sg.codes.(j) else sg.g_codes.(j - sg.n))
       in
+      let width =
+        let rec bits w =
+          if w < 16 && 1 lsl w < total then bits (w + 1) else w
+        in
+        bits 1
+      in
+      let passes = (sg.nsig + width - 1) / width in
+      let digit = if passes = 0 then 0 else (sg.nsig + passes - 1) / passes in
+      let mask = (1 lsl digit) - 1 in
+      let count = Array.make (mask + 2) 0 in
+      let items = ref items and keys = ref keys in
+      let items' = ref (Array.make total 0)
+      and keys' = ref (Array.make total 0) in
+      for pass = 0 to passes - 1 do
+        let shift = pass * digit in
+        (* [count.(d)]: the items of digit below [d], the first slot of
+           digit [d] *)
+        Array.fill count 0 (mask + 2) 0;
+        Array.iter
+          (fun k ->
+            let d = ((k lsr shift) land mask) + 1 in
+            count.(d) <- count.(d) + 1)
+          !keys;
+        for d = 1 to mask do
+          count.(d) <- count.(d) + count.(d - 1)
+        done;
+        let src_i = !items and src_k = !keys in
+        let dst_i = !items' and dst_k = !keys' in
+        for j = 0 to total - 1 do
+          let k = src_k.(j) in
+          let d = (k lsr shift) land mask in
+          let t = count.(d) in
+          count.(d) <- t + 1;
+          dst_i.(t) <- src_i.(j);
+          dst_k.(t) <- k
+        done;
+        items := dst_i;
+        keys := dst_k;
+        items' := src_i;
+        keys' := src_k
+      done;
+      let items = !items and keys = !keys in
+      let groups = ref 0 in
+      for j = 0 to total - 1 do
+        if j = 0 || keys.(j) <> keys.(j - 1) then incr groups
+      done;
+      let codes = Array.make !groups 0
+      and starts = Array.make (!groups + 1) total in
+      let g = ref 0 in
+      for j = 0 to total - 1 do
+        if j = 0 || keys.(j) <> keys.(j - 1) then begin
+          codes.(!g) <- keys.(j);
+          starts.(!g) <- j;
+          incr g
+        end
+      done;
+      let b = { bc_codes = codes; bc_start = starts; bc_items = items } in
       sg.cache.c_by_code <- Some b;
       b
 

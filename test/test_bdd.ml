@@ -133,7 +133,9 @@ let prop_minimizer_vs_bdd =
               (list_of_size Gen.(int_range 0 8) (int_range 0 31)))
     (fun (on, off) ->
       QCheck.assume (not (List.exists (fun m -> List.mem m off) on));
-      let cover = Boolf.minimize ~n:5 ~on ~off in
+      let cover =
+        Boolf.minimize ~n:5 ~on:(Array.of_list on) ~off:(Array.of_list off)
+      in
       let man = Bdd.manager () in
       let f = Bdd.of_cover man cover in
       List.for_all (fun m -> Bdd.eval f m) on

@@ -53,27 +53,27 @@ let test_render () =
 
 let test_minimize_simple () =
   (* f = a (variable 0) over 2 variables; full truth table given. *)
-  let on = [ 0b01; 0b11 ] and off = [ 0b00; 0b10 ] in
+  let on = [| 0b01; 0b11 |] and off = [| 0b00; 0b10 |] in
   let cover = Boolf.minimize ~n:2 ~on ~off in
   check_int "single cube" 1 (Boolf.Cover.cubes cover);
   check_int "single literal" 1 (Boolf.Cover.literals cover)
 
 let test_minimize_dc () =
   (* ON = {11}, OFF = {00}: a single don't-care-expanded literal works. *)
-  let cover = Boolf.minimize ~n:2 ~on:[ 0b11 ] ~off:[ 0b00 ] in
+  let cover = Boolf.minimize ~n:2 ~on:[| 0b11 |] ~off:[| 0b00 |] in
   check_int "one cube" 1 (Boolf.Cover.cubes cover);
   check_int "one literal thanks to don't cares" 1 (Boolf.Cover.literals cover)
 
 let test_minimize_xor () =
   (* XOR has no don't cares and needs two 2-literal cubes. *)
-  let on = [ 0b01; 0b10 ] and off = [ 0b00; 0b11 ] in
+  let on = [| 0b01; 0b10 |] and off = [| 0b00; 0b11 |] in
   let cover = Boolf.minimize ~n:2 ~on ~off in
   check_int "two cubes" 2 (Boolf.Cover.cubes cover);
   check_int "four literals" 4 (Boolf.Cover.literals cover)
 
 let test_minimize_errors () =
   check "overlapping on/off rejected" true
-    (match Boolf.minimize ~n:2 ~on:[ 1 ] ~off:[ 1 ] with
+    (match Boolf.minimize ~n:2 ~on:[| 1 |] ~off:[| 1 |] with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -84,8 +84,10 @@ let test_equal_on () =
   check "different" false (Boolf.Cover.equal_on ~n:2 c1 [ cube "01" ])
 
 let test_estimate () =
-  check_int "constant zero" 0 (Boolf.estimate_literals ~n:3 ~on:[] ~off:[ 1 ]);
-  check_int "constant one" 0 (Boolf.estimate_literals ~n:3 ~on:[ 1 ] ~off:[])
+  check_int "constant zero" 0
+    (Boolf.estimate_literals ~n:3 ~on:[||] ~off:[| 1 |]);
+  check_int "constant one" 0
+    (Boolf.estimate_literals ~n:3 ~on:[| 1 |] ~off:[||])
 
 (* Properties. *)
 
@@ -104,13 +106,17 @@ let arb_onoff n =
 
 let disjoint on off = not (List.exists (fun m -> List.mem m off) on)
 
+(* [Boolf.minimize] on the generated lists, as arrays in the same order. *)
+let minimize_l ~n ~on ~off =
+  Boolf.minimize ~n ~on:(Array.of_list on) ~off:(Array.of_list off)
+
 let prop_minimize_sound =
   QCheck.Test.make
     ~name:"minimize covers every ON minterm and no OFF minterm" ~count:300
     (arb_onoff 6)
     (fun (on, off) ->
       QCheck.assume (disjoint on off);
-      let cover = Boolf.minimize ~n:6 ~on ~off in
+      let cover = minimize_l ~n:6 ~on ~off in
       List.for_all (fun m -> Boolf.Cover.covers cover m) on
       && not (List.exists (fun m -> Boolf.Cover.covers cover m) off))
 
@@ -120,7 +126,7 @@ let prop_minimize_primes =
     ~count:200 (arb_onoff 5)
     (fun (on, off) ->
       QCheck.assume (disjoint on off);
-      let cover = Boolf.minimize ~n:5 ~on ~off in
+      let cover = minimize_l ~n:5 ~on ~off in
       let prime c =
         (* Freeing any bound literal would cover an OFF minterm. *)
         List.for_all
@@ -138,7 +144,7 @@ let prop_minimize_irredundant =
     ~name:"minimized covers are irredundant" ~count:300 (arb_onoff 6)
     (fun (on, off) ->
       QCheck.assume (disjoint on off);
-      let cover = Boolf.minimize ~n:6 ~on ~off in
+      let cover = minimize_l ~n:6 ~on ~off in
       (* Dropping any single cube must uncover some ON minterm. *)
       let rec each kept = function
         | [] -> true
@@ -160,17 +166,18 @@ let prop_memo_canonical =
     QCheck.(pair (arb_onoff 6) (int_bound 1000))
     (fun ((on, off), salt) ->
       QCheck.assume (disjoint on off);
-      let direct = Boolf.minimize ~n:6 ~on ~off in
+      let direct = minimize_l ~n:6 ~on ~off in
       (* A seeded shuffle plus duplication of the first element: same sets,
-         different list representations. *)
+         different array contents. *)
       let mangle l =
         let tagged =
           List.mapi (fun i m -> (((i * 7919) + salt) mod 101, m)) l
         in
         let shuffled = List.map snd (List.sort compare tagged) in
-        match shuffled with [] -> [] | m :: _ -> m :: shuffled
+        Array.of_list (match shuffled with [] -> [] | m :: _ -> m :: shuffled)
       in
-      let memo1 = Boolf.Memo.minimize ~n:6 ~on ~off in
+      let on_a = Array.of_list on and off_a = Array.of_list off in
+      let memo1 = Boolf.Memo.minimize ~n:6 ~on:on_a ~off:off_a in
       let memo2 = Boolf.Memo.minimize ~n:6 ~on:(mangle on) ~off:(mangle off) in
       memo1 = direct && memo2 = direct
       && Boolf.Memo.literals ~n:6 ~on:(mangle on) ~off:(mangle off)
@@ -247,14 +254,18 @@ let reference_minimize ~n ~on ~off =
   drop_redundant [] (List.sort Boolf.Cube.compare (greedy [] on))
 
 (* Widths 1 to 16 (at most 5 variables fit one OFF word; 16 is the widest
-   word table), with OFF sets from empty to a few hundred minterms: the
-   small ones make the minimizer scan OFF rather than test words. *)
+   word table) and 17 to 20 (the hashed OFF set), with ON sets of up to
+   200 minterms, so that the coverage bitsets span several 62-bit words,
+   and OFF sets from empty to a few hundred minterms: the small ones make
+   the minimizer scan OFF rather than test words or probe the table. *)
 let arb_any_width =
   let gen =
     QCheck.Gen.(
-      let* n = oneof [ int_range 1 5; int_range 6 16; return 16 ] in
+      let* n =
+        oneof [ int_range 1 5; int_range 6 16; return 16; int_range 17 20 ]
+      in
       let minterm = int_range 0 ((1 lsl n) - 1) in
-      let* on = list_size (int_range 0 24) minterm in
+      let* on = list_size (oneof [ int_range 0 24; int_range 0 200 ]) minterm in
       let* off =
         list_size (oneof [ int_range 0 8; int_range 0 64; int_range 0 400 ])
           minterm
@@ -270,18 +281,20 @@ let arb_any_width =
 
 let prop_minimize_any_width =
   QCheck.Test.make
-    ~name:"minimize = OFF-scan reference, widths 1 to 16" ~count:600
+    ~name:"minimize = OFF-scan reference, widths 1 to 20" ~count:600
     arb_any_width
     (fun (n, on, off) ->
-      Boolf.minimize ~n ~on ~off = reference_minimize ~n ~on ~off)
+      minimize_l ~n ~on ~off = reference_minimize ~n ~on ~off)
 
-(* Keys that share a 16-minterm ON prefix (more list cells than the
+(* Keys that share a 16-minterm ON prefix (more array cells than the
    polymorphic hash reads) each get their own entry: a second lookup hits
    and returns what [minimize] computes. *)
 let test_memo_shared_prefix () =
   let n = 10 in
-  let prefix = List.init 16 Fun.id in
-  let keys = List.init 200 (fun i -> (prefix @ [ 100 + i ], [ 512 + i ])) in
+  let keys =
+    List.init 200 (fun i ->
+        (Array.init 17 (fun j -> if j < 16 then j else 100 + i), [| 512 + i |]))
+  in
   Boolf.Memo.clear ();
   List.iter (fun (on, off) -> ignore (Boolf.Memo.minimize ~n ~on ~off)) keys;
   let counter name = List.assoc name (Obs.counters ()) in
@@ -296,15 +309,15 @@ let test_memo_shared_prefix () =
     (counter "boolf.memo.hits" - hits);
   check_int "no miss" misses (counter "boolf.memo.misses")
 
-(* [Memo] keys on the sorted, deduplicated lists: a lookup with the same
+(* [Memo] keys on the strictly ascending arrays: a lookup with the same
    sets out of order, or with a repeated minterm, hits the entry the
-   ascending lists made, and an unsorted first lookup makes the entry the
-   ascending lists then hit. *)
+   ascending arrays made, and an unsorted first lookup makes the entry the
+   ascending arrays then hit. *)
 let test_memo_unsorted_hits () =
   let n = 6 in
-  let on = [ 1; 5; 12; 33 ] and off = [ 0; 2; 40; 63 ] in
+  let on = [| 1; 5; 12; 33 |] and off = [| 0; 2; 40; 63 |] in
   let scrambled =
-    [ ([ 33; 5; 1; 12 ], [ 63; 0; 40; 2 ]); ([ 1; 5; 5; 12; 33 ], off) ]
+    [ ([| 33; 5; 1; 12 |], [| 63; 0; 40; 2 |]); ([| 1; 5; 5; 12; 33 |], off) ]
   in
   let counter name = List.assoc name (Obs.counters ()) in
   let direct = Boolf.minimize ~n ~on ~off in
@@ -321,7 +334,10 @@ let test_memo_unsorted_hits () =
       check_int "one miss" 1 (counter "boolf.memo.misses" - misses);
       check_int "the rest hit" (List.length then_)
         (counter "boolf.memo.hits" - hits))
-    [ ((on, off), scrambled); (List.hd scrambled, [ (on, off) ]) ]
+    [ ((on, off), scrambled); (List.hd scrambled, [ (on, off) ]) ];
+  (* The scrambled arrays are read, never sorted in place. *)
+  check "caller's array untouched" true
+    (fst (List.hd scrambled) = [| 33; 5; 1; 12 |])
 
 let suite =
   [
@@ -344,7 +360,7 @@ let suite =
     Alcotest.test_case "memo keys sharing a long prefix" `Quick
       test_memo_shared_prefix;
     QCheck_alcotest.to_alcotest prop_contains_covers;
-    Alcotest.test_case "memo: unsorted lists hit the sorted key" `Quick
+    Alcotest.test_case "memo: unsorted input hits sorted key" `Quick
       test_memo_unsorted_hits;
     QCheck_alcotest.to_alcotest prop_minimize_any_width;
   ]

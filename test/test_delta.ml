@@ -19,7 +19,7 @@
    string equality. *)
 let eval_repr stg (e : Logic.eval) =
   let names = Array.map (fun s -> s.Stg.Signal.name) stg.Stg.signals in
-  let ints l = String.concat "," (List.map string_of_int l) in
+  let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
   let sig_repr (ps : Logic.per_sig) =
     Printf.sprintf "%s: on=[%s] off=[%s] conflicts=%d lits=%d cover=%s"
       names.(ps.Logic.ps_signal) (ints ps.Logic.ps_on) (ints ps.Logic.ps_off)
@@ -490,7 +490,7 @@ let check_view step sg ~a states =
     Alcotest.failf "%s: view ghosts differ from the child's" step;
   let support, aggregates = built_changes sg built in
   eq "support" string_of_int (Sg.View.support v) support;
-  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
   let agg (c, x, y) =
     Printf.sprintf "codes %s any %s all %s" (ints c) (ints x) (ints y)
   in

@@ -100,7 +100,9 @@ let prop_mapping_bounds =
               (list_of_size Gen.(int_range 0 6) (int_range 0 15)))
     (fun (on, off) ->
       QCheck.assume (not (List.exists (fun m -> List.mem m off) on));
-      let cover = Boolf.minimize ~n:4 ~on ~off in
+      let cover =
+        Boolf.minimize ~n:4 ~on:(Array.of_list on) ~off:(Array.of_list off)
+      in
       let mapped = Techmap.map_cover ~nvars:4 cover in
       mapped.Techmap.area >= 0 && mapped.Techmap.area <= Logic.cover_area cover)
 
@@ -113,7 +115,9 @@ let prop_polarity_triangle =
               (list_of_size Gen.(int_range 0 5) (int_range 0 15)))
     (fun (on, off) ->
       QCheck.assume (not (List.exists (fun m -> List.mem m off) on));
-      let cover = Boolf.minimize ~n:4 ~on ~off in
+      let cover =
+        Boolf.minimize ~n:4 ~on:(Array.of_list on) ~off:(Array.of_list off)
+      in
       (* map the cover and its "inverted" reading: cost difference bound *)
       let pos = (Techmap.map_cover ~nvars:4 cover).Techmap.area in
       pos >= 0)
