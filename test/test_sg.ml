@@ -616,25 +616,31 @@ let suite =
 
 (* ---- state numbering, pinned ---- *)
 
-(* [astg show] on every shipped spec and on four-phase LR, PAR and MMU,
-   each in a fresh process: the net, every state with its code and every
-   row's arcs in order.  Csc's product and every golden downstream read
-   [Sg.of_stg]'s state numbers and row order, so a change to the explorer
-   must print these bytes unchanged.  Bless an intended change with
+(* [astg show] then [astg check] on every shipped spec, on four-phase LR,
+   PAR and MMU, and on the 63-signal ring (codes and markings past one
+   word), each in a fresh process: the net, every state with its code and
+   every row's arcs in order, then the implementability report.  Csc's
+   product and every golden downstream read [Sg.of_stg]'s state numbers
+   and row order, so a change to the explorer or to the analyses must
+   print these bytes unchanged.  Bless an intended change with
    ASYNC_REPRO_BLESS=1. *)
 let test_show_golden () =
   let b = Buffer.create 65536 in
   List.iter
     (fun (name, spec) ->
       Test_obs.with_spec_file name spec @@ fun file ->
-      let rc, out, err = Test_serve.run_cli [ "show"; file ] in
-      Printf.bprintf b "== show %s: exit %d\n%s" name rc out;
-      if err <> "" then Printf.bprintf b "-- stderr\n%s" err)
+      List.iter
+        (fun cmd ->
+          let rc, out, err = Test_serve.run_cli [ cmd; file ] in
+          Printf.bprintf b "== %s %s: exit %d\n%s" cmd name rc out;
+          if err <> "" then Printf.bprintf b "-- stderr\n%s" err)
+        [ "show"; "check" ])
     (List.map (fun (f, path) -> (f, `File path)) (Test_roundtrip.g_files ())
     @ [
         ("LR", `Printed (Expansion.four_phase Specs.lr));
         ("PAR", `Printed (Expansion.four_phase Specs.par));
         ("MMU", `Printed (Expansion.four_phase Specs.mmu));
+        ("ring63", `Printed (Gen.ring ~inputs:1 63));
       ]);
   Test_obs.check_golden "show.expected" (Buffer.contents b)
 
