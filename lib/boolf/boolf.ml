@@ -18,11 +18,6 @@ module Cube = struct
       invalid_arg "Boolf.Cube.make: value not within care mask";
     { care; value }
 
-  let of_minterm ~n m =
-    if n > max_vars then
-      invalid_arg (Printf.sprintf "Boolf: more than %d variables" max_vars);
-    { care = (1 lsl n) - 1; value = m }
-
   let of_string s =
     let n = String.length s in
     if n > max_vars then
@@ -63,10 +58,6 @@ module Cube = struct
     let common = c1.care land c2.care in
     if c1.value land common <> c2.value land common then None
     else Some { care = c1.care lor c2.care; value = c1.value lor c2.value }
-
-  let free c v =
-    let bit = 1 lsl v in
-    { care = c.care land lnot bit; value = c.value land lnot bit }
 
   let bound c v = c.care land (1 lsl v) <> 0
   let polarity c v = c.value land (1 lsl v) <> 0
@@ -372,8 +363,6 @@ let minimize ~n ~on ~off =
     prime_cover ~n ~on ~covers_off:(fun care value ->
         covers_some_off ~n ~off ~off_mem care value)
   end
-
-let estimate_literals ~n ~on ~off = Cover.literals (minimize ~n ~on ~off)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-candidate memoization of [minimize].

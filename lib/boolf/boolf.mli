@@ -21,10 +21,6 @@ module Cube : sig
 
   val make : care:int -> value:int -> t
 
-  (** Cube binding exactly the [n] first variables to the bits of the
-      minterm. *)
-  val of_minterm : n:int -> int -> t
-
   (** Parse ["10-"] style (index 0 leftmost).  @raise Invalid_argument. *)
   val of_string : string -> t
 
@@ -45,9 +41,6 @@ module Cube : sig
 
   (** Intersection, [None] when empty. *)
   val inter : t -> t -> t option
-
-  (** Drop the literal on variable [v] (no-op when unbound). *)
-  val free : t -> int -> t
 
   (** [bound c v] — variable [v] appears in the cube. *)
   val bound : t -> int -> bool
@@ -87,10 +80,6 @@ end
     @raise Invalid_argument if [on] and [off] intersect or [n > 62]. *)
 val minimize : n:int -> on:int array -> off:int array -> Cover.t
 
-(** Total literals of [minimize] — the logic-complexity estimate used by the
-    optimizer's cost function. *)
-val estimate_literals : n:int -> on:int array -> off:int array -> int
-
 (** Memoized {!minimize}: results are cached under the canonical form of
     [(n, on, off)], strictly ascending minterm arrays, so permuted or
     duplicated inputs hit the entry the sorted ones made and return
@@ -106,7 +95,8 @@ module Memo : sig
   (** Same result as {!Boolf.minimize} (memoized). *)
   val minimize : n:int -> on:int array -> off:int array -> Cover.t
 
-  (** Same result as {!Boolf.estimate_literals} (memoized). *)
+  (** [Cover.literals] of {!Boolf.minimize}, the logic-complexity
+      estimate of the search's cost function (memoized). *)
   val literals : n:int -> on:int array -> off:int array -> int
 
   (** Drop the calling domain's table (worker tables are unaffected). *)

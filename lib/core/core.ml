@@ -276,8 +276,8 @@ module Cli = struct
         pf "speed-independent:   %b\n" (Sg.is_speed_independent sg);
         pf "CSC:                 %b (%d conflicting state pairs)\n"
           (Sg.has_csc sg)
-          (List.length (Sg.csc_conflicts sg));
-        pf "USC:                 %b\n" (Sg.usc_conflicts sg = []);
+          (Sg.csc_conflict_count sg);
+        pf "USC:                 %b\n" (Sg.has_usc sg);
         let pairs = Sg.concurrent_pairs sg in
         pf "concurrent pairs:    %s\n"
           (String.concat ", "

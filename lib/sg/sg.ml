@@ -319,6 +319,29 @@ let succ_by_label sg s lab =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
+(* A graph that roots its filter lineage, without ghosts: every arc is
+   its own root arc. *)
+let root stg ~markings ~codes ~off ~arc_tr ~arc_dst ~initial ~unconstrained =
+  let nsig = Stg.n_signals stg in
+  {
+    stg;
+    n = Array.length markings;
+    nsig;
+    wps = words_per_state nsig;
+    markings;
+    codes;
+    off;
+    arc_tr;
+    arc_dst;
+    arc_root = Array.init (Array.length arc_tr) Fun.id;
+    initial;
+    unconstrained;
+    g_codes = [||];
+    g_excs = [||];
+    g_fp = ghost_fp0;
+    cache = fresh_cache ();
+  }
+
 module Builder = struct
   type sg = t
 
@@ -437,24 +460,8 @@ module Builder = struct
             lor (1 lsl (i mod bits_per_word))
       done
     done;
-    {
-      stg = b.b_stg;
-      n;
-      nsig;
-      wps;
-      markings = Array.sub b.b_marks 0 n;
-      codes;
-      off;
-      arc_tr;
-      arc_dst;
-      arc_root = Array.init m Fun.id;
-      initial;
-      unconstrained;
-      g_codes = [||];
-      g_excs = [||];
-      g_fp = ghost_fp0;
-      cache = fresh_cache ();
-    }
+    root b.b_stg ~markings:(Array.sub b.b_marks 0 n) ~codes ~off ~arc_tr
+      ~arc_dst ~initial ~unconstrained
 end
 
 exception Inconsistency of string
@@ -470,145 +477,381 @@ let c_filter_arcs = Obs.Counter.make "sg.filter_arcs.calls"
    are distinct SG states. *)
 let default_budget = 200_000
 
-(* The exploration's state table, keyed by (marking, parities).  The hash
-   must fold every place and every signal: the polymorphic hash reads only
-   a bounded prefix of a marking, so states that differ late in a long (or
-   token-accumulating) place vector all collided and turned the
-   exploration quadratic (a fuzzer find).  The fold multiplies by 31, so
-   its low bits, which pick the bucket, depend on few sums of the counts
-   (chains of 36-39 on 7- and 10-way fork/joins); one [Hashtbl.hash] of
-   the fold mixes them (chains of at most 9). *)
-module State_tbl = Hashtbl.Make (struct
-  type t = Petri.marking * Bytes.t
+(* The packing of one exploration.  Every place is a [width]-bit counter
+   field, [per_word] fields to a word, whose top bit is a guard that is
+   clear in every stored state ([guards] has all of them); every signal's
+   parity is one bit, laid out as the codes are.  A state's key is its
+   [mw] marking words followed by its parity words, [kw] words in all.
+   Per transition [tr]:
+   - [en_word]/[en_lo]/[en_hi], entries [en_start.(tr)] to
+     [en_start.(tr + 1) - 1]: the marking words its preset touches, the
+     preset's low field bits there and their guard bits;
+   - [fi_word]/[fi_delta], entries from [fi_start.(tr)]: the marking
+     words a firing changes, and [post - pre] in low field bits;
+   - [par_word.(tr)]/[par_bit.(tr)]: the parity bit it flips ([-1] on a
+     dummy). *)
+type packing = {
+  width : int;
+  per_word : int;
+  mw : int;
+  kw : int;
+  guards : int;
+  en_start : int array;
+  en_word : int array;
+  en_lo : int array;
+  en_hi : int array;
+  fi_start : int array;
+  fi_word : int array;
+  fi_delta : int array;
+  par_word : int array;
+  par_bit : int array;
+}
 
-  let equal (m, par) (m', par') =
-    Petri.Marking.equal m m' && Bytes.equal par par'
-
-  let hash (m, par) =
-    let h = ref (Petri.Marking.hash m) in
-    for i = 0 to Bytes.length par - 1 do
-      h := (!h * 31) + Char.code (Bytes.unsafe_get par i)
+let packing stg ~width =
+  let net = stg.Stg.net in
+  let ntr = Petri.n_trans net in
+  let per_word = bits_per_word / width in
+  let mw = max 1 ((Petri.n_places net + per_word - 1) / per_word) in
+  let guards = ref 0 in
+  for f = 0 to per_word - 1 do
+    guards := !guards lor (1 lsl ((f * width) + width - 1))
+  done;
+  (* The low field bits of a set of places, by word. *)
+  let low places =
+    let a = Array.make mw 0 in
+    Array.iter
+      (fun p ->
+        let w = p / per_word in
+        a.(w) <- a.(w) + (1 lsl (p mod per_word * width)))
+      places;
+    a
+  in
+  (* Per transition, the words where [f pre post] is not zero, and its
+     value there. *)
+  let entries f =
+    let start = Array.make (ntr + 1) 0 and ws = ref [] and vs = ref [] in
+    for tr = 0 to ntr - 1 do
+      let pre = low net.Petri.pre.(tr) and post = low net.Petri.post.(tr) in
+      start.(tr + 1) <- start.(tr);
+      for w = 0 to mw - 1 do
+        let v = f pre.(w) post.(w) in
+        if v <> 0 then begin
+          ws := w :: !ws;
+          vs := v :: !vs;
+          start.(tr + 1) <- start.(tr + 1) + 1
+        end
+      done
     done;
-    Hashtbl.hash !h
-end)
+    (start, Array.of_list (List.rev !ws), Array.of_list (List.rev !vs))
+  in
+  let en_start, en_word, en_lo = entries (fun pre _ -> pre) in
+  let fi_start, fi_word, fi_delta = entries (fun pre post -> post - pre) in
+  let par_word = Array.make ntr (-1) and par_bit = Array.make ntr 0 in
+  Array.iteri
+    (fun tr lab ->
+      match lab with
+      | Stg.Edge (sigid, _) ->
+          par_word.(tr) <- sigid / bits_per_word;
+          par_bit.(tr) <- 1 lsl (sigid mod bits_per_word)
+      | Stg.Dummy _ -> ())
+    stg.Stg.labels;
+  {
+    width;
+    per_word;
+    mw;
+    kw = mw + words_per_state (Stg.n_signals stg);
+    guards = !guards;
+    en_start;
+    en_word;
+    en_lo;
+    en_hi = Array.map (fun lo -> lo lsl (width - 1)) en_lo;
+    fi_start;
+    fi_word;
+    fi_delta;
+    par_word;
+    par_bit;
+  }
+
+(* The fields of the widest initial count, at least one bit, plus the
+   guard. *)
+let initial_width net =
+  let top = Array.fold_left max 0 net.Petri.initial in
+  let rec bits c = if c = 0 then 0 else 1 + bits (c lsr 1) in
+  max 2 (bits top + 1)
+
+(* A firing set a guard bit: some count outgrew its field. *)
+exception Widen
+
+(* One exploration's growing state: [x_keys] holds state [i]'s key at
+   [i * kw], [x_slots] is an open-addressing table of state ids ([-1] =
+   empty) at most half full, [x_marks] the states' markings, and
+   [x_off]/[x_tr]/[x_dst] the rows expanded so far.  [x_scratch] holds the
+   key being interned. *)
+type explorer = {
+  x_pk : packing;
+  x_places : int;
+  mutable x_keys : int array;
+  mutable x_slots : int array;
+  mutable x_n : int;
+  mutable x_marks : Petri.marking array;
+  mutable x_off : int array;
+  mutable x_tr : int array;
+  mutable x_dst : int array;
+  mutable x_m : int;
+  x_scratch : int array;
+}
+
+let key_hash (a : int array) base kw =
+  let h = ref 0 in
+  for j = base to base + kw - 1 do
+    h := (!h lxor a.(j)) * 0x2545f4914f6cdd1d
+  done;
+  !h lxor (!h lsr 29)
+
+let rec same_key (a : int array) i (b : int array) j k =
+  k = 0 || (a.(i) = b.(j) && same_key a (i + 1) b (j + 1) (k - 1))
+
+(* The slot of [scratch]'s key: the one holding its state, or the empty
+   one where it goes. *)
+let rec find_slot ex i =
+  let mask = Array.length ex.x_slots - 1 in
+  let id = ex.x_slots.(i land mask) in
+  if id < 0 || same_key ex.x_keys (id * ex.x_pk.kw) ex.x_scratch 0 ex.x_pk.kw then
+    i land mask
+  else find_slot ex (i + 1)
+
+let grow a len fill =
+  let g = Array.make (2 * len) fill in
+  Array.blit a 0 g 0 len;
+  g
+
+let rehash ex =
+  let kw = ex.x_pk.kw in
+  let slots = Array.make (2 * Array.length ex.x_slots) (-1) in
+  let mask = Array.length slots - 1 in
+  for id = 0 to ex.x_n - 1 do
+    let i = ref (key_hash ex.x_keys (id * kw) kw) in
+    while slots.(!i land mask) >= 0 do
+      incr i
+    done;
+    slots.(!i land mask) <- id
+  done;
+  ex.x_slots <- slots
+
+(* The marking of a key's words: the one copy a state's counts get. *)
+let materialize ex base =
+  let pk = ex.x_pk in
+  let m = Array.make ex.x_places 0 in
+  let vmask = (1 lsl (pk.width - 1)) - 1 in
+  for p = 0 to ex.x_places - 1 do
+    m.(p) <-
+      (ex.x_keys.(base + (p / pk.per_word)) lsr (p mod pk.per_word * pk.width))
+      land vmask
+  done;
+  m
+
+(* The state of [scratch]'s key, added in discovery order when new. *)
+let intern ex =
+  let kw = ex.x_pk.kw in
+  let i = find_slot ex (key_hash ex.x_scratch 0 kw) in
+  let id = ex.x_slots.(i) in
+  if id >= 0 then id
+  else begin
+    let id = ex.x_n in
+    if id = Array.length ex.x_marks then begin
+      ex.x_keys <- grow ex.x_keys (id * kw) 0;
+      ex.x_marks <- grow ex.x_marks id [||];
+      ex.x_off <- grow ex.x_off (id + 1) 0
+    end;
+    Array.blit ex.x_scratch 0 ex.x_keys (id * kw) kw;
+    ex.x_marks.(id) <- materialize ex (id * kw);
+    ex.x_slots.(i) <- id;
+    ex.x_n <- id + 1;
+    if 2 * ex.x_n > Array.length ex.x_slots then rehash ex;
+    id
+  end
+
+let add_arc ex tr dst =
+  if ex.x_m = Array.length ex.x_tr then begin
+    ex.x_tr <- grow ex.x_tr ex.x_m 0;
+    ex.x_dst <- grow ex.x_dst ex.x_m 0
+  end;
+  ex.x_tr.(ex.x_m) <- tr;
+  ex.x_dst.(ex.x_m) <- dst;
+  ex.x_m <- ex.x_m + 1
+
+(* [tr] is enabled in the key at [base] when subtracting its preset's low
+   bits from the key, with every guard set, borrows from none of the
+   preset's guards. *)
+let rec enabled pk (keys : int array) base k last =
+  k = last
+  || (let hi = pk.en_hi.(k) in
+      ((keys.(base + pk.en_word.(k)) lor pk.guards) - pk.en_lo.(k)) land hi = hi)
+     && enabled pk keys base (k + 1) last
+
+(* Fire [tr] on [scratch]: the counts, then the parity. *)
+let fire ex tr =
+  let pk = ex.x_pk and sc = ex.x_scratch in
+  for k = pk.fi_start.(tr) to pk.fi_start.(tr + 1) - 1 do
+    let w = pk.fi_word.(k) in
+    let x = sc.(w) + pk.fi_delta.(k) in
+    if x land pk.guards <> 0 then raise Widen;
+    sc.(w) <- x
+  done;
+  let pw = pk.par_word.(tr) in
+  if pw >= 0 then sc.(pk.mw + pw) <- sc.(pk.mw + pw) lxor pk.par_bit.(tr)
+
+(* Breadth-first token game at one packing: states are numbered in
+   discovery order, so expanding them in number order is the BFS, and
+   each row lists its arcs in ascending transition id.  [Exit] when the
+   budget is passed, [Widen] when a count outgrows its field. *)
+let explore stg pk ~budget =
+  let net = stg.Stg.net in
+  let ntr = Petri.n_trans net in
+  let ex =
+    {
+      x_pk = pk;
+      x_places = Petri.n_places net;
+      x_keys = Array.make (16 * pk.kw) 0;
+      x_slots = Array.make 32 (-1);
+      x_n = 0;
+      x_marks = Array.make 16 [||];
+      x_off = Array.make 17 0;
+      x_tr = Array.make 32 0;
+      x_dst = Array.make 32 0;
+      x_m = 0;
+      x_scratch = Array.make pk.kw 0;
+    }
+  in
+  Array.iteri
+    (fun p c ->
+      let w = p / pk.per_word in
+      ex.x_scratch.(w) <-
+        ex.x_scratch.(w) lor (c lsl (p mod pk.per_word * pk.width)))
+    net.Petri.initial;
+  ignore (intern ex : int);
+  let s = ref 0 in
+  while !s < ex.x_n do
+    ex.x_off.(!s) <- ex.x_m;
+    let base = !s * pk.kw in
+    for tr = 0 to ntr - 1 do
+      if enabled pk ex.x_keys base pk.en_start.(tr) pk.en_start.(tr + 1) then begin
+        Array.blit ex.x_keys base ex.x_scratch 0 pk.kw;
+        fire ex tr;
+        let s' = intern ex in
+        if ex.x_n > budget then raise Exit;
+        add_arc ex tr s'
+      end
+    done;
+    incr s
+  done;
+  ex.x_off.(ex.x_n) <- ex.x_m;
+  ex
+
+(* Explore at the narrowest packing that holds every count: from the
+   initial counts' width, doubling and starting over whenever a firing
+   sets a guard.  Every restart discovers the same states in the same
+   order, so the numbering does not depend on where it ends. *)
+let rec explore_widening stg ~budget ~width =
+  match explore stg (packing stg ~width) ~budget with
+  | ex -> Some ex
+  | exception Exit -> None
+  | exception Widen ->
+      if width >= bits_per_word then
+        failwith "Sg.of_stg: a token count passed max_int";
+      explore_widening stg ~budget ~width:(min bits_per_word (2 * width))
 
 let of_stg_impl ?(budget = default_budget) ?(initial_values = [])
     ?(warn = default_warn) stg =
-  let net = stg.Stg.net in
   let nsig = Stg.n_signals stg in
-  let b = Builder.create ~expect:16 stg in
-  let index = State_tbl.create 16 in
-  let parities = ref (Array.make 16 Bytes.empty) in
-  let intern m par =
-    match State_tbl.find index (m, par) with
-    | i -> i
-    | exception Not_found ->
-        let i = Builder.add_state b m in
-        if i = Array.length !parities then begin
-          let grown = Array.make (2 * i) Bytes.empty in
-          Array.blit !parities 0 grown 0 i;
-          parities := grown
-        end;
-        !parities.(i) <- par;
-        State_tbl.add index (m, par) i;
-        i
-  in
-  let pre = net.Petri.pre and post = net.Petri.post in
-  let rec enabled m ps k =
-    k = Array.length ps || (m.(ps.(k)) > 0 && enabled m ps (k + 1))
-  in
-  let s0 = intern (Petri.initial_marking net) (Bytes.make nsig '\000') in
-  (* States are numbered in discovery order, so expanding them in number
-     order is a breadth-first search. *)
-  let s = ref s0 in
-  (try
-     while !s < Builder.n_states b do
-       let m = b.Builder.b_marks.(!s) and par = !parities.(!s) in
-       for tr = 0 to Petri.n_trans net - 1 do
-         if enabled m pre.(tr) 0 then begin
-           let m' = Array.copy m in
-           Array.iter (fun p -> m'.(p) <- m'.(p) - 1) pre.(tr);
-           Array.iter (fun p -> m'.(p) <- m'.(p) + 1) post.(tr);
-           let par' =
-             match Stg.label stg tr with
-             | Stg.Edge (sigid, _) ->
-                 let p = Bytes.copy par in
-                 Bytes.set p sigid
-                   (if Bytes.get par sigid = '\000' then '\001' else '\000');
-                 p
-             | Stg.Dummy _ -> par
-           in
-           let s' = intern m' par' in
-           if Builder.n_states b > budget then raise Exit;
-           Builder.add_arc b !s tr s'
-         end
-       done;
-       incr s
-     done
-   with Exit -> ());
-  if Builder.n_states b > budget then Error (Unbounded budget)
-  else begin
-    let parities = !parities in
-    (* Infer initial values from enabledness: a+ enabled in s means
-       v0 xor parity = 0; a- means 1.  [initial_values] pins values up
-       front (still checked against the inferred constraints); signals
-       left unconstrained by both default to 0. *)
-    let v0 = Array.make nsig (-1) in
-    List.iter
-      (fun (name, v) ->
-        if v <> 0 && v <> 1 then
-          invalid_arg "Sg: initial_values entries must be 0 or 1";
-        match Stg.signal_of_name stg name with
-        | sigid -> v0.(sigid) <- v
-        | exception Not_found ->
-            invalid_arg
-              (Printf.sprintf "Sg.of_stg: unknown signal %s in initial_values"
-                 name))
-      initial_values;
-    let constrain sigid want s tr =
-      let v = want lxor Char.code (Bytes.get parities.(s) sigid) in
-      if v0.(sigid) = -1 then v0.(sigid) <- v
-      else if v0.(sigid) <> v then
-        raise
-          (Inconsistency
-             (Printf.sprintf "signal %s: conflicting initial value via %s"
-                (Stg.signal stg sigid).Stg.Signal.name
-                (Stg.trans_display stg tr)))
-    in
-    match
-      for k = 0 to b.Builder.b_m - 1 do
-        let tr = b.Builder.b_tr.(k) in
-        match Stg.label stg tr with
-        | Stg.Edge (sigid, Stg.Plus) ->
-            constrain sigid 0 b.Builder.b_src.(k) tr
-        | Stg.Edge (sigid, Stg.Minus) ->
-            constrain sigid 1 b.Builder.b_src.(k) tr
-        | Stg.Edge (_, Stg.Toggle) | Stg.Dummy _ -> ()
-      done
-    with
-    | () ->
-        let unconstrained = ref [] in
-        for sigid = nsig - 1 downto 0 do
-          if v0.(sigid) = -1 then unconstrained := sigid :: !unconstrained
-        done;
-        List.iter
-          (fun sigid ->
-            let s = Stg.signal stg sigid in
-            if not (Stg.Signal.is_input s) then
-              warn
+  match
+    explore_widening stg ~budget ~width:(initial_width stg.Stg.net)
+  with
+  | None -> Error (Unbounded budget)
+  | Some ex when ex.x_n > budget -> Error (Unbounded budget)
+  | Some ex ->
+      let pk = ex.x_pk and n = ex.x_n in
+      let parity s sigid =
+        (ex.x_keys.((s * pk.kw) + pk.mw + (sigid / bits_per_word))
+        lsr (sigid mod bits_per_word))
+        land 1
+      in
+      (* Infer initial values from enabledness: a+ enabled in s means
+         v0 xor parity = 0; a- means 1.  [initial_values] pins values up
+         front (still checked against the inferred constraints); signals
+         left unconstrained by both default to 0. *)
+      let v0 = Array.make nsig (-1) in
+      List.iter
+        (fun (name, v) ->
+          if v <> 0 && v <> 1 then
+            invalid_arg "Sg: initial_values entries must be 0 or 1";
+          match Stg.signal_of_name stg name with
+          | sigid -> v0.(sigid) <- v
+          | exception Not_found ->
+              invalid_arg
                 (Printf.sprintf
-                   "initial value of %s signal %s is unconstrained by the \
-                    specification; defaulting to 0 (pass ~initial_values to \
-                    pin it)"
-                   (Format.asprintf "%a" Stg.Signal.pp_kind s.Stg.Signal.kind)
-                   s.Stg.Signal.name))
-          !unconstrained;
-        let code s i =
-          (max v0.(i) 0) lxor Char.code (Bytes.get parities.(s) i)
-        in
-        Ok (Builder.build ~unconstrained:!unconstrained b ~code ~initial:s0)
-    | exception Inconsistency msg -> Error (Inconsistent msg)
-  end
+                   "Sg.of_stg: unknown signal %s in initial_values" name))
+        initial_values;
+      let constrain sigid want s tr =
+        let v = want lxor parity s sigid in
+        if v0.(sigid) = -1 then v0.(sigid) <- v
+        else if v0.(sigid) <> v then
+          raise
+            (Inconsistency
+               (Printf.sprintf "signal %s: conflicting initial value via %s"
+                  (Stg.signal stg sigid).Stg.Signal.name
+                  (Stg.trans_display stg tr)))
+      in
+      match
+        for s = 0 to n - 1 do
+          for k = ex.x_off.(s) to ex.x_off.(s + 1) - 1 do
+            let tr = ex.x_tr.(k) in
+            match Stg.label stg tr with
+            | Stg.Edge (sigid, Stg.Plus) -> constrain sigid 0 s tr
+            | Stg.Edge (sigid, Stg.Minus) -> constrain sigid 1 s tr
+            | Stg.Edge (_, Stg.Toggle) | Stg.Dummy _ -> ()
+          done
+        done
+      with
+      | () ->
+          let unconstrained = ref [] in
+          for sigid = nsig - 1 downto 0 do
+            if v0.(sigid) = -1 then unconstrained := sigid :: !unconstrained
+          done;
+          List.iter
+            (fun sigid ->
+              let s = Stg.signal stg sigid in
+              if not (Stg.Signal.is_input s) then
+                warn
+                  (Printf.sprintf
+                     "initial value of %s signal %s is unconstrained by the \
+                      specification; defaulting to 0 (pass ~initial_values \
+                      to pin it)"
+                     (Format.asprintf "%a" Stg.Signal.pp_kind s.Stg.Signal.kind)
+                     s.Stg.Signal.name))
+            !unconstrained;
+          (* A code is its state's parity words xor the initial values. *)
+          let wps = words_per_state nsig in
+          let init = Array.make wps 0 in
+          Array.iteri
+            (fun sigid v ->
+              if v = 1 then
+                init.(sigid / bits_per_word) <-
+                  init.(sigid / bits_per_word)
+                  lor (1 lsl (sigid mod bits_per_word)))
+            v0;
+          let codes =
+            Array.init (n * wps) (fun i ->
+                ex.x_keys.((i / wps * pk.kw) + pk.mw + (i mod wps))
+                lxor init.(i mod wps))
+          in
+          Ok
+            (root stg ~markings:(Array.sub ex.x_marks 0 n) ~codes
+               ~off:(Array.sub ex.x_off 0 (n + 1))
+               ~arc_tr:(Array.sub ex.x_tr 0 ex.x_m)
+               ~arc_dst:(Array.sub ex.x_dst 0 ex.x_m)
+               ~initial:0 ~unconstrained:!unconstrained)
+      | exception Inconsistency msg -> Error (Inconsistent msg)
 
 let of_stg ?budget ?initial_values ?warn stg =
   Obs.Counter.incr c_of_stg;
@@ -1076,40 +1319,38 @@ let controlled_labels sg s =
       memo.(s) <- Some l;
       l
 
-(* Lexicographic order on packed code rows: an arbitrary but fixed total
-   order, used only to group equal codes. *)
-let compare_codes sg s1 s2 =
-  let r1 = s1 * sg.wps and r2 = s2 * sg.wps in
-  let rec go i =
-    if i = sg.wps then 0
-    else
-      let c = compare sg.codes.(r1 + i) sg.codes.(r2 + i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+(* Lexicographic order on the packed code rows at [r1] and [r2], from
+   word [i]: an arbitrary but fixed total order, used only to group equal
+   codes. *)
+let rec compare_rows (codes : int array) r1 r2 i wps =
+  if i = wps then 0
+  else
+    let c = Int.compare codes.(r1 + i) codes.(r2 + i) in
+    if c <> 0 then c else compare_rows codes r1 r2 (i + 1) wps
 
-let group_by_code sg =
-  let tbl = Hashtbl.create sg.n in
-  for s = sg.n - 1 downto 0 do
-    let key = code sg s in
-    let prev = try Hashtbl.find tbl key with Not_found -> [] in
-    Hashtbl.replace tbl key (s :: prev)
-  done;
-  tbl
+let compare_codes sg s1 s2 = compare_rows sg.codes (s1 * sg.wps) (s2 * sg.wps) 0 sg.wps
+
+(* The states sorted by code, equal codes in ascending state order. *)
+let sorted_by_code sg =
+  let a = Array.init sg.n Fun.id in
+  Array.stable_sort (compare_codes sg) a;
+  a
 
 let usc_conflicts sg =
-  let tbl = group_by_code sg in
-  let out = ref [] in
-  Hashtbl.iter
-    (fun _ states ->
-      let rec pairs = function
-        | [] -> ()
-        | s :: rest ->
-            List.iter (fun s' -> out := (s, s') :: !out) rest;
-            pairs rest
-      in
-      pairs states)
-    tbl;
+  let a = sorted_by_code sg in
+  let out = ref [] and i = ref 0 in
+  while !i < sg.n do
+    let j = ref (!i + 1) in
+    while !j < sg.n && compare_codes sg a.(!i) a.(!j) = 0 do
+      incr j
+    done;
+    for x = !i to !j - 2 do
+      for y = x + 1 to !j - 1 do
+        out := (a.(x), a.(y)) :: !out
+      done
+    done;
+    i := !j
+  done;
   List.sort compare !out
 
 let csc_conflicts sg =
@@ -1318,41 +1559,61 @@ let arc_label_instances sg =
       sg.cache.c_arc_labels <- Some l;
       l
 
+(* Does some arc [si -b-> x] meet an arc [sj -a-> x]?  [a] and [b] are
+   label ids of [lab_id]. *)
+let closes sg (lab_id : int array) si (b : int) sj (a : int) =
+  let found = ref false in
+  for k = sg.off.(si) to sg.off.(si + 1) - 1 do
+    if lab_id.(sg.arc_tr.(k)) = b then begin
+      let x = sg.arc_dst.(k) in
+      for l = sg.off.(sj) to sg.off.(sj + 1) - 1 do
+        if lab_id.(sg.arc_tr.(l)) = a && sg.arc_dst.(l) = x then found := true
+      done
+    end
+  done;
+  !found
+
 (* The full label-level concurrency relation in a single sweep over states
    (Def. 2.1): for every state and every unordered pair of its outgoing
    arcs s -a-> s1, s -b-> s2 with a <> b, the labels are concurrent when
    some s1 -b-> x and s2 -a-> x close the diamond.  The check is symmetric
    in the arc pair, so each pair is examined once; already-established
-   entries are skipped. *)
+   entries are skipped.  Labels are numbered in [Stg.all_labels] order,
+   and each transition's number is looked up once, in [lab_id]. *)
 let conc_rel sg =
   match sg.cache.c_conc with
   | Some r -> r
   | None ->
-      let conc_labels = Array.of_list (Stg.all_labels sg.stg) in
+      let stg_labels = sg.stg.Stg.labels in
+      let conc_idx = Hashtbl.create 16 and order = ref [] in
+      let lab_id =
+        Array.map
+          (fun lab ->
+            match Hashtbl.find_opt conc_idx lab with
+            | Some i -> i
+            | None ->
+                let i = Hashtbl.length conc_idx in
+                Hashtbl.add conc_idx lab i;
+                order := lab :: !order;
+                i)
+          stg_labels
+      in
+      let conc_labels = Array.of_list (List.rev !order) in
       let nlab = Array.length conc_labels in
-      let conc_idx = Hashtbl.create (2 * max 1 nlab) in
-      Array.iteri (fun i lab -> Hashtbl.replace conc_idx lab i) conc_labels;
       let conc_mat = Bytes.make (nlab * nlab) '\000' in
       for s = 0 to sg.n - 1 do
         let lo = sg.off.(s) and hi = sg.off.(s + 1) - 1 in
         for i = lo to hi do
-          let tri = sg.arc_tr.(i) and si = sg.arc_dst.(i) in
-          let a = Stg.label sg.stg tri in
-          let ia = Hashtbl.find conc_idx a in
+          let ia = lab_id.(sg.arc_tr.(i)) and si = sg.arc_dst.(i) in
           for j = i + 1 to hi do
-            let trj = sg.arc_tr.(j) and sj = sg.arc_dst.(j) in
-            let b = Stg.label sg.stg trj in
-            if b <> a then begin
-              let ib = Hashtbl.find conc_idx b in
-              if Bytes.get conc_mat ((ia * nlab) + ib) = '\000' then begin
-                let xs = succ_by_label sg si b in
-                if
-                  List.exists (fun y -> List.mem y xs) (succ_by_label sg sj a)
-                then begin
-                  Bytes.set conc_mat ((ia * nlab) + ib) '\001';
-                  Bytes.set conc_mat ((ib * nlab) + ia) '\001'
-                end
-              end
+            let ib = lab_id.(sg.arc_tr.(j)) in
+            if
+              ib <> ia
+              && Bytes.get conc_mat ((ia * nlab) + ib) = '\000'
+              && closes sg lab_id si ib sg.arc_dst.(j) ia
+            then begin
+              Bytes.set conc_mat ((ia * nlab) + ib) '\001';
+              Bytes.set conc_mat ((ib * nlab) + ia) '\001'
             end
           done
         done
@@ -1469,6 +1730,27 @@ let by_code sg =
       let b = { bc_codes = codes; bc_start = starts; bc_items = items } in
       sg.cache.c_by_code <- Some b;
       b
+
+(* No two states share a code.  With codes in one word, [by_code]'s
+   groups list their states before their ghosts, so a group whose second
+   item is a state has two; past one word, adjacent states of the
+   code-sorted order are compared. *)
+let has_usc sg =
+  let unique = ref true in
+  if sg.wps = 1 then begin
+    let bc = by_code sg in
+    for g = 0 to Array.length bc.bc_codes - 1 do
+      let k = bc.bc_start.(g) + 1 in
+      if k < bc.bc_start.(g + 1) && bc.bc_items.(k) >= 0 then unique := false
+    done
+  end
+  else begin
+    let a = sorted_by_code sg in
+    for i = 1 to sg.n - 1 do
+      if compare_codes sg a.(i - 1) a.(i) = 0 then unique := false
+    done
+  end;
+  !unique
 
 (* Per-domain scratch of the current view, over the source's state ids:
    [vs_mark.(s) = vs_gen] when [s]'s [a]-arcs go, [vs_seen.(s) = vs_gen]
@@ -1687,20 +1969,23 @@ module View = struct
   (* A state that lost all its arcs lost some: a changed row whose arcs
      all carried [a].  Only when one did is the first one looked for in
      the child's order. *)
+  let rec all_removed v k last =
+    k = last || ((not (kept v true k)) && all_removed v (k + 1) last)
+
+  let dead v s =
+    changed v s && all_removed v v.v_sg.off.(s) v.v_sg.off.(s + 1)
+
+  let rec any_dead v = function
+    | [] -> false
+    | s :: rest -> dead v s || any_dead v rest
+
+  let rec first_dead v (order : int array) i =
+    if dead v order.(i) then order.(i) else first_dead v order (i + 1)
+
   let deadlock v =
     live v;
-    let sg = v.v_sg in
-    let dead s =
-      let rec none k =
-        k = sg.off.(s + 1) || ((not (kept v true k)) && none (k + 1))
-      in
-      changed v s && none sg.off.(s)
-    in
-    if not (List.exists dead v.v_states) then None
-    else
-      let order = v.v_sc.vs_order in
-      let rec first i = if dead order.(i) then order.(i) else first (i + 1) in
-      Some (first 0)
+    if any_dead v v.v_states then Some (first_dead v v.v_sc.vs_order 0)
+    else None
 
   (* [first_persistency_violation] on the view, states in the child's
      order: per kept arc [s -by-> d], the first label of [s]'s row, with
@@ -1710,64 +1995,84 @@ module View = struct
      arc can only violate where its target lost [a] (elsewhere both ends
      keep their labels, or only its source lost one, which removes
      violations), so those arcs are tested first and the ordered scan
-     runs only when one of them violates. *)
+     runs only when one of them violates.  [rows] is [sg]'s enabled
+     labels. *)
+  let enabled_in v s lab = not (changed v s && lab = v.v_a)
+
+  let rec label_mem (lab : Stg.label) (row : Stg.label array) i =
+    i < Array.length row && (row.(i) = lab || label_mem lab row (i + 1))
+
+  (* The index in [s]'s row of the first label the arc [s -by-> d]
+     disables where the pair qualifies, from [i] on, or -1. *)
+  let rec disabled_at v (rows : Stg.label array array) s d by i =
+    if i = Array.length rows.(s) then -1
+    else
+      let lab = rows.(s).(i) and stg = v.v_sg.stg in
+      if
+        enabled_in v s lab && lab <> by
+        && (not (enabled_in v d lab && label_mem lab rows.(d) 0))
+        && (label_is_controlled stg lab || label_is_controlled stg by)
+      then i
+      else disabled_at v rows s d by (i + 1)
+
+  (* [disabled_at] on the kept arc [s -tr-> d], after the mask test. *)
+  let violating v rows s tr d =
+    let worth =
+      match v.v_em with
+      | Some em ->
+          let byb = 1 lsl em.em_tr.(tr) in
+          let missing = mask v s land lnot (mask v d) land lnot byb in
+          missing <> 0
+          && (em.em_ctl land byb <> 0 || missing land em.em_ctl <> 0)
+      | None -> true
+    in
+    if worth then disabled_at v rows s d (Stg.label v.v_sg.stg tr) 0 else -1
+
+  (* Some kept arc into [d], from the reverse arc [k] on, violates. *)
+  let rec violated_into v rows d k =
+    let p_off, p_tr, p_src = pred v.v_sg in
+    k < p_off.(d + 1)
+    && (let p = p_src.(k) and tr = p_tr.(k) in
+        (v.v_sc.vs_seen.(p) = v.v_gen
+        && (not (removed v p && v.v_tr.(tr) = v.v_aid))
+        && violating v rows p tr d >= 0)
+        || violated_into v rows d (k + 1))
+
+  let rec any_into_changed v rows = function
+    | [] -> false
+    | d :: rest ->
+        (changed v d
+        &&
+        let p_off, _, _ = pred v.v_sg in
+        violated_into v rows d p_off.(d))
+        || any_into_changed v rows rest
+
+  (* The first kept arc of [s]'s row from [k] on that violates, or -1;
+     [rm] is [removed v s]. *)
+  let rec violating_arc v rows s rm k last =
+    let sg = v.v_sg in
+    if k = last then -1
+    else if kept v rm k && violating v rows s sg.arc_tr.(k) sg.arc_dst.(k) >= 0
+    then k
+    else violating_arc v rows s rm (k + 1) last
+
+  let rec first_violation v rows i =
+    if i = v.v_n then None
+    else
+      let sg = v.v_sg and s = v.v_sc.vs_order.(i) in
+      let k = violating_arc v rows s (removed v s) sg.off.(s) sg.off.(s + 1) in
+      if k < 0 then first_violation v rows (i + 1)
+      else
+        let tr = sg.arc_tr.(k) in
+        let j = violating v rows s tr sg.arc_dst.(k) in
+        Some (s, rows.(s).(j), Stg.label sg.stg tr)
+
   let persistency_violation v =
     live v;
-    let sg = v.v_sg and order = v.v_sc.vs_order in
-    let rows = enabled_arrays sg in
-    let enabled s lab = not (lab = v.v_a && changed v s) in
-    let violation s tr d =
-      let worth =
-        match v.v_em with
-        | Some em ->
-            let byb = 1 lsl em.em_tr.(tr) in
-            let missing = mask v s land lnot (mask v d) land lnot byb in
-            missing <> 0
-            && (em.em_ctl land byb <> 0 || missing land em.em_ctl <> 0)
-        | None -> true
-      in
-      if not worth then None
-      else
-        let by = Stg.label sg.stg tr in
-        Array.find_opt
-          (fun lab ->
-            enabled s lab && lab <> by
-            && (not (enabled d lab && Array.mem lab rows.(d)))
-            && (label_is_controlled sg.stg lab
-               || label_is_controlled sg.stg by))
-          rows.(s)
-        |> Option.map (fun lab -> (s, lab, by))
-    in
-    let into_changed d =
-      changed v d
-      && begin
-           let hit = ref false in
-           iter_pred sg d (fun tr p ->
-               if
-                 v.v_sc.vs_seen.(p) = v.v_gen
-                 && (not (removed v p && v.v_tr.(tr) = v.v_aid))
-                 && violation p tr d <> None
-               then hit := true);
-           !hit
-         end
-    in
-    if is_output_persistent sg && not (List.exists into_changed v.v_states) then
-      None
-    else
-      let exception Found of (state * Stg.label * Stg.label) in
-      try
-        for i = 0 to v.v_n - 1 do
-          let s = order.(i) in
-          let rm = removed v s in
-          for k = sg.off.(s) to sg.off.(s + 1) - 1 do
-            if kept v rm k then
-              match violation s sg.arc_tr.(k) sg.arc_dst.(k) with
-              | Some f -> raise (Found f)
-              | None -> ()
-          done
-        done;
-        None
-      with Found f -> Some f
+    let rows = enabled_arrays v.v_sg in
+    if is_output_persistent v.v_sg && not (any_into_changed v rows v.v_states)
+    then None
+    else first_violation v rows 0
 
   (* The built graph's count on the reached states, with each changed
      row's controlled set less [a]. *)

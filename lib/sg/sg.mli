@@ -252,6 +252,11 @@ val csc_conflict_count : t -> int
 (** Pairs of distinct states with equal codes (USC conflicts). *)
 val usc_conflicts : t -> (state * state) list
 
+(** [usc_conflicts sg = []], without the list: with codes of at most 63
+    signals it reads the code groups the removal views share, otherwise
+    it sorts the states by code. *)
+val has_usc : t -> bool
+
 val has_csc : t -> bool
 
 (** {2 Excitation regions and concurrency} *)

@@ -105,16 +105,26 @@ let prop_random_nets =
 (* [Sg.of_stg] against [Petri.reachable] alone, on nets without toggles
    (each marking carries one parity): the same distinct markings, and as
    many SG states as markings.  A 7-way fork/join (3^7 + 3 states) runs
-   far past the explorer's initial table sizes, so its state table,
-   parity array and builder grow several times; 300 tokens shuttled
-   between two places by two dummies (301 states) give counts past one
-   byte, which the symbolic engine cannot take: it encodes safe nets
-   only. *)
+   far past the explorer's initial table sizes, so its state table and
+   arrays grow several times; 300 tokens shuttled between two places by
+   two dummies (301 states) give counts past one byte, which the symbolic
+   engine cannot take: it encodes safe nets only.  Three one-token places
+   merged into one and fed back out (20 markings) start safe, with 2-bit
+   fields, and reach counts of 3, so the explorer widens its fields and
+   starts over.  The 63-signal ring's 126 places and 63 parities take
+   more than one word each. *)
 let test_of_stg_vs_reachable () =
   let shuttle =
     Stg.Io.parse
       ".model shuttle\n.dummy d u\n.graph\np d\nd q\nq u\nu p\n\
        .marking { p=300 }\n.end\n"
+  in
+  let merge =
+    Stg.Io.parse
+      ".model merge\n.dummy a1 a2 a3 b1 b2 b3\n.graph\n\
+       p1 a1\na1 q\np2 a2\na2 q\np3 a3\na3 q\n\
+       q b1\nb1 p1\nq b2\nb2 p2\nq b3\nb3 p3\n\
+       .marking { p1 p2 p3 }\n.end\n"
   in
   List.iter
     (fun (name, stg, states) ->
@@ -129,7 +139,12 @@ let test_of_stg_vs_reachable () =
             true
             (sg_markings sg
             = List.sort_uniq compare (List.map Array.to_list explicit)))
-    [ ("fork_join 7", Gen.fork_join 7, 2190); ("shuttle", shuttle, 301) ]
+    [
+      ("fork_join 7", Gen.fork_join 7, 2190);
+      ("shuttle", shuttle, 301);
+      ("merge", merge, 20);
+      ("ring 63", Gen.ring ~inputs:1 63, 126);
+    ]
 
 let suite =
   [

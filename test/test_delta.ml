@@ -174,7 +174,19 @@ let test_support_random () =
    and a cold lineage of equal graphs, two levels deep, check the count
    against the pair-list oracle [List.length (Sg.csc_conflicts _)], and
    each warm graph against its cold twin on every check that reads the
-   masks. *)
+   masks.  The USC verdict, which reads the code groups a pruned graph
+   shares with its ghosts, is checked on both against a scan of every
+   pair of codes. *)
+let codes_unique sg =
+  let n = Sg.n_states sg in
+  let unique = ref true in
+  for s = 0 to n - 1 do
+    for s' = s + 1 to n - 1 do
+      if Sg.code sg s = Sg.code sg s' then unique := false
+    done
+  done;
+  !unique
+
 let check_csc_delta name stg =
   let depth_budget = ref 24 in
   (* Invariant: [warm]'s CSC conflicts are counted before its candidates
@@ -218,6 +230,12 @@ let check_csc_delta name stg =
       (label ^ ": csc count = pair list")
       (List.length (Sg.csc_conflicts cold))
       (Sg.csc_conflict_count cold);
+    List.iter
+      (fun (which, g) ->
+        Alcotest.(check bool)
+          (label ^ ": " ^ which ^ " USC verdict = pairwise scan")
+          (codes_unique g) (Sg.has_usc g))
+      [ ("warm", warm); ("cold", cold) ];
     List.iter (fun (lbl, w, c) -> go (depth - 1) lbl w c) recs
   in
   go 2 name (Gen.sg_exn stg) (Gen.sg_exn stg)
