@@ -153,8 +153,8 @@ end
 
 exception State_budget_exceeded of int
 
-(* [Marking.hash] mixed once more, as [Sg]'s state table does: the low
-   bits the table buckets by depend on few sums of the token counts. *)
+(* [Marking.hash] mixed once more: the low bits the table buckets by
+   depend on few sums of the token counts. *)
 module Mtbl = Hashtbl.Make (struct
   type t = marking
 

@@ -112,10 +112,8 @@ val deadlock_free : ?budget:int -> t -> bool
 (** Pretty-print the net structure (places, transitions, arcs, marking). *)
 val pp : Format.formatter -> t -> unit
 
-(** Markings as hash-table keys: {!reachable}'s table and
-    [Sg.of_stg]'s state table, which folds each state's signal parities
-    into [hash].  Both tables mix [hash] once more with [Hashtbl.hash]
-    before bucketing by its low bits. *)
+(** Markings as hash-table keys: {!reachable}'s table mixes [hash] once
+    more with [Hashtbl.hash] before bucketing by its low bits. *)
 module Marking : sig
   type t = marking
 

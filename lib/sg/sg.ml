@@ -482,27 +482,18 @@ let default_budget = 200_000
    clear in every stored state ([guards] has all of them); every signal's
    parity is one bit, laid out as the codes are.  A state's key is its
    [mw] marking words followed by its parity words, [kw] words in all.
-   Per transition [tr]:
-   - [en_word]/[en_lo]/[en_hi], entries [en_start.(tr)] to
-     [en_start.(tr + 1) - 1]: the marking words its preset touches, the
-     preset's low field bits there and their guard bits;
-   - [fi_word]/[fi_delta], entries from [fi_start.(tr)]: the marking
-     words a firing changes, and [post - pre] in low field bits;
-   - [par_word.(tr)]/[par_bit.(tr)]: the parity bit it flips ([-1] on a
-     dummy). *)
+   Word [w] of transition [tr] is at [tr * mw + w] in [pre], its preset's
+   low field bits, and in [delta], [post - pre] in low field bits; it
+   flips parity bit [par_bit.(tr)] of word [par_word.(tr)] ([-1] on a
+   dummy). *)
 type packing = {
   width : int;
   per_word : int;
   mw : int;
   kw : int;
   guards : int;
-  en_start : int array;
-  en_word : int array;
-  en_lo : int array;
-  en_hi : int array;
-  fi_start : int array;
-  fi_word : int array;
-  fi_delta : int array;
+  pre : int array;
+  delta : int array;
   par_word : int array;
   par_bit : int array;
 }
@@ -516,36 +507,19 @@ let packing stg ~width =
   for f = 0 to per_word - 1 do
     guards := !guards lor (1 lsl ((f * width) + width - 1))
   done;
-  (* The low field bits of a set of places, by word. *)
-  let low places =
-    let a = Array.make mw 0 in
+  let pre = Array.make (ntr * mw) 0 and delta = Array.make (ntr * mw) 0 in
+  let add a tr d p =
+    let i = (tr * mw) + (p / per_word) in
+    a.(i) <- a.(i) + (d lsl (p mod per_word * width))
+  in
+  for tr = 0 to ntr - 1 do
     Array.iter
       (fun p ->
-        let w = p / per_word in
-        a.(w) <- a.(w) + (1 lsl (p mod per_word * width)))
-      places;
-    a
-  in
-  (* Per transition, the words where [f pre post] is not zero, and its
-     value there. *)
-  let entries f =
-    let start = Array.make (ntr + 1) 0 and ws = ref [] and vs = ref [] in
-    for tr = 0 to ntr - 1 do
-      let pre = low net.Petri.pre.(tr) and post = low net.Petri.post.(tr) in
-      start.(tr + 1) <- start.(tr);
-      for w = 0 to mw - 1 do
-        let v = f pre.(w) post.(w) in
-        if v <> 0 then begin
-          ws := w :: !ws;
-          vs := v :: !vs;
-          start.(tr + 1) <- start.(tr + 1) + 1
-        end
-      done
-    done;
-    (start, Array.of_list (List.rev !ws), Array.of_list (List.rev !vs))
-  in
-  let en_start, en_word, en_lo = entries (fun pre _ -> pre) in
-  let fi_start, fi_word, fi_delta = entries (fun pre post -> post - pre) in
+        add pre tr 1 p;
+        add delta tr (-1) p)
+      net.Petri.pre.(tr);
+    Array.iter (add delta tr 1) net.Petri.post.(tr)
+  done;
   let par_word = Array.make ntr (-1) and par_bit = Array.make ntr 0 in
   Array.iteri
     (fun tr lab ->
@@ -561,13 +535,8 @@ let packing stg ~width =
     mw;
     kw = mw + words_per_state (Stg.n_signals stg);
     guards = !guards;
-    en_start;
-    en_word;
-    en_lo;
-    en_hi = Array.map (fun lo -> lo lsl (width - 1)) en_lo;
-    fi_start;
-    fi_word;
-    fi_delta;
+    pre;
+    delta;
     par_word;
     par_bit;
   }
@@ -611,7 +580,7 @@ let key_hash (a : int array) base kw =
 let rec same_key (a : int array) i (b : int array) j k =
   k = 0 || (a.(i) = b.(j) && same_key a (i + 1) b (j + 1) (k - 1))
 
-(* The slot of [scratch]'s key: the one holding its state, or the empty
+(* The slot of the scratch key: the one holding its state, or the empty
    one where it goes. *)
 let rec find_slot ex i =
   let mask = Array.length ex.x_slots - 1 in
@@ -650,7 +619,7 @@ let materialize ex base =
   done;
   m
 
-(* The state of [scratch]'s key, added in discovery order when new. *)
+(* The state of the scratch key, added in discovery order when new. *)
 let intern ex =
   let kw = ex.x_pk.kw in
   let i = find_slot ex (key_hash ex.x_scratch 0 kw) in
@@ -682,19 +651,19 @@ let add_arc ex tr dst =
 
 (* [tr] is enabled in the key at [base] when subtracting its preset's low
    bits from the key, with every guard set, borrows from none of the
-   preset's guards. *)
-let rec enabled pk (keys : int array) base k last =
-  k = last
-  || (let hi = pk.en_hi.(k) in
-      ((keys.(base + pk.en_word.(k)) lor pk.guards) - pk.en_lo.(k)) land hi = hi)
-     && enabled pk keys base (k + 1) last
+   preset's guards: from word [w] on. *)
+let rec enabled pk (keys : int array) base tr w =
+  w = pk.mw
+  || (let lo = pk.pre.((tr * pk.mw) + w) in
+      let hi = lo lsl (pk.width - 1) in
+      ((keys.(base + w) lor pk.guards) - lo) land hi = hi)
+     && enabled pk keys base tr (w + 1)
 
-(* Fire [tr] on [scratch]: the counts, then the parity. *)
+(* Fire [tr] on the scratch key: the counts, then the parity. *)
 let fire ex tr =
   let pk = ex.x_pk and sc = ex.x_scratch in
-  for k = pk.fi_start.(tr) to pk.fi_start.(tr + 1) - 1 do
-    let w = pk.fi_word.(k) in
-    let x = sc.(w) + pk.fi_delta.(k) in
+  for w = 0 to pk.mw - 1 do
+    let x = sc.(w) + pk.delta.((tr * pk.mw) + w) in
     if x land pk.guards <> 0 then raise Widen;
     sc.(w) <- x
   done;
@@ -735,7 +704,7 @@ let explore stg pk ~budget =
     ex.x_off.(!s) <- ex.x_m;
     let base = !s * pk.kw in
     for tr = 0 to ntr - 1 do
-      if enabled pk ex.x_keys base pk.en_start.(tr) pk.en_start.(tr + 1) then begin
+      if enabled pk ex.x_keys base tr 0 then begin
         Array.blit ex.x_keys base ex.x_scratch 0 pk.kw;
         fire ex tr;
         let s' = intern ex in

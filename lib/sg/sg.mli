@@ -23,7 +23,14 @@ val pp_error : Format.formatter -> error -> unit
 
 (** [of_stg ?budget ?initial_values ?warn stg] generates the SG by
     exhaustive token-game exploration and computes a consistent binary
-    encoding.  Initial signal values are inferred from transition
+    encoding.  States are numbered in breadth-first discovery order, each
+    row's arcs in ascending transition id.  The exploration runs on
+    packed words: every place a counter field with a guard bit (2 bits
+    per place on a safe net), every signal parity one bit; a count that
+    outgrows its field widens the fields and restarts the exploration,
+    which finds the same states in the same order.  More than [budget]
+    states (default {!default_budget}) is [Unbounded].  Initial signal
+    values are inferred from transition
     enabledness; a signal never constrained by a +/− edge (e.g. a
     toggle-only 2-phase signal) takes its value from [initial_values]
     (signal name, 0/1) or defaults to 0, in which case [warn] (default:
@@ -180,9 +187,9 @@ val derive :
   arcs:(state -> (Petri.trans * state) list) ->
   t * state array
 
-(** Imperative construction of an SG from scratch.  Used by {!of_stg} and
-    {!derive}; exposed for engines that enumerate a state space by other
-    means (e.g. a future symbolic/explicit swap).  Invariants checked at
+(** Imperative construction of an SG from scratch, for engines that
+    enumerate a state space by other means than {!of_stg} ([Csc]'s
+    products, the tests).  Invariants checked at
     {!Builder.build}: arc endpoints must be added states, the initial
     state must be added, and every state should be reachable from the
     initial one (unreachable states are rejected — prune with
