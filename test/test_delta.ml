@@ -164,6 +164,17 @@ let test_support_random () =
       (Gen.random_stg ~max_signals:6 seed)
   done
 
+(* No two states of [sg] share a code, by a scan of every pair. *)
+let codes_unique sg =
+  let n = Sg.n_states sg in
+  let unique = ref true in
+  for s = 0 to n - 1 do
+    for s' = s + 1 to n - 1 do
+      if Sg.code sg s = Sg.code sg s' then unique := false
+    done
+  done;
+  !unique
+
 (* The CSC-conflict count and the enabled masks a candidate inherits from
    its parent.  A candidate built from a parent whose masks are cached (as
    every search candidate is: pricing counts the CSC conflicts of every
@@ -177,16 +188,6 @@ let test_support_random () =
    masks.  The USC verdict, which reads the code groups a pruned graph
    shares with its ghosts, is checked on both against a scan of every
    pair of codes. *)
-let codes_unique sg =
-  let n = Sg.n_states sg in
-  let unique = ref true in
-  for s = 0 to n - 1 do
-    for s' = s + 1 to n - 1 do
-      if Sg.code sg s = Sg.code sg s' then unique := false
-    done
-  done;
-  !unique
-
 let check_csc_delta name stg =
   let depth_budget = ref 24 in
   (* Invariant: [warm]'s CSC conflicts are counted before its candidates

@@ -23,7 +23,17 @@ let test_fig1_properties () =
   check "CSC violated" false (Sg.has_csc sg);
   check_int "one CSC conflict pair" 1 (List.length (Sg.csc_conflicts sg));
   check_int "one USC conflict pair" 1 (List.length (Sg.usc_conflicts sg));
-  check "no deadlocks" true (Sg.deadlocks sg = [])
+  check "USC violated" false (Sg.has_usc sg);
+  check "no deadlocks" true (Sg.deadlocks sg = []);
+  (* Dropping s2's Req+ arc prunes s3, the USC twin of s1: its code stays
+     behind as a ghost, which the child's USC verdict must not count. *)
+  let req_plus = Core.lab (Sg.stg sg) "Req+" in
+  let child, _ =
+    Sg.filter_arcs sg ~keep:(fun s tr _ ->
+        not (s = 2 && Stg.label (Sg.stg sg) tr = req_plus))
+  in
+  check_int "pruned twin: one ghost" 1 (Sg.n_ghosts child);
+  check "pruned twin: USC holds" true (Sg.has_usc child)
 
 let test_fig1_er_concurrency () =
   let stg = Specs.fig1 () in
