@@ -570,12 +570,16 @@ type explorer = {
   x_scratch : int array;
 }
 
+(* A multiply carries only upward, so bit [i] of the fold depends on bits
+   [0..i] of the words alone; the xor-shift, multiply, xor-shift after it
+   brings the fold's high bits down into the low ones that pick a slot. *)
 let key_hash (a : int array) base kw =
   let h = ref 0 in
   for j = base to base + kw - 1 do
     h := (!h lxor a.(j)) * 0x2545f4914f6cdd1d
   done;
-  !h lxor (!h lsr 29)
+  let h = (!h lxor (!h lsr 32)) * 0x2545f4914f6cdd1d in
+  h lxor (h lsr 29)
 
 let rec same_key (a : int array) i (b : int array) j k =
   k = 0 || (a.(i) = b.(j) && same_key a (i + 1) b (j + 1) (k - 1))
@@ -1322,6 +1326,16 @@ let usc_conflicts sg =
   done;
   List.sort compare !out
 
+(* No two states share a code: no two neighbours of the code-sorted
+   order do. *)
+let has_usc sg =
+  let a = sorted_by_code sg in
+  let unique = ref true in
+  for i = 1 to sg.n - 1 do
+    if compare_codes sg a.(i - 1) a.(i) = 0 then unique := false
+  done;
+  !unique
+
 let csc_conflicts sg =
   usc_conflicts sg
   |> List.filter (fun (s, s') ->
@@ -1553,22 +1567,11 @@ let conc_rel sg =
   match sg.cache.c_conc with
   | Some r -> r
   | None ->
-      let stg_labels = sg.stg.Stg.labels in
-      let conc_idx = Hashtbl.create 16 and order = ref [] in
-      let lab_id =
-        Array.map
-          (fun lab ->
-            match Hashtbl.find_opt conc_idx lab with
-            | Some i -> i
-            | None ->
-                let i = Hashtbl.length conc_idx in
-                Hashtbl.add conc_idx lab i;
-                order := lab :: !order;
-                i)
-          stg_labels
-      in
-      let conc_labels = Array.of_list (List.rev !order) in
+      let conc_labels = Array.of_list (Stg.all_labels sg.stg) in
       let nlab = Array.length conc_labels in
+      let conc_idx = Hashtbl.create (2 * max 1 nlab) in
+      Array.iteri (fun i lab -> Hashtbl.replace conc_idx lab i) conc_labels;
+      let lab_id = Array.map (Hashtbl.find conc_idx) sg.stg.Stg.labels in
       let conc_mat = Bytes.make (nlab * nlab) '\000' in
       for s = 0 to sg.n - 1 do
         let lo = sg.off.(s) and hi = sg.off.(s + 1) - 1 in
@@ -1699,27 +1702,6 @@ let by_code sg =
       let b = { bc_codes = codes; bc_start = starts; bc_items = items } in
       sg.cache.c_by_code <- Some b;
       b
-
-(* No two states share a code.  With codes in one word, [by_code]'s
-   groups list their states before their ghosts, so a group whose second
-   item is a state has two; past one word, adjacent states of the
-   code-sorted order are compared. *)
-let has_usc sg =
-  let unique = ref true in
-  if sg.wps = 1 then begin
-    let bc = by_code sg in
-    for g = 0 to Array.length bc.bc_codes - 1 do
-      let k = bc.bc_start.(g) + 1 in
-      if k < bc.bc_start.(g + 1) && bc.bc_items.(k) >= 0 then unique := false
-    done
-  end
-  else begin
-    let a = sorted_by_code sg in
-    for i = 1 to sg.n - 1 do
-      if compare_codes sg a.(i - 1) a.(i) = 0 then unique := false
-    done
-  end;
-  !unique
 
 (* Per-domain scratch of the current view, over the source's state ids:
    [vs_mark.(s) = vs_gen] when [s]'s [a]-arcs go, [vs_seen.(s) = vs_gen]

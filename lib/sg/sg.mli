@@ -259,9 +259,8 @@ val csc_conflict_count : t -> int
 (** Pairs of distinct states with equal codes (USC conflicts). *)
 val usc_conflicts : t -> (state * state) list
 
-(** [usc_conflicts sg = []], without the list: with codes of at most 63
-    signals it reads the code groups the removal views share, otherwise
-    it sorts the states by code. *)
+(** [usc_conflicts sg = []], without the list: it sorts the states by
+    code and compares neighbours. *)
 val has_usc : t -> bool
 
 val has_csc : t -> bool

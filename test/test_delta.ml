@@ -185,9 +185,8 @@ let codes_unique sg =
    and a cold lineage of equal graphs, two levels deep, check the count
    against the pair-list oracle [List.length (Sg.csc_conflicts _)], and
    each warm graph against its cold twin on every check that reads the
-   masks.  The USC verdict, which reads the code groups a pruned graph
-   shares with its ghosts, is checked on both against a scan of every
-   pair of codes. *)
+   masks.  The USC verdict, which must not count a pruned graph's
+   ghosts, is checked on both against a scan of every pair of codes. *)
 let check_csc_delta name stg =
   let depth_budget = ref 24 in
   (* Invariant: [warm]'s CSC conflicts are counted before its candidates

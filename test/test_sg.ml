@@ -627,13 +627,13 @@ let suite =
 (* ---- state numbering, pinned ---- *)
 
 (* [astg show] then [astg check] on every shipped spec, on four-phase LR,
-   PAR and MMU, and on the 63-signal ring (codes and markings past one
-   word), each in a fresh process: the net, every state with its code and
-   every row's arcs in order, then the implementability report.  Csc's
-   product and every golden downstream read [Sg.of_stg]'s state numbers
-   and row order, so a change to the explorer or to the analyses must
-   print these bytes unchanged.  Bless an intended change with
-   ASYNC_REPRO_BLESS=1. *)
+   PAR and MMU, and on the 63- and 64-signal rings (markings past one
+   word; the 64-signal ring's codes take two), each in a fresh process:
+   the net, every state with its code and every row's arcs in order, then
+   the implementability report.  Csc's product and every golden
+   downstream read [Sg.of_stg]'s state numbers and row order, so a change
+   to the explorer or to the analyses must print these bytes unchanged.
+   Bless an intended change with ASYNC_REPRO_BLESS=1. *)
 let test_show_golden () =
   let b = Buffer.create 65536 in
   List.iter
@@ -651,6 +651,7 @@ let test_show_golden () =
         ("PAR", `Printed (Expansion.four_phase Specs.par));
         ("MMU", `Printed (Expansion.four_phase Specs.mmu));
         ("ring63", `Printed (Gen.ring ~inputs:1 63));
+        ("ring64", `Printed (Gen.ring ~inputs:1 64));
       ]);
   Test_obs.check_golden "show.expected" (Buffer.contents b)
 
