@@ -59,7 +59,7 @@ let fig2 () =
   Printf.printf
     "   states=%d csc-conflict pairs=%d -- not a valid LR handshake\n"
     (Sg.n_states sg_unc)
-    (List.length (Sg.csc_conflicts sg_unc));
+    (Sg.csc_conflict_count sg_unc);
   let protocol = Expansion.four_phase Specs.lr in
   Printf.printf "-- valid expansion with interface constraints (Fig. 2.f):\n%s"
     (Stg.Io.print protocol);
@@ -67,7 +67,7 @@ let fig2 () =
   Printf.printf "   states=%d speed-independent=%b csc-conflict pairs=%d\n"
     (Sg.n_states sg)
     (Sg.is_speed_independent sg)
-    (List.length (Sg.csc_conflicts sg))
+    (Sg.csc_conflict_count sg)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: LR-process implementations                                 *)

@@ -667,7 +667,7 @@ let expand_cmd =
             Printf.printf "# states=%d speed-independent=%b csc-conflicts=%d\n"
               (Sg.n_states sg)
               (Sg.is_speed_independent sg)
-              (List.length (Sg.csc_conflicts sg));
+              (Sg.csc_conflict_count sg);
             `Ok ()
         | Error e ->
             Printf.printf "# SG generation failed: %s\n"

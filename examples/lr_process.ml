@@ -28,7 +28,7 @@ let () =
   let invalid = four_phase ~constraints:`None lr_combinators in
   Printf.printf "without interface constraints: %d states, %d CSC conflicts\n"
     (Sg.n_states (Core.sg_exn invalid))
-    (List.length (Sg.csc_conflicts (Core.sg_exn invalid)));
+    (Sg.csc_conflict_count (Core.sg_exn invalid));
 
   (* Explore the reshuffling space: the rows of the paper's Table 1. *)
   let l = Core.lab stg in

@@ -21,7 +21,7 @@ let () =
   Format.printf "MMU 4-phase expansion: %a, SI=%b, %d CSC conflict pairs@."
     Sg.pp sg
     (Sg.is_speed_independent sg)
-    (List.length (Sg.csc_conflicts sg));
+    (Sg.csc_conflict_count sg);
 
   (* The original: implement the maximally concurrent expansion directly. *)
   let original = Core.implement ~max_csc:8 ~name:"original" sg in

@@ -23,7 +23,7 @@ let () =
   print_string (Stg.Io.print stg);
   let sg = Core.sg_exn stg in
   Format.printf "4-phase expansion: %a, %d CSC conflict pairs@." Sg.pp sg
-    (List.length (Sg.csc_conflicts sg));
+    (Sg.csc_conflict_count sg);
 
   let delays s t = Timing.par_delays s t in
   let l = Core.lab stg in

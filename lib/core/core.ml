@@ -270,10 +270,14 @@ module Cli = struct
     | Ok sg ->
         pf "consistent:          yes\n";
         pf "states:              %d\n" (Sg.n_states sg);
-        pf "deterministic:       %b\n" (Sg.is_deterministic sg);
-        pf "commutative:         %b\n" (Sg.is_commutative sg);
-        pf "output-persistent:   %b\n" (Sg.is_output_persistent sg);
-        pf "speed-independent:   %b\n" (Sg.is_speed_independent sg);
+        let deterministic = Sg.is_deterministic sg in
+        let commutative = Sg.is_commutative sg in
+        let persistent = Sg.is_output_persistent sg in
+        pf "deterministic:       %b\n" deterministic;
+        pf "commutative:         %b\n" commutative;
+        pf "output-persistent:   %b\n" persistent;
+        pf "speed-independent:   %b\n"
+          (deterministic && commutative && persistent);
         pf "CSC:                 %b (%d conflicting state pairs)\n"
           (Sg.has_csc sg)
           (Sg.csc_conflict_count sg);

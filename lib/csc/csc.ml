@@ -64,80 +64,103 @@ let validate stg ~set ~reset ~name =
    with Not_found -> ());
   check_pair stg ~set ~reset
 
+(* One inserted edge, read off its site: [After t] takes the tokens [t]
+   puts into [post(t)], [On_arc p] the one [p]'s producer puts into [p];
+   they wait in the edge's place [q] until it fires, and the edge then
+   puts them where they were going.  An [On_arc] site whose producer is
+   the other site's [After] transition leaves its edge with no place at
+   all: free, enabled in every state. *)
+type edge = {
+  producer : Petri.trans;  (** marks [q]; -1 for a free edge *)
+  held : Petri.place array;  (** the places a pending [q] holds back *)
+}
+
+let edge net site ~other =
+  match (site, other) with
+  | After t, _ -> { producer = t; held = net.Petri.post.(t) }
+  | On_arc p, After t when net.Petri.producers.(p).(0) = t ->
+      { producer = -1; held = [||] }
+  | On_arc p, (After _ | On_arc _) ->
+      { producer = net.Petri.producers.(p).(0); held = [| p |] }
+
+(* The edges [c+] and [c-] insert. *)
+let edges net ~set ~reset =
+  (edge net set ~other:reset, edge net reset ~other:set)
+
+(* [a] less the members of [drop], then [x]: still ascending, since [x]
+   is a new id, above every old one. *)
+let replace a ~drop x =
+  Array.append
+    (Array.of_list
+       (List.filter (fun v -> not (Array.mem v drop)) (Array.to_list a)))
+    [| x |]
+
+(* The refined net shares every array of [stg]'s net that the insertion
+   leaves alone.  The inserted places are numbered after the old ones by
+   producer, then by the place they hold back, and [c+], [c-] after the
+   old transitions; signals keep their order with [c] last, an internal
+   signal after the internal ones (see [Stg.t]). *)
 let insert_signal stg ~set ~reset ~name =
   validate stg ~set ~reset ~name;
   let net = stg.Stg.net in
-  let b = Petri.Builder.create () in
-  for p = 0 to Petri.n_places net - 1 do
-    ignore
-      (Petri.Builder.add_place b ~name:(Petri.place_name net p)
-         ~tokens:net.Petri.initial.(p))
-  done;
-  for t = 0 to Petri.n_trans net - 1 do
-    ignore (Petri.Builder.add_trans b ~name:(Petri.trans_name net t))
-  done;
-  let t_plus = Petri.Builder.add_trans b ~name:(name ^ "+") in
-  let t_minus = Petri.Builder.add_trans b ~name:(name ^ "-") in
-  let edge_of = function
-    | s when s = set -> t_plus
-    | _ -> t_minus
+  let np = Petri.n_places net and nt = Petri.n_trans net in
+  let q_name = function
+    | After t -> Printf.sprintf "q_%s_%s" name (Petri.trans_name net t)
+    | On_arc p -> Printf.sprintf "q_%s_%s" name (Petri.place_name net p)
   in
-  (* On_arc sites: the producer's arc to the place is re-routed through the
-     new edge: t1 -> q -> c± -> p.  The initial token of a marked place
-     stays in the place, so the first occurrence of the new edge follows the
-     first firing of the producer. *)
-  let rerouted = Hashtbl.create 4 in
+  let plus, minus = edges net ~set ~reset in
+  (* the placed edges in [q] id order, each with its transition and its
+     [q]'s name *)
+  let placed =
+    List.filter
+      (fun (e, _, _) -> e.producer >= 0)
+      [ (plus, nt, q_name set); (minus, nt + 1, q_name reset) ]
+    |> List.sort (fun (a, _, _) (b, _, _) ->
+           compare (a.producer, a.held) (b.producer, b.held))
+    |> Array.of_list
+  in
+  let pre = Array.append net.Petri.pre [| [||]; [||] |] in
+  let post = Array.append net.Petri.post [| plus.held; minus.held |] in
+  let producers = Array.copy net.Petri.producers in
+  (* [t -> q -> c± -> held]: [q] takes what [t] put into the held places *)
+  Array.iteri
+    (fun i (e, te, _) ->
+      pre.(te) <- [| np + i |];
+      post.(e.producer) <- replace post.(e.producer) ~drop:e.held (np + i))
+    placed;
+  (* the held places' producer becomes [c±], [c+] first so that a place
+     both feed lists them in order *)
   List.iter
-    (fun s ->
-      match s with
-      | On_arc p -> Hashtbl.replace rerouted p (edge_of s)
-      | After _ -> ())
-    [ set; reset ];
-  for t = 0 to Petri.n_trans net - 1 do
-    Array.iter (fun p -> Petri.Builder.arc_pt b p t) net.Petri.pre.(t);
-    let series_edge =
-      match (set, reset) with
-      | After ts, _ when ts = t -> Some t_plus
-      | _, After tr when tr = t -> Some t_minus
-      | (After _ | On_arc _), (After _ | On_arc _) -> None
-    in
-    match series_edge with
-    | Some edge ->
-        let q =
-          Petri.Builder.add_place b
-            ~name:(Printf.sprintf "q_%s_%s" name (Petri.trans_name net t))
-            ~tokens:0
-        in
-        Petri.Builder.arc_tp b t q;
-        Petri.Builder.arc_pt b q edge;
-        Array.iter (fun p -> Petri.Builder.arc_tp b edge p) net.Petri.post.(t)
-    | None ->
-        Array.iter
-          (fun p ->
-            match Hashtbl.find_opt rerouted p with
-            | Some edge ->
-                let q =
-                  Petri.Builder.add_place b
-                    ~name:
-                      (Printf.sprintf "q_%s_%s" name (Petri.place_name net p))
-                    ~tokens:0
-                in
-                Petri.Builder.arc_tp b t q;
-                Petri.Builder.arc_pt b q edge;
-                Petri.Builder.arc_tp b edge p
-            | None -> Petri.Builder.arc_tp b t p)
-          net.Petri.post.(t)
-  done;
-  let kind_names k =
-    Array.to_list stg.Stg.signals
-    |> List.filter_map (fun s ->
-           if s.Stg.Signal.kind = k then Some s.Stg.Signal.name else None)
+    (fun (e, te) ->
+      Array.iter
+        (fun p ->
+          producers.(p) <- replace producers.(p) ~drop:[| e.producer |] te)
+        e.held)
+    [ (plus, nt); (minus, nt + 1) ];
+  let added f = Array.map f placed in
+  let net' =
+    Petri.of_arrays
+      ~place_names:
+        (Array.append net.Petri.place_names (added (fun (_, _, q) -> q)))
+      ~trans_names:
+        (Array.append net.Petri.trans_names [| name ^ "+"; name ^ "-" |])
+      ~pre ~post
+      ~producers:
+        (Array.append producers (added (fun (e, _, _) -> [| e.producer |])))
+      ~consumers:
+        (Array.append net.Petri.consumers (added (fun (_, te, _) -> [| te |])))
+      ~initial:(Array.append net.Petri.initial (added (fun _ -> 0)))
   in
-  Stg.of_net
-    ~inputs:(kind_names Stg.Signal.Input)
-    ~outputs:(kind_names Stg.Signal.Output)
-    ~internals:(kind_names Stg.Signal.Internal @ [ name ])
-    (Petri.Builder.build b)
+  let c = Stg.n_signals stg in
+  {
+    Stg.net = net';
+    signals =
+      Array.append stg.Stg.signals
+        [| { Stg.Signal.name; kind = Stg.Signal.Internal } |];
+    labels =
+      Array.append stg.Stg.labels
+        [| Stg.Edge (c, Stg.Plus); Stg.Edge (c, Stg.Minus) |];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Child state graphs by product *)
@@ -176,25 +199,6 @@ let all_constrained sg =
       | Stg.Edge (i, (Stg.Plus | Stg.Minus)) -> seen.(i) <- true
       | Stg.Edge (_, Stg.Toggle) | Stg.Dummy _ -> ());
   Array.for_all Fun.id seen
-
-(* One inserted edge, read off its site the way [insert_signal] wires it:
-   [After t] takes the tokens [t] puts into [post(t)], [On_arc p] the one
-   [p]'s producer puts into [p]; they wait in the edge's [q] until it
-   fires.  An [On_arc] site whose producer is the other site's [After]
-   transition leaves its edge with no place at all: free, enabled in
-   every state. *)
-type edge = {
-  producer : Petri.trans;  (** marks [q]; -1 for a free edge *)
-  held : Petri.place array;  (** the places a pending [q] holds back *)
-}
-
-let edge net site ~other =
-  match (site, other) with
-  | After t, _ -> { producer = t; held = net.Petri.post.(t) }
-  | On_arc p, After t when net.Petri.producers.(p).(0) = t ->
-      { producer = -1; held = [||] }
-  | On_arc p, (After _ | On_arc _) ->
-      { producer = net.Petri.producers.(p).(0); held = [| p |] }
 
 (* Controlled-label mask bits: one per controlled label of the parent,
    then [c+] and [c-]. *)
@@ -253,6 +257,7 @@ type score = {
    hold the verdicts of the children explored and counted on it. *)
 type level = {
   sg : Sg.t;
+  net : Petri.t;
   constrained : bool;
   packed : bool;
   lbit : int array;
@@ -262,6 +267,8 @@ type level = {
   touch : int array;
       (** per parent transition, set per candidate: bit 0 (1) when its
           preset has a place a pending [q+] ([q-]) holds back *)
+  mutable plus : edge;  (** the edges the explored child inserts *)
+  mutable minus : edge;
   mutable keys : int array;
   mutable masks : int array;
   mutable off : int array;
@@ -275,6 +282,8 @@ type level = {
       (** by unordered edge pair; [None]: the child has no SG *)
   scores : (int, score) Hashtbl.t;  (** by ordered edge pair *)
 }
+
+let free = { producer = -1; held = [||] }
 
 let level sg =
   let stg = Sg.stg sg in
@@ -315,6 +324,7 @@ let level sg =
   let cap = (2 * n) + 1 in
   {
     sg;
+    net = stg.Stg.net;
     constrained = all_constrained sg;
     packed;
     lbit;
@@ -322,6 +332,8 @@ let level sg =
     start = Array.make ((2 * Hashtbl.length codes) + 1) 0;
     index = Array.make (8 * n) (-1);
     touch = Array.make nt 0;
+    plus = free;
+    minus = free;
     keys = Array.make cap 0;
     masks = Array.make cap 0;
     off = Array.make (cap + 1) 0;
@@ -369,107 +381,128 @@ let push lv tr j =
   lv.arc_dst.(m) <- j;
   lv.m <- m + 1
 
-(* The edges [c+] and [c-] insert. *)
-let edges net ~set ~reset =
-  (edge net set ~other:reset, edge net reset ~other:set)
+(* The exploration below is top-level loops over the level record and the
+   parent's arc indices: no closure or reference cell is allocated per
+   child state or arc. *)
 
-(* Explore the child that inserts [ep] as [c+] and [em] as [c-] into
+(* Set [bit] in [touch] of every consumer of a place in [held], or with
+   [clear] reset it. *)
+let mark lv (held : Petri.place array) bit ~clear =
+  for i = 0 to Array.length held - 1 do
+    let consumers = lv.net.Petri.consumers.(held.(i)) in
+    for j = 0 to Array.length consumers - 1 do
+      let t = consumers.(j) in
+      lv.touch.(t) <- (if clear then 0 else lv.touch.(t) lor bit)
+    done
+  done
+
+let rec mem (p : int) (a : int array) i =
+  i < Array.length a && (a.(i) = p || mem p a (i + 1))
+
+(* Tokens of [p] that the pending [q]s in [pend] hold back. *)
+let held lv pend p =
+  (if pend land 1 <> 0 && mem p lv.plus.held 0 then 1 else 0)
+  + if pend land 2 <> 0 && mem p lv.minus.held 0 then 1 else 0
+
+(* Does every place of [pre] from [i] on keep a token of marking [m] once
+   the pending [q]s hold theirs back? *)
+let rec keeps lv m pend (pre : Petri.place array) i =
+  i = Array.length pre
+  || (m.(pre.(i)) > held lv pend pre.(i) && keeps lv m pend pre (i + 1))
+
+(* [tr]'s parent arc leaves [s]; does it fire with the [q]s of [x]
+   pending? *)
+let fires lv s x tr =
+  let pend = x land lv.touch.(tr) in
+  pend = 0 || keeps lv (Sg.marking lv.sg s) pend lv.net.Petri.pre.(tr) 0
+
+(* Child state [i] fires the new signal's edge [tr] ([want] 0 for [c+], 1
+   for [c-]) into [key].  The initial value of the new signal is inferred
+   from its first edge as [of_stg] does; its first contradicting edge
+   ends the exploration. *)
+let fire_new lv i key tr want =
+  push lv tr (target lv key);
+  let v = want lxor ((lv.keys.(i) lsr 2) land 1) in
+  if lv.v0 = -1 then lv.v0 <- v
+  else if lv.v0 <> v then
+    raise (Conflict (if want = 0 then Stg.Plus else Stg.Minus))
+
+(* The row of child state [i]: its parent row in arc order, then [c+],
+   then [c-]. *)
+let expand lv i =
+  let sg = lv.sg and key = lv.keys.(i) in
+  let s = key lsr 3 and x = key land 7 in
+  lv.off.(i) <- lv.m;
+  let mask = ref 0 in
+  for k = Sg.first_arc sg s to Sg.first_arc sg (s + 1) - 1 do
+    let tr = Sg.arc_trans sg k in
+    if fires lv s x tr then begin
+      let add =
+        (if tr = lv.plus.producer then 1 else 0)
+        lor if tr = lv.minus.producer then 2 else 0
+      in
+      if x land add <> 0 then raise Fallback (* a second token in a q *);
+      push lv tr (target lv ((8 * Sg.arc_target sg k) + (x lor add)));
+      mask := !mask lor lv.lbit.(tr)
+    end
+  done;
+  (* a free edge fires everywhere, a placed one where its [q] is marked
+     (and empties it) *)
+  let t_plus = Petri.n_trans lv.net in
+  if lv.plus.producer < 0 || x land 1 <> 0 then begin
+    fire_new lv i (key lxor if lv.plus.producer < 0 then 4 else 5) t_plus 0;
+    mask := !mask lor bit_plus
+  end;
+  if lv.minus.producer < 0 || x land 2 <> 0 then begin
+    fire_new lv i
+      (key lxor if lv.minus.producer < 0 then 4 else 6)
+      (t_plus + 1) 1;
+    mask := !mask lor bit_minus
+  end;
+  lv.masks.(i) <- !mask
+
+let run lv =
+  ignore (target lv (8 * Sg.initial lv.sg));
+  let i = ref 0 in
+  while !i < lv.n do
+    expand lv !i;
+    incr i
+  done;
+  lv.off.(lv.n) <- lv.m;
+  if lv.v0 = -1 then raise Fallback (* [of_stg] warns about it *)
+
+let clear lv =
+  for j = 0 to lv.n - 1 do
+    lv.index.(lv.keys.(j)) <- -1
+  done;
+  mark lv lv.plus.held 1 ~clear:true;
+  mark lv lv.minus.held 2 ~clear:true
+
+(* Explore the child that inserts [plus] as [c+] and [minus] as [c-] into
    [lv]: keys, rows, masks and [v0].  It reads nothing of the sites but
    these two edges.
    @raise Fallback, Over_budget or Conflict (the new signal's edge whose
    inferred initial value contradicts the first). *)
-let explore lv (ep, em) =
+let explore lv plus minus =
   if not lv.constrained then raise Fallback;
-  let sg = lv.sg in
-  let net = (Sg.stg sg).Stg.net in
-  let t_plus = Petri.n_trans net in
-  let t_minus = t_plus + 1 in
-  let mark e f =
-    Array.iter
-      (fun p ->
-        Array.iter
-          (fun t -> lv.touch.(t) <- f lv.touch.(t))
-          net.Petri.consumers.(p))
-      e.held
-  in
-  mark ep (fun b -> b lor 1);
-  mark em (fun b -> b lor 2);
-  (* [tr]'s parent arc leaves [s]; does it fire with the [q]s of [x]
-     pending?  Each preset place must keep a token once they hold theirs
-     back. *)
-  let fires s x tr =
-    let pend = x land lv.touch.(tr) in
-    pend = 0
-    ||
-    let m = Sg.marking sg s in
-    let held e bit p =
-      if pend land bit <> 0 && Array.mem p e.held then 1 else 0
-    in
-    Array.for_all
-      (fun p -> m.(p) > held ep 1 p + held em 2 p)
-      net.Petri.pre.(tr)
-  in
-  (* the initial value of the new signal, inferred from its first edge as
-     [of_stg] does; its first contradicting edge ends the exploration *)
-  let fire_new i key tr dir =
-    push lv tr (target lv key);
-    let want = if dir = Stg.Plus then 0 else 1 in
-    let v = want lxor ((lv.keys.(i) lsr 2) land 1) in
-    if lv.v0 = -1 then lv.v0 <- v
-    else if lv.v0 <> v then raise (Conflict dir)
-  in
-  let run () =
-    ignore (target lv (8 * Sg.initial sg));
-    let i = ref 0 in
-    while !i < lv.n do
-      let i' = !i in
-      let key = lv.keys.(i') in
-      let s = key lsr 3 and x = key land 7 in
-      lv.off.(i') <- lv.m;
-      let mask = ref 0 in
-      Sg.iter_succ sg s (fun tr s' ->
-          if fires s x tr then begin
-            let add =
-              (if tr = ep.producer then 1 else 0)
-              lor if tr = em.producer then 2 else 0
-            in
-            if x land add <> 0 then raise Fallback (* a second token in a q *);
-            push lv tr (target lv ((8 * s') + (x lor add)));
-            mask := !mask lor lv.lbit.(tr)
-          end);
-      (* a free edge fires everywhere, a placed one where its [q] is
-         marked (and empties it) *)
-      if ep.producer < 0 || x land 1 <> 0 then begin
-        let flip = if ep.producer < 0 then 4 else 5 in
-        fire_new i' (key lxor flip) t_plus Stg.Plus;
-        mask := !mask lor bit_plus
-      end;
-      if em.producer < 0 || x land 2 <> 0 then begin
-        let flip = if em.producer < 0 then 4 else 6 in
-        fire_new i' (key lxor flip) t_minus Stg.Minus;
-        mask := !mask lor bit_minus
-      end;
-      lv.masks.(i') <- !mask;
-      incr i
-    done;
-    lv.off.(lv.n) <- lv.m;
-    if lv.v0 = -1 then raise Fallback (* [of_stg] warns about it *)
-  in
-  let clear () =
-    for j = 0 to lv.n - 1 do
-      lv.index.(lv.keys.(j)) <- -1
-    done;
-    mark ep (fun _ -> 0);
-    mark em (fun _ -> 0)
-  in
+  lv.plus <- plus;
+  lv.minus <- minus;
+  mark lv plus.held 1 ~clear:false;
+  mark lv minus.held 2 ~clear:false;
   lv.n <- 0;
   lv.m <- 0;
   lv.v0 <- -1;
-  match run () with
-  | () -> clear ()
+  match run lv with
+  | () -> clear lv
   | exception e ->
-      clear ();
+      clear lv;
       raise e
+
+(* The bucket of child state [i]: its parent code class and new-signal
+   parity. *)
+let bucket lv i =
+  let key = lv.keys.(i) in
+  (2 * lv.cls.(key lsr 3)) + ((key lsr 2) land 1)
 
 (* [Sg.csc_conflict_count] of the explored child, on a [packed] parent.
    A child's code is its parent state's code plus the new bit, so states
@@ -480,13 +513,9 @@ let explore lv (ep, em) =
 let count lv ~limit =
   let n = lv.n and start = lv.start in
   let nb = Array.length start - 1 in
-  let bucket i =
-    let key = lv.keys.(i) in
-    (2 * lv.cls.(key lsr 3)) + ((key lsr 2) land 1)
-  in
   Array.fill start 0 (nb + 1) 0;
   for i = 0 to n - 1 do
-    let b = bucket i + 1 in
+    let b = bucket lv i + 1 in
     start.(b) <- start.(b) + 1
   done;
   for b = 1 to nb do
@@ -496,7 +525,7 @@ let count lv ~limit =
   (* placing a state advances its bucket's start: afterwards [start.(b)]
      is where bucket [b] ends *)
   for i = 0 to n - 1 do
-    let b = bucket i in
+    let b = bucket lv i in
     bucketed.(start.(b)) <- lv.masks.(i);
     start.(b) <- start.(b) + 1
   done;
@@ -514,59 +543,62 @@ let count lv ~limit =
   done;
   !c
 
+(* Move the tokens [e] holds back in marking [m] into its place [q]. *)
+let hold m (e : edge) q =
+  for i = 0 to Array.length e.held - 1 do
+    m.(e.held.(i)) <- m.(e.held.(i)) - 1
+  done;
+  m.(q) <- 1
+
+(* The marking of the child state of [key]: its parent state's, with the
+   tokens a pending [q] holds back moved into [q]. *)
+let child_marking lv np' ~q_plus ~q_minus key =
+  let m = Array.make np' 0 in
+  let pm = Sg.marking lv.sg (key lsr 3) in
+  Array.blit pm 0 m 0 (Array.length pm);
+  if key land 1 <> 0 then hold m lv.plus q_plus;
+  if key land 2 <> 0 then hold m lv.minus q_minus;
+  m
+
 (* The explored child as an SG: its STG from [insert_signal], its
    markings from the parent's with the held tokens moved into [q±], its
-   rows from the explored CSR. *)
+   codes the parent's words plus [c]'s bit, its rows the explored CSR. *)
 let build lv ~set ~reset ~name =
   let sg = lv.sg in
   let stg = Sg.stg sg in
-  let net = stg.Stg.net in
   let stg' = insert_signal stg ~set ~reset ~name in
   let net' = stg'.Stg.net in
-  let np = Petri.n_places net and np' = Petri.n_places net' in
-  let t_plus = Petri.n_trans net in
-  let hold e t bit =
-    if e.producer < 0 then fun _ _ -> ()
-    else
-      let q = net'.Petri.pre.(t).(0) in
-      fun key m ->
-        if key land bit <> 0 then begin
-          Array.iter (fun p -> m.(p) <- m.(p) - 1) e.held;
-          m.(q) <- 1
-        end
+  let t_plus = Petri.n_trans lv.net in
+  let q_of t = match net'.Petri.pre.(t) with [| q |] -> q | _ -> -1 in
+  let q_plus = q_of t_plus and q_minus = q_of (t_plus + 1) in
+  let np' = Petri.n_places net' and n = lv.n in
+  let markings =
+    Array.init n (fun i ->
+        child_marking lv np' ~q_plus ~q_minus lv.keys.(i))
   in
-  let ep, em = edges net ~set ~reset in
-  let hold_plus = hold ep t_plus 1 and hold_minus = hold em (t_plus + 1) 2 in
-  let b = Sg.Builder.create ~expect:lv.n stg' in
-  let qs = Array.make (np' - np) 0 in
-  for i = 0 to lv.n - 1 do
+  (* [c] is the last signal: bit [c mod 63] of word [c / 63] *)
+  let c = Stg.n_signals stg in
+  let w = Sg.code_words c and w' = Sg.code_words (c + 1) in
+  let codes = Array.make (n * w') 0 in
+  for i = 0 to n - 1 do
     let key = lv.keys.(i) in
-    let m = Array.append (Sg.marking sg (key lsr 3)) qs in
-    hold_plus key m;
-    hold_minus key m;
-    ignore (Sg.Builder.add_state b m);
-    for k = lv.off.(i) to lv.off.(i + 1) - 1 do
-      Sg.Builder.add_arc b i lv.arc_tr.(k) lv.arc_dst.(k)
-    done
+    for j = 0 to w - 1 do
+      codes.((i * w') + j) <- Sg.code_word sg (key lsr 3) j
+    done;
+    let j = (i * w') + (c / 63) and v = lv.v0 lxor ((key lsr 2) land 1) in
+    codes.(j) <- codes.(j) lor (v lsl (c mod 63))
   done;
-  let c = Stg.signal_of_name stg' name in
-  let parent_sig =
-    Array.init (Stg.n_signals stg') (fun i ->
-        if i = c then -1
-        else Stg.signal_of_name stg (Stg.signal stg' i).Stg.Signal.name)
-  in
-  let keys = lv.keys and v0 = lv.v0 in
-  let code j sigid =
-    let key = keys.(j) in
-    if sigid = c then v0 lxor ((key lsr 2) land 1)
-    else Sg.value sg (key lsr 3) parent_sig.(sigid)
-  in
-  Sg.Builder.build b ~code ~initial:0
+  Sg.of_arrays stg' ~markings ~codes
+    ~off:(Array.sub lv.off 0 (n + 1))
+    ~arc_tr:(Array.sub lv.arc_tr 0 lv.m)
+    ~arc_dst:(Array.sub lv.arc_dst 0 lv.m)
+    ~initial:0
 
 let product sg ~set ~reset ~name =
   validate (Sg.stg sg) ~set ~reset ~name;
   let lv = level sg in
-  match explore lv (edges (Sg.stg sg).Stg.net ~set ~reset) with
+  let plus, minus = edges lv.net ~set ~reset in
+  match explore lv plus minus with
   | () -> Some (Ok (build lv ~set ~reset ~name))
   | exception Fallback -> None
   | exception Over_budget -> Some (Error (Sg.Unbounded Sg.default_budget))
@@ -583,7 +615,8 @@ let product_conflicts sg ~set ~reset =
   let lv = level sg in
   if not lv.packed then None
   else
-    match explore lv (edges (Sg.stg sg).Stg.net ~set ~reset) with
+    let plus, minus = edges lv.net ~set ~reset in
+    match explore lv plus minus with
     | () -> Some (count lv ~limit:max_int)
     | exception (Fallback | Over_budget | Conflict _) -> None
 
@@ -638,9 +671,8 @@ and state =
    unbuilt.  A fallback child, or one of a parent too wide to count on,
    is built for its count and keeps verdicts of its own. *)
 let judge (lv : level) ~final conflicts ~set ~reset ~name =
-  let net = (Sg.stg lv.sg).Stg.net in
-  let es = edges net ~set ~reset in
-  let ordered, unordered = pair_keys net es in
+  let ((plus, minus) as es) = edges lv.net ~set ~reset in
+  let ordered, unordered = pair_keys lv.net es in
   let pass ?sg judgement score =
     if judgement.conflicts > conflicts then reject c_more_conflicts
     else if final && judgement.conflicts > 0 then reject c_not_final
@@ -667,7 +699,7 @@ let judge (lv : level) ~final conflicts ~set ~reset ~name =
       Obs.Counter.incr c_shared;
       shared verdict
   | None -> (
-      match explore lv es with
+      match explore lv plus minus with
       | () ->
           Obs.Counter.incr c_product;
           if lv.packed then begin
@@ -695,7 +727,8 @@ let child (lv : level) ~name cand =
   | Some sg -> sg
   | None ->
       let { set; reset; _ } = cand in
-      explore lv (edges (Sg.stg lv.sg).Stg.net ~set ~reset);
+      let plus, minus = edges lv.net ~set ~reset in
+      explore lv plus minus;
       let sg = build lv ~set ~reset ~name in
       cand.sg <- Some sg;
       sg

@@ -40,7 +40,14 @@ val pp_site : Stg.t -> Format.formatter -> site -> unit
 (** All legal sites of an STG (no direct input-delay). *)
 val sites : Stg.t -> site list
 
-(** Insert one internal signal, [c+] at [set], [c-] at [reset].
+(** Insert one internal signal, [c+] at [set], [c-] at [reset].  The
+    refined net is built from the original's arrays and shares every one
+    the insertion leaves alone.  The inserted places, [q_<name>_<t>] after
+    transition [t] and [q_<name>_<p>] on place [p], are numbered after the
+    original places, by producer and then by the place they hold back;
+    [c+] and [c-] follow the original transitions, and the signal [c] is
+    the last one, id {!Stg.n_signals} of the original (signals stay
+    ordered inputs, outputs, internals: see {!Stg.t}).
     @raise Invalid_argument when a site would delay an input transition
     directly, when the sites coincide, or when [name] clashes with an
     existing signal. *)
@@ -54,9 +61,13 @@ val insert_signal : Stg.t -> set:site -> reset:site -> name:string -> Stg.t
     hold a token.  The child is explored on [sg] alone: an original
     transition fires where its parent arc exists and the parent marking,
     less the tokens held back in a pending inserted place, still marks its
-    preset; [c±] fires where its place is marked.  Only then is the child
-    built: its STG by {!insert_signal}, its markings from the parent's with
-    the held tokens moved into the inserted places.  States are explored
+    preset; [c±] fires where its place is marked.  The exploration is
+    loops over [sg]'s arc indices ({!Sg.first_arc}) and one scratch
+    record per parent, so it allocates nothing per child state or arc.
+    Only then is the child built, by {!Sg.of_arrays}: its STG by
+    {!insert_signal}, its markings from the parent's with the held tokens
+    moved into the inserted places, its codes the parent's code words plus
+    the new signal's bit, its rows the explored ones.  States are explored
     in {!Sg.of_stg}'s order and initial values inferred as it does, so the
     result is structurally identical to [Sg.of_stg (insert_signal ...)]:
     state numbering, initial state, codes, markings, arc rows and

@@ -183,16 +183,37 @@ let codes_where x keep =
   a
 
 (* ON/OFF sets (and conflict count) of one signal from an extraction.
-   The arrays come out strictly ascending because [x_codes] is. *)
+   One pass classifies each code, gathering the ON codes at the front of
+   the scratch array and the OFF codes at its back; both come out
+   strictly ascending because [x_codes] is. *)
 let sop_sets x sigid =
-  let cls i = sop_class sigid x.x_codes.(i) x.x_any.(i) x.x_all.(i) in
-  let conflicts = ref 0 in
-  for i = 0 to Array.length x.x_codes - 1 do
-    if cls i = 2 then incr conflicts
+  let n = Array.length x.x_codes in
+  let sc = Pool.Dls.get scratch_key in
+  if Array.length sc.sc_tmp < n then sc.sc_tmp <- Array.make n 0;
+  let tmp = sc.sc_tmp in
+  let n_on = ref 0 and n_off = ref 0 in
+  for i = 0 to n - 1 do
+    let m = x.x_codes.(i) in
+    match sop_class sigid m x.x_any.(i) x.x_all.(i) with
+    | 1 ->
+        tmp.(!n_on) <- m;
+        incr n_on
+    | 0 ->
+        incr n_off;
+        tmp.(n - !n_off) <- m
+    | _ -> ()
   done;
-  ( codes_where x (fun i -> cls i = 1),
-    codes_where x (fun i -> cls i = 0),
-    !conflicts )
+  ( Array.sub tmp 0 !n_on,
+    Array.init !n_off (fun j -> tmp.(n - 1 - j)),
+    n - !n_on - !n_off )
+
+(* [sop_sets]'s conflict count alone. *)
+let conflict_codes x sigid =
+  let c = ref 0 in
+  for i = 0 to Array.length x.x_codes - 1 do
+    if sop_class sigid x.x_codes.(i) x.x_any.(i) x.x_all.(i) = 2 then incr c
+  done;
+  !c
 
 (* Set/reset networks for the generalized C-element:
    S: ON over ER(a+), OFF over stable-0 states and ER(a-);
@@ -352,20 +373,24 @@ let estimate ?(conflict_penalty = default_penalty) ?(ghosts = true) sg =
 
 (* [evaluate]'s total, summed conflict penalties first (they need no
    minimization), then one signal's literals at a time; every term is
-   non-negative, so a partial sum that reaches [bound] settles it. *)
+   non-negative, so a partial sum that reaches [bound] settles it, and
+   the signals after it never have their ON/OFF sets built. *)
 let evaluate_bounded ~bound sg =
   let nsig = Stg.n_signals (Sg.stg sg) in
   let x = extract ~ghosts:true sg in
-  let sets = List.map (sop_sets x) (non_input_signals sg) in
+  let sigs = non_input_signals sg in
   let rec go acc = function
     | _ when acc >= bound -> None
     | [] -> Some acc
-    | (on, off, _) :: rest ->
+    | sigid :: rest ->
+        let on, off, _ = sop_sets x sigid in
         go (acc + Boolf.Memo.literals ~n:nsig ~on ~off) rest
   in
   go
-    (List.fold_left (fun acc (_, _, c) -> acc + (default_penalty * c)) 0 sets)
-    sets
+    (List.fold_left
+       (fun acc sigid -> acc + (default_penalty * conflict_codes x sigid))
+       0 sigs)
+    sigs
 
 let c_delta_inherited = Obs.Counter.make "logic.delta.inherited"
 let c_delta_recomputed = Obs.Counter.make "logic.delta.recomputed"

@@ -89,6 +89,20 @@ module Builder = struct
     }
 end
 
+let of_arrays ~place_names ~trans_names ~pre ~post ~producers ~consumers
+    ~initial =
+  let n_places = Array.length place_names
+  and n_trans = Array.length trans_names in
+  if
+    Array.length initial <> n_places
+    || Array.length producers <> n_places
+    || Array.length consumers <> n_places
+    || Array.length pre <> n_trans
+    || Array.length post <> n_trans
+  then invalid_arg "Petri.of_arrays: array lengths disagree";
+  { n_places; n_trans; place_names; trans_names; pre; post; producers;
+    consumers; initial }
+
 let n_places net = net.n_places
 let n_trans net = net.n_trans
 let place_name net p = net.place_names.(p)

@@ -5,7 +5,8 @@
     bounded (usually safe); reachability exploration takes an explicit state
     budget and fails loudly when exceeded.
 
-    Places and transitions are dense integer ids, assigned by {!Builder}. *)
+    Places and transitions are dense integer ids, assigned by {!Builder}
+    (or given to {!of_arrays}). *)
 
 type place = int
 type trans = int
@@ -52,6 +53,25 @@ module Builder : sig
 
   val build : t -> net
 end
+
+(** The net over finished arrays, taken as they are (not copied): what
+    {!Builder.build} returns, without the lists it builds from.  Each
+    array of ids must be as {!Builder.build} makes it — ascending, without
+    repeats, [pre]/[consumers] and [post]/[producers] listing the same
+    arcs — which is not checked.  Arrays that are never written may be
+    shared between nets.
+    @raise Invalid_argument when the lengths disagree: [place_names],
+    [producers], [consumers] and [initial] have one entry per place,
+    [trans_names], [pre] and [post] one per transition. *)
+val of_arrays :
+  place_names:string array ->
+  trans_names:string array ->
+  pre:place array array ->
+  post:place array array ->
+  producers:trans array array ->
+  consumers:trans array array ->
+  initial:marking ->
+  t
 
 val n_places : t -> int
 val n_trans : t -> int

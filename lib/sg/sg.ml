@@ -11,7 +11,7 @@ type state = int
    because no function mutates the graph arrays. *)
 
 let bits_per_word = 63
-let words_per_state nsig = max 1 ((nsig + bits_per_word - 1) / bits_per_word)
+let code_words nsig = max 1 ((nsig + bits_per_word - 1) / bits_per_word)
 
 type conc_rel = {
   conc_labels : Stg.label array;
@@ -90,7 +90,7 @@ type t = {
   arc_dst : int array;
   arc_root : int array;
       (** index of each arc in the root of the filter lineage: the graph
-          that {!Builder.build} or {!derive} made, which a chain of
+          that {!of_arrays} or {!derive} made, which a chain of
           [filter_arcs] calls led here *)
   initial : state;
   unconstrained : int list;
@@ -148,6 +148,10 @@ let iter_arcs sg f =
     done
   done
 
+let first_arc sg s = sg.off.(s)
+let arc_trans sg k = sg.arc_tr.(k)
+let arc_target sg k = sg.arc_dst.(k)
+
 (* ------------------------------------------------------------------ *)
 (* Codes *)
 
@@ -165,6 +169,10 @@ let code_bits sg s =
   if sg.nsig > 62 then
     invalid_arg "Sg.code_bits: more than 62 signals";
   sg.codes.(s)
+
+let code_word sg s w =
+  if w < 0 || w >= sg.wps then invalid_arg "Sg.code_word: no such word";
+  sg.codes.((s * sg.wps) + w)
 
 (* ------------------------------------------------------------------ *)
 (* Ghost contributions *)
@@ -327,7 +335,7 @@ let root stg ~markings ~codes ~off ~arc_tr ~arc_dst ~initial ~unconstrained =
     stg;
     n = Array.length markings;
     nsig;
-    wps = words_per_state nsig;
+    wps = code_words nsig;
     markings;
     codes;
     off;
@@ -342,127 +350,48 @@ let root stg ~markings ~codes ~off ~arc_tr ~arc_dst ~initial ~unconstrained =
     cache = fresh_cache ();
   }
 
-module Builder = struct
-  type sg = t
-
-  type t = {
-    b_stg : Stg.t;
-    mutable b_marks : Petri.marking array;
-    mutable b_n : int;
-    mutable b_src : int array;
-    mutable b_tr : int array;
-    mutable b_dst : int array;
-    mutable b_m : int;
-  }
-
-  let create ?(expect = 256) stg =
-    let expect = max 1 expect in
-    {
-      b_stg = stg;
-      b_marks = Array.make expect [||];
-      b_n = 0;
-      b_src = Array.make (2 * expect) 0;
-      b_tr = Array.make (2 * expect) 0;
-      b_dst = Array.make (2 * expect) 0;
-      b_m = 0;
-    }
-
-  let add_state b m =
-    if b.b_n = Array.length b.b_marks then begin
-      let grown = Array.make (2 * b.b_n) [||] in
-      Array.blit b.b_marks 0 grown 0 b.b_n;
-      b.b_marks <- grown
-    end;
-    b.b_marks.(b.b_n) <- m;
-    b.b_n <- b.b_n + 1;
-    b.b_n - 1
-
-  let n_states b = b.b_n
-
-  let add_arc b s tr s' =
-    if b.b_m = Array.length b.b_src then begin
-      let cap = 2 * b.b_m in
-      let grow a =
-        let g = Array.make cap 0 in
-        Array.blit a 0 g 0 b.b_m;
-        g
-      in
-      b.b_src <- grow b.b_src;
-      b.b_tr <- grow b.b_tr;
-      b.b_dst <- grow b.b_dst
-    end;
-    b.b_src.(b.b_m) <- s;
-    b.b_tr.(b.b_m) <- tr;
-    b.b_dst.(b.b_m) <- s';
-    b.b_m <- b.b_m + 1
-
-  let build ?(unconstrained = []) b ~code ~initial : sg =
-    let n = b.b_n and m = b.b_m in
-    if initial < 0 || initial >= n then
-      invalid_arg "Sg.Builder.build: initial state was never added";
-    for k = 0 to m - 1 do
-      if
-        b.b_src.(k) < 0 || b.b_src.(k) >= n || b.b_dst.(k) < 0
-        || b.b_dst.(k) >= n
-      then invalid_arg "Sg.Builder.build: arc endpoint was never added"
-    done;
-    (* Stable counting sort of the arcs by source: per-source insertion
-       order is preserved, so rows read back in [add_arc] order. *)
-    let off = Array.make (n + 1) 0 in
-    for k = 0 to m - 1 do
-      off.(b.b_src.(k) + 1) <- off.(b.b_src.(k) + 1) + 1
-    done;
-    for i = 1 to n do
-      off.(i) <- off.(i) + off.(i - 1)
-    done;
-    let arc_tr = Array.make m 0 and arc_dst = Array.make m 0 in
-    let pos = Array.sub off 0 n in
-    for k = 0 to m - 1 do
-      let s = b.b_src.(k) in
-      let i = pos.(s) in
-      arc_tr.(i) <- b.b_tr.(k);
-      arc_dst.(i) <- b.b_dst.(k);
-      pos.(s) <- i + 1
-    done;
-    (* Every state must be reachable from the initial one: the analyses
-       (arc_label_instances in particular) rely on it. *)
-    let seen = Array.make n false in
-    seen.(initial) <- true;
-    let queue = Queue.create () in
-    Queue.add initial queue;
-    let reached = ref 1 in
-    while not (Queue.is_empty queue) do
-      let s = Queue.pop queue in
-      for k = off.(s) to off.(s + 1) - 1 do
-        let d = arc_dst.(k) in
-        if not seen.(d) then begin
-          seen.(d) <- true;
-          incr reached;
-          Queue.add d queue
-        end
-      done
-    done;
-    if !reached < n then
-      invalid_arg
-        (Printf.sprintf
-           "Sg.Builder.build: %d of %d states unreachable from the initial \
-            state"
-           (n - !reached) n);
-    let nsig = Stg.n_signals b.b_stg in
-    let wps = words_per_state nsig in
-    let codes = Array.make (n * wps) 0 in
-    for s = 0 to n - 1 do
-      let row = s * wps in
-      for i = 0 to nsig - 1 do
-        if code s i <> 0 then
-          codes.(row + (i / bits_per_word)) <-
-            codes.(row + (i / bits_per_word))
-            lor (1 lsl (i mod bits_per_word))
-      done
-    done;
-    root b.b_stg ~markings:(Array.sub b.b_marks 0 n) ~codes ~off ~arc_tr
-      ~arc_dst ~initial ~unconstrained
-end
+let of_arrays ?(unconstrained = []) stg ~markings ~codes ~off ~arc_tr
+    ~arc_dst ~initial =
+  let fail what = invalid_arg ("Sg.of_arrays: " ^ what) in
+  let n = Array.length markings and m = Array.length arc_tr in
+  let ntr = Petri.n_trans stg.Stg.net in
+  if initial < 0 || initial >= n then fail "initial state out of range";
+  if Array.length codes <> n * code_words (Stg.n_signals stg) then
+    fail "codes do not match the states";
+  if Array.length off <> n + 1 || off.(0) <> 0 || off.(n) <> m
+     || Array.length arc_dst <> m
+  then fail "rows do not match the arcs";
+  for s = 0 to n - 1 do
+    if off.(s) > off.(s + 1) then fail "rows out of order"
+  done;
+  for k = 0 to m - 1 do
+    if arc_tr.(k) < 0 || arc_tr.(k) >= ntr then
+      fail "arc transition out of range";
+    if arc_dst.(k) < 0 || arc_dst.(k) >= n then fail "arc target out of range"
+  done;
+  (* Every state must be reachable from the initial one: the analyses
+     (arc_label_instances in particular) rely on it.  [queue] holds the
+     states in the order the BFS reaches them. *)
+  let seen = Bytes.make n '\000' and queue = Array.make n initial in
+  Bytes.set seen initial '\001';
+  let head = ref 0 and reached = ref 1 in
+  while !head < !reached do
+    let s = queue.(!head) in
+    incr head;
+    for k = off.(s) to off.(s + 1) - 1 do
+      let d = arc_dst.(k) in
+      if Bytes.get seen d = '\000' then begin
+        Bytes.set seen d '\001';
+        queue.(!reached) <- d;
+        incr reached
+      end
+    done
+  done;
+  if !reached < n then
+    fail
+      (Printf.sprintf "%d of %d states unreachable from the initial state"
+         (n - !reached) n);
+  root stg ~markings ~codes ~off ~arc_tr ~arc_dst ~initial ~unconstrained
 
 exception Inconsistency of string
 
@@ -533,7 +462,7 @@ let packing stg ~width =
     width;
     per_word;
     mw;
-    kw = mw + words_per_state (Stg.n_signals stg);
+    kw = mw + code_words (Stg.n_signals stg);
     guards = !guards;
     pre;
     delta;
@@ -804,7 +733,7 @@ let of_stg_impl ?(budget = default_budget) ?(initial_values = [])
                      s.Stg.Signal.name))
             !unconstrained;
           (* A code is its state's parity words xor the initial values. *)
-          let wps = words_per_state nsig in
+          let wps = code_words nsig in
           let init = Array.make wps 0 in
           Array.iteri
             (fun sigid v ->
@@ -1521,7 +1450,7 @@ let er sg lab = try Hashtbl.find (er_table sg) lab with Not_found -> []
 
 (* Distinct labels on arcs, each with all the STG transitions carrying it.
    Every state of a [t] is reachable from [initial] by construction
-   ([Builder.build] rejects unreachable states, [filter_arcs] prunes), so
+   ([of_arrays] rejects unreachable states, [filter_arcs] prunes), so
    this is exactly the set of reachable arc labels — reduction's vanish
    check. *)
 let arc_label_instances sg =

@@ -9,7 +9,9 @@
     compressed-sparse-row arrays (one offsets array plus parallel
     transition/target arrays); see DESIGN.md, "Packed state-graph core".
     Consumers read the graph through the accessors and iterators below and
-    build derived graphs through {!filter_arcs}, {!derive} or {!Builder}. *)
+    build derived graphs through {!filter_arcs} or {!derive}; an engine
+    that enumerates a state space by other means than {!of_stg} hands its
+    finished arrays to {!of_arrays}. *)
 
 type state = int
 
@@ -81,6 +83,15 @@ val code : t -> state -> string
     @raise Invalid_argument when the STG has more than 62 signals. *)
 val code_bits : t -> state -> int
 
+(** [code_word sg s w] — word [w] of the state's packed code.  A code of
+    [n] signals takes {!code_words}[ n] words, signal [i]'s value at bit
+    [i mod 63] of word [i / 63].
+    @raise Invalid_argument when [w] is not one of its words. *)
+val code_word : t -> state -> int -> int
+
+(** The words of a packed code of [n] signals: [max 1 ⌈n / 63⌉]. *)
+val code_words : int -> int
+
 (** Code with an asterisk after every excited signal, e.g. ["1*0*"] — the
     display format used in the paper's Fig. 1. *)
 val code_display : t -> state -> string
@@ -148,6 +159,16 @@ val exists_succ : t -> state -> (Petri.trans -> state -> bool) -> bool
     sources in id order, arcs of one source in arc order. *)
 val iter_arcs : t -> (state -> Petri.trans -> state -> unit) -> unit
 
+(** Arcs by index, for loops that must not allocate a closure: the
+    outgoing arcs of [s] are the indices [first_arc sg s] to [first_arc sg
+    (s + 1) - 1], in arc order ([first_arc sg (n_states sg)] is
+    {!n_arcs}); [arc_trans] and [arc_target] read an arc's transition and
+    target state. *)
+val first_arc : t -> state -> int
+
+val arc_trans : t -> int -> Petri.trans
+val arc_target : t -> int -> state
+
 (** [iter_pred sg s f] — [f tr source] for every incoming arc of [s].
     The reverse arcs are derived from the forward arcs on first use and
     cached: the reduction search builds and discards many SGs that are
@@ -187,38 +208,28 @@ val derive :
   arcs:(state -> (Petri.trans * state) list) ->
   t * state array
 
-(** Imperative construction of an SG from scratch, for engines that
-    enumerate a state space by other means than {!of_stg} ([Csc]'s
-    products, the tests).  Invariants checked at
-    {!Builder.build}: arc endpoints must be added states, the initial
-    state must be added, and every state should be reachable from the
-    initial one (unreachable states are rejected — prune with
-    {!filter_arcs} if needed). *)
-module Builder : sig
-  type sg := t
-  type t
-
-  val create : ?expect:int -> Stg.t -> t
-
-  (** [add_state b marking] — returns the new state id (dense, starting
-      at 0).  The marking array is not copied. *)
-  val add_state : t -> Petri.marking -> state
-
-  val n_states : t -> int
-
-  (** Arcs may be added in any order; rows keep per-source insertion
-      order. *)
-  val add_arc : t -> state -> Petri.trans -> state -> unit
-
-  (** [build b ~code ~initial] freezes the graph.  [code s i] is the value
-      (0/1) of signal [i] in state [s], packed at build time. *)
-  val build :
-    ?unconstrained:int list ->
-    t ->
-    code:(state -> int -> int) ->
-    initial:state ->
-    sg
-end
+(** [of_arrays stg ~markings ~codes ~off ~arc_tr ~arc_dst ~initial] — the
+    graph over these arrays, taken as they are (not copied): state [s] has
+    marking [markings.(s)], the code words [codes.(s * w)] to [codes.(s * w
+    + w - 1)] with [w = code_words (Stg.n_signals stg)] (laid out as
+    {!code_word} reads them), and the outgoing arcs [off.(s)] to [off.(s +
+    1) - 1] of the parallel arrays [arc_tr] (transitions) and [arc_dst]
+    (targets), in that order.  For engines that enumerate a state space by
+    other means than {!of_stg} ([Csc]'s products).  The graph roots a
+    filter lineage and has no ghosts; [unconstrained] defaults to [[]].
+    @raise Invalid_argument when the array lengths disagree, an arc's
+    transition or target is out of range, or some state is unreachable
+    from [initial] (prune with {!filter_arcs} if needed). *)
+val of_arrays :
+  ?unconstrained:int list ->
+  Stg.t ->
+  markings:Petri.marking array ->
+  codes:int array ->
+  off:int array ->
+  arc_tr:Petri.trans array ->
+  arc_dst:state array ->
+  initial:state ->
+  t
 
 (** {2 Implementability analyses} *)
 
@@ -298,7 +309,7 @@ val signature : t -> string
 
 (** {2 Root arcs}
 
-    A graph built by {!of_stg}, {!Builder} or {!derive} is the {e root} of
+    A graph built by {!of_stg}, {!of_arrays} or {!derive} is the {e root} of
     a filter lineage: every graph that a chain of {!filter_arcs} calls
     derives from it carries, for each of its arcs, that arc's index in the
     root. *)

@@ -25,6 +25,12 @@ type label = Edge of int * dir  (** signal id, direction *) | Dummy of string
 type t = {
   net : Petri.t;
   signals : Signal.t array;
+      (** Inputs, then outputs, then internal signals, each group in
+          declaration order.  Every constructor keeps this order:
+          {!of_net} and {!Io.parse} group the declared signals so,
+          {!add_causality} keeps them, and [Csc.insert_signal] appends
+          its new internal signal last, which is why that signal's id is
+          the old signal count. *)
   labels : label array;  (** indexed by transition id *)
 }
 

@@ -166,6 +166,132 @@ let suite =
     QCheck_alcotest.to_alcotest prop_insertion_only_delays;
   ]
 
+(* [Csc.insert_signal] as it was before it built the refined net from its
+   parent's arrays: every place, transition and arc through
+   [Petri.Builder], and every transition name parsed again by
+   [Stg.of_net] with the signals regrouped by kind.  It takes a valid
+   pair of sites (no checks). *)
+let reference_insert_signal stg ~set ~reset ~name =
+  let net = stg.Stg.net in
+  let b = Petri.Builder.create () in
+  for p = 0 to Petri.n_places net - 1 do
+    ignore
+      (Petri.Builder.add_place b ~name:(Petri.place_name net p)
+         ~tokens:net.Petri.initial.(p))
+  done;
+  for t = 0 to Petri.n_trans net - 1 do
+    ignore (Petri.Builder.add_trans b ~name:(Petri.trans_name net t))
+  done;
+  let t_plus = Petri.Builder.add_trans b ~name:(name ^ "+") in
+  let t_minus = Petri.Builder.add_trans b ~name:(name ^ "-") in
+  let edge_of = function s when s = set -> t_plus | _ -> t_minus in
+  (* On_arc sites: the producer's arc to the place is re-routed through
+     the new edge, t1 -> q -> c± -> p *)
+  let rerouted = Hashtbl.create 4 in
+  List.iter
+    (fun s ->
+      match s with
+      | Csc.On_arc p -> Hashtbl.replace rerouted p (edge_of s)
+      | Csc.After _ -> ())
+    [ set; reset ];
+  for t = 0 to Petri.n_trans net - 1 do
+    Array.iter (fun p -> Petri.Builder.arc_pt b p t) net.Petri.pre.(t);
+    let series_edge =
+      match (set, reset) with
+      | Csc.After ts, _ when ts = t -> Some t_plus
+      | _, Csc.After tr when tr = t -> Some t_minus
+      | (Csc.After _ | Csc.On_arc _), (Csc.After _ | Csc.On_arc _) -> None
+    in
+    match series_edge with
+    | Some edge ->
+        let q =
+          Petri.Builder.add_place b
+            ~name:(Printf.sprintf "q_%s_%s" name (Petri.trans_name net t))
+            ~tokens:0
+        in
+        Petri.Builder.arc_tp b t q;
+        Petri.Builder.arc_pt b q edge;
+        Array.iter (fun p -> Petri.Builder.arc_tp b edge p) net.Petri.post.(t)
+    | None ->
+        Array.iter
+          (fun p ->
+            match Hashtbl.find_opt rerouted p with
+            | Some edge ->
+                let q =
+                  Petri.Builder.add_place b
+                    ~name:
+                      (Printf.sprintf "q_%s_%s" name (Petri.place_name net p))
+                    ~tokens:0
+                in
+                Petri.Builder.arc_tp b t q;
+                Petri.Builder.arc_pt b q edge;
+                Petri.Builder.arc_tp b edge p
+            | None -> Petri.Builder.arc_tp b t p)
+          net.Petri.post.(t)
+  done;
+  let kind_names k =
+    Array.to_list stg.Stg.signals
+    |> List.filter_map (fun s ->
+           if s.Stg.Signal.kind = k then Some s.Stg.Signal.name else None)
+  in
+  Stg.of_net
+    ~inputs:(kind_names Stg.Signal.Input)
+    ~outputs:(kind_names Stg.Signal.Output)
+    ~internals:(kind_names Stg.Signal.Internal @ [ name ])
+    (Petri.Builder.build b)
+
+(* [Csc.insert_signal] builds the reference's STG, [=] on [Stg.t], for
+   every ordered pair of sites of every shipped spec, of four-phase LR,
+   PAR and MMU, of eight generated specs of each choice class (whose
+   merge places fed by two [After] sites list both new edges as
+   producers), and of a first-level child of each: the child of the
+   first pair, whose net already carries [q_] places and an internal
+   [csc0] to insert [csc1] after. *)
+let test_insert_signal_reference () =
+  let pairs = ref 0 in
+  let check_spec what stg ~name =
+    let sites = Csc.sites stg in
+    List.iter
+      (fun set ->
+        List.iter
+          (fun reset ->
+            if set <> reset then begin
+              incr pairs;
+              if
+                Csc.insert_signal stg ~set ~reset ~name
+                <> reference_insert_signal stg ~set ~reset ~name
+              then
+                Alcotest.failf "%s: set %s reset %s" what
+                  (Format.asprintf "%a" (Csc.pp_site stg) set)
+                  (Format.asprintf "%a" (Csc.pp_site stg) reset)
+            end)
+          sites)
+      sites;
+    match sites with
+    | set :: reset :: _ -> Some (Csc.insert_signal stg ~set ~reset ~name)
+    | [] | [ _ ] -> None
+  in
+  List.iter
+    (fun (what, stg) ->
+      match check_spec what stg ~name:"csc0" with
+      | Some child -> ignore (check_spec (what ^ " child") child ~name:"csc1")
+      | None -> ())
+    (List.map
+       (fun (f, path) -> (f, Stg.Io.parse_file path))
+       (Test_roundtrip.g_files ())
+    @ [
+        ("LR", Expansion.four_phase Specs.lr);
+        ("PAR", Expansion.four_phase Specs.par);
+        ("MMU", Expansion.four_phase Specs.mmu);
+      ]
+    @ List.concat_map
+        (fun cls ->
+          List.init 8 (fun seed ->
+              ( Printf.sprintf "%s %d" (Gen.class_name cls) seed,
+                Gen.case_to_stg (Gen.random_case ~max_signals:4 ~cls seed) )))
+        Gen.all_classes);
+  check "some pairs" true (!pairs > 1000)
+
 let test_on_arc_site_display () =
   let stg, _ = lr_sg () in
   match
@@ -191,6 +317,8 @@ let suite =
   suite
   @ [
       Alcotest.test_case "on-arc site display" `Quick test_on_arc_site_display;
+      Alcotest.test_case "insert_signal = Builder reference" `Quick
+        test_insert_signal_reference;
       Alcotest.test_case "deterministic resolution" `Quick
         test_resolve_deterministic;
     ]

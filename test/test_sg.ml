@@ -317,6 +317,44 @@ let test_code_accessors () =
     (String.length (Sg.code_display sg 0) >= 2);
   Alcotest.(check (list int)) "states list" [ 0; 1; 2; 3; 4 ] (Sg.states sg)
 
+(* [Sg.of_arrays] over fig1's own arrays rebuilds fig1's graph; it
+   rejects an arc target that is not a state, and a state that the
+   initial one cannot reach (a copy of the last state, with no arc in or
+   out). *)
+let test_of_arrays () =
+  let sg = fig1_sg () in
+  let stg = Sg.stg sg and n = Sg.n_states sg in
+  let w = Sg.code_words (Stg.n_signals stg) in
+  let build ?(extra = 0) ?(retarget = fun _ d -> d) () =
+    let last s = min s (n - 1) in
+    Sg.of_arrays stg
+      ~markings:(Array.init (n + extra) (fun s -> Sg.marking sg (last s)))
+      ~codes:
+        (Array.init
+           ((n + extra) * w)
+           (fun i -> Sg.code_word sg (last (i / w)) (i mod w)))
+      ~off:(Array.init (n + extra + 1) (fun s -> Sg.first_arc sg (min s n)))
+      ~arc_tr:(Array.init (Sg.n_arcs sg) (Sg.arc_trans sg))
+      ~arc_dst:
+        (Array.init (Sg.n_arcs sg) (fun k -> retarget k (Sg.arc_target sg k)))
+      ~initial:(Sg.initial sg)
+  in
+  let dump g =
+    ( Format.asprintf "%a" Sg.pp_full g,
+      List.map (Sg.marking g) (Sg.states g),
+      Sg.initial g )
+  in
+  check "same graph" true (dump (build ()) = dump sg);
+  let rejected f =
+    match f () with
+    | exception Invalid_argument msg ->
+        String.starts_with ~prefix:"Sg.of_arrays: " msg
+    | _ -> false
+  in
+  check "arc target out of range" true
+    (rejected (build ~retarget:(fun k d -> if k = 0 then n else d)));
+  check "unreachable state" true (rejected (build ~extra:1))
+
 let test_weak_bisim_vs_signature () =
   (* Equal signatures imply weak bisimilarity (no dummies here). *)
   let sg1 = fig1_sg () and sg2 = fig1_sg () in
@@ -330,6 +368,7 @@ let suite =
       Alcotest.test_case "commutativity negative" `Quick
         test_commutativity_negative;
       Alcotest.test_case "code accessors" `Quick test_code_accessors;
+      Alcotest.test_case "of_arrays checks" `Quick test_of_arrays;
       Alcotest.test_case "signature vs weak bisim" `Quick
         test_weak_bisim_vs_signature;
     ]
